@@ -126,9 +126,6 @@ class CampaignProfile:
             )
         object.__setattr__(self, "segment_weights", tuple(self.segment_weights))
 
-    def drift_multiplier(self, t: float) -> float:
-        return self.drift_per_day ** ((t - self.start_time) / DAY)
-
     def truncated_cdf(self, t: float) -> float:
         """CDF of the actual delay distribution (mixture truncated to the
         attribution window)."""
@@ -137,10 +134,6 @@ class CampaignProfile:
         if t >= self.attribution_window:
             return 1.0
         return self.delay.cdf(t) / self.delay.cdf(self.attribution_window)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignProfile":
@@ -256,11 +249,6 @@ def campaign_delay_quantiles(campaigns) -> set:
     k = max(1, math.ceil(0.1 * len(medians)))
     medians.sort(reverse=True)
     return {cid for _, cid in medians[:k]}
-
-
-def true_delay_cdf(campaign: CampaignProfile, t: float) -> float:
-    """Exact (untruncated) mixture CDF of the campaign's delay distribution."""
-    return float(campaign.delay.cdf(t))
 
 
 def generate(config: StreamConfig) -> Stream:
@@ -415,7 +403,7 @@ def write_sidecar(path, stream: Stream):
     with open(path, "w") as fh:
         fh.write(json.dumps({
             "schema_version": SCHEMA_VERSION,
-            "campaigns": [c.to_dict() for c in truth.campaigns.values()],
+            "campaigns": [asdict(c) for c in truth.campaigns.values()],
             "high_delay": sorted(truth.high_delay),
         }) + "\n")
         for example_id in sorted(truth.thetas):

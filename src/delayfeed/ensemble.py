@@ -104,9 +104,6 @@ class SubModelEnsemble:
 
     # -- features ----------------------------------------------------------
 
-    def base_features(self, example: ClickExample) -> FeatureVector:
-        return FeatureVector(categorical=example.serving_features)
-
     def aux_features(self, example: ClickExample, horizon_index: int) -> list:
         """Aux entries for sub-model i >= 1, derived strictly from events
         with delay < d_i: a numeric label-so-far (log1p-scaled inside the

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ContractViolation, poisson_nll
+from .core import ContractViolation
 
 CHECKPOINT_MAGIC = b"DLYFEED1"
 
@@ -78,8 +78,23 @@ def adagrad_update(param, accum, grad, lr: float, eps: float):
     param -= lr * grad / (np.sqrt(accum) + eps)
 
 
+def _carve(buf, shapes) -> list:
+    """Consecutive views of the flat array `buf`, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(buf[start : start + n].reshape(shape))
+        start += n
+    return views
+
+
 class PoissonRegressor:
     """Hashed-embedding MLP with exponential output link and AdaGrad state.
+
+    All parameters live in one float64 buffer `params` and their AdaGrad
+    accumulators in `g2`, laid out as the per-field embedding tables, then
+    the dense weights, then the dense biases. `embeddings`, `weights`,
+    `biases` and the `*_g2` names are views into those two buffers.
 
     Single-writer during training; read-only inference between training
     steps is safe from any thread.
@@ -91,40 +106,44 @@ class PoissonRegressor:
         rng = np.random.default_rng(config.rng_seed)
 
         d = config.embedding_dim
-        self.embeddings = {}
-        self.embedding_g2 = {}
-        for f in config.categorical_fields:
-            self.embeddings[f] = rng.uniform(
-                -0.05, 0.05, size=(config.hash_buckets_per_field, d)
-            )
-            self.embedding_g2[f] = np.zeros(
-                (config.hash_buckets_per_field, d)
-            )
-
-        self.input_dim = d * len(config.categorical_fields) + len(
-            config.numeric_features
-        )
+        fields = config.categorical_fields
+        self.input_dim = d * len(fields) + len(config.numeric_features)
         self.n_outputs = 2 if config.two_output_mode else 1
 
         sizes = [self.input_dim, *config.hidden_layer_sizes, self.n_outputs]
-        self.weights = []
-        self.biases = []
-        self.weight_g2 = []
-        self.bias_g2 = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
+        layers = list(zip(sizes, sizes[1:]))
+        emb_shape = (config.hash_buckets_per_field, d)
+        dense_shapes = layers + [(fan_out,) for _, fan_out in layers]
+        shapes = [emb_shape] * len(fields) + dense_shapes
+        self.params = np.zeros(sum(math.prod(s) for s in shapes))
+        self.g2 = np.zeros(self.params.size)
+        # dense gradient of the last backward pass, laid out like the
+        # dense tail of `params`
+        self._grad = np.empty(sum(math.prod(s) for s in dense_shapes))
+        n_emb = self.params.size - self._grad.size
+        self._dense = self.params[n_emb:]
+        self._dense_g2 = self.g2[n_emb:]
+
+        nf, nl = len(fields), len(layers)
+        p, a = _carve(self.params, shapes), _carve(self.g2, shapes)
+        self.embeddings = dict(zip(fields, p[:nf]))
+        self.embedding_g2 = dict(zip(fields, a[:nf]))
+        self.weights, self.biases = p[nf : nf + nl], p[nf + nl :]
+        self.weight_g2, self.bias_g2 = a[nf : nf + nl], a[nf + nl :]
+        g = _carve(self._grad, dense_shapes)
+        self._weight_grads, self._bias_grads = g[:nl], g[nl:]
+
+        for f in fields:
+            self.embeddings[f][...] = rng.uniform(-0.05, 0.05, size=emb_shape)
+        for w, (fan_in, fan_out) in zip(self.weights, layers):
             limit = 1.0 / math.sqrt(fan_in) if fan_in > 0 else 0.0
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-            self.weight_g2.append(np.zeros((fan_in, fan_out)))
-            self.bias_g2.append(np.zeros(fan_out))
+            w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         self.biases[-1][:] = config.output_bias_init
 
         self._numeric_index = {
             name: i for i, name in enumerate(config.numeric_features)
         }
-        self._field_offset = {
-            f: i * d for i, f in enumerate(config.categorical_fields)
-        }
+        self._field_offset = {f: i * d for i, f in enumerate(fields)}
 
     # -- forward ---------------------------------------------------------
 
@@ -195,117 +214,89 @@ class PoissonRegressor:
                 raise ContractViolation(
                     "single-output mode takes a scalar label"
                 )
-            if label < 0:
+            if not (math.isfinite(label) and label >= 0):
                 raise ContractViolation(
-                    f"label must be >= 0 in single-output mode, got {label}"
+                    f"label must be finite and >= 0 in single-output mode, "
+                    f"got {label}"
                 )
             return np.array([float(label)])
         pos, neg = label
-        if pos < 0 or neg < 0:
+        if not all(math.isfinite(v) and v >= 0 for v in (pos, neg)):
             raise ContractViolation(
-                f"two-output labels must both be >= 0, got ({pos}, {neg})"
+                f"two-output labels must both be finite and >= 0, "
+                f"got ({pos}, {neg})"
             )
         return np.array([float(pos), float(neg)])
 
-    def _backward(self, rates, activations, lookups, y):
-        """Gradients of the summed Poisson NLL over outputs. Returns
-        (weight grads, bias grads, input grad)."""
+    def _gradients(self, features: FeatureVector, label):
+        """The one backward pass: gradients of the summed Poisson NLL over
+        outputs. Writes the dense gradients into `_grad` and returns (loss,
+        embedding grads as {(field, row): vector})."""
+        y = self._label_array(label)
+        rates, activations, lookups = self._forward_cached(features)
+        loss = float(np.sum(rates - y * np.log(rates)))
         grad = rates - y  # dL/ds for the exp link
-        w_grads = [None] * len(self.weights)
-        b_grads = [None] * len(self.biases)
         for i in range(len(self.weights) - 1, -1, -1):
-            h_in = activations[i]
-            w_grads[i] = np.outer(h_in, grad)
-            b_grads[i] = grad
+            np.multiply(activations[i][:, None], grad, out=self._weight_grads[i])
+            self._bias_grads[i][...] = grad
             grad = self.weights[i] @ grad
             if i > 0:
                 grad = grad * (activations[i] > 0.0)
-        return w_grads, b_grads, grad
+        d = self.config.embedding_dim
+        emb_grads = {}
+        for field_id, row, off in lookups:
+            g = grad[off : off + d]
+            key = (field_id, row)
+            emb_grads[key] = emb_grads[key] + g if key in emb_grads else g
+        return loss, emb_grads
 
     def gradients(self, features: FeatureVector, label):
         """Analytic gradients without updating: (loss, weight grads,
         bias grads, embedding grads as {(field, row): vector})."""
-        y = self._label_array(label)
-        rates, activations, lookups = self._forward_cached(features)
-        loss = float(np.sum(rates - y * np.log(rates)))
-        w_grads, b_grads, x_grad = self._backward(rates, activations, lookups, y)
-        d = self.config.embedding_dim
-        emb_grads = {}
-        for field_id, row, off in lookups:
-            g = x_grad[off : off + d]
-            key = (field_id, row)
-            if key in emb_grads:
-                emb_grads[key] = emb_grads[key] + g
-            else:
-                emb_grads[key] = g.copy()
-        return loss, w_grads, b_grads, emb_grads
+        loss, emb_grads = self._gradients(features, label)
+        return (
+            loss,
+            [g.copy() for g in self._weight_grads],
+            [g.copy() for g in self._bias_grads],
+            emb_grads,
+        )
 
     def train_step(self, features: FeatureVector, label) -> float:
         """One online AdaGrad step; returns the pre-update loss. Only
-        embedding rows actually touched by the input are updated."""
-        y = self._label_array(label)
-        rates, activations, lookups = self._forward_cached(features)
-        loss = float(np.sum(rates - y * np.log(rates)))
-        w_grads, b_grads, x_grad = self._backward(rates, activations, lookups, y)
-
-        if not math.isfinite(loss):
+        embedding rows actually touched by the input are updated. A
+        non-finite loss or gradient raises before anything is written."""
+        loss, emb_grads = self._gradients(features, label)
+        if not (
+            math.isfinite(loss)
+            and np.isfinite(self._grad).all()
+            and all(np.isfinite(g).all() for g in emb_grads.values())
+        ):
             raise FloatingPointError(
-                f"non-finite loss {loss} at output layer (rates={rates})"
+                f"non-finite loss or gradient (loss={loss}); step not applied"
             )
-
         lr = self.config.learning_rate
         eps = self.config.adagrad_epsilon
-        for i, (wg, bg) in enumerate(zip(w_grads, b_grads)):
-            if not np.all(np.isfinite(wg)) or not np.all(np.isfinite(bg)):
-                raise FloatingPointError(
-                    f"non-finite gradient in dense layer {i}"
-                )
-            adagrad_update(self.weights[i], self.weight_g2[i], wg, lr, eps)
-            adagrad_update(self.biases[i], self.bias_g2[i], bg, lr, eps)
-
-        d = self.config.embedding_dim
-        seen = {}
-        for field_id, row, off in lookups:
-            g = x_grad[off : off + d]
-            key = (field_id, row)
-            if key in seen:
-                seen[key] = seen[key] + g
-            else:
-                seen[key] = g
-        for (field_id, row), g in seen.items():
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(
-                    f"non-finite gradient in embedding field {field_id!r}"
-                )
-            table = self.embeddings[field_id]
-            g2 = self.embedding_g2[field_id]
-            g2[row] += g * g
-            table[row] -= lr * g / (np.sqrt(g2[row]) + eps)
+        adagrad_update(self._dense, self._dense_g2, self._grad, lr, eps)
+        for (field_id, row), g in emb_grads.items():
+            adagrad_update(
+                self.embeddings[field_id][row],
+                self.embedding_g2[field_id][row],
+                g, lr, eps,
+            )
         return loss
 
     # -- checkpointing ----------------------------------------------------
 
-    def _param_arrays(self):
-        """All parameter and accumulator arrays in declaration order."""
-        arrays = []
-        for f in self.config.categorical_fields:
-            arrays.append(self.embeddings[f])
-        arrays.extend(self.weights)
-        arrays.extend(self.biases)
-        for f in self.config.categorical_fields:
-            arrays.append(self.embedding_g2[f])
-        arrays.extend(self.weight_g2)
-        arrays.extend(self.bias_g2)
-        return arrays
-
     def save(self, path):
+        """Magic, config JSON length and text, then `params` and `g2` as
+        little-endian float64."""
         cfg_json = json.dumps(asdict(self.config), sort_keys=True).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(cfg_json)))
             fh.write(cfg_json)
-            for arr in self._param_arrays():
-                fh.write(np.asarray(arr, dtype="<f4").tobytes())
+            fh.write(self.params.astype("<f8", copy=False).tobytes())
+            fh.write(self.g2.astype("<f8", copy=False).tobytes())
 
     @classmethod
     def load(cls, path) -> "PoissonRegressor":
@@ -315,8 +306,15 @@ class PoissonRegressor:
                 raise ValueError(f"bad checkpoint magic {magic!r}")
             (cfg_len,) = struct.unpack("<I", fh.read(4))
             cfg = json.loads(fh.read(cfg_len).decode("utf-8"))
-            model = cls(RegressorConfig(**cfg))
-            for arr in model._param_arrays():
-                raw = fh.read(arr.size * 4)
-                arr[...] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape)
+            raw = fh.read()
+        model = cls(RegressorConfig(**cfg))
+        n = model.params.size
+        if len(raw) != 2 * 8 * n:
+            raise ValueError(
+                f"checkpoint holds {len(raw)} bytes of state, its config "
+                f"implies {2 * 8 * n}"
+            )
+        state = np.frombuffer(raw, dtype="<f8")
+        model.params[:] = state[:n]
+        model.g2[:] = state[n:]
         return model

@@ -15,7 +15,6 @@ from delayfeed.datagen import (
     posterior_expected_tail,
     read_sidecar,
     read_stream,
-    true_delay_cdf,
     write_sidecar,
     write_stream,
 )
@@ -59,7 +58,7 @@ class TestDelayMixture:
 
     def test_true_delay_cdf_is_untruncated(self):
         camp = single_campaign(delay_mean=1 * DAY)
-        assert true_delay_cdf(camp, 1 * DAY) == pytest.approx(1 - math.exp(-1))
+        assert camp.delay.cdf(1 * DAY) == pytest.approx(1 - math.exp(-1))
 
     def test_sample_truncated(self):
         mix = pure_exponential(10 * DAY)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from delayfeed.core import (
@@ -73,11 +74,10 @@ class TestConfig:
 
     def test_sub_models_share_no_parameters(self):
         ens = make_ensemble()
-        ids = set()
-        for m in ens.sub_models:
-            for arr in m._param_arrays():
-                assert id(arr) not in ids
-                ids.add(id(arr))
+        buffers = [b for m in ens.sub_models for b in (m.params, m.g2)]
+        for i, a in enumerate(buffers):
+            for b in buffers[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestAuxFeatures:
@@ -245,14 +245,12 @@ class TestTrainOn:
     def test_training_isolation_between_sub_models(self):
         ens = make_ensemble()
         e = make_example([0.5 * DAY, 2 * DAY])
-        snapshots = [
-            [arr.copy() for arr in m._param_arrays()] for m in ens.sub_models
-        ]
+        snapshots = [(m.params.copy(), m.g2.copy()) for m in ens.sub_models]
         ens.train_on(e, 1, now=e.click_time + 7 * DAY)
-        import numpy as np
         for j in (0, 2):
-            for arr, snap in zip(ens.sub_models[j]._param_arrays(), snapshots[j]):
-                assert np.array_equal(arr, snap)
+            m = ens.sub_models[j]
+            assert np.array_equal(m.params, snapshots[j][0])
+            assert np.array_equal(m.g2, snapshots[j][1])
 
     def test_causality_no_future_events(self):
         # training f_0 at age d_1 must give identical results whether or not

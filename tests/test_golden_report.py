@@ -1,0 +1,74 @@
+"""Fixed-seed report regression: every variant's slices and timeseries must
+match the committed golden file exactly, so a refactor that changes a
+single floating-point bit of a report fails here.
+
+Regenerate (only when a change is meant to alter the numbers):
+    PYTHONPATH=src python tests/test_golden_report.py
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from delayfeed.cli import config_from_dict, stream_for_seed, variant_specs_for
+from delayfeed.harness import compare, default_slices, run
+from delayfeed.variants import VARIANT_NAMES, build_variant
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_reports.json"
+
+SEED = 1
+CONFIGS = {
+    "defaults": {"stream": {"total_clicks": 500}},
+    "two_output_signed": {
+        "stream": {"total_clicks": 500, "retraction_prob": 0.2,
+                   "value_labels": True},
+        "two_output_mode": True,
+    },
+}
+
+
+def golden_reports() -> dict:
+    """{config name: {variant: {"slices", "timeseries"}}} for all variants."""
+    out = {}
+    for name, raw in CONFIGS.items():
+        cfg = config_from_dict(raw)
+        stream = stream_for_seed(cfg, SEED)
+        slices = default_slices(stream.ground_truth.high_delay)
+        specs = variant_specs_for(cfg)
+        results = {
+            v: run(build_variant(specs[v], seed_offset=SEED * 101),
+                   stream.examples, slices)
+            for v in VARIANT_NAMES
+        }
+        report = compare(results)
+        out[name] = {
+            v: {"slices": r["slices"], "timeseries": r["timeseries"]}
+            for v, r in report["variants"].items()
+        }
+    # JSON round trip so tuples/lists and int/float keys compare like the file
+    return json.loads(json.dumps(out))
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return golden_reports()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("variant", VARIANT_NAMES)
+def test_report_matches_golden(reports, golden, config_name, variant):
+    want = golden[config_name][variant]
+    got = reports[config_name][variant]
+    assert got["slices"] == want["slices"]
+    assert got["timeseries"] == want["timeseries"]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden_reports(), indent=1, sort_keys=True) + "\n")
