@@ -10,12 +10,10 @@ from .core import (
     ConversionEvent,
     DelayBucketing,
     MetricsAccumulator,
-    bucket_labels,
     mature_label,
     observed_prefix,
     poisson_nll,
     poisson_nll_grad_lograte,
-    thermometer_labels,
 )
 from .ensemble import BUCKET, THERMOMETER, EnsembleConfig, SubModelEnsemble
 from .regressor import FeatureVector, PoissonRegressor, RegressorConfig
@@ -27,12 +25,10 @@ __all__ = [
     "ConversionEvent",
     "DelayBucketing",
     "MetricsAccumulator",
-    "bucket_labels",
     "mature_label",
     "observed_prefix",
     "poisson_nll",
     "poisson_nll_grad_lograte",
-    "thermometer_labels",
     "BUCKET",
     "THERMOMETER",
     "EnsembleConfig",

@@ -1,4 +1,4 @@
-"""Shared domain types: click examples, delay bucketing, label encodings,
+"""Shared domain types: click examples, delay bucketing, window labels,
 Poisson loss, and metric accumulation.
 
 Time is seconds as float64 throughout; DAY is the conversion constant used
@@ -131,44 +131,7 @@ def observed_prefix(example: ClickExample, horizon: float) -> float:
         raise ContractViolation(
             f"horizon {horizon} outside [0, {example.attribution_window}]"
         )
-    total = 0.0
-    for ev in example.events:
-        if ev.delay >= horizon:
-            break
-        total += ev.sign * ev.value
-    return total
-
-
-def thermometer_labels(example: ClickExample, bucketing: DelayBucketing) -> list:
-    """Overlapping tail labels: element i is the signed sum of events with
-    delay in [d_i, M). Element 0 equals mature_label."""
-    n = len(bucketing.boundaries)
-    out = [0.0] * (n + 1)
-    for ev in example.events:
-        v = ev.sign * ev.value
-        out[0] += v
-        for j, d in enumerate(bucketing.boundaries, start=1):
-            if ev.delay >= d:
-                out[j] += v
-            else:
-                break
-    return out
-
-
-def bucket_labels(example: ClickExample, bucketing: DelayBucketing) -> list:
-    """Disjoint slice labels: element i is the signed sum of events with
-    delay in [d_i, d_{i+1}) (the last slice runs to M). Sums to mature_label."""
-    n = len(bucketing.boundaries)
-    out = [0.0] * (n + 1)
-    for ev in example.events:
-        i = 0
-        for d in bucketing.boundaries:
-            if ev.delay >= d:
-                i += 1
-            else:
-                break
-        out[i] += ev.sign * ev.value
-    return out
+    return slice_label(example, 0.0, horizon)
 
 
 def slice_label(example: ClickExample, lo: float, hi: float) -> float:
@@ -214,8 +177,7 @@ def poisson_nll_grad_lograte(rate: float, label: float) -> float:
 @dataclass
 class MetricsAccumulator:
     """Streaming sums for PLL and calibration bias, with a per-window
-    (simulated day) breakdown. Single-writer; merge per-thread copies if
-    accumulating concurrently."""
+    (simulated day) breakdown."""
 
     sum_nll: float = 0.0
     sum_pred: float = 0.0
@@ -248,16 +210,3 @@ class MetricsAccumulator:
         pll = self.sum_nll / self.example_count if self.example_count else None
         bias = self.sum_pred / self.sum_label if self.sum_label > 0 else None
         return pll, bias
-
-    def merge(self, other: "MetricsAccumulator"):
-        self.sum_nll += other.sum_nll
-        self.sum_pred += other.sum_pred
-        self.sum_label += other.sum_label
-        self.example_count += other.example_count
-        for k, w in other.windows.items():
-            mine = self.windows.get(k)
-            if mine is None:
-                self.windows[k] = list(w)
-            else:
-                for j in range(4):
-                    mine[j] += w[j]

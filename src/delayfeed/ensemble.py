@@ -4,13 +4,14 @@ disjoint bucket label encoding, optional "label so far" auxiliary features,
 and cascaded label completion for training on immature examples.
 
 Training contract per sub-model i (thermometer encoding):
-  - trains once the example's age reaches d_{i+1} (d_{n+1} = M),
-  - label = events in [d_i, d_{i+1}) plus f_{i+1}'s current prediction of
-    the remaining tail (the last sub-model's tail is fully observed),
+  - trains once the example's age reaches d_{i+1} (d_{n+1} = M, the
+    bucketing's attribution window),
+  - label = events in its window [d_i, d_{i+1}) plus f_{i+1}'s current
+    prediction of the remaining tail (the last sub-model has no tail),
   - features = serving features, plus aux derived from events before d_i
     for i >= 1 when aux is enabled.
-Bucket encoding trains each sub-model on its own fully observed slice with
-serving features only; serving then sums all sub-model rates.
+Bucket encoding trains each sub-model on the events in its window alone,
+with serving features only; serving then sums all sub-model rates.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ BUCKET = "bucket"
 
 AUX_COUNT_FIELD = "aux_count"
 AUX_NUMERIC_FEATURE = "aux_label_so_far"
+# each cut starts a new count bucket: tokens 0, 1, 2, 3-4, 5-8, 9+
+AUX_COUNT_CUTS = (1, 2, 3, 5, 9)
 
 
 @dataclass(frozen=True)
@@ -42,10 +45,8 @@ class EnsembleConfig:
     regressor_config: RegressorConfig
     encoding: str = THERMOMETER
     use_aux: bool = True
-    aux_count_buckets: tuple = (1, 2, 3, 5, 9)
 
     def __post_init__(self):
-        object.__setattr__(self, "aux_count_buckets", tuple(self.aux_count_buckets))
         if self.encoding not in (THERMOMETER, BUCKET):
             raise ValueError(f"unknown encoding {self.encoding!r}")
         if self.encoding == BUCKET and self.use_aux:
@@ -53,23 +54,19 @@ class EnsembleConfig:
                 "bucket encoding cannot use aux features: every sub-model may "
                 "be evaluated at click time, when no delayed information exists"
             )
-        cuts = self.aux_count_buckets
-        if any(cuts[i] >= cuts[i + 1] for i in range(len(cuts) - 1)):
-            raise ValueError(f"aux_count_buckets must be increasing: {cuts}")
 
 
-def aux_count_token(prefix: float, cuts: tuple) -> str:
-    """Categorical token for the observed-so-far count, bucketed at the
-    given cut points (each cut starts a new bucket). Cuts (1, 2, 3, 5, 9)
-    give tokens 0, 1, 2, 3-4, 5-8, 9+."""
+def aux_count_token(prefix: float) -> str:
+    """Categorical token for the observed-so-far count, bucketed at
+    AUX_COUNT_CUTS."""
     count = max(0, math.floor(prefix))
     lo = 0
-    for cut in cuts:
+    for cut in AUX_COUNT_CUTS:
         if count < cut:
             hi = cut - 1
             return str(lo) if lo == hi else f"{lo}-{hi}"
         lo = cut
-    return f"{cuts[-1]}+"
+    return f"{AUX_COUNT_CUTS[-1]}+"
 
 
 class SubModelEnsemble:
@@ -104,38 +101,19 @@ class SubModelEnsemble:
 
     # -- features ----------------------------------------------------------
 
-    def aux_features(self, example: ClickExample, horizon_index: int) -> list:
-        """Aux entries for sub-model i >= 1, derived strictly from events
-        with delay < d_i: a numeric label-so-far (log1p-scaled inside the
-        regressor) and a bucketed count token."""
-        if horizon_index < 1:
-            raise ContractViolation(
-                "sub-model 0 must not receive delayed features"
-            )
-        if horizon_index >= self.config.bucketing.num_sub_models:
-            raise ContractViolation(
-                f"horizon index {horizon_index} out of range"
-            )
-        prefix = observed_prefix(
-            example, self.config.bucketing.horizon(horizon_index)
-        )
-        token = aux_count_token(prefix, self.config.aux_count_buckets)
-        return [
-            ("numeric", AUX_NUMERIC_FEATURE, max(prefix, 0.0)),
-            ("categorical", AUX_COUNT_FIELD, token),
-        ]
-
     def features_for(self, example: ClickExample, i: int) -> FeatureVector:
-        """Input features for sub-model i: serving features, plus aux when
-        enabled and i >= 1."""
-        fv = FeatureVector(categorical=example.serving_features)
-        if self.config.use_aux and i >= 1:
-            for kind, name, value in self.aux_features(example, i):
-                if kind == "numeric":
-                    fv.numeric.append((name, value))
-                else:
-                    fv.categorical = fv.categorical + [(name, value)]
-        return fv
+        """Input features for sub-model i: serving features, plus, when aux
+        is enabled and i >= 1, two aux entries derived strictly from events
+        with delay < d_i: the label so far (log1p-scaled inside the
+        regressor) and its bucketed count token."""
+        if not self.config.use_aux or i < 1:
+            return FeatureVector(categorical=example.serving_features)
+        prefix = observed_prefix(example, self.config.bucketing.horizon(i))
+        return FeatureVector(
+            categorical=example.serving_features
+            + [(AUX_COUNT_FIELD, aux_count_token(prefix))],
+            numeric=[(AUX_NUMERIC_FEATURE, max(prefix, 0.0))],
+        )
 
     # -- serving ------------------------------------------------------------
 
@@ -184,29 +162,20 @@ class SubModelEnsemble:
         return [(t + b.upper(i), i) for i in range(b.num_sub_models)]
 
     def training_label(self, example: ClickExample, i: int):
-        """Completed label for sub-model i (see module docstring)."""
+        """Completed label for sub-model i (see module docstring): a
+        (positive, negative) pair in two-output mode, else a signed sum."""
         b = self.config.bucketing
         lo, hi = b.horizon(i), b.upper(i)
-        if self.config.encoding == BUCKET:
-            if self.two_output:
-                return split_signed(example, lo, hi)
-            return slice_label(example, lo, hi)
-        last = b.num_sub_models - 1
         if self.two_output:
-            pos, neg = split_signed(
-                example, lo, example.attribution_window if i == last else hi
-            )
-            if i == last:
-                return pos, neg
-            nxt = self.sub_models[i + 1].forward(self.features_for(example, i + 1))
-            return pos + nxt[0], neg + nxt[1]
-        if i == last:
-            return slice_label(example, lo, example.attribution_window)
-        observed = slice_label(example, lo, hi)
-        completion = self.sub_models[i + 1].forward(
-            self.features_for(example, i + 1)
-        )
-        return observed + completion
+            label = split_signed(example, lo, hi)
+        else:
+            label = slice_label(example, lo, hi)
+        if self.config.encoding == BUCKET or i == b.num_sub_models - 1:
+            return label
+        nxt = self.sub_models[i + 1].forward(self.features_for(example, i + 1))
+        if self.two_output:
+            return label[0] + nxt[0], label[1] + nxt[1]
+        return label + nxt
 
     def train_on(self, example: ClickExample, i: int, now: float = None) -> float:
         """One training step of sub-model i on this example. The harness

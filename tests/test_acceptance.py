@@ -33,7 +33,7 @@ from delayfeed.core import (
     split_signed,
 )
 from delayfeed.datagen import StreamConfig, generate, posterior_expected_tail
-from delayfeed.ensemble import THERMOMETER, EnsembleConfig, SubModelEnsemble
+from delayfeed.ensemble import BUCKET, THERMOMETER, EnsembleConfig, SubModelEnsemble
 from delayfeed.harness import default_slices, run
 from delayfeed.regressor import FeatureVector, PoissonRegressor, RegressorConfig
 from delayfeed.variants import VARIANT_NAMES, build_variant, standard_specs
@@ -338,17 +338,21 @@ def test_gradients_match_finite_differences():
 def test_structural_invariants(tmp_path):
     checks = []
 
-    # overlapping-tail labels are suffix sums of the disjoint bucket labels
+    # overlapping-tail labels are suffix sums of the disjoint bucket labels,
+    # which are what the bucket-encoded sub-models train on
     rng = np.random.default_rng(5)
-    from delayfeed.core import bucket_labels, thermometer_labels
-    from test_core import make_example
+    from test_core import buckets, make_example, thermometer
+    bucket_ens = SubModelEnsemble(
+        EnsembleConfig(BUCKETING, SMALL_RC, BUCKET, use_aux=False)
+    )
     for _ in range(50):
         delays = sorted(rng.uniform(0, 30 * DAY, size=rng.integers(0, 8)))
         e = make_example(list(delays))
-        thermo = thermometer_labels(e, BUCKETING)
-        buckets = bucket_labels(e, BUCKETING)
+        thermo = thermometer(e, BUCKETING)
+        slices = buckets(e, BUCKETING)
         for m in range(BUCKETING.num_sub_models):
-            assert thermo[m] == pytest.approx(sum(buckets[m:]))
+            assert thermo[m] == pytest.approx(sum(slices[m:]))
+            assert bucket_ens.training_label(e, m) == slices[m]
     checks.append("label identities")
 
     # training before an example matures for a sub-model is rejected

@@ -11,12 +11,12 @@ from delayfeed.core import (
     ConversionEvent,
     DelayBucketing,
     MetricsAccumulator,
-    bucket_labels,
     mature_label,
     observed_prefix,
     poisson_nll,
     poisson_nll_grad_lograte,
-    thermometer_labels,
+    slice_label,
+    split_signed,
 )
 
 M = 30 * DAY
@@ -41,6 +41,18 @@ def make_example(delays, signs=None, values=None, m=M):
 
 
 BUCKETING = DelayBucketing(boundaries=(1 * DAY, 7 * DAY), attribution_window=M)
+
+
+def thermometer(e, b=BUCKETING):
+    """Overlapping tail labels: element i covers [d_i, M)."""
+    return [slice_label(e, b.horizon(i), b.attribution_window)
+            for i in range(b.num_sub_models)]
+
+
+def buckets(e, b=BUCKETING):
+    """Disjoint window labels: element i covers [d_i, d_{i+1})."""
+    return [slice_label(e, b.horizon(i), b.upper(i))
+            for i in range(b.num_sub_models)]
 
 
 class TestMatureLabel:
@@ -80,25 +92,38 @@ class TestObservedPrefix:
 class TestLabelEncodings:
     def test_thermometer_counts(self):
         e = make_example([0.5 * DAY, 3 * DAY, 20 * DAY])
-        assert thermometer_labels(e, BUCKETING) == [3.0, 2.0, 1.0]
+        assert thermometer(e) == [3.0, 2.0, 1.0]
+        assert thermometer(e)[0] == mature_label(e)
 
     def test_thermometer_empty(self):
-        assert thermometer_labels(make_example([]), BUCKETING) == [0.0, 0.0, 0.0]
+        assert thermometer(make_example([])) == [0.0, 0.0, 0.0]
+        assert split_signed(make_example([]), 0.0, M) == (0.0, 0.0)
 
     def test_boundary_left_closed(self):
         e = make_example([1 * DAY])
-        assert thermometer_labels(e, BUCKETING) == [1.0, 1.0, 0.0]
+        assert thermometer(e) == [1.0, 1.0, 0.0]
+        assert buckets(e) == [0.0, 1.0, 0.0]
+        assert split_signed(e, 0.0, 1 * DAY) == (0.0, 0.0)
+        assert split_signed(e, 1 * DAY, 7 * DAY) == (1.0, 0.0)
 
     def test_bucket_counts(self):
         e = make_example([0.5 * DAY, 3 * DAY, 20 * DAY])
-        assert bucket_labels(e, BUCKETING) == [1.0, 1.0, 1.0]
+        assert buckets(e) == [1.0, 1.0, 1.0]
+        # the last window ends at the bucketing's M, not the example's
+        long = make_example([0.5 * DAY, 3 * DAY, 20 * DAY, 35 * DAY], m=40 * DAY)
+        assert buckets(long) == [1.0, 1.0, 1.0]
+        assert thermometer(long) == [3.0, 2.0, 1.0]
 
     def test_bucket_empty(self):
-        assert bucket_labels(make_example([]), BUCKETING) == [0.0, 0.0, 0.0]
+        assert buckets(make_example([])) == [0.0, 0.0, 0.0]
 
     def test_partition_identity(self):
         e = make_example([0.2 * DAY, 1 * DAY, 2 * DAY, 8 * DAY, 29 * DAY])
-        assert sum(bucket_labels(e, BUCKETING)) == thermometer_labels(e, BUCKETING)[0]
+        assert math.fsum(buckets(e)) == thermometer(e)[0] == mature_label(e)
+        retracted = make_example([0.2 * DAY, 2 * DAY, 8 * DAY], signs=[1, -1, 1])
+        pos, neg = split_signed(retracted, 0.0, M)
+        assert (pos, neg) == (2.0, 1.0)
+        assert pos - neg == math.fsum(buckets(retracted)) == mature_label(retracted)
 
 
 @st.composite
@@ -124,24 +149,26 @@ class TestStructuralInvariants:
     @given(example_strategy())
     @settings(max_examples=200, deadline=None)
     def test_thermometer_is_tail_sum_of_buckets(self, e):
-        therm = thermometer_labels(e, BUCKETING)
-        buck = bucket_labels(e, BUCKETING)
+        therm = thermometer(e)
+        buck = buckets(e)
         for i in range(len(therm)):
             assert therm[i] == pytest.approx(sum(buck[i:]), abs=1e-9)
 
     @given(example_strategy())
     @settings(max_examples=200, deadline=None)
     def test_thermometer_non_increasing_all_positive(self, e):
-        therm = thermometer_labels(e, BUCKETING)
+        therm = thermometer(e)
         assert all(therm[i] >= therm[i + 1] - 1e-12 for i in range(len(therm) - 1))
 
     @given(example_strategy(allow_retractions=True))
     @settings(max_examples=200, deadline=None)
     def test_prefix_plus_tail_is_mature(self, e):
-        therm = thermometer_labels(e, BUCKETING)
+        therm = thermometer(e)
         for i in range(BUCKETING.num_sub_models):
             prefix = observed_prefix(e, BUCKETING.horizon(i))
             assert prefix + therm[i] == pytest.approx(mature_label(e), abs=1e-9)
+            pos, neg = split_signed(e, BUCKETING.horizon(i), M)
+            assert pos - neg == pytest.approx(therm[i], abs=1e-9)
 
 
 class TestPoissonNll:
@@ -253,19 +280,6 @@ class TestMetricsAccumulator:
 
     def test_empty_finalize_absent(self):
         assert MetricsAccumulator().finalize() == (None, None)
-
-    def test_merge_is_fieldwise_sum(self):
-        a, b = MetricsAccumulator(), MetricsAccumulator()
-        a.record(2.0, 1.0, 0)
-        b.record(2.0, 3.0, 1)
-        b.record(1.0, 1.0, 0)
-        merged = MetricsAccumulator()
-        merged.record(2.0, 1.0, 0)
-        merged.record(2.0, 3.0, 1)
-        merged.record(1.0, 1.0, 0)
-        a.merge(b)
-        assert a.finalize() == merged.finalize()
-        assert a.windows == merged.windows
 
 
 class TestClickExampleInvariants:

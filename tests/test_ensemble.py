@@ -8,7 +8,7 @@ from delayfeed.core import (
     ContractViolation,
     DelayBucketing,
     mature_label,
-    thermometer_labels,
+    slice_label,
 )
 from delayfeed.ensemble import (
     BUCKET,
@@ -83,37 +83,34 @@ class TestConfig:
 class TestAuxFeatures:
     def test_zero_prefix(self):
         ens = make_ensemble()
-        e = make_example([])
-        entries = ens.aux_features(e, 1)
-        numeric = {n: v for kind, n, v in entries if kind == "numeric"}
-        cats = {n: v for kind, n, v in entries if kind == "categorical"}
-        assert numeric["aux_label_so_far"] == 0.0
-        assert cats["aux_count"] == "0"
+        fv = ens.features_for(make_example([]), 1)
+        assert fv.numeric == [("aux_label_so_far", 0.0)]
+        assert fv.categorical == [("campaign", "0"), ("aux_count", "0")]
 
     def test_count_bucket_token(self):
-        # default cuts give the token set {0, 1, 2, 3-4, 5-8, 9+}
-        cuts = (1, 2, 3, 5, 9)
-        assert aux_count_token(3, cuts) == "3-4"
-        assert aux_count_token(0, cuts) == "0"
-        assert aux_count_token(1, cuts) == "1"
-        assert aux_count_token(2, cuts) == "2"
-        assert aux_count_token(4, cuts) == "3-4"
-        assert aux_count_token(7, cuts) == "5-8"
-        assert aux_count_token(9, cuts) == "9+"
-        assert aux_count_token(42, cuts) == "9+"
-        assert aux_count_token(-2, cuts) == "0"  # clamped
+        # the token set is {0, 1, 2, 3-4, 5-8, 9+}
+        assert aux_count_token(3) == "3-4"
+        assert aux_count_token(0) == "0"
+        assert aux_count_token(1) == "1"
+        assert aux_count_token(2) == "2"
+        assert aux_count_token(4) == "3-4"
+        assert aux_count_token(7) == "5-8"
+        assert aux_count_token(9) == "9+"
+        assert aux_count_token(42) == "9+"
+        assert aux_count_token(-2) == "0"  # clamped
+        ens = make_ensemble()
+        fv = ens.features_for(make_example([0.1 * DAY] * 3 + [0.5 * DAY]), 1)
+        assert fv.numeric == [("aux_label_so_far", 4.0)]
+        assert fv.categorical[-1] == ("aux_count", "3-4")
 
     def test_uses_exactly_prefix_before_horizon(self):
         ens = make_ensemble()
         e1 = make_example([0.2 * DAY, 0.5 * DAY])
         e2 = make_example([0.2 * DAY, 0.5 * DAY, 1 * DAY, 5 * DAY])
         # aux for horizon index 1 (d_1 = 1d) ignores events at delay >= 1d
-        assert ens.aux_features(e1, 1) == ens.aux_features(e2, 1)
-
-    def test_index_zero_rejected(self):
-        ens = make_ensemble()
-        with pytest.raises(ContractViolation):
-            ens.aux_features(make_example([]), 0)
+        assert ens.features_for(e1, 1) == ens.features_for(e2, 1)
+        assert ens.features_for(e2, 1).numeric == [("aux_label_so_far", 2.0)]
+        assert ens.features_for(e2, 2).numeric == [("aux_label_so_far", 4.0)]
 
 
 class TestServe:
@@ -210,7 +207,7 @@ class TestTrainOn:
         e = make_example([0.5 * DAY, 3 * DAY, 20 * DAY])
         before = [m.forward_calls for m in ens.sub_models]
         label = ens.training_label(e, 2)
-        assert label == thermometer_labels(e, BUCKETING)[2] == 1.0
+        assert label == slice_label(e, 7 * DAY, M) == 1.0
         assert [m.forward_calls for m in ens.sub_models] == before
 
     def test_bias_only_completion(self):
@@ -252,15 +249,21 @@ class TestTrainOn:
             assert np.array_equal(m.params, snapshots[j][0])
             assert np.array_equal(m.g2, snapshots[j][1])
 
-    def test_causality_no_future_events(self):
-        # training f_0 at age d_1 must give identical results whether or not
-        # events beyond d_1 exist yet
-        e_future = make_example([0.2 * DAY, 5 * DAY, 20 * DAY])
-        e_censored = make_example([0.2 * DAY])
-        ens_a = make_ensemble()
-        ens_b = make_ensemble()
-        la = ens_a.training_label(e_future, 0)
-        lb = ens_b.training_label(e_censored, 0)
+    @pytest.mark.parametrize("two_output", [False, True],
+                             ids=["single", "two"])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_causality_no_future_events(self, i, two_output):
+        # training f_i at age d_{i+1} must give identical results whether or
+        # not events beyond d_{i+1} exist yet; the example's own window (40d)
+        # outlasts the bucketing's (30d), so f_2 must stop at 30d too
+        delays = [0.2 * DAY, 5 * DAY, 20 * DAY, 35 * DAY]
+        e_future = make_example(delays, m=40 * DAY)
+        upper = BUCKETING.upper(i)
+        e_censored = make_example([d for d in delays if d < upper], m=40 * DAY)
+        ens_a = make_ensemble(two_output=two_output)
+        ens_b = make_ensemble(two_output=two_output)
+        la = ens_a.training_label(e_future, i)
+        lb = ens_b.training_label(e_censored, i)
         assert la == lb
 
     def test_bucket_mode_own_slice_no_forwards(self):
