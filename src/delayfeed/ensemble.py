@@ -124,7 +124,12 @@ class SubModelEnsemble:
         fv = FeatureVector(categorical=example.serving_features)
         if self.config.encoding == THERMOMETER:
             return self.sub_models[0].predict(fv)
-        return sum(m.predict(fv) for m in self.sub_models)
+        # left to right on purpose: builtin sum() of floats is compensated
+        # from Python 3.12, which would make reports depend on the version
+        total = 0.0
+        for m in self.sub_models:
+            total += m.predict(fv)
+        return total
 
     def estimate_mature_label(
         self, example: ClickExample, now: float, tail_predictor=None

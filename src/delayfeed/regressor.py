@@ -72,10 +72,21 @@ def hash_token(field_id: str, token: str, buckets: int) -> int:
     return int.from_bytes(digest, "little") % buckets
 
 
-def adagrad_update(param, accum, grad, lr: float, eps: float):
-    """In-place AdaGrad step: accum += grad^2; param -= lr * grad / (sqrt(accum) + eps)."""
-    accum += grad * grad
-    param -= lr * grad / (np.sqrt(accum) + eps)
+def adagrad_update(param, accum, grad, lr: float, eps: float, work=None):
+    """In-place AdaGrad step: accum += grad^2; param -= (lr * grad) /
+    (sqrt(accum) + eps), element by element. `work`, a float64 array of
+    shape (2, *grad.shape), holds the intermediates so that the step
+    allocates nothing; without it they are allocated."""
+    if work is None:
+        work = np.empty((2, *grad.shape))
+    step, den = work
+    np.multiply(grad, grad, out=step)
+    accum += step
+    np.sqrt(accum, out=den)
+    den += eps
+    np.multiply(grad, lr, out=step)
+    step /= den
+    param -= step
 
 
 def _carve(buf, shapes) -> list:
@@ -120,9 +131,14 @@ class PoissonRegressor:
         # dense gradient of the last backward pass, laid out like the
         # dense tail of `params`
         self._grad = np.empty(sum(math.prod(s) for s in dense_shapes))
+        self._work = np.empty((2, self._grad.size))
         n_emb = self.params.size - self._grad.size
         self._dense = self.params[n_emb:]
         self._dense_g2 = self.g2[n_emb:]
+        # every embedding row of every field, field by field: row
+        # field_index * hash_buckets_per_field + bucket
+        self._emb_rows = self.params[:n_emb].reshape(-1, d)
+        self._emb_rows_g2 = self.g2[:n_emb].reshape(-1, d)
 
         nf, nl = len(fields), len(layers)
         p, a = _carve(self.params, shapes), _carve(self.g2, shapes)
@@ -143,27 +159,33 @@ class PoissonRegressor:
         self._numeric_index = {
             name: i for i, name in enumerate(config.numeric_features)
         }
-        self._field_offset = {f: i * d for i, f in enumerate(fields)}
+        self._field_index = {f: i for i, f in enumerate(fields)}
+        self._zero_row = np.zeros(d)
 
     # -- forward ---------------------------------------------------------
 
     def _assemble_input(self, features: FeatureVector):
-        """Returns (input vector, list of (field, row) embedding lookups)."""
+        """Returns (input vector, lookups). The input is, in declared field
+        order, the sum of each field's embedding rows (zeros for an absent
+        field), then the log1p-scaled numeric features. `lookups` lists
+        (field index, `_emb_rows` row) per categorical entry."""
         cfg = self.config
-        x = np.zeros(self.input_dim)
+        buckets = cfg.hash_buckets_per_field
+        emb = self._emb_rows
+        zero = self._zero_row
+        parts = [zero] * len(cfg.categorical_fields)
         lookups = []
-        d = cfg.embedding_dim
         for field_id, token in features.categorical:
-            off = self._field_offset.get(field_id)
-            if off is None:
+            fi = self._field_index.get(field_id)
+            if fi is None:
                 raise ContractViolation(
                     f"unknown categorical field {field_id!r}; declared fields: "
                     f"{cfg.categorical_fields}"
                 )
-            row = hash_token(field_id, token, cfg.hash_buckets_per_field)
-            x[off : off + d] += self.embeddings[field_id][row]
-            lookups.append((field_id, row, off))
-        base = d * len(cfg.categorical_fields)
+            row = fi * buckets + hash_token(field_id, token, buckets)
+            lookups.append((fi, row))
+            parts[fi] = emb[row] if parts[fi] is zero else parts[fi] + emb[row]
+        numeric = [0.0] * len(cfg.numeric_features)
         for name, value in features.numeric:
             idx = self._numeric_index.get(name)
             if idx is None:
@@ -172,24 +194,26 @@ class PoissonRegressor:
                     f"{cfg.numeric_features}"
                 )
             # log1p scaling for heavy-tailed count-like inputs
-            x[base + idx] = math.copysign(math.log1p(abs(value)), value)
-        return x, lookups
+            numeric[idx] = math.copysign(math.log1p(abs(value)), value)
+        parts.append(numeric)
+        return np.concatenate(parts), lookups
 
     def _forward_cached(self, features: FeatureVector):
+        """Returns (rates, the input of every layer, lookups); allocates
+        every array it returns."""
         x, lookups = self._assemble_input(features)
-        activations = [x]
+        inputs = []
         h = x
-        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            if i < last:
-                z = np.maximum(z, 0.0)
-            h = z
-            activations.append(h)
+            if i:
+                np.maximum(h, 0.0, out=h)
+            inputs.append(h)
+            h = h.dot(w)
+            h += b
         # stability clamp on the log-rate; exp would overflow/underflow far
         # outside this range and AdaGrad recovers from the clipped gradient
-        rates = np.exp(np.clip(h, -30.0, 30.0))
-        return rates, activations, lookups
+        rates = np.exp(np.minimum(np.maximum(h, -30.0), 30.0))
+        return rates, inputs, lookups
 
     def forward(self, features: FeatureVector):
         """Rate (single output) or (rate_plus, rate_minus) in two-output mode."""
@@ -231,58 +255,77 @@ class PoissonRegressor:
     def _gradients(self, features: FeatureVector, label):
         """The one backward pass: gradients of the summed Poisson NLL over
         outputs. Writes the dense gradients into `_grad` and returns (loss,
-        embedding grads as {(field, row): vector})."""
+        the distinct `_emb_rows` rows looked up, their gradients as one
+        (rows, embedding_dim) array). A row looked up k times gets the sum
+        of its k gradients."""
         y = self._label_array(label)
-        rates, activations, lookups = self._forward_cached(features)
-        loss = float(np.sum(rates - y * np.log(rates)))
-        grad = rates - y  # dL/ds for the exp link
-        for i in range(len(self.weights) - 1, -1, -1):
-            np.multiply(activations[i][:, None], grad, out=self._weight_grads[i])
-            self._bias_grads[i][...] = grad
-            grad = self.weights[i] @ grad
-            if i > 0:
-                grad = grad * (activations[i] > 0.0)
+        rates, inputs, lookups = self._forward_cached(features)
+        loss = float((rates - y * np.log(rates)).sum())
+        # the gradient of each layer's pre-activation is its bias gradient
+        grad = np.subtract(rates, y, out=self._bias_grads[-1])  # exp link
+        for i in range(len(self.weights) - 1, 0, -1):
+            np.dot(inputs[i][:, None], grad[None, :], out=self._weight_grads[i])
+            grad = np.dot(self.weights[i], grad, out=self._bias_grads[i - 1])
+            grad *= inputs[i] > 0.0
+        np.dot(inputs[0][:, None], grad[None, :], out=self._weight_grads[0])
+        grad = self.weights[0].dot(grad)
         d = self.config.embedding_dim
-        emb_grads = {}
-        for field_id, row, off in lookups:
-            g = grad[off : off + d]
-            key = (field_id, row)
-            emb_grads[key] = emb_grads[key] + g if key in emb_grads else g
-        return loss, emb_grads
+        # dL/dx of each field's embedding slot
+        field_grads = grad[: d * len(self.config.categorical_fields)].reshape(-1, d)
+        position, rows, fields, repeats = {}, [], [], []
+        for fi, row in lookups:
+            j = position.get(row)
+            if j is None:
+                position[row] = len(rows)
+                rows.append(row)
+                fields.append(fi)
+            else:
+                repeats.append((j, fi))
+        emb_grads = field_grads.take(fields, axis=0)
+        for j, fi in repeats:
+            emb_grads[j] += field_grads[fi]
+        return loss, np.array(rows, dtype=np.intp), emb_grads
 
     def gradients(self, features: FeatureVector, label):
         """Analytic gradients without updating: (loss, weight grads,
         bias grads, embedding grads as {(field, row): vector})."""
-        loss, emb_grads = self._gradients(features, label)
+        loss, rows, emb_grads = self._gradients(features, label)
+        fields = self.config.categorical_fields
+        buckets = self.config.hash_buckets_per_field
         return (
             loss,
             [g.copy() for g in self._weight_grads],
             [g.copy() for g in self._bias_grads],
-            emb_grads,
+            {
+                (fields[row // buckets], row % buckets): g
+                for row, g in zip(rows.tolist(), emb_grads)
+            },
         )
 
     def train_step(self, features: FeatureVector, label) -> float:
         """One online AdaGrad step; returns the pre-update loss. Only
-        embedding rows actually touched by the input are updated. A
-        non-finite loss or gradient raises before anything is written."""
-        loss, emb_grads = self._gradients(features, label)
+        embedding rows actually touched by the input are updated, all in
+        one AdaGrad update over their gathered values. A non-finite loss
+        or gradient raises before anything is written."""
+        loss, rows, emb_grads = self._gradients(features, label)
         if not (
             math.isfinite(loss)
             and np.isfinite(self._grad).all()
-            and all(np.isfinite(g).all() for g in emb_grads.values())
+            and np.isfinite(emb_grads).all()
         ):
             raise FloatingPointError(
                 f"non-finite loss or gradient (loss={loss}); step not applied"
             )
         lr = self.config.learning_rate
         eps = self.config.adagrad_epsilon
-        adagrad_update(self._dense, self._dense_g2, self._grad, lr, eps)
-        for (field_id, row), g in emb_grads.items():
-            adagrad_update(
-                self.embeddings[field_id][row],
-                self.embedding_g2[field_id][row],
-                g, lr, eps,
-            )
+        adagrad_update(
+            self._dense, self._dense_g2, self._grad, lr, eps, self._work
+        )
+        emb = self._emb_rows.take(rows, axis=0)
+        emb_g2 = self._emb_rows_g2.take(rows, axis=0)
+        adagrad_update(emb, emb_g2, emb_grads, lr, eps)
+        self._emb_rows[rows] = emb
+        self._emb_rows_g2[rows] = emb_g2
         return loss
 
     # -- checkpointing ----------------------------------------------------

@@ -35,7 +35,12 @@ from delayfeed.core import (
 from delayfeed.datagen import StreamConfig, generate, posterior_expected_tail
 from delayfeed.ensemble import BUCKET, THERMOMETER, EnsembleConfig, SubModelEnsemble
 from delayfeed.harness import default_slices, run
-from delayfeed.regressor import FeatureVector, PoissonRegressor, RegressorConfig
+from delayfeed.regressor import (
+    FeatureVector,
+    PoissonRegressor,
+    RegressorConfig,
+    hash_token,
+)
 from delayfeed.variants import VARIANT_NAMES, build_variant, standard_specs
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -399,8 +404,8 @@ def test_structural_invariants(tmp_path):
     fv = FeatureVector(categorical=[("campaign", "c1")])
     snapshot = {f: t.copy() for f, t in model.embeddings.items()}
     model.train_step(fv, 2.0)
-    touched = model._assemble_input(fv)[1]
-    touched_rows = {(f, r) for f, r, _ in touched}
+    buckets = SMALL_RC.hash_buckets_per_field
+    touched_rows = {(f, hash_token(f, t, buckets)) for f, t in fv.categorical}
     for f, table in model.embeddings.items():
         for row in range(table.shape[0]):
             if (f, row) not in touched_rows:

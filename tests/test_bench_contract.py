@@ -1,0 +1,58 @@
+"""The benchmark under bench/ traces the package from outside: it wraps the
+functions and methods named in bench/tracing.py's TARGETS and derives its
+per-layer metrics from their spans and call edges. These tests fail when a
+change to the package would silently break those metrics."""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+from delayfeed import cli, harness, regressor, variants
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench")
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_bench_module("tracing")
+workloads = load_bench_module("workloads")
+
+
+@pytest.mark.parametrize("name,owner,attr", tracing.TARGETS,
+                         ids=[t[0] for t in tracing.TARGETS])
+def test_every_target_resolves(name, owner, attr):
+    assert callable(getattr(owner, attr, None)), name
+
+
+def test_hash_token_cache_is_inspectable():
+    info = regressor.hash_token.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+
+
+def test_traced_proposed_replay_records_completion_edges():
+    workload = workloads.WORKLOADS["thermometer_cascade"]
+    cfg = cli.config_from_dict(workload.config_dict(200))
+    stream = cli.stream_for_seed(cfg, 1)
+    model = variants.build_variant(cli.variant_specs_for(cfg)["Proposed"])
+    slices = harness.default_slices(stream.ground_truth.high_delay)
+    with tracing.Tracer(keep=0) as tracer:
+        result = harness.run(model, stream.examples, slices)
+    assert result.n_examples == 200
+    edges, agg = tracer.edges, tracer.agg
+    assert edges.get(("ensemble.training_label", "regressor.forward"), 0) > 0
+    assert edges.get(("ensemble.train_on", "regressor.train_step"), 0) == (
+        agg["regressor.train_step"][0]) > 0
+    # a training step runs its own forward pass, outside the traced method
+    assert ("regressor.train_step", "regressor.forward") not in edges
+    assert agg["ensemble.features_for"][0] > 0

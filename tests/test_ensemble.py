@@ -132,6 +132,20 @@ class TestServe:
         assert ens.serve(e) == pytest.approx(sum(math.exp(b) for b in biases))
         assert all(m.forward_calls == 1 for m in ens.sub_models)
 
+    def test_bucket_sum_is_left_to_right(self):
+        # a compensated sum (builtin sum() from Python 3.12) would give 2.0
+        ens = make_ensemble(encoding=BUCKET, use_aux=False)
+
+        class Stub:
+            def __init__(self, rate):
+                self.rate = rate
+
+            def predict(self, features):
+                return self.rate
+
+        ens.sub_models = [Stub(r) for r in (1.0, 1e100, 1.0, -1e100)]
+        assert ens.serve(make_example([])) == 0.0
+
     def test_serve_never_reads_events(self):
         ens = make_ensemble()
         with_events = make_example([0.1 * DAY, 2 * DAY, 20 * DAY])

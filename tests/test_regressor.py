@@ -301,3 +301,152 @@ class TestCheckpoint:
         path.write_bytes(b"NOTDLYFD" + b"\x00" * 32)
         with pytest.raises(ValueError):
             PoissonRegressor.load(path)
+
+
+# -- reference step ----------------------------------------------------------
+# The straightforward form of one training step: zeros plus one slice-add per
+# lookup, `@`, np.clip, broadcast outer products and one AdaGrad update per
+# parameter array. PoissonRegressor computes the same arithmetic in fewer
+# numpy calls and must match it bit for bit.
+
+def reference_adagrad(param, accum, grad, lr, eps):
+    accum += grad * grad
+    param -= lr * grad / (np.sqrt(accum) + eps)
+
+
+def reference_forward(model, features):
+    cfg = model.config
+    d = cfg.embedding_dim
+    x = np.zeros(model.input_dim)
+    lookups = []
+    for field_id, token in features.categorical:
+        off = cfg.categorical_fields.index(field_id) * d
+        row = hash_token(field_id, token, cfg.hash_buckets_per_field)
+        x[off : off + d] += model.embeddings[field_id][row]
+        lookups.append((field_id, row, off))
+    base = d * len(cfg.categorical_fields)
+    for name, value in features.numeric:
+        idx = cfg.numeric_features.index(name)
+        x[base + idx] = math.copysign(math.log1p(abs(value)), value)
+    activations = [x]
+    h = x
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        h = h @ w + b
+        if i < last:
+            h = np.maximum(h, 0.0)
+        activations.append(h)
+    return np.exp(np.clip(h, -30.0, 30.0)), activations, lookups
+
+
+def reference_step(model, features, label):
+    y = np.array(label, dtype=float).reshape(-1)
+    rates, activations, lookups = reference_forward(model, features)
+    loss = float(np.sum(rates - y * np.log(rates)))
+    grad = rates - y
+    n = len(model.weights)
+    w_grads, b_grads = [None] * n, [None] * n
+    for i in range(n - 1, -1, -1):
+        w_grads[i] = activations[i][:, None] * grad
+        b_grads[i] = grad.copy()
+        grad = model.weights[i] @ grad
+        if i > 0:
+            grad = grad * (activations[i] > 0.0)
+    d = model.config.embedding_dim
+    emb_grads = {}
+    for field_id, row, off in lookups:
+        g = grad[off : off + d]
+        key = (field_id, row)
+        emb_grads[key] = emb_grads[key] + g if key in emb_grads else g
+    lr, eps = model.config.learning_rate, model.config.adagrad_epsilon
+    for p, a, g in zip(model.weights + model.biases,
+                       model.weight_g2 + model.bias_g2, w_grads + b_grads):
+        reference_adagrad(p, a, g, lr, eps)
+    for (field_id, row), g in emb_grads.items():
+        reference_adagrad(model.embeddings[field_id][row],
+                          model.embedding_g2[field_id][row], g, lr, eps)
+    return loss
+
+
+REF_FIELDS = ("campaign", "segment", "site")
+
+
+def random_features(rng):
+    """Each field looked up 0 to 3 times (same or different token, few
+    buckets so rows collide), in shuffled order, with or without aux."""
+    categorical = []
+    for f in REF_FIELDS:
+        for _ in range(rng.choice(4, p=[0.15, 0.55, 0.2, 0.1])):
+            categorical.append((f, f"t{rng.integers(6)}"))
+    rng.shuffle(categorical)
+    numeric = []
+    if rng.random() < 0.8:
+        numeric.append(("aux", float(rng.normal(0.0, 3.0))))
+    return FeatureVector(categorical=categorical, numeric=numeric)
+
+
+@pytest.mark.parametrize("two_output", [False, True], ids=["single", "two"])
+def test_step_matches_reference_bit_for_bit(two_output):
+    cfg = small_config(categorical_fields=REF_FIELDS, embedding_dim=4,
+                       hash_buckets_per_field=4, hidden_layer_sizes=(6, 5),
+                       two_output_mode=two_output)
+    model, ref = PoissonRegressor(cfg), PoissonRegressor(cfg)
+    rng = np.random.default_rng(21)
+    for step in range(2000):
+        features = random_features(rng)
+        if two_output:
+            label = (float(rng.poisson(1.0)), float(rng.poisson(0.3)))
+        else:
+            label = float(rng.poisson(1.2))
+        rates, _, _ = reference_forward(ref, features)
+        expect = tuple(float(r) for r in rates)
+        got = model.forward(features)
+        assert (got if two_output else (got,)) == expect, step
+        assert model.train_step(features, label) == reference_step(
+            ref, features, label
+        ), step
+    assert np.array_equal(model.params, ref.params)
+    assert np.array_equal(model.g2, ref.g2)
+    # log-rates beyond the stability clamp, both ways
+    for bias in (-40.0, 40.0):
+        model.biases[-1][:] = ref.biases[-1][:] = bias
+        got = model.forward(features)
+        rates, _, _ = reference_forward(ref, features)
+        assert (got if two_output else (got,)) == tuple(float(r) for r in rates)
+
+
+def test_repeated_lookup_updates_row_once_with_summed_gradient():
+    model = PoissonRegressor(small_config())
+    features = FeatureVector(
+        categorical=[("campaign", "c1"), ("segment", "s1"), ("campaign", "c1")],
+        numeric=[("aux", 1.0)],
+    )
+    buckets = model.config.hash_buckets_per_field
+    crow = hash_token("campaign", "c1", buckets)
+    srow = hash_token("segment", "s1", buckets)
+    _, _, _, emb_grads = model.gradients(features, 3.0)
+    assert set(emb_grads) == {("campaign", crow), ("segment", srow)}
+    g = emb_grads[("campaign", crow)]
+
+    # the reported gradient is that of the row, which both lookups read
+    table = model.embeddings["campaign"]
+    for col in range(g.shape[0]):
+        orig, h = table[crow, col], 1e-6
+        table[crow, col] = orig + h
+        up = model.gradients(features, 3.0)[0]
+        table[crow, col] = orig - h
+        dn = model.gradients(features, 3.0)[0]
+        table[crow, col] = orig
+        assert (up - dn) / (2 * h) == pytest.approx(g[col], rel=1e-3, abs=1e-8)
+
+    row, acc = table[crow].copy(), model.embedding_g2["campaign"][crow].copy()
+    before = {f: t.copy() for f, t in model.embeddings.items()}
+    model.train_step(features, 3.0)
+    expect_row, expect_acc = row.copy(), acc.copy()
+    reference_adagrad(expect_row, expect_acc, g, model.config.learning_rate,
+                      model.config.adagrad_epsilon)
+    assert np.array_equal(table[crow], expect_row)
+    assert np.array_equal(model.embedding_g2["campaign"][crow], expect_acc)
+    for f, t in model.embeddings.items():
+        changed = set(np.where(np.any(t != before[f], axis=1))[0])
+        assert changed == {crow if f == "campaign" else srow}
