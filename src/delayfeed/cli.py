@@ -227,7 +227,7 @@ def cmd_gen(args) -> int:
     write_sidecar(sidecar_path, stream)
 
     medians_days = sorted(
-        c.delay.median() / DAY for c in stream.ground_truth.campaigns.values()
+        c.delay.median / DAY for c in stream.ground_truth.campaigns.values()
     )
     hist = {}
     for m in medians_days:

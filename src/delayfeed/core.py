@@ -29,10 +29,10 @@ class ConversionEvent:
     sign: int = 1
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError(f"event delay must be >= 0, got {self.delay}")
-        if self.value < 0:
-            raise ValueError(f"event value must be >= 0, got {self.value}")
+        if not 0 <= self.delay < math.inf:
+            raise ValueError(f"event delay must be finite, >= 0, got {self.delay}")
+        if not 0 <= self.value < math.inf:
+            raise ValueError(f"event value must be finite, >= 0, got {self.value}")
         if self.sign not in (1, -1):
             raise ValueError(f"event sign must be +1 or -1, got {self.sign}")
 
@@ -52,9 +52,18 @@ class ClickExample:
     events: list  # list of ConversionEvent, sorted by delay ascending
 
     def __post_init__(self):
-        if self.campaign_start_time > self.click_time:
+        if not (math.isfinite(self.campaign_start_time)
+                and math.isfinite(self.click_time)
+                and self.campaign_start_time <= self.click_time):
             raise ValueError(
-                f"example {self.example_id}: campaign starts after the click"
+                f"example {self.example_id}: campaign start "
+                f"{self.campaign_start_time} and click time {self.click_time} "
+                f"must be finite, the start no later than the click"
+            )
+        if not 0 < self.attribution_window < math.inf:
+            raise ValueError(
+                f"example {self.example_id}: attribution window must be "
+                f"finite and > 0, got {self.attribution_window}"
             )
         prev = -1.0
         for ev in self.events:
@@ -62,7 +71,7 @@ class ClickExample:
                 raise ValueError(
                     f"example {self.example_id}: events not sorted by delay"
                 )
-            if ev.delay >= self.attribution_window:
+            if not ev.delay < self.attribution_window:
                 raise ValueError(
                     f"example {self.example_id}: event delay {ev.delay} outside "
                     f"attribution window {self.attribution_window}"

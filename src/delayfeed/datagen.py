@@ -9,7 +9,8 @@ carries information about the unobserved tail, and it admits a closed-form
 posterior tail mean used as an analytic stand-in for an ideal sub-model.
 
 Stream files are newline-delimited JSON (schema "v1"), with a parallel
-ground-truth sidecar keyed by example_id.
+ground-truth sidecar keyed by example_id (schema "v2": a campaign's delay
+mixture is stored by its median).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import DAY, ClickExample, ContractViolation, ConversionEvent, \
     observed_prefix
 
 SCHEMA_VERSION = "v1"
+SIDECAR_SCHEMA_VERSION = "v2"
 
 SEGMENT_TOKENS = tuple(f"s{i}" for i in range(6))
 CONTEXT_TOKENS = tuple(f"c{i}" for i in range(8))
@@ -33,25 +35,36 @@ _EXP, _WEIBULL, _LOGNORMAL = 0, 1, 2
 
 @dataclass(frozen=True)
 class DelayMixture:
-    """Mixture of Exponential(mean) + Weibull(shape, scale) +
-    LogNormal(mu, sigma) delay distributions."""
+    """Mixture of Exponential + Weibull(shape) + LogNormal(sigma) delay
+    distributions. Every component is scaled to the same `median`, so the
+    mixture's median is `median` whatever the weights."""
 
-    exp_mean: float
+    median: float
     weibull_shape: float
-    weibull_scale: float
-    lognorm_mu: float
     lognorm_sigma: float
     weights: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
-        if len(self.weights) != 3 or any(w < 0 for w in self.weights):
+        if len(self.weights) != 3 or not all(w >= 0 for w in self.weights):
             raise ValueError(f"need 3 non-negative weights, got {self.weights}")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if not abs(sum(self.weights) - 1.0) <= 1e-9:
             raise ValueError(f"mixture weights must sum to 1: {self.weights}")
-        if min(self.exp_mean, self.weibull_shape, self.weibull_scale,
-               self.lognorm_sigma) <= 0:
-            raise ValueError("mixture component parameters must be positive")
+        if not all(0 < p < math.inf for p in
+                   (self.median, self.weibull_shape, self.lognorm_sigma)):
+            raise ValueError("mixture parameters must be positive and finite")
+
+    @property
+    def exp_mean(self) -> float:
+        return self.median / math.log(2)
+
+    @property
+    def weibull_scale(self) -> float:
+        return self.median / (math.log(2) ** (1.0 / self.weibull_shape))
+
+    @property
+    def lognorm_mu(self) -> float:
+        return math.log(self.median)
 
     def cdf(self, t):
         """Exact mixture CDF (untruncated)."""
@@ -83,19 +96,6 @@ class DelayMixture:
             out[pending] = draws
             pending = pending[draws >= max_delay]
         return out
-
-    def median(self) -> float:
-        """Median by bisection on the mixture CDF."""
-        lo, hi = 1e-6, 1.0
-        while self.cdf(hi) < 0.5:
-            hi *= 2
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < 0.5:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
 
 def _erf(z):
@@ -207,16 +207,7 @@ def make_population(config: StreamConfig, rng: np.random.Generator) -> list:
         weights = rng.dirichlet(np.ones(3))
         k = rng.uniform(0.8, 1.8)
         sigma = rng.uniform(0.5, 1.25)
-        # every component shares the target median, so the mixture median
-        # is exactly `median` regardless of the weights
-        mixture = DelayMixture(
-            exp_mean=median / math.log(2),
-            weibull_shape=k,
-            weibull_scale=median / (math.log(2) ** (1.0 / k)),
-            lognorm_mu=math.log(median),
-            lognorm_sigma=sigma,
-            weights=tuple(weights),
-        )
+        mixture = DelayMixture(median, k, sigma, tuple(weights))
         alpha = rng.uniform(*config.gamma_shape_range)
         mean_rate = math.exp(rng.uniform(
             math.log(config.mean_rate_range[0]),
@@ -245,7 +236,7 @@ def make_population(config: StreamConfig, rng: np.random.Generator) -> list:
 def campaign_delay_quantiles(campaigns) -> set:
     """Campaign ids whose delay median falls in the top 10% of medians
     across the population (the HIGH_DELAY tag)."""
-    medians = [(c.delay.median(), c.campaign_id) for c in campaigns]
+    medians = [(c.delay.median, c.campaign_id) for c in campaigns]
     k = max(1, math.ceil(0.1 * len(medians)))
     medians.sort(reverse=True)
     return {cid for _, cid in medians[:k]}
@@ -402,7 +393,7 @@ def write_sidecar(path, stream: Stream):
     truth = stream.ground_truth
     with open(path, "w") as fh:
         fh.write(json.dumps({
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": SIDECAR_SCHEMA_VERSION,
             "campaigns": [asdict(c) for c in truth.campaigns.values()],
             "high_delay": sorted(truth.high_delay),
         }) + "\n")
@@ -416,7 +407,7 @@ def write_sidecar(path, stream: Stream):
 def read_sidecar(path) -> GroundTruth:
     with open(path) as fh:
         header = json.loads(fh.readline())
-        if header.get("schema_version") != SCHEMA_VERSION:
+        if header.get("schema_version") != SIDECAR_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported sidecar schema {header.get('schema_version')!r}"
             )

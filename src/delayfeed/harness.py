@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import DAY, MetricsAccumulator, mature_label
 
@@ -40,7 +40,6 @@ class RunResult:
     dropped_train_events: int = 0
     n_examples: int = 0
     negative_label_clamps: int = 0
-    eval_log: dict = field(default_factory=dict)  # example_id -> rate (sampled)
 
     def timeseries(self) -> list:
         """Per-simulated-day and cumulative PLL/bias from the ALL slice."""
@@ -65,11 +64,9 @@ class RunResult:
         return rows
 
 
-def run(variant, stream_examples, slices=None, stream_end=None,
-        log_example_ids=frozenset()) -> RunResult:
+def run(variant, stream_examples, slices=None, stream_end=None) -> RunResult:
     """One full evaluate-then-train pass of a variant over a stream sorted
-    by click time. `log_example_ids` captures serving predictions for the
-    named examples (used by the evaluate-then-train invariant check)."""
+    by click time."""
     if slices is None:
         slices = default_slices()
     prev_t = -math.inf
@@ -106,8 +103,6 @@ def run(variant, stream_examples, slices=None, stream_end=None,
         t, kind, i, _, e = heapq.heappop(events)
         if kind == EVAL:
             rate = variant.serve(e)
-            if e.example_id in log_example_ids:
-                result.eval_log[e.example_id] = rate
             # signed two-output predictions can be <= 0; NLL needs a
             # positive rate while bias keeps the raw prediction
             safe_rate = max(rate, 1e-12)

@@ -449,7 +449,7 @@ def test_conditional_tail_means_match_closed_form():
         rng_seed=11,
     ))
     camp = stream.ground_truth.campaigns[0]
-    horizon = camp.delay.median()
+    horizon = camp.delay.median
     by_head = {}
     for e in stream.examples:
         k = int(observed_prefix(e, horizon))

@@ -4,6 +4,7 @@ per-layer metrics from their spans and call edges. These tests fail when a
 change to the package would silently break those metrics."""
 
 import importlib.util
+import math
 import os
 import sys
 
@@ -56,3 +57,18 @@ def test_traced_proposed_replay_records_completion_edges():
     # a training step runs its own forward pass, outside the traced method
     assert ("regressor.train_step", "regressor.forward") not in edges
     assert agg["ensemble.features_for"][0] > 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_setup_runs(name):
+    # the bench's timed set-up, on a small stream
+    workload = workloads.WORKLOADS[name]
+    cfg = cli.config_from_dict(workload.config_dict(200))
+    stream = cli.stream_for_seed(cfg, 1)
+    assert len(stream.examples) == 200
+    count = cfg.stream.campaign_count
+    assert len(stream.ground_truth.campaigns) == count
+    assert len(stream.ground_truth.high_delay) == math.ceil(0.1 * count)
+    specs = cli.variant_specs_for(cfg)
+    for variant in cfg.variants:
+        assert variants.build_variant(specs[variant]).name == variant

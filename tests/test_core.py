@@ -284,17 +284,29 @@ class TestMetricsAccumulator:
 
 class TestClickExampleInvariants:
     def test_rejects_event_outside_window(self):
-        with pytest.raises(ValueError):
-            make_example([M + 1])
+        for delay in (M, M + 1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                make_example([delay])
+        for window in (0.0, -M, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                make_example([], m=window)
+        # a NaN or infinite delay or value would count in mature_label but
+        # fall in no delay window
+        for delay, value in ((math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+                             (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)):
+            with pytest.raises(ValueError):
+                ConversionEvent(delay, value)
 
     def test_rejects_campaign_start_after_click(self):
-        with pytest.raises(ValueError):
-            ClickExample(
-                example_id=0,
-                click_time=0.0,
-                campaign_id=0,
-                campaign_start_time=10.0,
-                serving_features=[],
-                attribution_window=M,
-                events=[],
-            )
+        for click_time, start in ((0.0, 10.0), (math.nan, 0.0), (math.inf, 0.0),
+                                  (0.0, math.nan), (0.0, -math.inf)):
+            with pytest.raises(ValueError):
+                ClickExample(
+                    example_id=0,
+                    click_time=click_time,
+                    campaign_id=0,
+                    campaign_start_time=start,
+                    serving_features=[],
+                    attribution_window=M,
+                    events=[],
+                )

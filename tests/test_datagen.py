@@ -1,5 +1,7 @@
+import json
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +26,8 @@ M = 30 * DAY
 
 def pure_exponential(mean):
     return DelayMixture(
-        exp_mean=mean,
+        median=mean * math.log(2),
         weibull_shape=1.0,
-        weibull_scale=mean,
-        lognorm_mu=math.log(mean),
         lognorm_sigma=1.0,
         weights=(1.0, 0.0, 0.0),
     )
@@ -68,22 +68,36 @@ class TestDelayMixture:
         assert np.all(draws < M)
 
     def test_median_matches_target(self):
-        rng = np.random.default_rng(1)
-        pop = make_population(StreamConfig(total_clicks=10, campaign_count=10), rng)
-        for camp in pop:
-            med = camp.delay.median()
-            assert camp.delay.cdf(med) == pytest.approx(0.5, abs=1e-6)
+        # each component alone has cdf 0.5 at the median, which checks the
+        # exponential mean, Weibull scale and lognormal mu derived from it
+        one_hot = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        for seed, count in ((1, 10), (5, 1000)):
+            rng = np.random.default_rng(seed)
+            pop = make_population(
+                StreamConfig(total_clicks=10, campaign_count=count), rng
+            )
+            for camp in pop:
+                mix = camp.delay
+                assert mix.cdf(mix.median) == pytest.approx(0.5, abs=1e-12)
+                for weights in one_hot:
+                    alone = replace(mix, weights=weights)
+                    assert alone.cdf(mix.median) == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            DelayMixture(1.0, 1.0, 1.0, 0.0, 1.0, weights=(0.5, 0.5, 0.5))
+            DelayMixture(1.0, 1.0, 1.0, weights=(0.5, 0.5, 0.5))
+        with pytest.raises(ValueError):
+            DelayMixture(1.0, 1.0, 1.0, weights=(math.nan, 0.5, 0.5))
+        for median in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                DelayMixture(median, 1.0, 1.0, weights=(1.0, 0.0, 0.0))
 
 
 class TestPopulation:
     def test_median_heterogeneity_two_orders(self):
         rng = np.random.default_rng(2)
         pop = make_population(StreamConfig(total_clicks=10, campaign_count=50), rng)
-        medians = [c.delay.median() for c in pop]
+        medians = [c.delay.median for c in pop]
         assert max(medians) / min(medians) >= 100
 
     def test_high_delay_tags_exactly_ten_percent(self):
@@ -95,7 +109,7 @@ class TestPopulation:
         rng = np.random.default_rng(4)
         pop = make_population(StreamConfig(total_clicks=10, campaign_count=20), rng)
         tags = campaign_delay_quantiles(pop)
-        medians = {c.campaign_id: c.delay.median() for c in pop}
+        medians = {c.campaign_id: c.delay.median for c in pop}
         cutoff = min(medians[cid] for cid in tags)
         for cid, med in medians.items():
             if med > cutoff:
@@ -197,7 +211,7 @@ class TestPosteriorOracle:
         # k=0, alpha=1, beta=1, p=0.5 -> 0.5 * 1/1.5 = 1/3
         camp = single_campaign(alpha=1.0, beta=1.0)
         # pick the horizon where the truncated CDF is exactly 0.5
-        target = camp.delay.median()  # cdf = 0.5 untruncated
+        target = camp.delay.median  # cdf = 0.5 untruncated
         p = camp.truncated_cdf(target)
         e = _example_with_delays([], camp)
         got = posterior_expected_tail(e, camp, target)
@@ -235,7 +249,7 @@ class TestPosteriorOracle:
         )
         stream = generate(cfg)
         camp = stream.ground_truth.campaigns[0]
-        horizon = camp.delay.median()
+        horizon = camp.delay.median
         tails = {}
         for e in stream.examples:
             k = int(observed_prefix(e, horizon))
@@ -261,7 +275,7 @@ class TestCorrelationThroughTheta:
         )
         stream = generate(cfg)
         camp = stream.ground_truth.campaigns[0]
-        horizon = camp.delay.median()
+        horizon = camp.delay.median
         p = camp.truncated_cdf(horizon)
         q = 1 - p
         heads = np.array([observed_prefix(e, horizon) for e in stream.examples])
@@ -298,8 +312,6 @@ class TestFileFormats:
             assert a.events == b.events
 
     def test_stream_schema_fields(self, tmp_path):
-        import json
-
         stream = generate(StreamConfig(total_clicks=10, campaign_count=2, rng_seed=14))
         path = tmp_path / "stream.ndjson"
         write_stream(path, stream)
@@ -323,6 +335,40 @@ class TestFileFormats:
         assert c0.delay.cdf(1 * DAY) == pytest.approx(
             stream.ground_truth.campaigns[0].delay.cdf(1 * DAY)
         )
+        assert truth.campaigns == stream.ground_truth.campaigns
+
+    def test_sidecar_rejects_v1(self, tmp_path):
+        # a v1 sidecar stored each delay mixture by six fields
+        stream = generate(StreamConfig(total_clicks=30, campaign_count=2, rng_seed=15))
+        path = tmp_path / "truth.ndjson"
+        write_sidecar(path, stream)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["schema_version"] == "v2"
+        for c in header["campaigns"]:
+            mix = stream.ground_truth.campaigns[c["campaign_id"]].delay
+            c["delay"] = {k: getattr(mix, k) for k in (
+                "exp_mean", "weibull_shape", "weibull_scale", "lognorm_mu",
+                "lognorm_sigma", "weights")}
+        header["schema_version"] = "v1"
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="unsupported sidecar schema"):
+            read_sidecar(path)
+
+    def test_stream_rejects_non_finite_delay(self, tmp_path):
+        stream = generate(StreamConfig(total_clicks=300, campaign_count=4, rng_seed=13))
+        path = tmp_path / "stream.ndjson"
+        write_stream(path, stream)
+        lines = path.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines[1:], 1)
+                 if json.loads(line)["events"])
+        record = json.loads(lines[k])
+        record["events"][0]["delay"] = math.nan
+        lines[k] = json.dumps(record)
+        assert '"delay": NaN' in lines[k]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_stream(path)
 
 
 def _example_with_delays(delays, camp):

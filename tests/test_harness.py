@@ -155,15 +155,13 @@ class TestMetricsAndSlices:
         e1 = shifted(make_example([0.5 * DAY]), 10 * DAY)
         stream = stream_of([e0, e1])
 
-        with_own = run(
-            build_variant(spec), stream, stream_end=60 * DAY,
-            log_example_ids={1},
-        )
-        without_own = run(
-            _skip_training_for(build_variant(spec), example_id=1), stream,
-            stream_end=60 * DAY, log_example_ids={1},
-        )
-        assert with_own.eval_log[1] == without_own.eval_log[1]
+        served = []
+        for model in (build_variant(spec),
+                      _skip_training_for(build_variant(spec), example_id=1)):
+            run(_capture_serve(model, example_id=1, into=served), stream,
+                stream_end=60 * DAY)
+        assert len(served) == 2
+        assert served[0] == served[1]
 
     def test_determinism_byte_identical_reports(self):
         spec = standard_specs(BUCKETING, RC)["Proposed"]
@@ -233,4 +231,18 @@ def _skip_training_for(variant, example_id):
     variant.train_on = lambda e, i, now=None: (
         0.0 if e.example_id == example_id else inner(e, i, now=now)
     )
+    return variant
+
+
+def _capture_serve(variant, example_id, into):
+    """Wrap `variant.serve` to append its prediction for one example."""
+    inner = variant.serve
+
+    def serve(e):
+        rate = inner(e)
+        if e.example_id == example_id:
+            into.append(rate)
+        return rate
+
+    variant.serve = serve
     return variant
