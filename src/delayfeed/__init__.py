@@ -13,7 +13,6 @@ from .core import (
     mature_label,
     observed_prefix,
     poisson_nll,
-    poisson_nll_grad_lograte,
 )
 from .ensemble import BUCKET, THERMOMETER, EnsembleConfig, SubModelEnsemble
 from .regressor import FeatureVector, PoissonRegressor, RegressorConfig
@@ -28,7 +27,6 @@ __all__ = [
     "mature_label",
     "observed_prefix",
     "poisson_nll",
-    "poisson_nll_grad_lograte",
     "BUCKET",
     "THERMOMETER",
     "EnsembleConfig",

@@ -176,13 +176,6 @@ def poisson_nll(rate: float, label: float) -> float:
     return rate - label * math.log(rate)
 
 
-def poisson_nll_grad_lograte(rate: float, label: float) -> float:
-    """d/ds of poisson_nll(exp(s), label) at s = ln(rate): rate - label."""
-    if rate <= 0:
-        raise ContractViolation(f"rate must be > 0, got {rate}")
-    return rate - label
-
-
 @dataclass
 class MetricsAccumulator:
     """Streaming sums for PLL and calibration bias, with a per-window

@@ -80,6 +80,10 @@ class DelayMixture:
 
     def sample(self, rng: np.random.Generator, n: int, max_delay: float):
         """n i.i.d. draws truncated to [0, max_delay) by rejection."""
+        # below a positive max_delay every component has positive mass, so
+        # the rejection loop ends
+        if not 0 < max_delay < math.inf:
+            raise ValueError(f"max_delay must be finite and > 0, got {max_delay}")
         out = np.empty(n)
         pending = np.arange(n)
         while pending.size:
@@ -166,8 +170,10 @@ class StreamConfig:
             raise ValueError("total_clicks must be >= 1")
         if self.campaign_count < 1:
             raise ValueError("campaign_count must be >= 1")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and > 0")
+        if not 0 < self.attribution_window < math.inf:
+            raise ValueError("attribution_window must be finite and > 0")
         if not 0 <= self.cold_start_fraction < 1:
             raise ValueError("cold_start_fraction must be in [0, 1)")
 

@@ -28,7 +28,7 @@ from .core import (
     slice_label,
     split_signed,
 )
-from .regressor import FeatureVector, PoissonRegressor, RegressorConfig
+from .regressor import FeatureVector, RegressorConfig, RegressorStack
 
 THERMOMETER = "thermometer"
 BUCKET = "bucket"
@@ -71,8 +71,9 @@ def aux_count_token(prefix: float) -> str:
 
 class SubModelEnsemble:
     """n+1 independent Poisson regressors over the delay buckets, sharing
-    no parameters. Owns serving, label completion, and the per-example
-    training schedule."""
+    no parameters: their `params` and `g2` are the rows of one (n+1, P)
+    buffer each, `stack.params` and `stack.g2`. Owns serving, label
+    completion, and the per-example training schedule."""
 
     def __init__(self, config: EnsembleConfig, name: str = "Proposed"):
         self.config = config
@@ -90,10 +91,10 @@ class SubModelEnsemble:
             )
         self.sub_model_config = rc
         n_models = config.bucketing.num_sub_models
-        self.sub_models = [
-            PoissonRegressor(replace(rc, rng_seed=rc.rng_seed + i))
-            for i in range(n_models)
-        ]
+        self.stack = RegressorStack(
+            rc, [rc.rng_seed + i for i in range(n_models)]
+        )
+        self.sub_models = self.stack.models
 
     @property
     def two_output(self) -> bool:
@@ -119,16 +120,17 @@ class SubModelEnsemble:
 
     def serve(self, example: ClickExample) -> float:
         """Predicted full mature label at click time, from serving features
-        only. Thermometer: a single f_0 forward. Bucket: sum over all
-        sub-models."""
+        only. Thermometer: a single f_0 forward. Bucket: the sum of every
+        sub-model's prediction, from one stacked forward of all n+1."""
         fv = FeatureVector(categorical=example.serving_features)
         if self.config.encoding == THERMOMETER:
             return self.sub_models[0].predict(fv)
         # left to right on purpose: builtin sum() of floats is compensated
         # from Python 3.12, which would make reports depend on the version
         total = 0.0
-        for m in self.sub_models:
-            total += m.predict(fv)
+        two_output = self.two_output
+        for rates in self.stack.forward(fv).tolist():
+            total += rates[0] - rates[1] if two_output else rates[0]
         return total
 
     def estimate_mature_label(

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from functools import lru_cache
 
 import numpy as np
@@ -46,10 +46,17 @@ class RegressorConfig:
             raise ValueError("embedding_dim must be >= 1")
         if self.hash_buckets_per_field < 2:
             raise ValueError("hash_buckets_per_field must be >= 2")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.adagrad_epsilon <= 0:
-            raise ValueError("adagrad_epsilon must be > 0")
+        if not all(size >= 1 for size in self.hidden_layer_sizes):
+            raise ValueError(
+                f"hidden layer sizes must be >= 1: {self.hidden_layer_sizes}"
+            )
+        # NaN fails every comparison, so each check is written to fail on it
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not 0 < self.adagrad_epsilon < math.inf:
+            raise ValueError("adagrad_epsilon must be finite and > 0")
+        if not math.isfinite(self.output_bias_init):
+            raise ValueError("output_bias_init must be finite")
 
 
 @dataclass
@@ -89,45 +96,76 @@ def adagrad_update(param, accum, grad, lr: float, eps: float, work=None):
     param -= step
 
 
+def param_shapes(config: RegressorConfig) -> list:
+    """Shapes of a regressor's parameter arrays in the order they lie in its
+    flat buffer: one embedding table per field, then the dense weights, then
+    the dense biases."""
+    d = config.embedding_dim
+    fields = config.categorical_fields
+    input_dim = d * len(fields) + len(config.numeric_features)
+    n_outputs = 2 if config.two_output_mode else 1
+    sizes = [input_dim, *config.hidden_layer_sizes, n_outputs]
+    layers = list(zip(sizes, sizes[1:]))
+    emb_shape = (config.hash_buckets_per_field, d)
+    return [emb_shape] * len(fields) + layers + [(fan_out,) for _, fan_out in layers]
+
+
 def _carve(buf, shapes) -> list:
-    """Consecutive views of the flat array `buf`, one per shape."""
+    """Consecutive views of `buf` along its last axis, one per shape: for
+    a flat buffer, arrays of those shapes; for an (R, P) buffer, arrays of
+    shape (R, *shape)."""
     views, start = [], 0
     for shape in shapes:
         n = math.prod(shape)
-        views.append(buf[start : start + n].reshape(shape))
+        views.append(buf[..., start : start + n].reshape(buf.shape[:-1] + shape))
         start += n
     return views
+
+
+def _state_buffer(buf, size: int):
+    """`buf` when it can be a model's `params` or `g2`: a C-contiguous
+    float64 vector of `size` elements, so that every carved array is a view
+    of it."""
+    if not (buf.dtype == np.float64 and buf.shape == (size,)
+            and buf.flags.c_contiguous):
+        raise ValueError(
+            f"state buffer must be a contiguous float64 vector of {size} "
+            f"elements, got {buf.dtype} {buf.shape}"
+        )
+    return buf
 
 
 class PoissonRegressor:
     """Hashed-embedding MLP with exponential output link and AdaGrad state.
 
     All parameters live in one float64 buffer `params` and their AdaGrad
-    accumulators in `g2`, laid out as the per-field embedding tables, then
-    the dense weights, then the dense biases. `embeddings`, `weights`,
-    `biases` and the `*_g2` names are views into those two buffers.
+    accumulators in `g2`, laid out as `param_shapes(config)`: the per-field
+    embedding tables, then the dense weights, then the dense biases.
+    `embeddings`, `weights`, `biases` and the `*_g2` names are views into
+    those two buffers. The model allocates them, or takes zero-filled
+    `params` and `g2` vectors from its caller (rows of a `RegressorStack`).
 
     Single-writer during training; read-only inference between training
     steps is safe from any thread.
     """
 
-    def __init__(self, config: RegressorConfig):
+    def __init__(self, config: RegressorConfig, params=None, g2=None):
         self.config = config
         self.forward_calls = 0
         rng = np.random.default_rng(config.rng_seed)
 
         d = config.embedding_dim
         fields = config.categorical_fields
-        self.input_dim = d * len(fields) + len(config.numeric_features)
-        self.n_outputs = 2 if config.two_output_mode else 1
+        nf, nl = len(fields), len(config.hidden_layer_sizes) + 1
+        shapes = param_shapes(config)
+        dense_shapes = shapes[nf:]
+        layers = dense_shapes[:nl]
+        self.input_dim = layers[0][0]
+        self.n_outputs = layers[-1][1]
 
-        sizes = [self.input_dim, *config.hidden_layer_sizes, self.n_outputs]
-        layers = list(zip(sizes, sizes[1:]))
-        emb_shape = (config.hash_buckets_per_field, d)
-        dense_shapes = layers + [(fan_out,) for _, fan_out in layers]
-        shapes = [emb_shape] * len(fields) + dense_shapes
-        self.params = np.zeros(sum(math.prod(s) for s in shapes))
-        self.g2 = np.zeros(self.params.size)
+        size = sum(math.prod(s) for s in shapes)
+        self.params = np.zeros(size) if params is None else _state_buffer(params, size)
+        self.g2 = np.zeros(size) if g2 is None else _state_buffer(g2, size)
         # dense gradient of the last backward pass, laid out like the
         # dense tail of `params`
         self._grad = np.empty(sum(math.prod(s) for s in dense_shapes))
@@ -140,7 +178,6 @@ class PoissonRegressor:
         self._emb_rows = self.params[:n_emb].reshape(-1, d)
         self._emb_rows_g2 = self.g2[:n_emb].reshape(-1, d)
 
-        nf, nl = len(fields), len(layers)
         p, a = _carve(self.params, shapes), _carve(self.g2, shapes)
         self.embeddings = dict(zip(fields, p[:nf]))
         self.embedding_g2 = dict(zip(fields, a[:nf]))
@@ -149,7 +186,7 @@ class PoissonRegressor:
         g = _carve(self._grad, dense_shapes)
         self._weight_grads, self._bias_grads = g[:nl], g[nl:]
 
-        for f in fields:
+        for f, emb_shape in zip(fields, shapes):
             self.embeddings[f][...] = rng.uniform(-0.05, 0.05, size=emb_shape)
         for w, (fan_in, fan_out) in zip(self.weights, layers):
             limit = 1.0 / math.sqrt(fan_in) if fan_in > 0 else 0.0
@@ -160,19 +197,30 @@ class PoissonRegressor:
             name: i for i, name in enumerate(config.numeric_features)
         }
         self._field_index = {f: i for i, f in enumerate(fields)}
-        self._zero_row = np.zeros(d)
+        # what _forward_cached reads; ndarray.dot skips the dispatch that
+        # np.dot adds to every call
+        self._views = (self._emb_rows, np.zeros(d), self.weights, self.biases,
+                       np.ndarray.dot)
 
     # -- forward ---------------------------------------------------------
 
-    def _assemble_input(self, features: FeatureVector):
-        """Returns (input vector, lookups). The input is, in declared field
-        order, the sum of each field's embedding rows (zeros for an absent
-        field), then the log1p-scaled numeric features. `lookups` lists
-        (field index, `_emb_rows` row) per categorical entry."""
+    def _forward_cached(self, features: FeatureVector, views):
+        """Returns (rates, the input of every layer, lookups); allocates
+        every array it returns. `views` is (embedding rows, zero block,
+        weights, biases, product). With this model's own `_views` the input
+        is one (input_dim,) vector and `product` is `dot`. With a
+        `RegressorStack`'s views of R models of this layout, the embedding
+        rows are (rows, R, embedding_dim), every other array gains a
+        leading R axis, `product` is `matmul` and the rates are
+        (R, 1, n_outputs).
+
+        The input is, in declared field order, the sum of each field's
+        embedding rows (the zero block for an absent field), then the
+        log1p-scaled numeric features. `lookups` lists (field index,
+        `_emb_rows` row) per categorical entry."""
+        emb, zero, weights, biases, product = views
         cfg = self.config
         buckets = cfg.hash_buckets_per_field
-        emb = self._emb_rows
-        zero = self._zero_row
         parts = [zero] * len(cfg.categorical_fields)
         lookups = []
         for field_id, token in features.categorical:
@@ -195,20 +243,18 @@ class PoissonRegressor:
                 )
             # log1p scaling for heavy-tailed count-like inputs
             numeric[idx] = math.copysign(math.log1p(abs(value)), value)
-        parts.append(numeric)
-        return np.concatenate(parts), lookups
-
-    def _forward_cached(self, features: FeatureVector):
-        """Returns (rates, the input of every layer, lookups); allocates
-        every array it returns."""
-        x, lookups = self._assemble_input(features)
+        if zero.ndim == 1:
+            parts.append(numeric)
+            h = np.concatenate(parts)
+        else:
+            parts.append([numeric] * len(zero))
+            h = np.concatenate(parts, axis=1)[:, None, :]
         inputs = []
-        h = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if i:
                 np.maximum(h, 0.0, out=h)
             inputs.append(h)
-            h = h.dot(w)
+            h = product(h, w)
             h += b
         # stability clamp on the log-rate; exp would overflow/underflow far
         # outside this range and AdaGrad recovers from the clipped gradient
@@ -218,7 +264,7 @@ class PoissonRegressor:
     def forward(self, features: FeatureVector):
         """Rate (single output) or (rate_plus, rate_minus) in two-output mode."""
         self.forward_calls += 1
-        rates, _, _ = self._forward_cached(features)
+        rates, _, _ = self._forward_cached(features, self._views)
         if self.n_outputs == 1:
             return float(rates[0])
         return float(rates[0]), float(rates[1])
@@ -259,7 +305,7 @@ class PoissonRegressor:
         (rows, embedding_dim) array). A row looked up k times gets the sum
         of its k gradients."""
         y = self._label_array(label)
-        rates, inputs, lookups = self._forward_cached(features)
+        rates, inputs, lookups = self._forward_cached(features, self._views)
         loss = float((rates - y * np.log(rates)).sum())
         # the gradient of each layer's pre-activation is its bias gradient
         grad = np.subtract(rates, y, out=self._bias_grads[-1])  # exp link
@@ -361,3 +407,47 @@ class PoissonRegressor:
         model.params[:] = state[:n]
         model.g2[:] = state[n:]
         return model
+
+
+class RegressorStack:
+    """R regressors of one layout, one per seed, whose `params` and `g2`
+    are the rows of one (R, P) buffer each: `models[r]` is an ordinary
+    PoissonRegressor on row r, with the initial values it would allocate
+    for itself. `forward` runs all R on one input with one set of numpy
+    calls.
+
+    Per call, numpy dispatch outweighs the arithmetic of these small
+    layers: one stacked `matmul` costs about 2.5 single-model `dot`s and
+    replaces R of them. So a read of several models at once takes
+    `forward`; a read of one model takes that model's own `forward`.
+    """
+
+    def __init__(self, config: RegressorConfig, seeds):
+        shapes = param_shapes(config)
+        n_rows = len(seeds)
+        self.params = np.zeros((n_rows, sum(math.prod(s) for s in shapes)))
+        self.g2 = np.zeros(self.params.shape)
+        self.models = [
+            PoissonRegressor(replace(config, rng_seed=seed), p, a)
+            for seed, p, a in zip(seeds, self.params, self.g2)
+        ]
+
+        nf = len(config.categorical_fields)
+        nl = len(config.hidden_layer_sizes) + 1
+        d = config.embedding_dim
+        n_emb = sum(math.prod(s) for s in shapes[:nf])
+        # embedding rows first: indexing one row gives its (R, d) values
+        # across the stack
+        emb = self.params[:, :n_emb].reshape(n_rows, -1, d).transpose(1, 0, 2)
+        # a (R, 1, fan_in) input times (R, fan_in, fan_out) weights
+        dense = _carve(self.params[:, n_emb:], shapes[nf:])
+        biases = [b[:, None, :] for b in dense[nl:]]
+        self._views = (emb, np.zeros((n_rows, d)), dense[:nl], biases, np.matmul)
+
+    def forward(self, features: FeatureVector):
+        """(R, n_outputs) rates; row r equals `models[r].forward(features)`
+        bit for bit. Counts one forward call on every model."""
+        for m in self.models:
+            m.forward_calls += 1
+        rates, _, _ = self.models[0]._forward_cached(features, self._views)
+        return rates[:, 0]

@@ -59,6 +59,24 @@ def test_traced_proposed_replay_records_completion_edges():
     assert agg["ensemble.features_for"][0] > 0
 
 
+def test_traced_bucket_replay_serves_in_one_stacked_forward():
+    workload = workloads.WORKLOADS["signed_bucket_wide"]
+    cfg = cli.config_from_dict(workload.config_dict(200))
+    stream = cli.stream_for_seed(cfg, 1)
+    model = variants.build_variant(cli.variant_specs_for(cfg)["M4"])
+    slices = harness.default_slices(stream.ground_truth.high_delay)
+    with tracing.Tracer(keep=0) as tracer:
+        result = harness.run(model, stream.examples, slices)
+    assert result.n_examples == 200
+    serves = tracer.agg["ensemble.serve"][0]
+    assert serves == 200
+    # all sub-models run inside ensemble.serve, none through forward()
+    assert ("ensemble.serve", "regressor.forward") not in tracer.edges
+    assert tracer.agg["regressor.forward"][0] == 0
+    # bucket encoding completes no labels: each forward call is one serve's
+    assert [m.forward_calls for m in model.sub_models] == [serves] * 5
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_setup_runs(name):
     # the bench's timed set-up, on a small stream

@@ -58,6 +58,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_dict(bad)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("regressor", "learning_rate", "NaN"),
+        ("regressor", "learning_rate", "Infinity"),
+        ("regressor", "adagrad_epsilon", "NaN"),
+        ("regressor", "prior_rate", "NaN"),
+        ("regressor", "hidden_layer_sizes", "[0]"),
+        ("regressor", "hidden_layer_sizes", "[-1]"),
+        ("stream", "duration_days", "NaN"),
+        ("stream", "attribution_window_days", "NaN"),
+        ("stream", "attribution_window_days", "Infinity"),
+    ])
+    def test_rejects_invalid_numeric_values(self, tmp_path, section,
+                                                key, value):
+        # the json module reads NaN and Infinity from a config file
+        path = tmp_path / "config.json"
+        text = json.dumps({**SMALL, section: {**SMALL[section], key: "@"}})
+        path.write_text(text.replace('"@"', value))
+        with pytest.raises(ValueError):
+            load_config(str(path))
+
     def test_load_config(self, config_path):
         cfg = load_config(config_path)
         assert cfg.stream.total_clicks == 800

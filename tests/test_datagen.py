@@ -67,6 +67,13 @@ class TestDelayMixture:
         assert np.all(draws >= 0)
         assert np.all(draws < M)
 
+    @pytest.mark.parametrize("max_delay", [0.0, -1.0, math.nan, math.inf])
+    def test_sample_rejects_max_delay_not_finite_and_positive(self, max_delay):
+        # no draw falls below a max_delay <= 0, so rejection would never end
+        mix = pure_exponential(1 * DAY)
+        with pytest.raises(ValueError):
+            mix.sample(np.random.default_rng(0), 5, max_delay)
+
     def test_median_matches_target(self):
         # each component alone has cdf 0.5 at the median, which checks the
         # exponential mean, Weibull scale and lognormal mu derived from it
@@ -204,6 +211,14 @@ class TestGenerate:
             StreamConfig(total_clicks=0)
         with pytest.raises(ValueError):
             StreamConfig(campaign_count=0)
+
+    @pytest.mark.parametrize("value", [0.0, -DAY, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["duration", "attribution_window"])
+    def test_rejects_time_span_not_finite_and_positive(self, name, value):
+        # a window <= 0 made generate() loop forever; a NaN duration failed
+        # later with an unrelated OverflowError
+        with pytest.raises(ValueError):
+            StreamConfig(total_clicks=10, campaign_count=2, **{name: value})
 
 
 class TestPosteriorOracle:

@@ -17,7 +17,7 @@ from delayfeed.ensemble import (
     SubModelEnsemble,
     aux_count_token,
 )
-from delayfeed.regressor import RegressorConfig
+from delayfeed.regressor import FeatureVector, RegressorConfig
 
 from test_core import make_example
 
@@ -78,6 +78,28 @@ class TestConfig:
         for i, a in enumerate(buffers):
             for b in buffers[i + 1:]:
                 assert not np.shares_memory(a, b)
+        # each sub-model's state is its row of the ensemble's two buffers
+        n = BUCKETING.num_sub_models
+        assert ens.stack.params.shape == ens.stack.g2.shape
+        assert ens.stack.params.shape[0] == n
+        for i, m in enumerate(ens.sub_models):
+            assert np.shares_memory(m.params, ens.stack.params[i])
+            assert np.shares_memory(m.g2, ens.stack.g2[i])
+
+    def test_failing_step_leaves_every_row_unchanged(self):
+        ens = make_ensemble(encoding=BUCKET, use_aux=False)
+        fv = FeatureVector(categorical=make_example([]).serving_features)
+        for m in ens.sub_models:
+            m.train_step(fv, 1.0)
+        # the output gradient overflows on its way back through these
+        # weights, so the step is refused
+        ens.sub_models[1].weights[-1][:] = 1e300
+        params, g2 = ens.stack.params.copy(), ens.stack.g2.copy()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError):
+            ens.sub_models[1].train_step(fv, 1.0)
+        assert np.array_equal(ens.stack.params, params)
+        assert np.array_equal(ens.stack.g2, g2)
 
 
 class TestAuxFeatures:
@@ -133,18 +155,22 @@ class TestServe:
         assert all(m.forward_calls == 1 for m in ens.sub_models)
 
     def test_bucket_sum_is_left_to_right(self):
-        # a compensated sum (builtin sum() from Python 3.12) would give 2.0
-        ens = make_ensemble(encoding=BUCKET, use_aux=False)
-
-        class Stub:
-            def __init__(self, rate):
-                self.rate = rate
-
-            def predict(self, features):
-                return self.rate
-
-        ens.sub_models = [Stub(r) for r in (1.0, 1e100, 1.0, -1e100)]
-        assert ens.serve(make_example([])) == 0.0
+        # signed predictions (x, B, x, -B) with x below half an ulp of B:
+        # left to right gives 0.0, a compensated sum (builtin sum() from
+        # Python 3.12, math.fsum) gives 2x
+        bucketing = DelayBucketing(boundaries=(1 * DAY, 3 * DAY, 7 * DAY),
+                                   attribution_window=M)
+        ens = make_ensemble(encoding=BUCKET, use_aux=False, two_output=True,
+                            bucketing=bucketing)
+        log_rates = [(-20.0, -30.0), (30.0, -30.0), (-20.0, -30.0), (-30.0, 30.0)]
+        for m, bias in zip(ens.sub_models, log_rates):
+            zero_to_bias(m, bias)
+        e = make_example([])
+        fv = FeatureVector(categorical=e.serving_features)
+        preds = [m.predict(fv) for m in ens.sub_models]
+        assert preds[0] == preds[2] > 0 and preds[3] == -preds[1]
+        assert math.fsum(preds) == 2 * preds[0]
+        assert ens.serve(e) == 0.0
 
     def test_serve_never_reads_events(self):
         ens = make_ensemble()

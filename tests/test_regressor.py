@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from delayfeed.regressor import (
     FeatureVector,
     PoissonRegressor,
     RegressorConfig,
+    RegressorStack,
     adagrad_update,
     hash_token,
 )
@@ -81,6 +83,21 @@ class TestInit:
         model = PoissonRegressor(small_config(output_bias_init=-1.5))
         assert model.biases[-1][0] == -1.5
         assert np.all(model.biases[0] == 0)
+
+    @pytest.mark.parametrize("kw", [
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"adagrad_epsilon": math.nan},
+        {"adagrad_epsilon": math.inf},
+        {"output_bias_init": math.nan},
+        {"output_bias_init": -math.inf},
+        {"hidden_layer_sizes": (0,)},
+        {"hidden_layer_sizes": (-1,)},
+        {"hidden_layer_sizes": (5, 0)},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_config_rejects_invalid_hyper_parameters(self, kw):
+        with pytest.raises(ValueError):
+            small_config(**kw)
 
 
 class TestForward:
@@ -450,3 +467,74 @@ def test_repeated_lookup_updates_row_once_with_summed_gradient():
     for f, t in model.embeddings.items():
         changed = set(np.where(np.any(t != before[f], axis=1))[0])
         assert changed == {crow if f == "campaign" else srow}
+
+
+# -- stacked models ----------------------------------------------------------
+
+def test_stack_row_is_an_ordinary_model(tmp_path):
+    cfg = small_config()
+    seeds = [7, 8, 9]
+    stack = RegressorStack(cfg, seeds)
+    assert stack.params.shape == stack.g2.shape == (3, stack.models[0].params.size)
+    for r, (seed, model) in enumerate(zip(seeds, stack.models)):
+        alone = PoissonRegressor(replace(cfg, rng_seed=seed))
+        assert model.config == alone.config
+        assert np.array_equal(model.params, alone.params)
+        assert np.array_equal(model.g2, alone.g2)
+        assert np.shares_memory(model.params, stack.params[r])
+        assert np.shares_memory(model.g2, stack.g2[r])
+    # steps on row 1 match a separately allocated model and touch no other row
+    row1, alone = stack.models[1], PoissonRegressor(replace(cfg, rng_seed=8))
+    others = stack.params[[0, 2]].copy(), stack.g2[[0, 2]].copy()
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        features = fv(campaign=f"c{rng.integers(6)}", aux=float(rng.exponential()))
+        label = float(rng.poisson(1.0))
+        assert row1.train_step(features, label) == alone.train_step(features, label)
+    assert np.array_equal(row1.params, alone.params)
+    assert np.array_equal(row1.g2, alone.g2)
+    assert np.array_equal(stack.params[[0, 2]], others[0])
+    assert np.array_equal(stack.g2[[0, 2]], others[1])
+    path = tmp_path / "row.ckpt"
+    row1.save(path)
+    loaded = PoissonRegressor.load(path)
+    assert np.array_equal(loaded.params, row1.params)
+    assert np.array_equal(loaded.g2, row1.g2)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda n: np.zeros(n + 1),
+    lambda n: np.zeros(n, dtype=np.float32),
+    lambda n: np.zeros(2 * n)[::2],
+], ids=["size", "dtype", "strided"])
+def test_model_rejects_unusable_state_buffer(bad):
+    cfg = small_config()
+    n = PoissonRegressor(cfg).params.size
+    with pytest.raises(ValueError):
+        PoissonRegressor(cfg, params=bad(n))
+    with pytest.raises(ValueError):
+        PoissonRegressor(cfg, g2=bad(n))
+
+
+@pytest.mark.parametrize("embedding_dim,hidden", [(4, ()), (4, (6, 5)), (8, (32, 32))],
+                         ids=["linear", "small", "default-sized"])
+@pytest.mark.parametrize("two_output", [False, True], ids=["single", "two"])
+def test_stacked_forward_matches_each_model_bit_for_bit(embedding_dim, hidden,
+                                                        two_output):
+    cfg = small_config(categorical_fields=REF_FIELDS, embedding_dim=embedding_dim,
+                       hash_buckets_per_field=4, hidden_layer_sizes=hidden,
+                       two_output_mode=two_output)
+    stack = RegressorStack(cfg, [3, 4, 5, 6, 7])
+    rng = np.random.default_rng(5)
+    stack.params[...] = rng.normal(0.0, 0.5, stack.params.shape)
+    # log-rates beyond the stability clamp, both ways
+    stack.models[0].biases[-1][:] = -40.0
+    stack.models[1].biases[-1][:] = 40.0
+    for step in range(300):
+        features = random_features(rng)
+        calls = [m.forward_calls for m in stack.models]
+        rates = stack.forward(features)
+        assert [m.forward_calls for m in stack.models] == [c + 1 for c in calls]
+        for model, row in zip(stack.models, rates.tolist()):
+            got = model.forward(features)
+            assert tuple(row) == (got if two_output else (got,)), step
