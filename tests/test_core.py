@@ -186,6 +186,16 @@ class TestPoissonNll:
         with pytest.raises(ContractViolation):
             poisson_nll(-1.0, 1.0)
 
+    def test_grad_matches_finite_difference_single_point(self):
+        rate, label = 0.7, 2.0
+        s = math.log(rate)
+        h = 1e-6
+        fd = (
+            poisson_nll(math.exp(s + h), label) - poisson_nll(math.exp(s - h), label)
+        ) / (2 * h)
+        g = rate - label
+        assert abs(fd - g) / abs(g) < 1e-6
+
     @given(
         st.floats(-3, 3),
         st.floats(0, 10),
