@@ -73,6 +73,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         attribution_window=stream.attribution_window,
     )
     r = d.get("regressor", {})
+    prior_rate = r.get("prior_rate", 0.2)
+    if not 0 < prior_rate < math.inf:
+        raise ValueError(
+            f"regressor.prior_rate must be finite and > 0, got {prior_rate}"
+        )
     regressor = RegressorConfig(
         categorical_fields=BASE_CATEGORICAL_FIELDS,
         embedding_dim=r.get("embedding_dim", 8),
@@ -80,9 +85,15 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         hidden_layer_sizes=tuple(r.get("hidden_layer_sizes", (32, 32))),
         learning_rate=r.get("learning_rate", 0.05),
         adagrad_epsilon=r.get("adagrad_epsilon", 1e-6),
-        output_bias_init=math.log(r.get("prior_rate", 0.2)),
+        output_bias_init=math.log(prior_rate),
         rng_seed=r.get("rng_seed", 0),
     )
+    m1_delay = d.get("m1_delay_hours", 6) * 3600.0
+    m2_delays = tuple(x * DAY for x in d.get("m2_delays_days", (7, 15)))
+    for key, delays in (("m1_delay_hours", (m1_delay,)),
+                        ("m2_delays_days", m2_delays)):
+        if not all(0 <= x < math.inf for x in delays):
+            raise ValueError(f"{key} must be finite and >= 0, got {d[key]}")
     variants = tuple(d.get("variants", VARIANT_NAMES))
     if variants == ("all",):
         variants = VARIANT_NAMES
@@ -90,8 +101,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         stream=stream,
         bucketing=bucketing,
         regressor=regressor,
-        m1_delay=d.get("m1_delay_hours", 6) * 3600.0,
-        m2_delays=tuple(x * DAY for x in d.get("m2_delays_days", (7, 15))),
+        m1_delay=m1_delay,
+        m2_delays=m2_delays,
         two_output_mode=d.get("two_output_mode", False),
         variants=variants,
         seeds=tuple(d.get("seeds", (0,))),

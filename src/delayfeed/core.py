@@ -19,7 +19,7 @@ class ContractViolation(ValueError):
     """An operation was called outside its documented preconditions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConversionEvent:
     """One post-click event: delay in seconds from the click, a non-negative
     value (1.0 for pure counting), and a sign (-1 only for retractions)."""
@@ -37,21 +37,27 @@ class ConversionEvent:
             raise ValueError(f"event sign must be +1 or -1, got {self.sign}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ClickExample:
     """One ad click with its serving-time features and the full ground-truth
     event list (the generator knows the future; models must not peek past
-    the horizon they are entitled to)."""
+    the horizon they are entitled to).
+
+    Both sequences are stored as tuples, so examples can share one
+    `serving_features` object and a click without events holds the empty
+    tuple; lists given here are converted."""
 
     example_id: int
     click_time: float
     campaign_id: int
     campaign_start_time: float
-    serving_features: list  # list of (field_id, token) pairs
+    serving_features: tuple  # (field_id, token) pairs
     attribution_window: float
-    events: list  # list of ConversionEvent, sorted by delay ascending
+    events: tuple  # ConversionEvents, sorted by delay ascending
 
     def __post_init__(self):
+        self.serving_features = tuple(self.serving_features)
+        self.events = tuple(self.events)
         if not (math.isfinite(self.campaign_start_time)
                 and math.isfinite(self.click_time)
                 and self.campaign_start_time <= self.click_time):
@@ -90,11 +96,18 @@ class DelayBucketing:
     def __post_init__(self):
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
         b = self.boundaries
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
+        # every check is written so that a NaN fails it: with the window
+        # finite, the boundaries are then finite and ordered too
+        if not 0 < self.attribution_window < math.inf:
+            raise ValueError(
+                f"attribution window must be finite and > 0, got "
+                f"{self.attribution_window}"
+            )
+        if not all(b[i] < b[i + 1] for i in range(len(b) - 1)):
             raise ValueError(f"boundaries must be strictly increasing: {b}")
-        if not b or b[0] <= 0:
-            raise ValueError("first boundary must be > 0")
-        if b[-1] >= self.attribution_window:
+        if not (b and 0 < b[0]):
+            raise ValueError(f"first boundary must be > 0: {b}")
+        if not b[-1] < self.attribution_window:
             raise ValueError(
                 f"last boundary {b[-1]} must be < attribution window "
                 f"{self.attribution_window}"

@@ -257,8 +257,12 @@ def generate(config: StreamConfig) -> Stream:
     share = rng.dirichlet(np.ones(config.campaign_count) * 2)
     clicks_per_campaign = rng.multinomial(config.total_clicks, share)
 
-    records = []  # (click_time, campaign_id, theta, events)
+    records = []  # (click_time, campaign_id, theta, features, events)
     m = config.attribution_window
+    # feature pairs and whole serving-feature tuples are shared between
+    # clicks, so a click holds references, not copies
+    segment_pairs = [("segment", tok) for tok in SEGMENT_TOKENS]
+    context_pairs = [("context", tok) for tok in CONTEXT_TOKENS]
     for camp, n_clicks in zip(campaigns, clicks_per_campaign):
         if n_clicks == 0:
             continue
@@ -283,6 +287,8 @@ def generate(config: StreamConfig) -> Stream:
         )
         contexts = rng.choice(len(CONTEXT_TOKENS), size=n_clicks, p=context_weights)
 
+        campaign_pair = ("campaign", str(camp.campaign_id))
+        feature_tuples = {}  # (segment, context) -> serving features
         pos = 0
         for j in range(n_clicks):
             c = int(counts[j])
@@ -295,14 +301,15 @@ def generate(config: StreamConfig) -> Stream:
                     ))
             pos += c
             events.sort(key=lambda ev: ev.delay)
-            features = [
-                ("campaign", str(camp.campaign_id)),
-                ("segment", SEGMENT_TOKENS[segments[j]]),
-                ("context", CONTEXT_TOKENS[contexts[j]]),
-            ]
+            key = (segments[j], contexts[j])
+            features = feature_tuples.get(key)
+            if features is None:
+                features = feature_tuples[key] = (
+                    campaign_pair, segment_pairs[key[0]], context_pairs[key[1]],
+                )
             records.append((
                 float(times[j]), camp.campaign_id, float(thetas[j]),
-                features, events,
+                features, tuple(events),
             ))
 
     records.sort(key=lambda r: r[0])

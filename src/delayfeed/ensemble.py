@@ -111,8 +111,8 @@ class SubModelEnsemble:
             return FeatureVector(categorical=example.serving_features)
         prefix = observed_prefix(example, self.config.bucketing.horizon(i))
         return FeatureVector(
-            categorical=example.serving_features
-            + [(AUX_COUNT_FIELD, aux_count_token(prefix))],
+            categorical=[*example.serving_features,
+                         (AUX_COUNT_FIELD, aux_count_token(prefix))],
             numeric=[(AUX_NUMERIC_FEATURE, max(prefix, 0.0))],
         )
 

@@ -1,22 +1,22 @@
 """Event-driven online-training simulator.
 
-Builds one merged timeline per variant: an EVAL event at every click time
-and the variant's TRAIN events afterwards, processed in (time, EVAL-before-
-TRAIN, sub-model index, arrival sequence) order. Evaluation scores the
-serving prediction against the ground-truth mature label and feeds every
-matching slice; training events that would fall past the end of the stream
-are dropped and counted (their labels never mature inside the simulation).
+Streams one timeline per variant: an EVAL at every click time and the
+variant's TRAINs after it, in (time, EVAL-before-TRAIN, sub-model index,
+arrival sequence) order. A click's TRAINs are scheduled at its EVAL and wait
+in one FIFO queue per index, so the timeline holds the pending TRAINs, not
+the whole stream. EVALs score the serving prediction against the mature
+label per slice; TRAINs past the stream's end are dropped and counted.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .core import DAY, MetricsAccumulator, mature_label
-
-EVAL, TRAIN = 0, 1
 
 NEW_CAMPAIGN_AGE = 10 * DAY
 
@@ -65,57 +65,57 @@ class RunResult:
 
 
 def run(variant, stream_examples, slices=None, stream_end=None) -> RunResult:
-    """One full evaluate-then-train pass of a variant over a stream sorted
-    by click time."""
-    if slices is None:
-        slices = default_slices()
-    prev_t = -math.inf
-    prev_id = -1
-    for e in stream_examples:
-        if e.click_time < prev_t:
-            raise ValueError("stream is not sorted by click_time")
-        if e.example_id <= prev_id:
-            raise ValueError("example_ids must be strictly increasing")
-        prev_t, prev_id = e.click_time, e.example_id
-    if stream_end is None:
-        stream_end = prev_t
+    """Evaluate-then-train pass over a stream sorted by click time. TRAIN
+    times must be finite, not before their click, and monotone per index."""
+    slices = default_slices() if slices is None else slices
+    for a, b in pairwise(stream_examples):
+        if not (a.click_time <= b.click_time and a.example_id < b.example_id):
+            raise ValueError("stream must be sorted by click_time, with "
+                             "strictly increasing example_ids")
+    if stream_end is None and stream_examples:
+        stream_end = stream_examples[-1].click_time
 
-    result = RunResult(
-        variant=getattr(variant, "name", variant.__class__.__name__),
-        slices={name: MetricsAccumulator() for name in slices},
-    )
+    result = RunResult(getattr(variant, "name", variant.__class__.__name__),
+                       {name: MetricsAccumulator() for name in slices})
+    queues = defaultdict(deque)  # index -> FIFO of pending (train time, example)
+    heads = []  # heap of (train time, index), one per non-empty queue
 
-    events = []
-    seq = 0
-    dropped = 0
-    for e in stream_examples:
-        events.append((e.click_time, EVAL, 0, seq, e))
-        for t, i in variant.training_schedule(e):
-            if t > stream_end:
-                dropped += 1
-            else:
-                events.append((t, TRAIN, i, seq, e))
-        seq += 1
-    heapq.heapify(events)
-
-    slice_items = list(slices.items())
-    while events:
-        t, kind, i, _, e = heapq.heappop(events)
-        if kind == EVAL:
-            rate = variant.serve(e)
-            # signed two-output predictions can be <= 0; NLL needs a
-            # positive rate while bias keeps the raw prediction
-            safe_rate = max(rate, 1e-12)
-            label = mature_label(e)
-            window = int(e.click_time // DAY)
-            for name, matches in slice_items:
-                if matches(e):
-                    result.slices[name].record(safe_rate, label, window, pred=rate)
-            result.n_examples += 1
-        else:
+    def train_before(limit):
+        while heads and heads[0][0] < limit:
+            t, i = heapq.heappop(heads)
+            queue = queues[i]
+            e = queue.popleft()[1]
+            if queue:
+                heapq.heappush(heads, (queue[0][0], i))
             variant.train_on(e, i, now=t)
 
-    result.dropped_train_events = dropped
+    slice_items = list(slices.items())
+    for e in stream_examples:
+        train_before(e.click_time)  # one due at this time waits for the EVAL
+        rate = variant.serve(e)
+        # signed two-output predictions can be <= 0; NLL needs a
+        # positive rate while bias keeps the raw prediction
+        safe_rate = max(rate, 1e-12)
+        label = mature_label(e)
+        window = int(e.click_time // DAY)
+        for name, matches in slice_items:
+            if matches(e):
+                result.slices[name].record(safe_rate, label, window, pred=rate)
+        result.n_examples += 1
+        for t, i in variant.training_schedule(e):
+            queue = queues[i]
+            # a queued TRAIN is not due yet, so it is no earlier than the click
+            earliest = queue[-1][0] if queue else e.click_time
+            if not earliest <= t < math.inf:
+                raise ValueError(f"example {e.example_id}: TRAIN {i} at {t} must "
+                                 f"be finite and no earlier than {earliest}")
+            if t > stream_end:
+                result.dropped_train_events += 1
+            else:
+                queue.append((t, e))
+                if len(queue) == 1:
+                    heapq.heappush(heads, (t, i))
+    train_before(math.inf)
     result.negative_label_clamps = getattr(variant, "negative_label_clamps", 0)
     return result
 

@@ -11,6 +11,7 @@ impossible outside simulation; reports flag it as an upper bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .core import DAY, ClickExample, ContractViolation, DelayBucketing, \
@@ -41,6 +42,10 @@ class VariantSpec:
             raise ValueError(f"unknown variant kind {self.kind!r}")
         if self.kind == SINGLE_DELAY and self.regressor_config is None:
             raise ValueError(f"{self.name}: single-delay variant needs a regressor config")
+        if self.kind == SINGLE_DELAY and not 0 <= self.delay < math.inf:
+            raise ValueError(
+                f"{self.name}: delay must be finite and >= 0, got {self.delay}"
+            )
         if self.kind == ENSEMBLE and self.ensemble_config is None:
             raise ValueError(f"{self.name}: ensemble variant needs an ensemble config")
 

@@ -63,6 +63,9 @@ class TestConfig:
         ("regressor", "learning_rate", "Infinity"),
         ("regressor", "adagrad_epsilon", "NaN"),
         ("regressor", "prior_rate", "NaN"),
+        ("regressor", "prior_rate", "0"),
+        ("regressor", "prior_rate", "-1"),
+        ("regressor", "prior_rate", "Infinity"),
         ("regressor", "hidden_layer_sizes", "[0]"),
         ("regressor", "hidden_layer_sizes", "[-1]"),
         ("stream", "duration_days", "NaN"),
@@ -76,6 +79,27 @@ class TestConfig:
         text = json.dumps({**SMALL, section: {**SMALL[section], key: "@"}})
         path.write_text(text.replace('"@"', value))
         with pytest.raises(ValueError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("key,value,where", [
+        ("prior_rate", "0", "regressor"),
+        ("prior_rate", "-1", "regressor"),
+        ("prior_rate", "NaN", "regressor"),
+        ("m1_delay_hours", "-1", None),
+        ("m1_delay_hours", "NaN", None),
+        ("m1_delay_hours", "Infinity", None),
+        ("m2_delays_days", "[NaN]", None),
+        ("m2_delays_days", "[7, -1]", None),
+    ])
+    def test_rejection_names_the_key(self, tmp_path, key, value, where):
+        raw = dict(SMALL)
+        if where:
+            raw[where] = {**SMALL[where], key: "@"}
+        else:
+            raw[key] = "@"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw).replace('"@"', value))
+        with pytest.raises(ValueError, match=key):
             load_config(str(path))
 
     def test_load_config(self, config_path):

@@ -235,6 +235,17 @@ class TestDelayBucketing:
         with pytest.raises(ValueError):
             DelayBucketing(boundaries=(1 * DAY, M), attribution_window=M)
 
+    @pytest.mark.parametrize("boundaries,window", [
+        ((1 * DAY, 3 * DAY), math.nan),
+        ((1 * DAY, 3 * DAY), math.inf),
+        ((math.nan, 3 * DAY), M),
+        ((1 * DAY, math.nan), M),
+        ((1 * DAY, math.nan, 3 * DAY), M),
+    ], ids=["window-nan", "window-inf", "first-nan", "last-nan", "middle-nan"])
+    def test_rejects_values_not_finite(self, boundaries, window):
+        with pytest.raises(ValueError):
+            DelayBucketing(boundaries=boundaries, attribution_window=window)
+
     def test_rejects_too_many_sub_models(self):
         with pytest.raises(ValueError):
             DelayBucketing(
@@ -306,3 +317,26 @@ class TestClickExampleInvariants:
                     attribution_window=M,
                     events=[],
                 )
+
+
+class TestRecordLayout:
+    def test_sequences_are_tuples_and_lists_compare_equal(self):
+        from_lists = make_example([0.5 * DAY, 3 * DAY])
+        from_tuples = ClickExample(
+            example_id=0,
+            click_time=0.0,
+            campaign_id=0,
+            campaign_start_time=0.0,
+            serving_features=(("campaign", "0"),),
+            attribution_window=M,
+            events=tuple(from_lists.events),
+        )
+        assert from_lists == from_tuples
+        assert type(from_lists.serving_features) is tuple
+        assert type(from_lists.events) is tuple
+        assert make_example([]).events == ()
+
+    def test_records_have_no_instance_dict(self):
+        e = make_example([0.5 * DAY])
+        assert not hasattr(e, "__dict__")
+        assert not hasattr(e.events[0], "__dict__")

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import statistics
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -313,6 +315,38 @@ class TestCorrelationThroughTheta:
         assert sample_corr == pytest.approx(corr, rel=0.10)
 
 
+class TestRecordMemory:
+    def test_retained_bytes_per_click(self):
+        # a first stream warms numpy's and the interpreter's own caches,
+        # which would otherwise count against the measured one
+        generate(StreamConfig(total_clicks=2000, rng_seed=1))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stream = generate(StreamConfig(total_clicks=2000, rng_seed=0))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(stream.examples) == 2000
+        assert retained / 2000 <= 512
+
+    def test_examples_share_serving_features(self):
+        stream = generate(StreamConfig(total_clicks=2000, campaign_count=5,
+                                       rng_seed=3))
+        by_value = {}
+        for e in stream.examples:
+            by_value.setdefault(e.serving_features, set()).add(
+                id(e.serving_features))
+        assert len(by_value) < len(stream.examples)
+        assert all(len(ids) == 1 for ids in by_value.values())
+        e = stream.examples[0]
+        assert not hasattr(e, "__dict__")
+        assert all(type(ex.events) is tuple for ex in stream.examples)
+        assert any(ex.events == () for ex in stream.examples)
+
+
 class TestFileFormats:
     def test_stream_roundtrip(self, tmp_path):
         stream = generate(StreamConfig(total_clicks=300, campaign_count=4, rng_seed=13))
@@ -325,6 +359,7 @@ class TestFileFormats:
             assert a.click_time == b.click_time
             assert a.serving_features == b.serving_features
             assert a.events == b.events
+        assert back == stream.examples
 
     def test_stream_schema_fields(self, tmp_path):
         stream = generate(StreamConfig(total_clicks=10, campaign_count=2, rng_seed=14))

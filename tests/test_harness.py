@@ -1,9 +1,13 @@
 import copy
+import heapq
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
-from delayfeed.core import DAY, DelayBucketing, MetricsAccumulator
+from delayfeed.core import DAY, DelayBucketing, MetricsAccumulator, mature_label
+from delayfeed.datagen import StreamConfig, generate
 from delayfeed.harness import (
     RunResult,
     compare,
@@ -110,6 +114,123 @@ class TestEventOrdering:
         ex = stream_of([shifted(base, 100.0), shifted(base, 0.0)])
         with pytest.raises(ValueError):
             run(v, ex)
+
+
+def reference_run(variant, stream_examples, slices=None, stream_end=None):
+    """The timeline `run` streams, built whole: every EVAL and TRAIN of the
+    stream goes into one heap before the first event is dispatched."""
+    EVAL, TRAIN = 0, 1
+    slices = default_slices() if slices is None else slices
+    if stream_end is None:
+        stream_end = stream_examples[-1].click_time
+    result = RunResult(variant=variant.name,
+                       slices={name: MetricsAccumulator() for name in slices})
+    events = []
+    for seq, e in enumerate(stream_examples):
+        events.append((e.click_time, EVAL, 0, seq, e))
+        for t, i in variant.training_schedule(e):
+            if t > stream_end:
+                result.dropped_train_events += 1
+            else:
+                events.append((t, TRAIN, i, seq, e))
+    heapq.heapify(events)
+    while events:
+        t, kind, i, _, e = heapq.heappop(events)
+        if kind == EVAL:
+            rate = variant.serve(e)
+            for name, matches in slices.items():
+                if matches(e):
+                    result.slices[name].record(
+                        max(rate, 1e-12), mature_label(e),
+                        int(e.click_time // DAY), pred=rate)
+            result.n_examples += 1
+        else:
+            variant.train_on(e, i, now=t)
+    result.negative_label_clamps = getattr(variant, "negative_label_clamps", 0)
+    return result
+
+
+class DispatchLog:
+    """Wraps a real variant and logs each dispatched (time, kind, index,
+    example_id)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.log = []
+
+    def serve(self, example):
+        self.log.append((example.click_time, "EVAL", 0, example.example_id))
+        return self.inner.serve(example)
+
+    def training_schedule(self, example):
+        return self.inner.training_schedule(example)
+
+    def train_on(self, example, i, now=None):
+        self.log.append((now, "TRAIN", i, example.example_id))
+        return self.inner.train_on(example, i, now=now)
+
+    @property
+    def negative_label_clamps(self):
+        return getattr(self.inner, "negative_label_clamps", 0)
+
+
+def coarse_stream():
+    """A generated stream with click times floored to 6 h, so many clicks
+    share a time, M1's 6 h TRAINs land exactly on later clicks, and the
+    stream ends before most 30-day TRAINs are due."""
+    stream = generate(StreamConfig(total_clicks=400, campaign_count=4,
+                                   duration=40 * DAY, retraction_prob=0.1,
+                                   rng_seed=5))
+    grid = 6 * 3600.0
+    coarse = []
+    for e in stream.examples:
+        t = math.floor(e.click_time / grid) * grid
+        coarse.append(replace(e, click_time=t,
+                              campaign_start_time=min(e.campaign_start_time, t)))
+    coarse.sort(key=lambda e: e.click_time)
+    return [replace(e, example_id=k) for k, e in enumerate(coarse)], \
+        default_slices(stream.ground_truth.high_delay)
+
+
+class TestStreamedTimeline:
+    @pytest.mark.parametrize("name", ["Proposed", "M4", "M1", "Oracle", "M3"])
+    def test_matches_whole_timeline_reference(self, name):
+        stream, slices = coarse_stream()
+        times = [e.click_time for e in stream]
+        assert len(set(times)) < len(times) // 2
+        rc = replace(RC, categorical_fields=("campaign", "segment", "context"))
+        spec = standard_specs(BUCKETING, rc)[name]
+        got, want = DispatchLog(build_variant(spec)), DispatchLog(build_variant(spec))
+        result = run(got, stream, slices)
+        expected = reference_run(want, stream, slices)
+        assert got.log == want.log
+        assert len(got.log) > len(stream)
+        assert result.dropped_train_events == expected.dropped_train_events
+        assert (json.dumps(compare({name: result}), sort_keys=True)
+                == json.dumps(compare({name: expected}), sort_keys=True))
+        if name in ("Proposed", "M3"):
+            assert result.dropped_train_events > 0
+        if name in ("M1", "Oracle"):
+            # some TRAIN shares its time with a later click's EVAL
+            evals = {t for t, kind, _, _ in got.log if kind == "EVAL"}
+            assert any(t in evals and kind == "TRAIN"
+                       for t, kind, _, _ in got.log)
+
+    @pytest.mark.parametrize("schedule", [
+        # goes backwards within index 0: the second click trains first
+        lambda e: [(e.click_time + (100.0 if e.example_id == 0 else 1.0), 0)],
+        lambda e: [(e.click_time + 5.0, 1), (e.click_time + 3.0, 1)],
+        lambda e: [(e.click_time - 1.0, 0)],
+        lambda e: [(math.nan, 0)],
+        lambda e: [(math.inf, 0)],
+    ], ids=["backwards-across-clicks", "backwards-in-one-click",
+            "before-click", "nan", "inf"])
+    def test_rejects_bad_schedule(self, schedule):
+        base = make_example([])
+        ex = stream_of([shifted(base, 0.0), shifted(base, 10.0)])
+        with pytest.raises(ValueError):
+            run(RecordingVariant(schedule), ex, stream_end=1 * DAY)
 
 
 class TestDropping:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from delayfeed.core import DAY, ContractViolation, DelayBucketing, mature_label
@@ -122,6 +124,12 @@ class TestSingleDelayLabels:
             label_mode=PREFIX_AT_DELAY, regressor_config=RC,
         )
         assert _training_label(SingleDelayModel(spec), e) == mature_label(e)
+
+    @pytest.mark.parametrize("delay", [-1.0, -3600.0, math.nan, math.inf])
+    def test_rejects_delay_not_finite_and_non_negative(self, delay):
+        with pytest.raises(ValueError, match="delay"):
+            VariantSpec("probe", SINGLE_DELAY, delay=delay,
+                        label_mode=PREFIX_AT_DELAY, regressor_config=RC)
 
 
 class TestBuildVariant:
