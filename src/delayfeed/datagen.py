@@ -32,6 +32,8 @@ CONTEXT_TOKENS = tuple(f"c{i}" for i in range(8))
 
 _EXP, _WEIBULL, _LOGNORMAL = 0, 1, 2
 
+_UNIT_VALUE = 1.0
+
 
 @dataclass(frozen=True)
 class DelayMixture:
@@ -182,7 +184,7 @@ class StreamConfig:
 class GroundTruth:
     """Generator-side truth used by slicing and the analytic oracle."""
 
-    thetas: dict            # example_id -> latent intensity
+    thetas: np.ndarray      # latent intensity, indexed by example_id
     campaigns: dict         # campaign_id -> CampaignProfile
     high_delay: set         # campaign ids tagged HIGH_DELAY
 
@@ -273,9 +275,10 @@ def generate(config: StreamConfig) -> Stream:
         total_events = int(counts.sum())
         delays = camp.delay.sample(rng, total_events, m)
         if camp.value_lognorm is not None:
-            values = rng.lognormal(*camp.value_lognorm, total_events)
+            values = rng.lognormal(*camp.value_lognorm, total_events).tolist()
         else:
-            values = np.ones(total_events)
+            # every unit-valued event holds the one shared 1.0
+            values = [_UNIT_VALUE] * total_events
         if camp.retraction_prob > 0:
             retracted = rng.random(total_events) < camp.retraction_prob
             retract_delays = delays + rng.exponential(2 * DAY, total_events)
@@ -294,10 +297,10 @@ def generate(config: StreamConfig) -> Stream:
             c = int(counts[j])
             events = []
             for e in range(pos, pos + c):
-                events.append(ConversionEvent(float(delays[e]), float(values[e]), 1))
+                events.append(ConversionEvent(float(delays[e]), values[e], 1))
                 if retracted[e] and retract_delays[e] < m:
                     events.append(ConversionEvent(
-                        float(retract_delays[e]), float(values[e]), -1
+                        float(retract_delays[e]), values[e], -1
                     ))
             pos += c
             events.sort(key=lambda ev: ev.delay)
@@ -314,9 +317,9 @@ def generate(config: StreamConfig) -> Stream:
 
     records.sort(key=lambda r: r[0])
     examples = []
-    thetas = {}
+    thetas = np.array([r[2] for r in records])
     camp_by_id = {c.campaign_id: c for c in campaigns}
-    for example_id, (t, cid, theta, features, events) in enumerate(records):
+    for example_id, (t, cid, _, features, events) in enumerate(records):
         examples.append(ClickExample(
             example_id=example_id,
             click_time=t,
@@ -326,7 +329,6 @@ def generate(config: StreamConfig) -> Stream:
             attribution_window=m,
             events=events,
         ))
-        thetas[example_id] = theta
 
     truth = GroundTruth(
         thetas=thetas,
@@ -410,10 +412,10 @@ def write_sidecar(path, stream: Stream):
             "campaigns": [asdict(c) for c in truth.campaigns.values()],
             "high_delay": sorted(truth.high_delay),
         }) + "\n")
-        for example_id in sorted(truth.thetas):
+        for example_id, theta in enumerate(truth.thetas.tolist()):
             fh.write(json.dumps({
                 "example_id": example_id,
-                "theta": truth.thetas[example_id],
+                "theta": theta,
             }) + "\n")
 
 
@@ -428,12 +430,22 @@ def read_sidecar(path) -> GroundTruth:
             c["campaign_id"]: CampaignProfile.from_dict(c)
             for c in header["campaigns"]
         }
-        thetas = {}
+        by_id = {}
         for line in fh:
             d = json.loads(line)
-            thetas[d["example_id"]] = d["theta"]
+            if d["example_id"] in by_id:
+                raise ValueError(
+                    f"sidecar repeats example_id {d['example_id']}"
+                )
+            by_id[d["example_id"]] = d["theta"]
+    missing = set(range(len(by_id))) - by_id.keys()
+    if missing:
+        raise ValueError(
+            f"sidecar misses example_id {min(missing)}: ids must run from 0 "
+            f"to the number of clicks - 1"
+        )
     return GroundTruth(
-        thetas=thetas,
+        thetas=np.array([by_id[i] for i in range(len(by_id))], dtype=float),
         campaigns=campaigns,
         high_delay=set(header["high_delay"]),
     )

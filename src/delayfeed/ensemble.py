@@ -17,6 +17,7 @@ with serving features only; serving then sums all sub-model rates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -56,17 +57,28 @@ class EnsembleConfig:
             )
 
 
+def _count_tokens() -> tuple:
+    """The count bucket tokens, one per bucket that AUX_COUNT_CUTS start."""
+    tokens = []
+    for lo, cut in zip((0,) + AUX_COUNT_CUTS, AUX_COUNT_CUTS):
+        hi = cut - 1
+        tokens.append(str(lo) if lo == hi else f"{lo}-{hi}")
+    return (*tokens, f"{AUX_COUNT_CUTS[-1]}+")
+
+
+# one shared (field, token) pair per count bucket, so that every aux input
+# hands the regressor the same pair objects
+_AUX_COUNT_PAIRS = tuple((AUX_COUNT_FIELD, tok) for tok in _count_tokens())
+
+
+def _aux_count_pair(prefix: float) -> tuple:
+    return _AUX_COUNT_PAIRS[bisect_right(AUX_COUNT_CUTS, math.floor(prefix))]
+
+
 def aux_count_token(prefix: float) -> str:
     """Categorical token for the observed-so-far count, bucketed at
     AUX_COUNT_CUTS."""
-    count = max(0, math.floor(prefix))
-    lo = 0
-    for cut in AUX_COUNT_CUTS:
-        if count < cut:
-            hi = cut - 1
-            return str(lo) if lo == hi else f"{lo}-{hi}"
-        lo = cut
-    return f"{AUX_COUNT_CUTS[-1]}+"
+    return _aux_count_pair(prefix)[1]
 
 
 class SubModelEnsemble:
@@ -90,11 +102,14 @@ class SubModelEnsemble:
                 + (AUX_NUMERIC_FEATURE,),
             )
         self.sub_model_config = rc
-        n_models = config.bucketing.num_sub_models
+        b = config.bucketing
+        n_models = b.num_sub_models
         self.stack = RegressorStack(
             rc, [rc.rng_seed + i for i in range(n_models)]
         )
         self.sub_models = self.stack.models
+        # sub-model i's window [d_i, d_{i+1})
+        self._windows = tuple((b.horizon(i), b.upper(i)) for i in range(n_models))
 
     @property
     def two_output(self) -> bool:
@@ -109,10 +124,9 @@ class SubModelEnsemble:
         regressor) and its bucketed count token."""
         if not self.config.use_aux or i < 1:
             return FeatureVector(categorical=example.serving_features)
-        prefix = observed_prefix(example, self.config.bucketing.horizon(i))
+        prefix = observed_prefix(example, self._windows[i][0])
         return FeatureVector(
-            categorical=[*example.serving_features,
-                         (AUX_COUNT_FIELD, aux_count_token(prefix))],
+            categorical=[*example.serving_features, _aux_count_pair(prefix)],
             numeric=[(AUX_NUMERIC_FEATURE, max(prefix, 0.0))],
         )
 
@@ -164,20 +178,18 @@ class SubModelEnsemble:
     def training_schedule(self, example: ClickExample) -> list:
         """(train_time, sub_model_index) pairs, ascending: f_i trains when
         the example's age reaches d_{i+1}, f_n at full maturity."""
-        b = self.config.bucketing
         t = example.click_time
-        return [(t + b.upper(i), i) for i in range(b.num_sub_models)]
+        return [(t + hi, i) for i, (_, hi) in enumerate(self._windows)]
 
     def training_label(self, example: ClickExample, i: int):
         """Completed label for sub-model i (see module docstring): a
         (positive, negative) pair in two-output mode, else a signed sum."""
-        b = self.config.bucketing
-        lo, hi = b.horizon(i), b.upper(i)
+        lo, hi = self._windows[i]
         if self.two_output:
             label = split_signed(example, lo, hi)
         else:
             label = slice_label(example, lo, hi)
-        if self.config.encoding == BUCKET or i == b.num_sub_models - 1:
+        if self.config.encoding == BUCKET or i == len(self._windows) - 1:
             return label
         nxt = self.sub_models[i + 1].forward(self.features_for(example, i + 1))
         if self.two_output:
@@ -188,8 +200,7 @@ class SubModelEnsemble:
         """One training step of sub-model i on this example. The harness
         guarantees scheduling order; `now`, when given, is asserted against
         the maturity requirement."""
-        b = self.config.bucketing
-        required = example.click_time + b.upper(i)
+        required = example.click_time + self._windows[i][1]
         if now is not None and now < required:
             raise ContractViolation(
                 f"sub-model {i} trained at {now}, before maturity {required}"

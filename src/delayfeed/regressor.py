@@ -24,6 +24,13 @@ from .core import ContractViolation
 
 CHECKPOINT_MAGIC = b"DLYFEED1"
 
+# ufunc operands as 0-d arrays: numpy converts a Python float operand on
+# every call
+_ZERO = np.array(0.0)
+# stability clamp on the log-rate; exp would overflow/underflow far outside
+# this range and AdaGrad recovers from the clipped gradient
+_LOG_RATE_MIN, _LOG_RATE_MAX = np.array(-30.0), np.array(30.0)
+
 
 @dataclass(frozen=True)
 class RegressorConfig:
@@ -61,7 +68,7 @@ class RegressorConfig:
 
 @dataclass
 class FeatureVector:
-    """Categorical (field_id, token) pairs plus named numeric features.
+    """Categorical (field_id, token) tuples plus named numeric features.
     Fields must come from the regressor's declared schema; a declared field
     absent from the input contributes a zero embedding."""
 
@@ -79,11 +86,24 @@ def hash_token(field_id: str, token: str, buckets: int) -> int:
     return int.from_bytes(digest, "little") % buckets
 
 
-def adagrad_update(param, accum, grad, lr: float, eps: float, work=None):
+# entries a layout's row memo holds before it is cleared, as many as
+# hash_token's cache
+ROW_MEMO_SIZE = 65536
+
+
+@lru_cache(maxsize=None)
+def _row_memo(fields: tuple, buckets: int) -> dict:
+    """The one (field_id, token) -> (field index, `_emb_rows` row) memo of
+    every model with these categorical fields and bucket count."""
+    return {}
+
+
+def adagrad_update(param, accum, grad, lr, eps, work=None):
     """In-place AdaGrad step: accum += grad^2; param -= (lr * grad) /
-    (sqrt(accum) + eps), element by element. `work`, a float64 array of
-    shape (2, *grad.shape), holds the intermediates so that the step
-    allocates nothing; without it they are allocated."""
+    (sqrt(accum) + eps), element by element. `lr` and `eps` are floats or
+    0-d arrays. `work`, a float64 array of shape (2, *grad.shape), holds
+    the intermediates so that the step allocates nothing; without it they
+    are allocated."""
     if work is None:
         work = np.empty((2, *grad.shape))
     step, den = work
@@ -170,6 +190,10 @@ class PoissonRegressor:
         # dense tail of `params`
         self._grad = np.empty(sum(math.prod(s) for s in dense_shapes))
         self._work = np.empty((2, self._grad.size))
+        # zeros for train_step's finiteness check: the dense gradient's, and
+        # a buffer that grows to fit the embedding gradients
+        self._zeros = np.zeros(max(self._grad.size, d * nf))
+        self._dense_zeros = self._zeros[: self._grad.size]
         n_emb = self.params.size - self._grad.size
         self._dense = self.params[n_emb:]
         self._dense_g2 = self.g2[n_emb:]
@@ -185,6 +209,10 @@ class PoissonRegressor:
         self.weight_g2, self.bias_g2 = a[nf : nf + nl], a[nf + nl :]
         g = _carve(self._grad, dense_shapes)
         self._weight_grads, self._bias_grads = g[:nl], g[nl:]
+        # each bias gradient as a (1, fan_out) row, for the outer products
+        self._bias_grad_rows = [b[None, :] for b in self._bias_grads]
+        self._lr = np.array(config.learning_rate)
+        self._eps = np.array(config.adagrad_epsilon)
 
         for f, emb_shape in zip(fields, shapes):
             self.embeddings[f][...] = rng.uniform(-0.05, 0.05, size=emb_shape)
@@ -197,6 +225,7 @@ class PoissonRegressor:
             name: i for i, name in enumerate(config.numeric_features)
         }
         self._field_index = {f: i for i, f in enumerate(fields)}
+        self._rows = _row_memo(fields, config.hash_buckets_per_field)
         # what _forward_cached reads; ndarray.dot skips the dispatch that
         # np.dot adds to every call
         self._views = (self._emb_rows, np.zeros(d), self.weights, self.biases,
@@ -220,18 +249,15 @@ class PoissonRegressor:
         `_emb_rows` row) per categorical entry."""
         emb, zero, weights, biases, product = views
         cfg = self.config
-        buckets = cfg.hash_buckets_per_field
+        memo = self._rows
         parts = [zero] * len(cfg.categorical_fields)
         lookups = []
-        for field_id, token in features.categorical:
-            fi = self._field_index.get(field_id)
-            if fi is None:
-                raise ContractViolation(
-                    f"unknown categorical field {field_id!r}; declared fields: "
-                    f"{cfg.categorical_fields}"
-                )
-            row = fi * buckets + hash_token(field_id, token, buckets)
-            lookups.append((fi, row))
+        for pair in features.categorical:
+            hit = memo.get(pair)
+            if hit is None:
+                hit = self._lookup(pair)
+            lookups.append(hit)
+            fi, row = hit
             parts[fi] = emb[row] if parts[fi] is zero else parts[fi] + emb[row]
         numeric = [0.0] * len(cfg.numeric_features)
         for name, value in features.numeric:
@@ -243,23 +269,42 @@ class PoissonRegressor:
                 )
             # log1p scaling for heavy-tailed count-like inputs
             numeric[idx] = math.copysign(math.log1p(abs(value)), value)
+        # an empty numeric part only costs a conversion, unless it is the
+        # only part
+        if numeric or not parts:
+            parts.append(numeric if zero.ndim == 1 else [numeric] * len(zero))
         if zero.ndim == 1:
-            parts.append(numeric)
             h = np.concatenate(parts)
         else:
-            parts.append([numeric] * len(zero))
             h = np.concatenate(parts, axis=1)[:, None, :]
         inputs = []
         for i, (w, b) in enumerate(zip(weights, biases)):
             if i:
-                np.maximum(h, 0.0, out=h)
+                np.maximum(h, _ZERO, out=h)
             inputs.append(h)
             h = product(h, w)
             h += b
-        # stability clamp on the log-rate; exp would overflow/underflow far
-        # outside this range and AdaGrad recovers from the clipped gradient
-        rates = np.exp(np.minimum(np.maximum(h, -30.0), 30.0))
+        rates = np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
         return rates, inputs, lookups
+
+    def _lookup(self, pair):
+        """(field index, `_emb_rows` row) of one (field_id, token) pair,
+        remembered in the layout's memo. An unknown field raises, and is
+        not remembered."""
+        field_id, token = pair
+        fi = self._field_index.get(field_id)
+        if fi is None:
+            raise ContractViolation(
+                f"unknown categorical field {field_id!r}; declared fields: "
+                f"{self.config.categorical_fields}"
+            )
+        buckets = self.config.hash_buckets_per_field
+        hit = fi, fi * buckets + hash_token(field_id, token, buckets)
+        memo = self._rows
+        if len(memo) >= ROW_MEMO_SIZE:
+            memo.clear()
+        memo[pair] = hit
+        return hit
 
     def forward(self, features: FeatureVector):
         """Rate (single output) or (rate_plus, rate_minus) in two-output mode."""
@@ -278,7 +323,9 @@ class PoissonRegressor:
 
     # -- training --------------------------------------------------------
 
-    def _label_array(self, label):
+    def _label(self, label):
+        """The checked label as a float, or a (positive, negative) pair of
+        floats in two-output mode."""
         if self.n_outputs == 1:
             if not isinstance(label, (int, float)):
                 raise ContractViolation(
@@ -289,14 +336,14 @@ class PoissonRegressor:
                     f"label must be finite and >= 0 in single-output mode, "
                     f"got {label}"
                 )
-            return np.array([float(label)])
+            return float(label)
         pos, neg = label
         if not all(math.isfinite(v) and v >= 0 for v in (pos, neg)):
             raise ContractViolation(
                 f"two-output labels must both be finite and >= 0, "
                 f"got ({pos}, {neg})"
             )
-        return np.array([float(pos), float(neg)])
+        return float(pos), float(neg)
 
     def _gradients(self, features: FeatureVector, label):
         """The one backward pass: gradients of the summed Poisson NLL over
@@ -304,17 +351,29 @@ class PoissonRegressor:
         the distinct `_emb_rows` rows looked up, their gradients as one
         (rows, embedding_dim) array). A row looked up k times gets the sum
         of its k gradients."""
-        y = self._label_array(label)
+        y = self._label(label)
         rates, inputs, lookups = self._forward_cached(features, self._views)
-        loss = float((rates - y * np.log(rates)).sum())
-        # the gradient of each layer's pre-activation is its bias gradient
-        grad = np.subtract(rates, y, out=self._bias_grads[-1])  # exp link
+        # the loss, rates - y * log(rates) summed, in float arithmetic gives
+        # the bits numpy gives. The gradient of each layer's pre-activation
+        # is its bias gradient; the output layer's is rates - y (exp link).
+        grads, grad_rows = self._bias_grads, self._bias_grad_rows
+        if self.n_outputs == 1:
+            (rate,), (log_rate,) = rates.tolist(), np.log(rates).tolist()
+            loss = rate - y * log_rate
+            grads[-1][0] = rate - y
+        else:
+            (r0, r1), (l0, l1) = rates.tolist(), np.log(rates).tolist()
+            loss = (r0 - y[0] * l0) + (r1 - y[1] * l1)
+            grads[-1][0], grads[-1][1] = r0 - y[0], r1 - y[1]
+        dot = np.ndarray.dot
         for i in range(len(self.weights) - 1, 0, -1):
-            np.dot(inputs[i][:, None], grad[None, :], out=self._weight_grads[i])
-            grad = np.dot(self.weights[i], grad, out=self._bias_grads[i - 1])
-            grad *= inputs[i] > 0.0
-        np.dot(inputs[0][:, None], grad[None, :], out=self._weight_grads[0])
-        grad = self.weights[0].dot(grad)
+            dot(inputs[i][:, None], grad_rows[i], out=self._weight_grads[i])
+            grad = dot(self.weights[i], grads[i], out=grads[i - 1])
+            # the inputs are ReLU outputs, so their sign is the {0, 1} mask
+            # of the active units, and a float mask multiplies faster
+            grad *= np.sign(inputs[i])
+        dot(inputs[0][:, None], grad_rows[0], out=self._weight_grads[0])
+        grad = self.weights[0].dot(grads[0])
         d = self.config.embedding_dim
         # dL/dx of each field's embedding slot
         field_grads = grad[: d * len(self.config.categorical_fields)].reshape(-1, d)
@@ -354,16 +413,20 @@ class PoissonRegressor:
         one AdaGrad update over their gathered values. A non-finite loss
         or gradient raises before anything is written."""
         loss, rows, emb_grads = self._gradients(features, label)
-        if not (
-            math.isfinite(loss)
-            and np.isfinite(self._grad).all()
-            and np.isfinite(emb_grads).all()
+        zeros = self._zeros
+        if emb_grads.size > zeros.size:
+            zeros = self._zeros = np.zeros(emb_grads.size)
+        # x * 0 is NaN exactly when x is inf or NaN, so each product is NaN
+        # exactly when its gradient holds a non-finite entry; unlike dot,
+        # vdot does not turn the invalid flag of inf * 0 into a warning
+        if not math.isfinite(loss) or math.isnan(
+            np.vdot(self._grad, self._dense_zeros)
+            + np.vdot(emb_grads, zeros[: emb_grads.size])
         ):
             raise FloatingPointError(
                 f"non-finite loss or gradient (loss={loss}); step not applied"
             )
-        lr = self.config.learning_rate
-        eps = self.config.adagrad_epsilon
+        lr, eps = self._lr, self._eps
         adagrad_update(
             self._dense, self._dense_g2, self._grad, lr, eps, self._work
         )

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import statistics
@@ -346,6 +347,22 @@ class TestRecordMemory:
         assert all(type(ex.events) is tuple for ex in stream.examples)
         assert any(ex.events == () for ex in stream.examples)
 
+    def test_unit_valued_events_share_one_value(self):
+        stream = generate(StreamConfig(total_clicks=2000, campaign_count=5,
+                                       retraction_prob=0.2, rng_seed=3))
+        events = [ev for e in stream.examples for ev in e.events]
+        assert any(ev.sign == -1 for ev in events)
+        assert {ev.value for ev in events} == {1.0}
+        assert len({id(ev.value) for ev in events}) == 1
+
+    def test_thetas_are_an_array_by_example_id(self):
+        stream = generate(StreamConfig(total_clicks=300, campaign_count=4,
+                                       rng_seed=3))
+        thetas = stream.ground_truth.thetas
+        assert isinstance(thetas, np.ndarray) and thetas.dtype == np.float64
+        assert thetas.shape == (len(stream.examples),)
+        assert np.all(thetas > 0)
+
 
 class TestFileFormats:
     def test_stream_roundtrip(self, tmp_path):
@@ -379,13 +396,47 @@ class TestFileFormats:
         write_sidecar(path, stream)
         truth = read_sidecar(path)
         assert truth.high_delay == stream.ground_truth.high_delay
-        assert truth.thetas == stream.ground_truth.thetas
+        assert np.array_equal(truth.thetas, stream.ground_truth.thetas)
         assert set(truth.campaigns) == set(stream.ground_truth.campaigns)
         c0 = truth.campaigns[0]
         assert c0.delay.cdf(1 * DAY) == pytest.approx(
             stream.ground_truth.campaigns[0].delay.cdf(1 * DAY)
         )
         assert truth.campaigns == stream.ground_truth.campaigns
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda rows: rows[:2] + rows[3:], "misses example_id 2"),
+        (lambda rows: rows + [rows[1]], "repeats example_id 1"),
+        (lambda rows: rows[:2] + [dict(rows[1], theta=0.5)] + rows[3:],
+         "repeats example_id 1"),
+    ], ids=["missing", "duplicate", "duplicate-replacing"])
+    def test_sidecar_rejects_missing_or_repeated_ids(self, tmp_path, edit, match):
+        stream = generate(StreamConfig(total_clicks=30, campaign_count=2, rng_seed=15))
+        path = tmp_path / "truth.ndjson"
+        write_sidecar(path, stream)
+        header, *lines = path.read_text().splitlines()
+        rows = edit([json.loads(line) for line in lines])
+        path.write_text("\n".join([header] + [json.dumps(r) for r in rows]) + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_sidecar(path)
+
+    @pytest.mark.parametrize("value_labels,digests", [
+        (False, ("fe56fe528d868239", "44c02913d28f9481")),
+        (True, ("cd6515e9762f6d1a", "8647f4ac2d86fe71")),
+    ], ids=["unit-values", "valued"])
+    def test_files_keep_their_bytes(self, tmp_path, value_labels, digests):
+        # sha256 prefixes of both files as first written, with the thetas
+        # held in a dict and every event value a float of its own
+        stream = generate(StreamConfig(total_clicks=300, campaign_count=4,
+                                       rng_seed=15, retraction_prob=0.2,
+                                       value_labels=value_labels))
+        write_stream(tmp_path / "stream.ndjson", stream)
+        write_sidecar(tmp_path / "truth.ndjson", stream)
+        got = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+            for name in ("stream.ndjson", "truth.ndjson")
+        )
+        assert got == digests
 
     def test_sidecar_rejects_v1(self, tmp_path):
         # a v1 sidecar stored each delay mixture by six fields

@@ -1,9 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from delayfeed import regressor
 from delayfeed.core import ContractViolation
 from delayfeed.regressor import (
     FeatureVector,
@@ -538,3 +540,139 @@ def test_stacked_forward_matches_each_model_bit_for_bit(embedding_dim, hidden,
         for model, row in zip(stack.models, rates.tolist()):
             got = model.forward(features)
             assert tuple(row) == (got if two_output else (got,)), step
+
+
+# -- the step's finiteness check ----------------------------------------------
+
+def inject(model, where, values):
+    """Make each backward pass of `model` write `values` into entries of
+    one gradient: a weight's, a bias's or the embedding rows'. Returns a
+    dict that receives copies of the gradients the step then sees."""
+    seen = {}
+    real = model._gradients
+
+    def gradients(features, label):
+        loss, rows, emb_grads = real(features, label)
+        target = {"weight": model._weight_grads[0][1],
+                  "bias": model._bias_grads[0],
+                  "embedding": emb_grads[1]}[where]
+        target[: len(values)] = values
+        seen.update(dense=model._grad.copy(), rows=rows.copy(),
+                    emb=emb_grads.copy())
+        return loss, rows, emb_grads
+
+    model._gradients = gradients
+    return seen
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("where", ["weight", "bias", "embedding"])
+def test_non_finite_gradient_is_refused_without_a_warning(where, value):
+    model = PoissonRegressor(small_config())
+    inject(model, where, [value])
+    params, g2 = model.params.copy(), model.g2.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            model.train_step(fv(aux=1.0), 2.0)
+    assert np.array_equal(model.params, params)
+    assert np.array_equal(model.g2, g2)
+
+
+@pytest.mark.parametrize("values", [(1e300, -1e300), (1.7e308, 1.7e308)],
+                         ids=["square-overflows", "sum-overflows"])
+@pytest.mark.parametrize("where", ["weight", "bias", "embedding"])
+def test_finite_extreme_gradient_is_applied(where, values):
+    model = PoissonRegressor(small_config())
+    seen = inject(model, where, values)
+    params, g2 = model.params.copy(), model.g2.copy()
+    with np.errstate(over="ignore"):
+        model.train_step(fv(aux=1.0), 2.0)
+        # the update of the gradients the step saw, one parameter array
+        # at a time
+        n_emb = params.size - seen["dense"].size
+        lr, eps = model.config.learning_rate, model.config.adagrad_epsilon
+        reference_adagrad(params[n_emb:], g2[n_emb:], seen["dense"], lr, eps)
+        d = model.config.embedding_dim
+        emb, emb_g2 = params[:n_emb].reshape(-1, d), g2[:n_emb].reshape(-1, d)
+        for row, g in zip(seen["rows"], seen["emb"]):
+            reference_adagrad(emb[row], emb_g2[row], g, lr, eps)
+    assert np.isinf(model.g2).any()
+    assert np.array_equal(model.params, params)
+    assert np.array_equal(model.g2, g2)
+
+
+# -- (field, token) row memo ----------------------------------------------------
+
+def expected_lookup(model, pair):
+    field_id, token = pair
+    fi = model.config.categorical_fields.index(field_id)
+    buckets = model.config.hash_buckets_per_field
+    return fi, fi * buckets + hash_token(field_id, token, buckets)
+
+
+def lookups(model, features):
+    return model._forward_cached(features, model._views)[2]
+
+
+def test_unknown_field_raises_on_every_call():
+    model = PoissonRegressor(small_config())
+    bad = FeatureVector(categorical=[("campaign", "c1"), ("nope", "x")])
+    for _ in range(3):
+        with pytest.raises(ContractViolation, match="nope"):
+            model.forward(bad)
+        with pytest.raises(ContractViolation, match="nope"):
+            model.train_step(bad, 1.0)
+    assert ("nope", "x") not in model._rows
+    assert ("campaign", "c1") in model._rows
+
+
+def test_layouts_map_a_pair_to_their_own_rows():
+    a = PoissonRegressor(small_config())
+    b = PoissonRegressor(small_config(categorical_fields=("segment", "campaign")))
+    c = PoissonRegressor(small_config(hash_buckets_per_field=32))
+    same = PoissonRegressor(small_config(rng_seed=8, hidden_layer_sizes=(4, 4)))
+    assert same._rows is a._rows
+    assert len({id(m._rows) for m in (a, b, c)}) == 3
+    pairs = [("campaign", "c1"), ("segment", "s1"), ("campaign", "c9")]
+    # interleaved, so that one memo for all would hand one layout's rows
+    # to the next
+    for _ in range(2):
+        for model in (a, b, c):
+            for pair in pairs:
+                features = FeatureVector(categorical=[pair], numeric=[("aux", 1.0)])
+                assert lookups(model, features) == [expected_lookup(model, pair)]
+                rates, _, _ = reference_forward(model, features)
+                assert model.forward(features) == float(rates[0])
+    # the second field's rows start at one table's length
+    assert expected_lookup(a, pairs[0]) != expected_lookup(b, pairs[0])
+    assert expected_lookup(a, pairs[1]) != expected_lookup(c, pairs[1])
+
+
+def test_stack_models_share_a_memo_that_agrees_with_hash_token():
+    cfg = small_config(categorical_fields=REF_FIELDS, hash_buckets_per_field=4)
+    stack = RegressorStack(cfg, [3, 4, 5])
+    assert all(m._rows is stack.models[0]._rows for m in stack.models)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        features = random_features(rng)
+        expect = [expected_lookup(stack.models[0], p) for p in features.categorical]
+        for model in stack.models:
+            assert lookups(model, features) == expect
+
+
+def test_full_memo_is_cleared_and_rows_stay_right(monkeypatch):
+    monkeypatch.setattr(regressor, "ROW_MEMO_SIZE", 2)
+    cfg = small_config(categorical_fields=REF_FIELDS)
+    model, ref = PoissonRegressor(cfg), PoissonRegressor(cfg)
+    rng = np.random.default_rng(9)
+    for step in range(300):
+        features = random_features(rng)
+        rates, _, _ = reference_forward(ref, features)
+        assert model.forward(features) == float(rates[0]), step
+        assert len(model._rows) <= 2
+        label = float(rng.poisson(1.0))
+        assert model.train_step(features, label) == reference_step(
+            ref, features, label), step
+    assert np.array_equal(model.params, ref.params)
