@@ -52,10 +52,28 @@ def _digest(d: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def _section(d, path: str, keys: str) -> dict:
+    """`d` if it is a JSON object with no key outside `keys`; raises
+    ValueError naming the first other key by its path otherwise."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config {path or 'file'} must be a JSON object")
+    for key in d:
+        if key not in keys.split():
+            name = f"{path}.{key}" if path else key
+            raise ValueError(f"unknown config key {name}; valid keys: "
+                             f"{', '.join(keys.split())}")
+    return d
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
+    _section(d, "", "schema_version stream bucketing regressor m1_delay_hours "
+                    "m2_delays_days two_output_mode variants seeds")
     if d.get("schema_version", "v1") != "v1":
         raise ValueError(f"unsupported config schema {d.get('schema_version')!r}")
-    s = d.get("stream", {})
+    s = _section(d.get("stream", {}), "stream",
+                 "total_clicks campaign_count cold_start_fraction duration_days "
+                 "rng_seed attribution_window_days retraction_prob value_labels "
+                 "drift_magnitude")
     stream = StreamConfig(
         total_clicks=s.get("total_clicks", 200_000),
         campaign_count=s.get("campaign_count", 50),
@@ -67,12 +85,14 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         value_labels=s.get("value_labels", False),
         drift_magnitude=s.get("drift_magnitude", 0.01),
     )
-    b = d.get("bucketing", {})
+    b = _section(d.get("bucketing", {}), "bucketing", "boundaries_days")
     bucketing = DelayBucketing(
         boundaries=tuple(x * DAY for x in b.get("boundaries_days", (1, 3, 7, 15))),
         attribution_window=stream.attribution_window,
     )
-    r = d.get("regressor", {})
+    r = _section(d.get("regressor", {}), "regressor",
+                 "embedding_dim hash_buckets_per_field hidden_layer_sizes "
+                 "learning_rate adagrad_epsilon prior_rate rng_seed")
     prior_rate = r.get("prior_rate", 0.2)
     if not 0 < prior_rate < math.inf:
         raise ValueError(

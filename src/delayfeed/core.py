@@ -130,16 +130,6 @@ class DelayBucketing:
         n = len(self.boundaries)
         return self.boundaries[i] if i < n else self.attribution_window
 
-    def latest_index_for_age(self, age: float) -> int:
-        """Largest m with d_m <= age (0 if age < d_1)."""
-        m = 0
-        for j, d in enumerate(self.boundaries, start=1):
-            if d <= age:
-                m = j
-            else:
-                break
-        return m
-
 
 def mature_label(example: ClickExample) -> float:
     """Final label once the attribution window has elapsed: signed sum of

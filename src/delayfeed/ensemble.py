@@ -11,7 +11,8 @@ Training contract per sub-model i (thermometer encoding):
   - features = serving features, plus aux derived from events before d_i
     for i >= 1 when aux is enabled.
 Bucket encoding trains each sub-model on the events in its window alone,
-with serving features only; serving then sums all sub-model rates.
+with serving features only; serving then sums all sub-model rates. The
+single-delay baselines (variants.SingleDelayModel) are the one-window case.
 """
 
 from __future__ import annotations
@@ -85,15 +86,27 @@ class SubModelEnsemble:
     """n+1 independent Poisson regressors over the delay buckets, sharing
     no parameters: their `params` and `g2` are the rows of one (n+1, P)
     buffer each, `stack.params` and `stack.g2`. Owns serving, label
-    completion, and the per-example training schedule."""
+    completion, and the per-example training schedule. In single-output
+    mode a negative label is clamped to 0 and counted."""
 
     def __init__(self, config: EnsembleConfig, name: str = "Proposed"):
         self.config = config
+        b = config.bucketing
+        # sub-model i's window [d_i, d_{i+1})
+        windows = tuple((b.horizon(i), b.upper(i)) for i in range(b.num_sub_models))
+        self._set_up(name, config.regressor_config, windows,
+                     config.encoding, config.use_aux)
+
+    def _set_up(self, name: str, rc: RegressorConfig, windows: tuple,
+                encoding: str, use_aux: bool):
+        """One sub-model per window (lo, hi), ascending; sub-model i trains
+        when an example's age reaches hi."""
         self.name = name
         self.negative_label_clamps = 0
-
-        rc = config.regressor_config
-        if config.use_aux:
+        self._windows = windows
+        self._thermometer = encoding == THERMOMETER
+        self._use_aux = use_aux
+        if use_aux:
             rc = replace(
                 rc,
                 categorical_fields=tuple(rc.categorical_fields)
@@ -102,18 +115,11 @@ class SubModelEnsemble:
                 + (AUX_NUMERIC_FEATURE,),
             )
         self.sub_model_config = rc
-        b = config.bucketing
-        n_models = b.num_sub_models
+        self.two_output = rc.two_output_mode
         self.stack = RegressorStack(
-            rc, [rc.rng_seed + i for i in range(n_models)]
+            rc, [rc.rng_seed + i for i in range(len(windows))]
         )
         self.sub_models = self.stack.models
-        # sub-model i's window [d_i, d_{i+1})
-        self._windows = tuple((b.horizon(i), b.upper(i)) for i in range(n_models))
-
-    @property
-    def two_output(self) -> bool:
-        return self.sub_model_config.two_output_mode
 
     # -- features ----------------------------------------------------------
 
@@ -122,7 +128,7 @@ class SubModelEnsemble:
         is enabled and i >= 1, two aux entries derived strictly from events
         with delay < d_i: the label so far (log1p-scaled inside the
         regressor) and its bucketed count token."""
-        if not self.config.use_aux or i < 1:
+        if not self._use_aux or i < 1:
             return FeatureVector(categorical=example.serving_features)
         prefix = observed_prefix(example, self._windows[i][0])
         return FeatureVector(
@@ -137,7 +143,7 @@ class SubModelEnsemble:
         only. Thermometer: a single f_0 forward. Bucket: the sum of every
         sub-model's prediction, from one stacked forward of all n+1."""
         fv = FeatureVector(categorical=example.serving_features)
-        if self.config.encoding == THERMOMETER:
+        if self._thermometer:
             return self.sub_models[0].predict(fv)
         # left to right on purpose: builtin sum() of floats is compensated
         # from Python 3.12, which would make reports depend on the version
@@ -157,16 +163,16 @@ class SubModelEnsemble:
         replaces the sub-model (used for oracle-substitution checks)."""
         if now < example.click_time:
             raise ContractViolation("cannot estimate before the click")
-        if self.config.encoding != THERMOMETER:
+        if not self._thermometer:
             raise ContractViolation(
                 "label completion requires thermometer encoding"
             )
-        bucketing = self.config.bucketing
         age = now - example.click_time
         if age >= example.attribution_window:
             return mature_label(example)
-        m = bucketing.latest_index_for_age(age)
-        known = observed_prefix(example, bucketing.horizon(m))
+        # m: the last window that starts at or before age (d_0 = 0 does)
+        m = bisect_right([lo for lo, _ in self._windows], age) - 1
+        known = observed_prefix(example, self._windows[m][0])
         if tail_predictor is not None:
             tail = tail_predictor(example, m)
         else:
@@ -189,7 +195,7 @@ class SubModelEnsemble:
             label = split_signed(example, lo, hi)
         else:
             label = slice_label(example, lo, hi)
-        if self.config.encoding == BUCKET or i == len(self._windows) - 1:
+        if not self._thermometer or i == len(self._windows) - 1:
             return label
         nxt = self.sub_models[i + 1].forward(self.features_for(example, i + 1))
         if self.two_output:
@@ -200,6 +206,8 @@ class SubModelEnsemble:
         """One training step of sub-model i on this example. The harness
         guarantees scheduling order; `now`, when given, is asserted against
         the maturity requirement."""
+        if not 0 <= i < len(self._windows):
+            raise ContractViolation(f"{self.name} has no sub-model {i}")
         required = example.click_time + self._windows[i][1]
         if now is not None and now < required:
             raise ContractViolation(

@@ -1,8 +1,9 @@
 """Baseline and ablation matrix over the regressor/ensemble machinery.
 
-Every variant exposes the same surface the harness drives:
-  serve(example) -> rate, training_schedule(example) -> [(time, index)],
-  train_on(example, index, now) -> loss.
+Every variant is a SubModelEnsemble, so all share the surface the harness
+drives: serve(example) -> rate, training_schedule(example) ->
+[(time, index)], train_on(example, index, now) -> loss. A single-delay
+baseline is the ensemble with the one window [0, delay).
 
 Standard names (report rows): M1, M2_7d, M2_15d, M3, M4, M5, Proposed,
 Oracle. Oracle trains on the complete label with zero delay, which is
@@ -14,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import DAY, ClickExample, ContractViolation, DelayBucketing, \
-    mature_label, observed_prefix
+from .core import DAY, ClickExample, DelayBucketing, mature_label
 from .ensemble import BUCKET, THERMOMETER, EnsembleConfig, SubModelEnsemble
-from .regressor import FeatureVector, PoissonRegressor, RegressorConfig
+from .regressor import RegressorConfig
 
 SINGLE_DELAY = "single_delay"
 ENSEMBLE = "ensemble"
@@ -50,44 +50,24 @@ class VariantSpec:
             raise ValueError(f"{self.name}: ensemble variant needs an ensemble config")
 
 
-class SingleDelayModel:
+class SingleDelayModel(SubModelEnsemble):
     """One Poisson regressor trained at a fixed delay after each click,
-    either on the label observed so far or on the mature label."""
+    either on the label observed so far or on the mature label: the
+    one-window ensemble [0, delay)."""
 
     def __init__(self, spec: VariantSpec, seed_offset: int = 0):
         if spec.kind != SINGLE_DELAY:
             raise ValueError("spec is not a single-delay variant")
-        self.spec = spec
-        self.name = spec.name
-        cfg = replace(
-            spec.regressor_config,
-            rng_seed=spec.regressor_config.rng_seed + seed_offset,
-        )
-        self.model = PoissonRegressor(cfg)
+        self._mature = spec.label_mode == MATURE
+        rc = spec.regressor_config
+        self._set_up(spec.name, replace(rc, rng_seed=rc.rng_seed + seed_offset),
+                     ((0.0, spec.delay),), THERMOMETER, use_aux=False)
 
-    def serve(self, example: ClickExample) -> float:
-        return self.model.predict(
-            FeatureVector(categorical=example.serving_features)
-        )
-
-    def training_schedule(self, example: ClickExample) -> list:
-        return [(example.click_time + self.spec.delay, 0)]
-
-    def train_on(self, example: ClickExample, index: int, now: float = None) -> float:
-        if index != 0:
-            raise ContractViolation("single-delay variants have one sub-model")
-        if now is not None and now < example.click_time + self.spec.delay:
-            raise ContractViolation(
-                f"{self.name} trained before its delay elapsed"
-            )
-        if self.spec.label_mode == MATURE:
-            label = mature_label(example)
-        else:
-            horizon = min(self.spec.delay, example.attribution_window)
-            label = observed_prefix(example, horizon)
-        return self.model.train_step(
-            FeatureVector(categorical=example.serving_features), label
-        )
+    def training_label(self, example: ClickExample, i: int):
+        """The mature label in MATURE mode, else the window's own label."""
+        if self._mature:
+            return mature_label(example)
+        return super().training_label(example, i)
 
 
 def standard_specs(

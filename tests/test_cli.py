@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -106,6 +109,40 @@ class TestConfig:
         cfg = load_config(config_path)
         assert cfg.stream.total_clicks == 800
 
+    @pytest.mark.parametrize("raw,path,valid", [
+        ({"hidden_layers": [4]}, "hidden_layers", "m1_delay_hours"),
+        ({"m1_delay_hour": 12}, "m1_delay_hour", "m1_delay_hours"),
+        ({"stream": {"total_click": 5000}}, "stream.total_click", "total_clicks"),
+        ({"bucketing": {"boundaries": [1, 5]}}, "bucketing.boundaries",
+         "boundaries_days"),
+        ({"regressor": {"hidden_layers": [4]}}, "regressor.hidden_layers",
+         "hidden_layer_sizes"),
+    ])
+    def test_rejects_unknown_key_by_its_path(self, raw, path, valid):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown config key {path}; valid keys: ")) as exc:
+            config_from_dict(raw)
+        assert valid in str(exc.value).split("valid keys: ")[1].split(", ")
+
+    @pytest.mark.parametrize("raw", [[], {"stream": [1]}, {"regressor": 3}])
+    def test_rejects_a_section_that_is_not_an_object(self, raw):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            config_from_dict(raw)
+
+    def test_default_digest_is_unchanged(self):
+        # the acceptance gate's matrix cache is keyed on it
+        assert default_config().digest == "34072dbdeec18e64"
+
+    def test_readme_example_config_is_the_defaults(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "README.md")
+        with open(readme) as fh:
+            block = re.search(r"Example config.*?```json\n(.*?)```", fh.read(),
+                              re.DOTALL).group(1)
+        documented = config_from_dict(json.loads(block))
+        assert replace(documented, digest="") == replace(
+            config_from_dict({}), digest="")
+
 
 class TestGen:
     def test_gen_deterministic(self, config_path, tmp_path, capsys):
@@ -167,6 +204,16 @@ class TestRun:
             ])
             outs.append(file_digest(out / "report_seed1.json"))
         assert outs[0] == outs[1]
+
+    def test_run_unknown_config_key_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            dict(SMALL, stream=dict(SMALL["stream"], total_click=5000))))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "unknown config key stream.total_click; valid keys: " in err
+        assert not (tmp_path / "r").exists()
 
     def test_unknown_variant_lists_valid_names(self, config_path, tmp_path, capsys):
         rc = main([

@@ -253,15 +253,6 @@ class TestDelayBucketing:
                 attribution_window=M,
             )
 
-    def test_latest_index_for_age(self):
-        b = BUCKETING
-        assert b.latest_index_for_age(0.0) == 0
-        assert b.latest_index_for_age(0.5 * DAY) == 0
-        assert b.latest_index_for_age(1 * DAY) == 1
-        assert b.latest_index_for_age(6 * DAY) == 1
-        assert b.latest_index_for_age(7 * DAY) == 2
-        assert b.latest_index_for_age(29 * DAY) == 2
-
 
 class TestMetricsAccumulator:
     def test_bias_sums_match(self):

@@ -202,6 +202,18 @@ class TestEstimateMatureLabel:
         got = ens.estimate_mature_label(e, e.click_time + 3 * DAY)
         assert got == pytest.approx(1.0 + 0.9)
 
+    def test_latest_window_start_at_each_boundary(self):
+        # an age exactly at d_m already picks sub-model m and the prefix to d_m
+        ens = make_ensemble()
+        e = make_example([0.5 * DAY, 3 * DAY])
+        for age, m, known in ((0.0, 0, 0.0), (0.5 * DAY, 0, 0.0),
+                              (1 * DAY, 1, 1.0), (6 * DAY, 1, 1.0),
+                              (7 * DAY, 2, 2.0), (29 * DAY, 2, 2.0)):
+            got = ens.estimate_mature_label(
+                e, e.click_time + age, tail_predictor=lambda ex, j: 10.0 * j
+            )
+            assert got == known + 10.0 * m, age
+
     def test_before_click_rejected(self):
         ens = make_ensemble()
         e = make_example([])

@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from delayfeed.core import DAY, ContractViolation, DelayBucketing, mature_label
+from delayfeed import harness
+from delayfeed.core import DAY, ContractViolation, DelayBucketing, \
+    mature_label, slice_label
 from delayfeed.ensemble import SubModelEnsemble
 from delayfeed.regressor import RegressorConfig
 from delayfeed.variants import (
@@ -68,6 +72,15 @@ class TestMatrix:
             t, i = sched[0]
             loss = v.train_on(e, i, now=t)
             assert isinstance(loss, float)
+
+    def test_sub_model_index_out_of_range_is_refused(self):
+        e = make_example([])
+        for name, spec in specs().items():
+            v = build_variant(spec)
+            t = v.training_schedule(e)[-1][0]
+            for i in (-1, len(v.sub_models)):
+                with pytest.raises(ContractViolation):
+                    v.train_on(e, i, now=t)
 
 
 class TestSingleDelayLabels:
@@ -139,19 +152,37 @@ class TestBuildVariant:
         assert v.name == "Proposed"
 
     def test_seed_offset_changes_parameters(self):
-        import numpy as np
-
         a = build_variant(specs()["M3"], seed_offset=0)
         b = build_variant(specs()["M3"], seed_offset=1)
         assert not np.array_equal(
-            a.model.embeddings["campaign"], b.model.embeddings["campaign"]
+            a.sub_models[0].embeddings["campaign"],
+            b.sub_models[0].embeddings["campaign"],
         )
 
     def test_two_output_matrix(self):
         s = standard_specs(BUCKETING, RC, two_output_mode=True)
         assert s["Proposed"].ensemble_config.regressor_config.two_output_mode
-        # single-delay baselines stay single-output: their labels never go negative
+        # single-delay baselines stay single-output: like every single-output
+        # variant they clamp a negative label to 0 and count it
         assert not s["M1"].regressor_config.two_output_mode
+
+
+class TestNegativeLabels:
+    def test_m1_clamps_a_prefix_that_rounds_below_zero(self):
+        # (0.3 + 0.6) - 0.3 - 0.6 is -1.1e-16 in float arithmetic, not 0
+        e = make_example([3600.0, 2 * 3600.0, 3 * 3600.0, 4 * 3600.0],
+                         signs=[1, 1, -1, -1], values=[0.3, 0.6, 0.3, 0.6])
+        assert slice_label(e, 0.0, 6 * 3600.0) == -1.1102230246251565e-16
+        later = replace(make_example([]), example_id=1, click_time=1 * DAY)
+        m1 = build_variant(specs()["M1"])
+        before = m1.serve(e)
+        result = harness.run(m1, [e, later])
+        # only the later click's own TRAIN falls past the stream's end
+        assert result.dropped_train_events == 1
+        assert m1.serve(e) != before
+        assert m1.negative_label_clamps == result.negative_label_clamps == 1
+        report = harness.compare({"M1": result})
+        assert report["variants"]["M1"]["negative_label_clamps"] == 1
 
 
 def _training_label(variant, example):
@@ -164,7 +195,7 @@ def _training_label(variant, example):
             captured["label"] = label
             return 0.0
 
-    variant.model = Spy()
+    variant.sub_models[0] = Spy()
     t, i = variant.training_schedule(example)[0]
     variant.train_on(example, i, now=t)
     return captured["label"]
