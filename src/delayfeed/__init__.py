@@ -14,7 +14,7 @@ from .core import (
     observed_prefix,
     poisson_nll,
 )
-from .ensemble import BUCKET, THERMOMETER, EnsembleConfig, SubModelEnsemble
+from .ensemble import BUCKET, THERMOMETER, SubModelEnsemble, VariantSpec
 from .regressor import FeatureVector, PoissonRegressor, RegressorConfig
 
 __all__ = [
@@ -29,8 +29,8 @@ __all__ = [
     "poisson_nll",
     "BUCKET",
     "THERMOMETER",
-    "EnsembleConfig",
     "SubModelEnsemble",
+    "VariantSpec",
     "FeatureVector",
     "PoissonRegressor",
     "RegressorConfig",

@@ -27,7 +27,7 @@ from .core import DAY, DelayBucketing
 from .datagen import StreamConfig, generate, write_sidecar, write_stream
 from .harness import compare, default_slices, report_csv_rows, run
 from .regressor import RegressorConfig
-from .variants import VARIANT_NAMES, build_variant, standard_specs
+from .variants import build_variant, standard_specs
 
 log = logging.getLogger("delayfeed")
 
@@ -42,7 +42,7 @@ class ExperimentConfig:
     m1_delay: float = 6 * 3600.0
     m2_delays: tuple = (7 * DAY, 15 * DAY)
     two_output_mode: bool = False
-    variants: tuple = VARIANT_NAMES
+    variants: tuple = ()  # config_from_dict defaults it to every spec's name
     seeds: tuple = (0,)
     digest: str = ""
 
@@ -65,6 +65,15 @@ def _section(d, path: str, keys: str) -> dict:
     return d
 
 
+def _flag(d: dict, key: str, path: str) -> bool:
+    """d[key], default false; raises ValueError naming `path` unless it is
+    a JSON boolean (the string "false" would otherwise read as true)."""
+    value = d.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{path} must be true or false, got {value!r}")
+    return value
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     _section(d, "", "schema_version stream bucketing regressor m1_delay_hours "
                     "m2_delays_days two_output_mode variants seeds")
@@ -82,7 +91,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         rng_seed=s.get("rng_seed", 0),
         attribution_window=s.get("attribution_window_days", 30) * DAY,
         retraction_prob=s.get("retraction_prob", 0.0),
-        value_labels=s.get("value_labels", False),
+        value_labels=_flag(s, "value_labels", "stream.value_labels"),
         drift_magnitude=s.get("drift_magnitude", 0.01),
     )
     b = _section(d.get("bucketing", {}), "bucketing", "boundaries_days")
@@ -114,20 +123,21 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                         ("m2_delays_days", m2_delays)):
         if not all(0 <= x < math.inf for x in delays):
             raise ValueError(f"{key} must be finite and >= 0, got {d[key]}")
-    variants = tuple(d.get("variants", VARIANT_NAMES))
-    if variants == ("all",):
-        variants = VARIANT_NAMES
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         stream=stream,
         bucketing=bucketing,
         regressor=regressor,
         m1_delay=m1_delay,
         m2_delays=m2_delays,
-        two_output_mode=d.get("two_output_mode", False),
-        variants=variants,
+        two_output_mode=_flag(d, "two_output_mode", "two_output_mode"),
         seeds=tuple(d.get("seeds", (0,))),
         digest=_digest(d),
     )
+    # every variant this config builds, unless a list of names is given
+    variants = tuple(d.get("variants", ("all",)))
+    if variants == ("all",):
+        variants = tuple(variant_specs_for(cfg))
+    return replace(cfg, variants=variants)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -88,7 +88,7 @@ class ClickExample:
 @dataclass(frozen=True)
 class DelayBucketing:
     """Bucket boundaries [d_1, ..., d_n] in seconds with the implied d_0 = 0,
-    plus the attribution window M. Defines n+1 sub-model horizons."""
+    plus the attribution window M. Defines n+1 sub-model windows."""
 
     boundaries: tuple
     attribution_window: float
@@ -118,17 +118,11 @@ class DelayBucketing:
             )
 
     @property
-    def num_sub_models(self) -> int:
-        return len(self.boundaries) + 1
-
-    def horizon(self, i: int) -> float:
-        """d_i, the left edge of sub-model i's window (d_0 = 0)."""
-        return 0.0 if i == 0 else self.boundaries[i - 1]
-
-    def upper(self, i: int) -> float:
-        """d_{i+1} for i < n, else M."""
-        n = len(self.boundaries)
-        return self.boundaries[i] if i < n else self.attribution_window
+    def windows(self) -> tuple:
+        """The n+1 sub-model windows (d_i, d_{i+1}), with d_0 = 0 and
+        d_{n+1} = M."""
+        edges = (0.0, *self.boundaries, self.attribution_window)
+        return tuple(zip(edges, edges[1:]))
 
 
 def mature_label(example: ClickExample) -> float:

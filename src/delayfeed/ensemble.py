@@ -11,8 +11,9 @@ Training contract per sub-model i (thermometer encoding):
   - features = serving features, plus aux derived from events before d_i
     for i >= 1 when aux is enabled.
 Bucket encoding trains each sub-model on the events in its window alone,
-with serving features only; serving then sums all sub-model rates. The
-single-delay baselines (variants.SingleDelayModel) are the one-window case.
+with serving features only; serving then sums all sub-model rates. A
+VariantSpec names the windows; the single-delay baselines
+(variants.SingleDelayModel) are the one-window case.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, replace
 from .core import (
     ClickExample,
     ContractViolation,
-    DelayBucketing,
     mature_label,
     observed_prefix,
     slice_label,
@@ -42,19 +42,46 @@ AUX_COUNT_CUTS = (1, 2, 3, 5, 9)
 
 
 @dataclass(frozen=True)
-class EnsembleConfig:
-    bucketing: DelayBucketing
+class VariantSpec:
+    """One model of the comparison matrix: its report name, the regressor
+    layout of its sub-models and their delay windows [lo, hi), ascending.
+    Sub-model i trains once an example's age reaches its window's hi.
+    `mature_label`, allowed only with one window, trains that sub-model on
+    the full mature label instead of its window's label;
+    `variants.build_variant` builds a one-window spec as the
+    `SingleDelayModel` that honours it."""
+
+    name: str
     regressor_config: RegressorConfig
+    windows: tuple
     encoding: str = THERMOMETER
-    use_aux: bool = True
+    use_aux: bool = False
+    mature_label: bool = False
 
     def __post_init__(self):
+        windows = tuple((lo, hi) for lo, hi in self.windows)
+        object.__setattr__(self, "windows", windows)
         if self.encoding not in (THERMOMETER, BUCKET):
-            raise ValueError(f"unknown encoding {self.encoding!r}")
+            raise ValueError(f"{self.name}: unknown encoding {self.encoding!r}")
         if self.encoding == BUCKET and self.use_aux:
             raise ValueError(
-                "bucket encoding cannot use aux features: every sub-model may "
-                "be evaluated at click time, when no delayed information exists"
+                f"{self.name}: bucket encoding cannot use aux features: every "
+                "sub-model may be evaluated at click time, when no delayed "
+                "information exists"
+            )
+        # written so that a NaN fails it
+        prev = 0.0
+        for lo, hi in windows:
+            if not prev <= lo <= hi < math.inf:
+                raise ValueError(
+                    f"{self.name}: windows must be finite, ascending and "
+                    f"disjoint, with 0 <= lo <= hi: {windows}"
+                )
+            prev = hi
+        if not windows or (self.mature_label and len(windows) != 1):
+            raise ValueError(
+                f"{self.name}: needs at least one window, and exactly one "
+                f"to train on the mature label: {windows}"
             )
 
 
@@ -83,30 +110,23 @@ def aux_count_token(prefix: float) -> str:
 
 
 class SubModelEnsemble:
-    """n+1 independent Poisson regressors over the delay buckets, sharing
-    no parameters: their `params` and `g2` are the rows of one (n+1, P)
-    buffer each, `stack.params` and `stack.g2`. Owns serving, label
-    completion, and the per-example training schedule. In single-output
-    mode a negative label is clamped to 0 and counted."""
+    """One independent Poisson regressor per window of `spec`, sharing no
+    parameters: their `params` and `g2` are the rows of one (n+1, P)
+    buffer each, `stack.params` and `stack.g2`; sub-model i's seed is the
+    layout's `rng_seed + seed_offset + i`. Owns serving, label completion,
+    and the per-example training schedule. In single-output mode a
+    negative label is clamped to 0 and counted."""
 
-    def __init__(self, config: EnsembleConfig, name: str = "Proposed"):
-        self.config = config
-        b = config.bucketing
-        # sub-model i's window [d_i, d_{i+1})
-        windows = tuple((b.horizon(i), b.upper(i)) for i in range(b.num_sub_models))
-        self._set_up(name, config.regressor_config, windows,
-                     config.encoding, config.use_aux)
-
-    def _set_up(self, name: str, rc: RegressorConfig, windows: tuple,
-                encoding: str, use_aux: bool):
-        """One sub-model per window (lo, hi), ascending; sub-model i trains
-        when an example's age reaches hi."""
-        self.name = name
+    def __init__(self, spec: VariantSpec, seed_offset: int = 0):
+        self.spec = spec
+        self.name = spec.name
         self.negative_label_clamps = 0
-        self._windows = windows
-        self._thermometer = encoding == THERMOMETER
-        self._use_aux = use_aux
-        if use_aux:
+        self._windows = spec.windows
+        self._thermometer = spec.encoding == THERMOMETER
+        self._use_aux = spec.use_aux
+        rc = spec.regressor_config
+        seeds = [rc.rng_seed + seed_offset + i for i in range(len(spec.windows))]
+        if spec.use_aux:
             rc = replace(
                 rc,
                 categorical_fields=tuple(rc.categorical_fields)
@@ -114,11 +134,8 @@ class SubModelEnsemble:
                 numeric_features=tuple(rc.numeric_features)
                 + (AUX_NUMERIC_FEATURE,),
             )
-        self.sub_model_config = rc
         self.two_output = rc.two_output_mode
-        self.stack = RegressorStack(
-            rc, [rc.rng_seed + i for i in range(len(windows))]
-        )
+        self.stack = RegressorStack(rc, seeds)
         self.sub_models = self.stack.models
 
     # -- features ----------------------------------------------------------

@@ -33,7 +33,7 @@ from delayfeed.core import (
     split_signed,
 )
 from delayfeed.datagen import StreamConfig, generate, posterior_expected_tail
-from delayfeed.ensemble import BUCKET, THERMOMETER, EnsembleConfig, SubModelEnsemble
+from delayfeed.ensemble import BUCKET, SubModelEnsemble, VariantSpec
 from delayfeed.harness import default_slices, run
 from delayfeed.regressor import (
     FeatureVector,
@@ -161,22 +161,17 @@ def test_label_completion_unbiased_with_analytic_tail():
         rng_seed=7,
     ))
     camps = stream.ground_truth.campaigns
-    ens = SubModelEnsemble(EnsembleConfig(
-        bucketing=BUCKETING,
-        regressor_config=SMALL_RC,
-        encoding=THERMOMETER,
-        use_aux=True,
-    ))
+    ens = SubModelEnsemble(
+        VariantSpec("Proposed", SMALL_RC, BUCKETING.windows, use_aux=True))
 
     def tail(example, m):
         return posterior_expected_tail(
-            example, camps[example.campaign_id], BUCKETING.horizon(m)
+            example, camps[example.campaign_id], BUCKETING.windows[m][0]
         )
 
     true_mean = statistics.fmean(mature_label(e) for e in stream.examples)
     errors = []
-    for m in range(BUCKETING.num_sub_models):
-        age = BUCKETING.horizon(m)
+    for age, _ in BUCKETING.windows:
         est_mean = statistics.fmean(
             ens.estimate_mature_label(e, e.click_time + age, tail_predictor=tail)
             for e in stream.examples
@@ -348,21 +343,20 @@ def test_structural_invariants(tmp_path):
     rng = np.random.default_rng(5)
     from test_core import buckets, make_example, thermometer
     bucket_ens = SubModelEnsemble(
-        EnsembleConfig(BUCKETING, SMALL_RC, BUCKET, use_aux=False)
-    )
+        VariantSpec("M4", SMALL_RC, BUCKETING.windows, encoding=BUCKET))
     for _ in range(50):
         delays = sorted(rng.uniform(0, 30 * DAY, size=rng.integers(0, 8)))
         e = make_example(list(delays))
         thermo = thermometer(e, BUCKETING)
         slices = buckets(e, BUCKETING)
-        for m in range(BUCKETING.num_sub_models):
+        for m in range(len(BUCKETING.windows)):
             assert thermo[m] == pytest.approx(sum(slices[m:]))
             assert bucket_ens.training_label(e, m) == slices[m]
     checks.append("label identities")
 
     # training before an example matures for a sub-model is rejected
-    ens_cfg = EnsembleConfig(BUCKETING, SMALL_RC, THERMOMETER, use_aux=True)
-    ens = SubModelEnsemble(ens_cfg)
+    ens = SubModelEnsemble(
+        VariantSpec("Proposed", SMALL_RC, BUCKETING.windows, use_aux=True))
     e = make_example([0.5 * DAY])
     with pytest.raises(ContractViolation):
         ens.train_on(e, 1, now=e.click_time + 1 * DAY)
@@ -395,7 +389,7 @@ def test_structural_invariants(tmp_path):
     run(rec, [e], stream_end=e.click_time + 40 * DAY)
     assert rec.log[0] == ("eval", e.example_id)
     assert [entry[2] for entry in rec.log[1:]] == list(
-        range(BUCKETING.num_sub_models)
+        range(len(BUCKETING.windows))
     )
     checks.append("evaluate-then-train ordering")
 
@@ -488,8 +482,8 @@ def test_retraction_two_output_pipeline():
     # the signed decomposition is exact, for labels and for predictions
     decompose_exact = True
     for e in stream.examples[:500]:
-        for m in range(BUCKETING.num_sub_models):
-            lo, hi = BUCKETING.horizon(m), e.attribution_window
+        for lo, _ in BUCKETING.windows:
+            hi = e.attribution_window
             pos, neg = split_signed(e, lo, hi)
             if pos - neg != slice_label(e, lo, hi):
                 decompose_exact = False

@@ -77,6 +77,24 @@ def test_traced_bucket_replay_serves_in_one_stacked_forward():
     assert [m.forward_calls for m in model.sub_models] == [serves] * 5
 
 
+def test_traced_single_delay_replay_serves_through_variants():
+    # the bench's variants.* metrics come from SingleDelayModel's methods
+    workload = workloads.WORKLOADS["single_delay_baselines"]
+    cfg = cli.config_from_dict(workload.config_dict(200))
+    stream = cli.stream_for_seed(cfg, 1)
+    model = variants.build_variant(cli.variant_specs_for(cfg)["M1"])
+    slices = harness.default_slices(stream.ground_truth.high_delay)
+    with tracing.Tracer(keep=0) as tracer:
+        result = harness.run(model, stream.examples, slices)
+    assert result.n_examples == 200
+    agg = tracer.agg
+    assert agg["variants.serve"][0] == 200
+    assert agg["variants.train_on"][0] == agg["regressor.train_step"][0] > 0
+    # the inherited methods run inside the variants.* spans, not as spans
+    # of their own
+    assert agg["ensemble.serve"][0] == agg["ensemble.train_on"][0] == 0
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_setup_runs(name):
     # the bench's timed set-up, on a small stream

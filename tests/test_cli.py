@@ -14,6 +14,7 @@ from delayfeed.cli import (
     load_config,
     main,
 )
+from delayfeed.variants import VARIANT_NAMES
 
 SMALL = {
     "schema_version": "v1",
@@ -93,6 +94,11 @@ class TestConfig:
         ("m1_delay_hours", "Infinity", None),
         ("m2_delays_days", "[NaN]", None),
         ("m2_delays_days", "[7, -1]", None),
+        # booleans must be JSON booleans: the string "false" is truthy
+        ("two_output_mode", '"false"', None),
+        ("two_output_mode", "0", None),
+        ("value_labels", '"false"', "stream"),
+        ("value_labels", "1", "stream"),
     ])
     def test_rejection_names_the_key(self, tmp_path, key, value, where):
         raw = dict(SMALL)
@@ -104,6 +110,16 @@ class TestConfig:
         path.write_text(json.dumps(raw).replace('"@"', value))
         with pytest.raises(ValueError, match=key):
             load_config(str(path))
+
+    def test_default_variants_follow_the_configured_delays(self):
+        assert default_config().variants == VARIANT_NAMES
+        assert config_from_dict({"variants": ["all"]}).variants == VARIANT_NAMES
+        want = ("M1", "M2_3d", "M3", "M4", "M5", "Proposed", "Oracle")
+        assert config_from_dict({"m2_delays_days": [3]}).variants == want
+        assert config_from_dict(
+            {"m2_delays_days": [3], "variants": ["all"]}).variants == want
+        assert config_from_dict({"variants": ["M3", "M1"]}).variants == (
+            "M3", "M1")
 
     def test_load_config(self, config_path):
         cfg = load_config(config_path)
@@ -193,6 +209,29 @@ class TestRun:
         assert set(report["variants"]) == {
             "M1", "M2_7d", "M2_15d", "M3", "M4", "M5", "Proposed", "Oracle"
         }
+
+    def test_run_default_variants_with_other_m2_delays(self, tmp_path):
+        raw = dict(SMALL, m2_delays_days=[3],
+                   stream=dict(SMALL["stream"], total_clicks=200))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report_seed1.json").read_text())
+        assert set(report["variants"]) == {
+            "M1", "M2_3d", "M3", "M4", "M5", "Proposed", "Oracle"
+        }
+
+    def test_run_duplicate_variant_names_exits_1(self, tmp_path, capsys):
+        for variants in ({}, {"variants": ["M1"]}):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(
+                dict(SMALL, m2_delays_days=[6.8, 7.2], **variants)))
+            rc = main(["run", "--config", str(path),
+                       "--out", str(tmp_path / "r")])
+            assert rc == 1
+            assert "duplicate variant name M2_7d" in capsys.readouterr().err
+            assert not (tmp_path / "r").exists()
 
     def test_rerun_byte_identical(self, config_path, tmp_path):
         outs = []

@@ -44,14 +44,12 @@ BUCKETING = DelayBucketing(boundaries=(1 * DAY, 7 * DAY), attribution_window=M)
 
 def thermometer(e, b=BUCKETING):
     """Overlapping tail labels: element i covers [d_i, M)."""
-    return [slice_label(e, b.horizon(i), b.attribution_window)
-            for i in range(b.num_sub_models)]
+    return [slice_label(e, lo, b.attribution_window) for lo, _ in b.windows]
 
 
 def buckets(e, b=BUCKETING):
     """Disjoint window labels: element i covers [d_i, d_{i+1})."""
-    return [slice_label(e, b.horizon(i), b.upper(i))
-            for i in range(b.num_sub_models)]
+    return [slice_label(e, lo, hi) for lo, hi in b.windows]
 
 
 class TestMatureLabel:
@@ -163,10 +161,10 @@ class TestStructuralInvariants:
     @settings(max_examples=200, deadline=None)
     def test_prefix_plus_tail_is_mature(self, e):
         therm = thermometer(e)
-        for i in range(BUCKETING.num_sub_models):
-            prefix = observed_prefix(e, BUCKETING.horizon(i))
+        for i, (lo, _) in enumerate(BUCKETING.windows):
+            prefix = observed_prefix(e, lo)
             assert prefix + therm[i] == pytest.approx(mature_label(e), abs=1e-9)
-            pos, neg = split_signed(e, BUCKETING.horizon(i), M)
+            pos, neg = split_signed(e, lo, M)
             assert pos - neg == pytest.approx(therm[i], abs=1e-9)
 
 
@@ -252,6 +250,10 @@ class TestDelayBucketing:
                 boundaries=tuple(float(i) for i in range(1, 11)),
                 attribution_window=M,
             )
+
+    def test_windows_tile_zero_to_the_attribution_window(self):
+        assert BUCKETING.windows == ((0.0, 1 * DAY), (1 * DAY, 7 * DAY),
+                                     (7 * DAY, M))
 
 
 class TestMetricsAccumulator:

@@ -13,8 +13,8 @@ from delayfeed.core import (
 from delayfeed.ensemble import (
     BUCKET,
     THERMOMETER,
-    EnsembleConfig,
     SubModelEnsemble,
+    VariantSpec,
     aux_count_token,
 )
 from delayfeed.regressor import FeatureVector, RegressorConfig
@@ -40,11 +40,8 @@ def make_ensemble(encoding=THERMOMETER, use_aux=True, two_output=False,
         rc = RegressorConfig(
             **{**rc.__dict__, "two_output_mode": True}
         )
-    return SubModelEnsemble(EnsembleConfig(
-        bucketing=bucketing,
-        regressor_config=rc,
-        encoding=encoding,
-        use_aux=use_aux,
+    return SubModelEnsemble(VariantSpec(
+        "Proposed", rc, bucketing.windows, encoding=encoding, use_aux=use_aux,
     ))
 
 
@@ -60,17 +57,47 @@ def zero_to_bias(model, bias):
 
 class TestConfig:
     def test_bucket_with_aux_rejected(self):
-        with pytest.raises(ValueError):
-            EnsembleConfig(
-                bucketing=BUCKETING,
-                regressor_config=BASE_RC,
-                encoding=BUCKET,
-                use_aux=True,
-            )
+        with pytest.raises(ValueError, match="cannot use aux"):
+            VariantSpec("M4", BASE_RC, BUCKETING.windows, encoding=BUCKET,
+                        use_aux=True)
+
+    # bucket encoding with aux: test_bucket_with_aux_rejected
+    @pytest.mark.parametrize("windows,options,match", [
+        (BUCKETING.windows, {"encoding": "thermo"}, "unknown encoding"),
+        ((), {}, "at least one window"),
+        (((1 * DAY, 7 * DAY), (0.0, 1 * DAY)), {}, "ascending"),
+        (((0.0, 2 * DAY), (1 * DAY, 7 * DAY)), {}, "disjoint"),
+        (((0.0, 7 * DAY), (1 * DAY, 2 * DAY)), {}, "disjoint"),
+        (((2 * DAY, 1 * DAY),), {}, "lo <= hi"),
+        (((0.0, math.nan),), {}, "finite"),
+        (((math.nan, 1 * DAY),), {}, "finite"),
+        (((0.0, 1 * DAY), (1 * DAY, math.nan)), {}, "finite"),
+        (((0.0, math.inf),), {}, "finite"),
+        (((-1.0, 1 * DAY),), {}, "0 <= lo"),
+        (BUCKETING.windows, {"mature_label": True}, "exactly one"),
+    ], ids=["unknown-encoding", "no-windows",
+            "descending", "overlapping", "nested", "lo-above-hi", "nan-hi",
+            "nan-lo", "nan-last-hi", "inf-hi", "negative-lo",
+            "mature-label-with-three-windows"])
+    def test_spec_rejects(self, windows, options, match):
+        with pytest.raises(ValueError, match=match):
+            VariantSpec("probe", BASE_RC, windows, **options)
+
+    def test_spec_keeps_windows_as_tuples(self):
+        spec = VariantSpec("probe", BASE_RC, [[0.0, 1 * DAY], [1 * DAY, M]])
+        assert spec.windows == ((0.0, 1 * DAY), (1 * DAY, M))
+        assert spec.use_aux is False and spec.mature_label is False
 
     def test_sub_model_count(self):
         ens = make_ensemble()
-        assert len(ens.sub_models) == BUCKETING.num_sub_models == 3
+        assert len(ens.sub_models) == len(BUCKETING.windows) == 3
+
+    def test_sub_model_seeds(self):
+        spec = VariantSpec("probe", BASE_RC, BUCKETING.windows)
+        ens = SubModelEnsemble(spec, seed_offset=101)
+        assert ens.spec is spec
+        assert [m.config.rng_seed for m in ens.sub_models] == [
+            BASE_RC.rng_seed + 101 + i for i in range(3)]
 
     def test_sub_models_share_no_parameters(self):
         ens = make_ensemble()
@@ -79,7 +106,7 @@ class TestConfig:
             for b in buffers[i + 1:]:
                 assert not np.shares_memory(a, b)
         # each sub-model's state is its row of the ensemble's two buffers
-        n = BUCKETING.num_sub_models
+        n = len(BUCKETING.windows)
         assert ens.stack.params.shape == ens.stack.g2.shape
         assert ens.stack.params.shape[0] == n
         for i, m in enumerate(ens.sub_models):
@@ -247,7 +274,7 @@ class TestTrainingSchedule:
         )
         ens = make_ensemble(bucketing=bucketing)
         sched = ens.training_schedule(make_example([], m=M))
-        assert len(sched) == bucketing.num_sub_models
+        assert len(sched) == len(bucketing.windows)
         times = [t for t, _ in sched]
         assert times == sorted(times)
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -273,14 +300,7 @@ class TestTrainOn:
     def test_cascade_telescoping(self):
         ens = make_ensemble()
         e = make_example([0.5 * DAY, 2 * DAY, 8 * DAY, 20 * DAY])
-        observed = [
-            ens.config.bucketing.horizon(i) for i in range(3)
-        ]
-        from delayfeed.core import slice_label
-        b = ens.config.bucketing
-        slices = [
-            slice_label(e, b.horizon(i), b.upper(i)) for i in range(2)
-        ]
+        slices = [slice_label(e, lo, hi) for lo, hi in BUCKETING.windows[:2]]
         tail = ens.training_label(e, 2)
         assert sum(slices) + tail == pytest.approx(mature_label(e))
 
@@ -310,7 +330,7 @@ class TestTrainOn:
         # outlasts the bucketing's (30d), so f_2 must stop at 30d too
         delays = [0.2 * DAY, 5 * DAY, 20 * DAY, 35 * DAY]
         e_future = make_example(delays, m=40 * DAY)
-        upper = BUCKETING.upper(i)
+        upper = BUCKETING.windows[i][1]
         e_censored = make_example([d for d in delays if d < upper], m=40 * DAY)
         ens_a = make_ensemble(two_output=two_output)
         ens_b = make_ensemble(two_output=two_output)

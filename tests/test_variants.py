@@ -7,15 +7,12 @@ import pytest
 from delayfeed import harness
 from delayfeed.core import DAY, ContractViolation, DelayBucketing, \
     mature_label, slice_label
-from delayfeed.ensemble import SubModelEnsemble
+from delayfeed.ensemble import BUCKET, THERMOMETER, SubModelEnsemble, \
+    VariantSpec
 from delayfeed.regressor import RegressorConfig
 from delayfeed.variants import (
-    MATURE,
-    PREFIX_AT_DELAY,
-    SINGLE_DELAY,
     VARIANT_NAMES,
     SingleDelayModel,
-    VariantSpec,
     build_variant,
     standard_specs,
 )
@@ -39,23 +36,30 @@ def specs():
 
 class TestMatrix:
     def test_standard_names(self):
-        assert set(specs()) == set(VARIANT_NAMES)
+        # in report order, which is also the default variant list's
+        assert tuple(specs()) == VARIANT_NAMES
 
     def test_variant_wiring(self):
         s = specs()
-        assert s["M1"].kind == SINGLE_DELAY
-        assert s["M1"].delay == 6 * 3600.0
-        assert s["M1"].label_mode == PREFIX_AT_DELAY
-        assert s["M2_7d"].delay == 7 * DAY
-        assert s["M2_15d"].delay == 15 * DAY
-        assert s["M3"].delay == M and s["M3"].label_mode == MATURE
-        assert s["Oracle"].delay == 0.0 and s["Oracle"].label_mode == MATURE
-        assert s["M4"].ensemble_config.encoding == "bucket"
-        assert not s["M4"].ensemble_config.use_aux
-        assert s["M5"].ensemble_config.encoding == "thermometer"
-        assert not s["M5"].ensemble_config.use_aux
-        assert s["Proposed"].ensemble_config.encoding == "thermometer"
-        assert s["Proposed"].ensemble_config.use_aux
+        assert s["M1"].windows == ((0.0, 6 * 3600.0),)
+        assert not s["M1"].mature_label
+        assert s["M2_7d"].windows == ((0.0, 7 * DAY),)
+        assert s["M2_15d"].windows == ((0.0, 15 * DAY),)
+        assert s["M3"].windows == ((0.0, M),) and s["M3"].mature_label
+        assert s["Oracle"].windows == ((0.0, 0.0),) and s["Oracle"].mature_label
+        for name in ("M4", "M5", "Proposed"):
+            assert s[name].windows == BUCKETING.windows
+            assert not s[name].mature_label
+        assert s["M4"].encoding == BUCKET and not s["M4"].use_aux
+        assert s["M5"].encoding == THERMOMETER and not s["M5"].use_aux
+        assert s["Proposed"].encoding == THERMOMETER and s["Proposed"].use_aux
+        for name in ("M1", "M2_7d", "M2_15d", "M3", "Oracle"):
+            assert s[name].encoding == THERMOMETER and not s[name].use_aux
+
+    def test_duplicate_names_are_refused(self):
+        # 6.8 and 7.2 days both round to M2_7d
+        with pytest.raises(ValueError, match="duplicate variant name M2_7d"):
+            standard_specs(BUCKETING, RC, m2_delays=(6.8 * DAY, 7.2 * DAY))
 
     def test_m3_and_oracle_share_architecture(self):
         s = specs()
@@ -123,26 +127,19 @@ class TestSingleDelayLabels:
         e = make_example([0.1 * DAY, 2 * DAY, 10 * DAY, 20 * DAY])
         labels = []
         for delay in (3600.0, 1 * DAY, 5 * DAY, 12 * DAY, 25 * DAY):
-            spec = VariantSpec(
-                "probe", SINGLE_DELAY, delay=delay,
-                label_mode=PREFIX_AT_DELAY, regressor_config=RC,
-            )
+            spec = VariantSpec("probe", RC, ((0.0, delay),))
             labels.append(_training_label(SingleDelayModel(spec), e))
         assert labels == sorted(labels)
 
     def test_delay_past_window_caps_at_mature(self):
         e = make_example([29 * DAY])
-        spec = VariantSpec(
-            "probe", SINGLE_DELAY, delay=45 * DAY,
-            label_mode=PREFIX_AT_DELAY, regressor_config=RC,
-        )
+        spec = VariantSpec("probe", RC, ((0.0, 45 * DAY),))
         assert _training_label(SingleDelayModel(spec), e) == mature_label(e)
 
     @pytest.mark.parametrize("delay", [-1.0, -3600.0, math.nan, math.inf])
     def test_rejects_delay_not_finite_and_non_negative(self, delay):
-        with pytest.raises(ValueError, match="delay"):
-            VariantSpec("probe", SINGLE_DELAY, delay=delay,
-                        label_mode=PREFIX_AT_DELAY, regressor_config=RC)
+        with pytest.raises(ValueError, match="windows must be finite"):
+            VariantSpec("probe", RC, ((0.0, delay),))
 
 
 class TestBuildVariant:
@@ -150,6 +147,13 @@ class TestBuildVariant:
         v = build_variant(specs()["Proposed"])
         assert isinstance(v, SubModelEnsemble)
         assert v.name == "Proposed"
+
+    def test_single_delay_model_for_exactly_the_one_window_variants(self):
+        built = {name: build_variant(spec) for name, spec in specs().items()}
+        single = {n for n, v in built.items() if isinstance(v, SingleDelayModel)}
+        assert single == {"M1", "M2_7d", "M2_15d", "M3", "Oracle"}
+        assert all(type(v) is SubModelEnsemble for n, v in built.items()
+                   if n not in single)
 
     def test_seed_offset_changes_parameters(self):
         a = build_variant(specs()["M3"], seed_offset=0)
@@ -161,7 +165,7 @@ class TestBuildVariant:
 
     def test_two_output_matrix(self):
         s = standard_specs(BUCKETING, RC, two_output_mode=True)
-        assert s["Proposed"].ensemble_config.regressor_config.two_output_mode
+        assert s["Proposed"].regressor_config.two_output_mode
         # single-delay baselines stay single-output: like every single-output
         # variant they clamp a negative label to 0 and count it
         assert not s["M1"].regressor_config.two_output_mode
