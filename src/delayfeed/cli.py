@@ -2,7 +2,7 @@
 into plot-ready CSV.
 
 Subcommands: gen, run, plotdata. Config files are JSON (schema "v1");
-every output embeds a digest of the canonicalized config so reports from
+every output embeds a digest of the resolved config so reports from
 different configurations refuse to aggregate. DELAYFEED_LOG in
 {error, info, debug} controls log verbosity.
 """
@@ -17,13 +17,14 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import os
 import statistics
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import __version__
-from .core import DAY, DelayBucketing
+from .core import DAY, DelayBucketing, is_integer
 from .datagen import StreamConfig, generate, write_sidecar, write_stream
 from .harness import compare, default_slices, report_csv_rows, run
 from .regressor import RegressorConfig
@@ -31,113 +32,117 @@ from .variants import build_variant, standard_specs
 
 log = logging.getLogger("delayfeed")
 
+# defaults no dataclass holds: the regressors' categorical fields (those of
+# a click), the bucket boundaries and the prior rate that sets output bias
 BASE_CATEGORICAL_FIELDS = ("campaign", "segment", "context")
+BOUNDARIES = tuple(days * DAY for days in (1, 3, 7, 15))
+PRIOR_RATE = 0.2
+
+# the JSON kind of each config key that is not a number
+_KINDS = {"schema_version": str, "stream": dict, "bucketing": dict,
+          "regressor": dict, "value_labels": bool, "two_output_mode": bool,
+          "boundaries_days": list, "hidden_layer_sizes": list,
+          "m2_delays_days": list, "variants": list, "seeds": list}
+_KIND_NAMES = {str: "string", dict: "object", bool: "boolean (true or false)",
+               list: "list", numbers.Real: "number"}
+# a key ending in a unit holds a time, handed on in seconds without it
+_UNITS = {"days": DAY, "hours": 3600.0}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """What a run runs: the stream, every variant spec the config builds
+    (by name, in report order), the variants and seeds to run, their digest."""
+
     stream: StreamConfig
-    bucketing: DelayBucketing
-    regressor: RegressorConfig
-    m1_delay: float = 6 * 3600.0
-    m2_delays: tuple = (7 * DAY, 15 * DAY)
-    two_output_mode: bool = False
-    variants: tuple = ()  # config_from_dict defaults it to every spec's name
-    seeds: tuple = (0,)
-    digest: str = ""
+    specs: dict
+    variants: tuple
+    seeds: tuple
+    digest: str
 
 
-def _digest(d: dict) -> str:
-    canon = json.dumps(d, sort_keys=True, separators=(",", ":"))
+def _digest(obj) -> str:
+    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                       default=lambda o: {f.name: getattr(o, f.name)
+                                          for f in fields(o)})
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def _seconds(value, unit: float, path: str) -> float:
+    """`value` units in seconds; raises ValueError unless finite and >= 0."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and 0 <= value < math.inf):
+        raise ValueError(f"{path} must be finite and >= 0, got {value!r}")
+    return value * unit
+
+
 def _section(d, path: str, keys: str) -> dict:
-    """`d` if it is a JSON object with no key outside `keys`; raises
-    ValueError naming the first other key by its path otherwise."""
+    """The entries of `d`, which must be a JSON object whose keys are all
+    in `keys`, each holding a value of its kind in _KINDS (a number if not
+    listed); a time (or each time of a list) must be finite and >= 0, and
+    is returned in seconds under its key without the unit. Raises
+    ValueError naming the first bad key by its path."""
     if not isinstance(d, dict):
         raise ValueError(f"config {path or 'file'} must be a JSON object")
-    for key in d:
+    out = {}
+    for key, value in d.items():
+        name = f"{path}.{key}" if path else key
         if key not in keys.split():
-            name = f"{path}.{key}" if path else key
             raise ValueError(f"unknown config key {name}; valid keys: "
                              f"{', '.join(keys.split())}")
-    return d
-
-
-def _flag(d: dict, key: str, path: str) -> bool:
-    """d[key], default false; raises ValueError naming `path` unless it is
-    a JSON boolean (the string "false" would otherwise read as true)."""
-    value = d.get(key, False)
-    if not isinstance(value, bool):
-        raise ValueError(f"{path} must be true or false, got {value!r}")
-    return value
+        kind = _KINDS.get(key, numbers.Real)
+        # a JSON boolean is a Python int: it counts as no number
+        if not isinstance(value, kind) or (kind is not bool
+                                           and isinstance(value, bool)):
+            raise ValueError(f"{name} must be a JSON {_KIND_NAMES[kind]}, "
+                             f"got {value!r}")
+        base, _, unit = key.rpartition("_")
+        if unit in _UNITS:
+            key, scale = base, _UNITS[unit]
+            value = (tuple(_seconds(x, scale, name) for x in value)
+                     if kind is list else _seconds(value, scale, name))
+        out[key] = value
+    return out
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    _section(d, "", "schema_version stream bucketing regressor m1_delay_hours "
-                    "m2_delays_days two_output_mode variants seeds")
+    """The resolved config of a JSON dict. Only the keys present reach the
+    dataclasses and `standard_specs`, so each default is stated by its
+    owner."""
+    d = _section(d, "", "schema_version stream bucketing regressor "
+                        "m1_delay_hours m2_delays_days two_output_mode "
+                        "variants seeds")
     if d.get("schema_version", "v1") != "v1":
         raise ValueError(f"unsupported config schema {d.get('schema_version')!r}")
-    s = _section(d.get("stream", {}), "stream",
-                 "total_clicks campaign_count cold_start_fraction duration_days "
-                 "rng_seed attribution_window_days retraction_prob value_labels "
-                 "drift_magnitude")
-    stream = StreamConfig(
-        total_clicks=s.get("total_clicks", 200_000),
-        campaign_count=s.get("campaign_count", 50),
-        cold_start_fraction=s.get("cold_start_fraction", 0.5),
-        duration=s.get("duration_days", 90) * DAY,
-        rng_seed=s.get("rng_seed", 0),
-        attribution_window=s.get("attribution_window_days", 30) * DAY,
-        retraction_prob=s.get("retraction_prob", 0.0),
-        value_labels=_flag(s, "value_labels", "stream.value_labels"),
-        drift_magnitude=s.get("drift_magnitude", 0.01),
-    )
+    stream = StreamConfig(**_section(
+        d.get("stream", {}), "stream",
+        "total_clicks campaign_count cold_start_fraction duration_days "
+        "rng_seed attribution_window_days retraction_prob value_labels "
+        "drift_magnitude"))
     b = _section(d.get("bucketing", {}), "bucketing", "boundaries_days")
-    bucketing = DelayBucketing(
-        boundaries=tuple(x * DAY for x in b.get("boundaries_days", (1, 3, 7, 15))),
-        attribution_window=stream.attribution_window,
-    )
+    bucketing = DelayBucketing(b.get("boundaries", BOUNDARIES),
+                               stream.attribution_window)
     r = _section(d.get("regressor", {}), "regressor",
                  "embedding_dim hash_buckets_per_field hidden_layer_sizes "
                  "learning_rate adagrad_epsilon prior_rate rng_seed")
-    prior_rate = r.get("prior_rate", 0.2)
-    if not 0 < prior_rate < math.inf:
-        raise ValueError(
-            f"regressor.prior_rate must be finite and > 0, got {prior_rate}"
-        )
-    regressor = RegressorConfig(
-        categorical_fields=BASE_CATEGORICAL_FIELDS,
-        embedding_dim=r.get("embedding_dim", 8),
-        hash_buckets_per_field=r.get("hash_buckets_per_field", 4096),
-        hidden_layer_sizes=tuple(r.get("hidden_layer_sizes", (32, 32))),
-        learning_rate=r.get("learning_rate", 0.05),
-        adagrad_epsilon=r.get("adagrad_epsilon", 1e-6),
-        output_bias_init=math.log(prior_rate),
-        rng_seed=r.get("rng_seed", 0),
-    )
-    m1_delay = d.get("m1_delay_hours", 6) * 3600.0
-    m2_delays = tuple(x * DAY for x in d.get("m2_delays_days", (7, 15)))
-    for key, delays in (("m1_delay_hours", (m1_delay,)),
-                        ("m2_delays_days", m2_delays)):
-        if not all(0 <= x < math.inf for x in delays):
-            raise ValueError(f"{key} must be finite and >= 0, got {d[key]}")
-    cfg = ExperimentConfig(
-        stream=stream,
-        bucketing=bucketing,
-        regressor=regressor,
-        m1_delay=m1_delay,
-        m2_delays=m2_delays,
-        two_output_mode=_flag(d, "two_output_mode", "two_output_mode"),
-        seeds=tuple(d.get("seeds", (0,))),
-        digest=_digest(d),
-    )
+    if not 0 < (prior_rate := r.pop("prior_rate", PRIOR_RATE)) < math.inf:
+        raise ValueError(f"regressor.prior_rate must be finite and > 0, "
+                         f"got {prior_rate}")
+    regressor = RegressorConfig(categorical_fields=BASE_CATEGORICAL_FIELDS,
+                                output_bias_init=math.log(prior_rate), **r)
+    specs = standard_specs(bucketing, regressor, **{
+        k: d[k] for k in ("m1_delay", "m2_delays", "two_output_mode") if k in d})
+    seeds = tuple(d.get("seeds", (0,)))
+    if not all(map(is_integer, seeds)):
+        raise ValueError(f"seeds must be a list of integers, got {list(seeds)}")
     # every variant this config builds, unless a list of names is given
-    variants = tuple(d.get("variants", ("all",)))
-    if variants == ("all",):
-        variants = tuple(variant_specs_for(cfg))
-    return replace(cfg, variants=variants)
+    variants = tuple(d.get("variants", ["all"]))
+    variants = tuple(specs) if variants == ("all",) else variants
+    if not all(isinstance(name, str) for name in variants):
+        raise ValueError(f"variants must be a list of names, got {list(variants)}")
+    resolved = {"stream": stream, "specs": specs, "variants": variants,
+                "seeds": seeds}
+    return ExperimentConfig(**resolved, digest=_digest(resolved))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -145,19 +150,8 @@ def load_config(path) -> ExperimentConfig:
         return config_from_dict(json.load(fh))
 
 
-def default_config(**overrides) -> ExperimentConfig:
-    """Config with all defaults; overrides patch the raw JSON dict."""
-    d = {"schema_version": "v1"}
-    d.update(overrides)
-    return config_from_dict(d)
-
-
 def variant_specs_for(cfg: ExperimentConfig) -> dict:
-    return standard_specs(
-        cfg.bucketing, cfg.regressor,
-        m1_delay=cfg.m1_delay, m2_delays=cfg.m2_delays,
-        two_output_mode=cfg.two_output_mode,
-    )
+    return cfg.specs
 
 
 def stream_for_seed(cfg: ExperimentConfig, seed: int):
@@ -174,12 +168,10 @@ def _run_task(cfg: ExperimentConfig, name: str, seed: int):
     if stream is None:
         _stream_cache.clear()
         stream = _stream_cache[key] = stream_for_seed(cfg, seed)
-    specs = variant_specs_for(cfg)
-    if name not in specs:
-        raise ValueError(
-            f"unknown variant {name!r}; valid names: {', '.join(sorted(specs))}"
-        )
-    variant = build_variant(specs[name], seed_offset=seed * 101)
+    if name not in cfg.specs:
+        raise ValueError(f"unknown variant {name!r}; valid names: "
+                         f"{', '.join(sorted(cfg.specs))}")
+    variant = build_variant(cfg.specs[name], seed_offset=seed * 101)
     slices = default_slices(stream.ground_truth.high_delay)
     log.info("running %s seed %d (%d clicks)", name, seed, len(stream.examples))
     return run(variant, stream.examples, slices)
@@ -205,10 +197,8 @@ def run_matrix(cfg: ExperimentConfig, names, seeds, jobs: int = 1) -> dict:
 
 
 def seed_report(cfg: ExperimentConfig, seed: int, results: dict) -> dict:
-    return compare(results, config_digest=cfg.digest, extra={
-        "artifact_version": __version__,
-        "seed": seed,
-    })
+    return compare(results, config_digest=cfg.digest,
+                   extra={"artifact_version": __version__, "seed": seed})
 
 
 def aggregate_reports(reports: list) -> dict:
@@ -288,12 +278,11 @@ def cmd_run(args) -> int:
         tuple(int(s) for s in args.seed.split(",")) if args.seed else cfg.seeds
     )
     names = cfg.variants if args.variant == "all" else (args.variant,)
-    valid = set(variant_specs_for(cfg))
-    unknown = [n for n in names if n not in valid]
+    unknown = [n for n in names if n not in cfg.specs]
     if unknown:
         print(
             f"unknown variant(s) {', '.join(unknown)}; valid names: "
-            f"{', '.join(sorted(valid))}",
+            f"{', '.join(sorted(cfg.specs))}",
             file=sys.stderr,
         )
         return 2

@@ -10,6 +10,7 @@ bucket.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 DAY = 86400.0
@@ -17,6 +18,11 @@ DAY = 86400.0
 
 class ContractViolation(ValueError):
     """An operation was called outside its documented preconditions."""
+
+
+def is_integer(value) -> bool:
+    """An integral number but no bool: JSON `true` must not read as 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)

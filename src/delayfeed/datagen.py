@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .core import DAY, ClickExample, ContractViolation, ConversionEvent, \
-    observed_prefix
+    is_integer, observed_prefix
 
 SCHEMA_VERSION = "v1"
 SIDECAR_SCHEMA_VERSION = "v2"
@@ -168,6 +168,9 @@ class StreamConfig:
     mean_rate_range: tuple = (0.05, 3.0)
 
     def __post_init__(self):
+        for name in ("total_clicks", "campaign_count", "rng_seed"):
+            if not is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.total_clicks < 1:
             raise ValueError("total_clicks must be >= 1")
         if self.campaign_count < 1:

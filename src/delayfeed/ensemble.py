@@ -47,9 +47,7 @@ class VariantSpec:
     layout of its sub-models and their delay windows [lo, hi), ascending.
     Sub-model i trains once an example's age reaches its window's hi.
     `mature_label`, allowed only with one window, trains that sub-model on
-    the full mature label instead of its window's label;
-    `variants.build_variant` builds a one-window spec as the
-    `SingleDelayModel` that honours it."""
+    the full mature label instead of its window's label."""
 
     name: str
     regressor_config: RegressorConfig
@@ -124,6 +122,7 @@ class SubModelEnsemble:
         self._windows = spec.windows
         self._thermometer = spec.encoding == THERMOMETER
         self._use_aux = spec.use_aux
+        self._mature_label = spec.mature_label
         rc = spec.regressor_config
         seeds = [rc.rng_seed + seed_offset + i for i in range(len(spec.windows))]
         if spec.use_aux:
@@ -206,7 +205,10 @@ class SubModelEnsemble:
 
     def training_label(self, example: ClickExample, i: int):
         """Completed label for sub-model i (see module docstring): a
-        (positive, negative) pair in two-output mode, else a signed sum."""
+        (positive, negative) pair in two-output mode, else a signed sum;
+        the mature label when the spec asks for it."""
+        if self._mature_label:
+            return mature_label(example)
         lo, hi = self._windows[i]
         if self.two_output:
             label = split_signed(example, lo, hi)

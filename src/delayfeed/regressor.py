@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ContractViolation
+from .core import ContractViolation, is_integer
 
 CHECKPOINT_MAGIC = b"DLYFEED1"
 
@@ -49,14 +49,17 @@ class RegressorConfig:
         object.__setattr__(self, "categorical_fields", tuple(self.categorical_fields))
         object.__setattr__(self, "numeric_features", tuple(self.numeric_features))
         object.__setattr__(self, "hidden_layer_sizes", tuple(self.hidden_layer_sizes))
+        for name in ("embedding_dim", "hash_buckets_per_field", "rng_seed"):
+            if not is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")
         if self.hash_buckets_per_field < 2:
             raise ValueError("hash_buckets_per_field must be >= 2")
-        if not all(size >= 1 for size in self.hidden_layer_sizes):
-            raise ValueError(
-                f"hidden layer sizes must be >= 1: {self.hidden_layer_sizes}"
-            )
+        if not all(is_integer(size) and size >= 1
+                   for size in self.hidden_layer_sizes):
+            raise ValueError(f"hidden_layer_sizes must be integers >= 1: "
+                             f"{self.hidden_layer_sizes}")
         # NaN fails every comparison, so each check is written to fail on it
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and >= 0")

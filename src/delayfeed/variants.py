@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .core import DAY, ClickExample, DelayBucketing, mature_label
+from .core import DAY, DelayBucketing
 from .ensemble import BUCKET, SubModelEnsemble, VariantSpec
 from .regressor import RegressorConfig
 
@@ -25,12 +25,8 @@ VARIANT_NAMES = ("M1", "M2_7d", "M2_15d", "M3", "M4", "M5", "Proposed", "Oracle"
 class SingleDelayModel(SubModelEnsemble):
     """One Poisson regressor trained at a fixed delay after each click,
     either on the label observed so far or, when its spec asks for it, on
-    the mature label: the one-window ensemble [0, delay)."""
-
-    def training_label(self, example: ClickExample, i: int):
-        if self.spec.mature_label:
-            return mature_label(example)
-        return super().training_label(example, i)
+    the mature label: the one-window ensemble [0, delay), a class of its
+    own so that traces tell its calls from the ensembles'."""
 
 
 def standard_specs(

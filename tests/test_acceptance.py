@@ -17,12 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayfeed.cli import (
-    default_config,
-    main,
-    stream_for_seed,
-    variant_specs_for,
-)
+from delayfeed.cli import config_from_dict, main, stream_for_seed
 from delayfeed.core import (
     DAY,
     ContractViolation,
@@ -103,32 +98,34 @@ def _delay_mass_beyond(stream, threshold: float) -> float:
     return statistics.fmean(tail[e.campaign_id] for e in stream.examples)
 
 
+def matrix_seed(cfg, seed: int) -> dict:
+    """One seed's summaries of every variant, read from the cache or run
+    and written to it."""
+    cache_path = CACHE_DIR / f"matrix_{cfg.digest}_seed{seed}.json"
+    if cache_path.exists():
+        return json.loads(cache_path.read_text())
+    stream = stream_for_seed(cfg, seed)
+    slices = default_slices(stream.ground_truth.high_delay)
+    per_seed = {
+        "_delay_mass_beyond_1d": _delay_mass_beyond(stream, 1 * DAY),
+    }
+    for name in VARIANT_NAMES:
+        variant = build_variant(cfg.specs[name], seed_offset=seed * 101)
+        t0 = time.perf_counter()
+        result = run(variant, stream.examples, slices)
+        summary = _summarize(result)
+        summary["runtime_s"] = time.perf_counter() - t0
+        per_seed[name] = summary
+    CACHE_DIR.mkdir(exist_ok=True)
+    cache_path.write_text(json.dumps(per_seed))
+    return per_seed
+
+
 @pytest.fixture(scope="session")
 def matrix():
-    cfg = default_config()
-    CACHE_DIR.mkdir(exist_ok=True)
-    specs = variant_specs_for(cfg)
-    data = {"digest": cfg.digest, "seeds": list(SEEDS), "results": {}}
-    for seed in SEEDS:
-        cache_path = CACHE_DIR / f"matrix_{cfg.digest}_seed{seed}.json"
-        if cache_path.exists():
-            data["results"][str(seed)] = json.loads(cache_path.read_text())
-            continue
-        stream = stream_for_seed(cfg, seed)
-        slices = default_slices(stream.ground_truth.high_delay)
-        per_seed = {
-            "_delay_mass_beyond_1d": _delay_mass_beyond(stream, 1 * DAY),
-        }
-        for name in VARIANT_NAMES:
-            variant = build_variant(specs[name], seed_offset=seed * 101)
-            t0 = time.perf_counter()
-            result = run(variant, stream.examples, slices)
-            summary = _summarize(result)
-            summary["runtime_s"] = time.perf_counter() - t0
-            per_seed[name] = summary
-        cache_path.write_text(json.dumps(per_seed))
-        data["results"][str(seed)] = per_seed
-    return data
+    cfg = config_from_dict({})
+    return {"digest": cfg.digest, "seeds": list(SEEDS), "results": {
+        str(seed): matrix_seed(cfg, seed) for seed in SEEDS}}
 
 
 def _pll(matrix, seed, variant, slice_name="ALL"):

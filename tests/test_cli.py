@@ -3,14 +3,12 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import replace
 
 import pytest
 
 from delayfeed.cli import (
     aggregate_reports,
     config_from_dict,
-    default_config,
     load_config,
     main,
 )
@@ -44,18 +42,25 @@ def file_digest(path):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = default_config()
+        cfg = config_from_dict({})
         assert cfg.stream.total_clicks == 200_000
         assert cfg.stream.campaign_count == 50
-        assert len(cfg.bucketing.boundaries) == 4
+        assert tuple(cfg.specs) == cfg.variants == VARIANT_NAMES
+        assert len(cfg.specs["Proposed"].windows) == 5
+        assert cfg.seeds == (0,)
         assert cfg.digest
 
     def test_digest_stable_and_sensitive(self):
         a = config_from_dict(dict(SMALL))
         b = config_from_dict(dict(SMALL))
         assert a.digest == b.digest
-        changed = dict(SMALL, stream=dict(SMALL["stream"], total_clicks=801))
-        assert config_from_dict(changed).digest != a.digest
+        for changed in (
+            dict(SMALL, stream=dict(SMALL["stream"], total_clicks=801)),
+            dict(SMALL, m1_delay_hours=7),
+            dict(SMALL, two_output_mode=True),
+            dict(SMALL, regressor=dict(SMALL["regressor"], prior_rate=0.3)),
+        ):
+            assert config_from_dict(changed).digest != a.digest
 
     def test_rejects_bucketing_boundary_at_window(self, tmp_path):
         bad = dict(SMALL, bucketing={"boundaries_days": [1, 20]})
@@ -99,6 +104,28 @@ class TestConfig:
         ("two_output_mode", "0", None),
         ("value_labels", '"false"', "stream"),
         ("value_labels", "1", "stream"),
+        # integers must be integers, and no JSON boolean counts as one
+        ("total_clicks", "300.5", "stream"),
+        ("campaign_count", "true", "stream"),
+        ("rng_seed", "1.5", "stream"),
+        ("rng_seed", "1.5", "regressor"),
+        ("embedding_dim", "2.5", "regressor"),
+        ("hash_buckets_per_field", "64.0", "regressor"),
+        ("hidden_layer_sizes", "[4.5]", "regressor"),
+        ("seeds", "[1.5]", None),
+        ("seeds", "[true]", None),
+        # list keys must be JSON lists
+        ("seeds", '"12"', None),
+        ("variants", '"M1"', None),
+        ("variants", "[1]", None),
+        ("m2_delays_days", "7", None),
+        ("m2_delays_days", '["7"]', None),
+        ("boundaries_days", "7", "bucketing"),
+        ("hidden_layer_sizes", "4", "regressor"),
+        # every other value is a number
+        ("learning_rate", '"0.05"', "regressor"),
+        ("m1_delay_hours", "true", None),
+        ("schema_version", "1", None),
     ])
     def test_rejection_names_the_key(self, tmp_path, key, value, where):
         raw = dict(SMALL)
@@ -112,7 +139,7 @@ class TestConfig:
             load_config(str(path))
 
     def test_default_variants_follow_the_configured_delays(self):
-        assert default_config().variants == VARIANT_NAMES
+        assert config_from_dict({}).variants == VARIANT_NAMES
         assert config_from_dict({"variants": ["all"]}).variants == VARIANT_NAMES
         want = ("M1", "M2_3d", "M3", "M4", "M5", "Proposed", "Oracle")
         assert config_from_dict({"m2_delays_days": [3]}).variants == want
@@ -145,19 +172,35 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be a JSON object"):
             config_from_dict(raw)
 
-    def test_default_digest_is_unchanged(self):
-        # the acceptance gate's matrix cache is keyed on it
-        assert default_config().digest == "34072dbdeec18e64"
-
-    def test_readme_example_config_is_the_defaults(self):
+    @staticmethod
+    def readme_config() -> dict:
         readme = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "README.md")
         with open(readme) as fh:
             block = re.search(r"Example config.*?```json\n(.*?)```", fh.read(),
                               re.DOTALL).group(1)
-        documented = config_from_dict(json.loads(block))
-        assert replace(documented, digest="") == replace(
-            config_from_dict({}), digest="")
+        return json.loads(block)
+
+    def test_readme_example_config_is_the_defaults(self):
+        assert config_from_dict(self.readme_config()) == config_from_dict({})
+
+    def test_configs_that_resolve_alike_share_one_digest(self):
+        # the digest is of the resolved config, not of the JSON text
+        digests = {config_from_dict(raw).digest for raw in (
+            {}, self.readme_config(), {"variants": ["all"]},
+            {"stream": {"total_clicks": 200000}},
+        )}
+        assert len(digests) == 1
+
+    def test_cached_matrices_are_keyed_on_the_default_digest(self):
+        # a stale cache file would grade the gate on another config's runs
+        cache = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "_cache")
+        digest = config_from_dict({}).digest
+        names = os.listdir(cache) if os.path.isdir(cache) else []
+        stale = [n for n in names if n.startswith("matrix_")
+                 and not n.startswith(f"matrix_{digest}_seed")]
+        assert stale == []
 
 
 class TestGen:
@@ -181,6 +224,23 @@ class TestGen:
         bad.write_text(json.dumps(dict(SMALL, bucketing={"boundaries_days": [1, 25]})))
         rc = main(["gen", "--config", str(bad), "--out", str(tmp_path / "x")])
         assert rc != 0
+
+    @pytest.mark.parametrize("raw,key", [
+        (dict(SMALL, stream=dict(SMALL["stream"], total_clicks=300.5)),
+         "stream.total_clicks"),
+        (dict(SMALL, m2_delays_days=7), "m2_delays_days"),
+        (dict(SMALL, regressor=dict(SMALL["regressor"], embedding_dim=2.5)),
+         "embedding_dim"),
+    ])
+    @pytest.mark.parametrize("command", ["gen", "run"])
+    def test_ill_typed_value_exits_1_naming_the_key(self, tmp_path, capsys,
+                                                     raw, key, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        rc = main([command, "--config", str(bad), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key.split(".")[-1] in err
 
 
 class TestRun:

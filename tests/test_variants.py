@@ -106,6 +106,14 @@ class TestSingleDelayLabels:
         assert v.training_schedule(e) == [(e.click_time, 0)]
         assert _training_label(v, e) == 1.0
 
+    @pytest.mark.parametrize("hi", [0.0, 1 * DAY])
+    def test_plain_ensemble_of_a_spec_trains_on_its_mature_label(self, hi):
+        # the spec, not the class build_variant picks, sets the label: the
+        # event at 2 d lies past the window, inside the mature label
+        e = make_example([2 * DAY])
+        spec = VariantSpec("Oracle", RC, ((0.0, hi),), mature_label=True)
+        assert SubModelEnsemble(spec).training_label(e, 0) == 1.0
+
     def test_serve_never_reads_events(self):
         v = SingleDelayModel(specs()["M1"])
         assert v.serve(make_example([0.1 * DAY, 2 * DAY])) == v.serve(
