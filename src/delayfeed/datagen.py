@@ -11,6 +11,12 @@ posterior tail mean used as an analytic stand-in for an ideal sub-model.
 Stream files are newline-delimited JSON (schema "v1"), with a parallel
 ground-truth sidecar keyed by example_id (schema "v2": a campaign's delay
 mixture is stored by its median).
+
+A stream is a pure function of its `StreamConfig`, and tests pin its bytes.
+`choice_cdf` with `exact_choice`, and `exact_uniform`, draw exactly what
+`Generator.choice(k, n, p=w)` and a scalar `Generator.uniform(lo, hi)` draw,
+consuming the generator alike, without those methods' per-call argument
+checks.
 """
 
 from __future__ import annotations
@@ -30,9 +36,34 @@ SIDECAR_SCHEMA_VERSION = "v2"
 SEGMENT_TOKENS = tuple(f"s{i}" for i in range(6))
 CONTEXT_TOKENS = tuple(f"c{i}" for i in range(8))
 
-_EXP, _WEIBULL, _LOGNORMAL = 0, 1, 2
-
 _UNIT_VALUE = 1.0
+
+
+def choice_cdf(weights) -> np.ndarray:
+    """The normalized cumulative weights `Generator.choice` searches."""
+    cdf = np.asarray(weights, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def exact_choice(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """`rng.choice(len(w), n, p=w)` for `cdf = choice_cdf(w)`, bit for bit:
+    numpy's own algorithm without its checks of `p`."""
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
+def exact_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """`rng.uniform(lo, hi)` for scalar bounds, bit for bit."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _check_simplex(weights: tuple, size: int, what: str):
+    if len(weights) != size or not all(
+            math.isfinite(w) and w >= 0 for w in weights):
+        raise ValueError(
+            f"{what}: need {size} finite non-negative weights, got {weights}")
+    if not abs(sum(weights) - 1.0) <= 1e-9:
+        raise ValueError(f"{what}: weights must sum to 1, got {weights}")
 
 
 @dataclass(frozen=True)
@@ -48,10 +79,7 @@ class DelayMixture:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
-        if len(self.weights) != 3 or not all(w >= 0 for w in self.weights):
-            raise ValueError(f"need 3 non-negative weights, got {self.weights}")
-        if not abs(sum(self.weights) - 1.0) <= 1e-9:
-            raise ValueError(f"mixture weights must sum to 1: {self.weights}")
+        _check_simplex(self.weights, 3, "delay mixture")
         if not all(0 < p < math.inf for p in
                    (self.median, self.weibull_shape, self.lognorm_sigma)):
             raise ValueError("mixture parameters must be positive and finite")
@@ -86,19 +114,20 @@ class DelayMixture:
         # the rejection loop ends
         if not 0 < max_delay < math.inf:
             raise ValueError(f"max_delay must be finite and > 0, got {max_delay}")
+        cdf = choice_cdf(self.weights)
+        components = (  # exponential, Weibull, lognormal: k draws each
+            lambda k: rng.exponential(self.exp_mean, k),
+            lambda k: self.weibull_scale * rng.weibull(self.weibull_shape, k),
+            lambda k: rng.lognormal(self.lognorm_mu, self.lognorm_sigma, k),
+        )
         out = np.empty(n)
         pending = np.arange(n)
         while pending.size:
-            comp = rng.choice(3, size=pending.size, p=self.weights)
+            comp = exact_choice(rng, cdf, pending.size)
             draws = np.empty(pending.size)
-            for kind, mask_draws in (
-                (_EXP, lambda k: rng.exponential(self.exp_mean, k)),
-                (_WEIBULL, lambda k: self.weibull_scale * rng.weibull(self.weibull_shape, k)),
-                (_LOGNORMAL, lambda k: rng.lognormal(self.lognorm_mu, self.lognorm_sigma, k)),
-            ):
-                sel = comp == kind
-                if sel.any():
-                    draws[sel] = mask_draws(int(sel.sum()))
+            for kind, k in enumerate(np.bincount(comp, minlength=3).tolist()):
+                if k:
+                    draws[comp == kind] = components[kind](k)
             out[pending] = draws
             pending = pending[draws >= max_delay]
         return out
@@ -117,7 +146,7 @@ class CampaignProfile:
     delay: DelayMixture
     attribution_window: float
     drift_per_day: float = 1.0
-    segment_weights: tuple = ()
+    segment_weights: tuple = (1 / len(SEGMENT_TOKENS),) * len(SEGMENT_TOKENS)
     retraction_prob: float = 0.0
     value_lognorm: tuple = None  # (mu, sigma) or None for unit values
 
@@ -131,6 +160,8 @@ class CampaignProfile:
                 f"campaign {self.campaign_id}: retraction_prob outside [0, 1]"
             )
         object.__setattr__(self, "segment_weights", tuple(self.segment_weights))
+        _check_simplex(self.segment_weights, len(SEGMENT_TOKENS),
+                       f"campaign {self.campaign_id} segments")
 
     def truncated_cdf(self, t: float) -> float:
         """CDF of the actual delay distribution (mixture truncated to the
@@ -205,27 +236,31 @@ def make_population(config: StreamConfig, rng: np.random.Generator) -> list:
     campaigns = []
     n = config.campaign_count
     n_day_zero = max(1, round(n * (1 - config.cold_start_fraction)))
+    mixture_alpha = np.ones(3)
+    segment_alpha = np.ones(len(SEGMENT_TOKENS)) * 2
     for i in range(n):
         if i == 0 and n > 1:
             median = config.min_median_delay
         elif i == 1 and n > 2:
             median = config.max_median_delay
         else:
-            median = math.exp(rng.uniform(
+            median = math.exp(exact_uniform(
+                rng,
                 math.log(config.min_median_delay),
                 math.log(config.max_median_delay),
             ))
-        weights = rng.dirichlet(np.ones(3))
-        k = rng.uniform(0.8, 1.8)
-        sigma = rng.uniform(0.5, 1.25)
-        mixture = DelayMixture(median, k, sigma, tuple(weights))
-        alpha = rng.uniform(*config.gamma_shape_range)
-        mean_rate = math.exp(rng.uniform(
+        weights = tuple(rng.dirichlet(mixture_alpha).tolist())
+        k = exact_uniform(rng, 0.8, 1.8)
+        sigma = exact_uniform(rng, 0.5, 1.25)
+        mixture = DelayMixture(median, k, sigma, weights)
+        alpha = exact_uniform(rng, *config.gamma_shape_range)
+        mean_rate = math.exp(exact_uniform(
+            rng,
             math.log(config.mean_rate_range[0]),
             math.log(config.mean_rate_range[1]),
         ))
-        start = 0.0 if i < n_day_zero else rng.uniform(
-            0.1 * config.duration, 0.6 * config.duration
+        start = 0.0 if i < n_day_zero else exact_uniform(
+            rng, 0.1 * config.duration, 0.6 * config.duration
         )
         campaigns.append(CampaignProfile(
             campaign_id=i,
@@ -234,10 +269,10 @@ def make_population(config: StreamConfig, rng: np.random.Generator) -> list:
             gamma_rate=alpha / mean_rate,
             delay=mixture,
             attribution_window=config.attribution_window,
-            drift_per_day=rng.uniform(
-                1 - config.drift_magnitude, 1 + config.drift_magnitude
+            drift_per_day=exact_uniform(
+                rng, 1 - config.drift_magnitude, 1 + config.drift_magnitude
             ),
-            segment_weights=tuple(rng.dirichlet(np.ones(len(SEGMENT_TOKENS)) * 2)),
+            segment_weights=tuple(rng.dirichlet(segment_alpha).tolist()),
             retraction_prob=config.retraction_prob,
             value_lognorm=(0.0, 0.5) if config.value_labels else None,
         ))
@@ -258,7 +293,7 @@ def generate(config: StreamConfig) -> Stream:
     ground-truth sidecar (per-click theta, campaign profiles, delay tags)."""
     rng = np.random.default_rng(config.rng_seed)
     campaigns = make_population(config, rng)
-    context_weights = rng.dirichlet(np.ones(len(CONTEXT_TOKENS)) * 3)
+    context_cdf = choice_cdf(rng.dirichlet(np.ones(len(CONTEXT_TOKENS)) * 3))
     share = rng.dirichlet(np.ones(config.campaign_count) * 2)
     clicks_per_campaign = rng.multinomial(config.total_clicks, share)
 
@@ -268,7 +303,7 @@ def generate(config: StreamConfig) -> Stream:
     # clicks, so a click holds references, not copies
     segment_pairs = [("segment", tok) for tok in SEGMENT_TOKENS]
     context_pairs = [("context", tok) for tok in CONTEXT_TOKENS]
-    for camp, n_clicks in zip(campaigns, clicks_per_campaign):
+    for camp, n_clicks in zip(campaigns, clicks_per_campaign.tolist()):
         if n_clicks == 0:
             continue
         times = rng.uniform(camp.start_time, config.duration, n_clicks)
@@ -283,40 +318,36 @@ def generate(config: StreamConfig) -> Stream:
             # every unit-valued event holds the one shared 1.0
             values = [_UNIT_VALUE] * total_events
         if camp.retraction_prob > 0:
-            retracted = rng.random(total_events) < camp.retraction_prob
-            retract_delays = delays + rng.exponential(2 * DAY, total_events)
+            retracted = (rng.random(total_events) < camp.retraction_prob).tolist()
+            retract_delays = (
+                delays + rng.exponential(2 * DAY, total_events)).tolist()
         else:
-            retracted = np.zeros(total_events, dtype=bool)
-            retract_delays = None
-        segments = rng.choice(
-            len(SEGMENT_TOKENS), size=n_clicks, p=np.asarray(camp.segment_weights)
-        )
-        contexts = rng.choice(len(CONTEXT_TOKENS), size=n_clicks, p=context_weights)
+            retracted = None
+        segments = exact_choice(
+            rng, choice_cdf(camp.segment_weights), n_clicks).tolist()
+        contexts = exact_choice(rng, context_cdf, n_clicks).tolist()
 
         campaign_pair = ("campaign", str(camp.campaign_id))
         feature_tuples = {}  # (segment, context) -> serving features
+        delays = delays.tolist()
         pos = 0
-        for j in range(n_clicks):
-            c = int(counts[j])
+        for t, theta, c, key in zip(times.tolist(), thetas.tolist(),
+                                    counts.tolist(), zip(segments, contexts)):
             events = []
             for e in range(pos, pos + c):
-                events.append(ConversionEvent(float(delays[e]), values[e], 1))
-                if retracted[e] and retract_delays[e] < m:
+                events.append(ConversionEvent(delays[e], values[e], 1))
+                if retracted and retracted[e] and retract_delays[e] < m:
                     events.append(ConversionEvent(
-                        float(retract_delays[e]), values[e], -1
+                        retract_delays[e], values[e], -1
                     ))
             pos += c
             events.sort(key=lambda ev: ev.delay)
-            key = (segments[j], contexts[j])
             features = feature_tuples.get(key)
             if features is None:
                 features = feature_tuples[key] = (
                     campaign_pair, segment_pairs[key[0]], context_pairs[key[1]],
                 )
-            records.append((
-                float(times[j]), camp.campaign_id, float(thetas[j]),
-                features, tuple(events),
-            ))
+            records.append((t, camp.campaign_id, theta, features, tuple(events)))
 
     records.sort(key=lambda r: r[0])
     examples = []

@@ -15,6 +15,9 @@ from delayfeed.datagen import (
     DelayMixture,
     StreamConfig,
     campaign_delay_quantiles,
+    choice_cdf,
+    exact_choice,
+    exact_uniform,
     generate,
     make_population,
     posterior_expected_tail,
@@ -44,7 +47,6 @@ def single_campaign(alpha=2.0, beta=1.0, delay_mean=2 * DAY, **kw):
         gamma_rate=beta,
         delay=pure_exponential(delay_mean),
         attribution_window=M,
-        segment_weights=tuple([1 / 6] * 6),
         **kw,
     )
 
@@ -103,6 +105,37 @@ class TestDelayMixture:
                 DelayMixture(median, 1.0, 1.0, weights=(1.0, 0.0, 0.0))
 
 
+class TestExactDraws:
+    """The helpers must draw what the `Generator` methods they replace draw,
+    and leave the generator where those methods leave it, or every stream
+    changes; a numpy upgrade that changes either algorithm fails here."""
+
+    @pytest.mark.parametrize("weights", [
+        (1.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.2, 0.3, 0.5), (0.0, 0.0, 1.0),
+        tuple([1 / 6] * 6), (0.05, 0.0, 0.25, 0.0, 0.6, 0.1),
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_choice_matches_generator_choice(self, weights, n):
+        ours, numpys = np.random.default_rng(3), np.random.default_rng(3)
+        got = exact_choice(ours, choice_cdf(weights), n)
+        want = numpys.choice(len(weights), n, p=weights)
+        assert got.dtype == want.dtype and got.shape == (n,)
+        assert np.array_equal(got, want)
+        assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.8, 1.8), (0.5, 1.25), (0.8, 2.0), (2.0, 2.0), (0.99, 1.01),
+        (1.0, 1.0), (math.log(2 * 3600.0), math.log(25 * DAY)),
+        (math.log(0.05), math.log(3.0)), (0.1 * 90 * DAY, 0.6 * 90 * DAY),
+    ])
+    def test_uniform_matches_generator_uniform(self, lo, hi):
+        ours, numpys = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(200):
+            got, want = exact_uniform(ours, lo, hi), numpys.uniform(lo, hi)
+            assert type(got) is type(want) and got == want
+        assert ours.random() == numpys.random()
+
+
 class TestPopulation:
     def test_median_heterogeneity_two_orders(self):
         rng = np.random.default_rng(2)
@@ -124,6 +157,32 @@ class TestPopulation:
         for cid, med in medians.items():
             if med > cutoff:
                 assert cid in tags
+
+
+class TestCampaignProfile:
+    @pytest.mark.parametrize("weights", [
+        (), (0.5, 0.5), tuple([1 / 7] * 7), (0.5, 0.5, 0.5, 0.0, 0.0, 0.0),
+        (-0.1, 0.3, 0.2, 0.2, 0.2, 0.2), (math.nan, 0.2, 0.2, 0.2, 0.2, 0.2),
+        (math.inf, 0.2, 0.2, 0.2, 0.2, 0.2),
+    ], ids=["empty", "two", "seven", "sum-1.5", "negative", "nan", "inf"])
+    def test_rejects_bad_segment_weights(self, weights):
+        with pytest.raises(ValueError, match="campaign 0 segments"):
+            single_campaign(segment_weights=weights)
+
+    def test_sidecar_with_bad_segment_weights_is_rejected(self, tmp_path):
+        stream = generate(StreamConfig(total_clicks=30, campaign_count=2,
+                                       rng_seed=15))
+        path = tmp_path / "truth.ndjson"
+        write_sidecar(path, stream)
+        header, *lines = path.read_text().splitlines()
+        d = json.loads(header)
+        d["campaigns"][1]["segment_weights"] = [0.5] * 6
+        path.write_text("\n".join([json.dumps(d)] + lines) + "\n")
+        with pytest.raises(ValueError, match="campaign 1 segments"):
+            read_sidecar(path)
+
+    def test_default_segment_weights_are_uniform(self):
+        assert single_campaign().segment_weights == tuple([1 / 6] * 6)
 
 
 class TestGenerate:
@@ -420,16 +479,23 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=match):
             read_sidecar(path)
 
-    @pytest.mark.parametrize("value_labels,digests", [
-        (False, ("fe56fe528d868239", "44c02913d28f9481")),
-        (True, ("cd6515e9762f6d1a", "8647f4ac2d86fe71")),
-    ], ids=["unit-values", "valued"])
-    def test_files_keep_their_bytes(self, tmp_path, value_labels, digests):
-        # sha256 prefixes of both files as first written, with the thetas
-        # held in a dict and every event value a float of its own
-        stream = generate(StreamConfig(total_clicks=300, campaign_count=4,
-                                       rng_seed=15, retraction_prob=0.2,
-                                       value_labels=value_labels))
+    @pytest.mark.parametrize("config,digests", [
+        (dict(total_clicks=300, campaign_count=4, retraction_prob=0.2),
+         ("fe56fe528d868239", "44c02913d28f9481")),
+        (dict(total_clicks=300, campaign_count=4, retraction_prob=0.2,
+              value_labels=True),
+         ("cd6515e9762f6d1a", "8647f4ac2d86fe71")),
+        # most of the 1,000 campaigns draw 0 or 1 clicks
+        (dict(total_clicks=400, campaign_count=1000, retraction_prob=0.2,
+              value_labels=True),
+         ("e1b6404005095e62", "004d1ee96486e228")),
+        (dict(total_clicks=2000), ("2bcf2a9c4bde196d", "df4140e8ad480b8d")),
+    ], ids=["unit-values", "valued", "wide", "default"])
+    def test_files_keep_their_bytes(self, tmp_path, config, digests):
+        # sha256 prefixes of both files; the first two as first written,
+        # with the thetas held in a dict and every event value a float of
+        # its own, the last two as written before the exact draw helpers
+        stream = generate(StreamConfig(rng_seed=15, **config))
         write_stream(tmp_path / "stream.ndjson", stream)
         write_sidecar(tmp_path / "truth.ndjson", stream)
         got = tuple(
