@@ -8,7 +8,6 @@ from .core import (
     ClickExample,
     ContractViolation,
     ConversionEvent,
-    DelayBucketing,
     MetricsAccumulator,
     mature_label,
     observed_prefix,
@@ -22,7 +21,6 @@ __all__ = [
     "ClickExample",
     "ContractViolation",
     "ConversionEvent",
-    "DelayBucketing",
     "MetricsAccumulator",
     "mature_label",
     "observed_prefix",

@@ -24,19 +24,14 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from . import __version__
-from .core import DAY, DelayBucketing, is_integer
-from .datagen import StreamConfig, generate, write_sidecar, write_stream
+from .core import DAY, is_integer
+from .datagen import CLICK_FIELDS, StreamConfig, generate, write_sidecar, \
+    write_stream
 from .harness import compare, default_slices, report_csv_rows, run
 from .regressor import RegressorConfig
 from .variants import build_variant, standard_specs
 
 log = logging.getLogger("delayfeed")
-
-# defaults no dataclass holds: the regressors' categorical fields (those of
-# a click), the bucket boundaries and the prior rate that sets output bias
-BASE_CATEGORICAL_FIELDS = ("campaign", "segment", "context")
-BOUNDARIES = tuple(days * DAY for days in (1, 3, 7, 15))
-PRIOR_RATE = 0.2
 
 # the JSON kind of each config key that is not a number
 _KINDS = {"schema_version": str, "stream": dict, "bucketing": dict,
@@ -119,19 +114,20 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         "total_clicks campaign_count cold_start_fraction duration_days "
         "rng_seed attribution_window_days retraction_prob value_labels "
         "drift_magnitude"))
-    b = _section(d.get("bucketing", {}), "bucketing", "boundaries_days")
-    bucketing = DelayBucketing(b.get("boundaries", BOUNDARIES),
-                               stream.attribution_window)
     r = _section(d.get("regressor", {}), "regressor",
                  "embedding_dim hash_buckets_per_field hidden_layer_sizes "
                  "learning_rate adagrad_epsilon prior_rate rng_seed")
-    if not 0 < (prior_rate := r.pop("prior_rate", PRIOR_RATE)) < math.inf:
-        raise ValueError(f"regressor.prior_rate must be finite and > 0, "
-                         f"got {prior_rate}")
-    regressor = RegressorConfig(categorical_fields=BASE_CATEGORICAL_FIELDS,
-                                output_bias_init=math.log(prior_rate), **r)
-    specs = standard_specs(bucketing, regressor, **{
-        k: d[k] for k in ("m1_delay", "m2_delays", "two_output_mode") if k in d})
+    if "prior_rate" in r:
+        if not 0 < (prior_rate := r.pop("prior_rate")) < math.inf:
+            raise ValueError(f"regressor.prior_rate must be finite and > 0, "
+                             f"got {prior_rate}")
+        r["output_bias_init"] = math.log(prior_rate)
+    regressor = RegressorConfig(categorical_fields=CLICK_FIELDS, **r)
+    specs = standard_specs(
+        stream.attribution_window, regressor,
+        **_section(d.get("bucketing", {}), "bucketing", "boundaries_days"),
+        **{k: d[k] for k in ("m1_delay", "m2_delays", "two_output_mode")
+           if k in d})
     seeds = tuple(d.get("seeds", (0,)))
     if not all(map(is_integer, seeds)):
         raise ValueError(f"seeds must be a list of integers, got {list(seeds)}")

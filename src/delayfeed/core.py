@@ -1,5 +1,5 @@
-"""Shared domain types: click examples, delay bucketing, window labels,
-Poisson loss, and metric accumulation.
+"""Shared domain types: click examples, window labels, Poisson loss, and
+metric accumulation.
 
 Time is seconds as float64 throughout; DAY is the conversion constant used
 wherever configs speak in days. All time intervals are left-closed,
@@ -89,46 +89,6 @@ class ClickExample:
                     f"attribution window {self.attribution_window}"
                 )
             prev = ev.delay
-
-
-@dataclass(frozen=True)
-class DelayBucketing:
-    """Bucket boundaries [d_1, ..., d_n] in seconds with the implied d_0 = 0,
-    plus the attribution window M. Defines n+1 sub-model windows."""
-
-    boundaries: tuple
-    attribution_window: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "boundaries", tuple(self.boundaries))
-        b = self.boundaries
-        # every check is written so that a NaN fails it: with the window
-        # finite, the boundaries are then finite and ordered too
-        if not 0 < self.attribution_window < math.inf:
-            raise ValueError(
-                f"attribution window must be finite and > 0, got "
-                f"{self.attribution_window}"
-            )
-        if not all(b[i] < b[i + 1] for i in range(len(b) - 1)):
-            raise ValueError(f"boundaries must be strictly increasing: {b}")
-        if not (b and 0 < b[0]):
-            raise ValueError(f"first boundary must be > 0: {b}")
-        if not b[-1] < self.attribution_window:
-            raise ValueError(
-                f"last boundary {b[-1]} must be < attribution window "
-                f"{self.attribution_window}"
-            )
-        if not 3 <= len(b) + 1 <= 10:
-            raise ValueError(
-                f"sub-model count {len(b) + 1} outside the supported range [3, 10]"
-            )
-
-    @property
-    def windows(self) -> tuple:
-        """The n+1 sub-model windows (d_i, d_{i+1}), with d_0 = 0 and
-        d_{n+1} = M."""
-        edges = (0.0, *self.boundaries, self.attribution_window)
-        return tuple(zip(edges, edges[1:]))
 
 
 def mature_label(example: ClickExample) -> float:

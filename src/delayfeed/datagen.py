@@ -33,6 +33,8 @@ from .core import DAY, ClickExample, ContractViolation, ConversionEvent, \
 SCHEMA_VERSION = "v1"
 SIDECAR_SCHEMA_VERSION = "v2"
 
+# the categorical fields of a click's serving features, in their order
+CLICK_FIELDS = ("campaign", "segment", "context")
 SEGMENT_TOKENS = tuple(f"s{i}" for i in range(6))
 CONTEXT_TOKENS = tuple(f"c{i}" for i in range(8))
 
@@ -162,6 +164,23 @@ class CampaignProfile:
         object.__setattr__(self, "segment_weights", tuple(self.segment_weights))
         _check_simplex(self.segment_weights, len(SEGMENT_TOKENS),
                        f"campaign {self.campaign_id} segments")
+        if (vl := self.value_lognorm) is not None:
+            vl = tuple(vl)
+            object.__setattr__(self, "value_lognorm", vl)
+        # each check is written so that a NaN fails it
+        for name, ok, rule in (
+            ("start_time", 0 <= self.start_time < math.inf, "finite and >= 0"),
+            ("attribution_window", 0 < self.attribution_window < math.inf,
+             "finite and > 0"),
+            ("drift_per_day", 0 < self.drift_per_day < math.inf,
+             "finite and > 0"),
+            ("value_lognorm", vl is None or (
+                len(vl) == 2 and math.isfinite(vl[0]) and 0 <= vl[1] < math.inf),
+             "None or a finite (mu, sigma) with sigma >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"campaign {self.campaign_id}: {name} must be "
+                                 f"{rule}, got {getattr(self, name)!r}")
 
     def truncated_cdf(self, t: float) -> float:
         """CDF of the actual delay distribution (mixture truncated to the
@@ -175,11 +194,7 @@ class CampaignProfile:
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignProfile":
         d = dict(d)
-        mix = d.pop("delay")
-        return cls(delay=DelayMixture(**mix), **{
-            k: tuple(v) if k in ("segment_weights", "value_lognorm") and v is not None else v
-            for k, v in d.items()
-        })
+        return cls(delay=DelayMixture(**d.pop("delay")), **d)
 
 
 @dataclass(frozen=True)
@@ -301,8 +316,9 @@ def generate(config: StreamConfig) -> Stream:
     m = config.attribution_window
     # feature pairs and whole serving-feature tuples are shared between
     # clicks, so a click holds references, not copies
-    segment_pairs = [("segment", tok) for tok in SEGMENT_TOKENS]
-    context_pairs = [("context", tok) for tok in CONTEXT_TOKENS]
+    campaign_field, segment_field, context_field = CLICK_FIELDS
+    segment_pairs = [(segment_field, tok) for tok in SEGMENT_TOKENS]
+    context_pairs = [(context_field, tok) for tok in CONTEXT_TOKENS]
     for camp, n_clicks in zip(campaigns, clicks_per_campaign.tolist()):
         if n_clicks == 0:
             continue
@@ -327,7 +343,7 @@ def generate(config: StreamConfig) -> Stream:
             rng, choice_cdf(camp.segment_weights), n_clicks).tolist()
         contexts = exact_choice(rng, context_cdf, n_clicks).tolist()
 
-        campaign_pair = ("campaign", str(camp.campaign_id))
+        campaign_pair = (campaign_field, str(camp.campaign_id))
         feature_tuples = {}  # (segment, context) -> serving features
         delays = delays.tolist()
         pos = 0

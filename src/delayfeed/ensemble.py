@@ -5,7 +5,7 @@ and cascaded label completion for training on immature examples.
 
 Training contract per sub-model i (thermometer encoding):
   - trains once the example's age reaches d_{i+1} (d_{n+1} = M, the
-    bucketing's attribution window),
+    attribution window),
   - label = events in its window [d_i, d_{i+1}) plus f_{i+1}'s current
     prediction of the remaining tail (the last sub-model has no tail),
   - features = serving features, plus aux derived from events before d_i
@@ -46,8 +46,9 @@ class VariantSpec:
     """One model of the comparison matrix: its report name, the regressor
     layout of its sub-models and their delay windows [lo, hi), ascending.
     Sub-model i trains once an example's age reaches its window's hi.
-    `mature_label`, allowed only with one window, trains that sub-model on
-    the full mature label instead of its window's label."""
+    `mature_label`, allowed only with one window of a single-output layout,
+    trains that sub-model on the full mature label instead of its window's
+    label."""
 
     name: str
     regressor_config: RegressorConfig
@@ -81,6 +82,9 @@ class VariantSpec:
                 f"{self.name}: needs at least one window, and exactly one "
                 f"to train on the mature label: {windows}"
             )
+        if self.mature_label and self.regressor_config.two_output_mode:
+            raise ValueError(f"{self.name}: the mature label is one signed "
+                             f"sum, which a two-output layout cannot train on")
 
 
 def _count_tokens() -> tuple:

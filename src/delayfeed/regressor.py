@@ -41,7 +41,7 @@ class RegressorConfig:
     hidden_layer_sizes: tuple = (32, 32)
     learning_rate: float = 0.05
     adagrad_epsilon: float = 1e-6
-    output_bias_init: float = math.log(0.5)
+    output_bias_init: float = math.log(0.2)  # a prior rate of 0.2
     two_output_mode: bool = False
     rng_seed: int = 0
 
@@ -340,7 +340,12 @@ class PoissonRegressor:
                     f"got {label}"
                 )
             return float(label)
-        pos, neg = label
+        try:
+            pos, neg = label
+        except (TypeError, ValueError):
+            raise ContractViolation(
+                f"two-output mode takes a (positive, negative) label pair, "
+                f"got {label!r}") from None
         if not all(math.isfinite(v) and v >= 0 for v in (pos, neg)):
             raise ContractViolation(
                 f"two-output labels must both be finite and >= 0, "

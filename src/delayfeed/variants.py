@@ -13,9 +13,10 @@ impossible outside simulation; reports flag it as an upper bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
-from .core import DAY, DelayBucketing
+from .core import DAY
 from .ensemble import BUCKET, SubModelEnsemble, VariantSpec
 from .regressor import RegressorConfig
 
@@ -30,23 +31,35 @@ class SingleDelayModel(SubModelEnsemble):
 
 
 def standard_specs(
-    bucketing: DelayBucketing,
+    attribution_window: float,
     regressor_config: RegressorConfig,
+    boundaries: tuple = (1 * DAY, 3 * DAY, 7 * DAY, 15 * DAY),
     m1_delay: float = 6 * 3600.0,
     m2_delays: tuple = (7 * DAY, 15 * DAY),
     two_output_mode: bool = False,
 ) -> dict:
-    """The full comparison matrix keyed by report name, in report order;
-    raises ValueError when two variants would share a name."""
+    """The full comparison matrix keyed by report name, in report order.
+    The delay-bucket variants share the n+1 windows (d_i, d_{i+1}) that the
+    bucket boundaries d_1 < ... < d_n cut from [0, M), M the attribution
+    window. Raises ValueError unless 0 < d_1, d_n < M < inf and 3 <= n+1 <=
+    10, or when two variants would share a name."""
+    edges = (0.0, *boundaries, attribution_window)
+    windows = tuple(zip(edges, edges[1:]))
+    # written so that a NaN fails it
+    if not (all(lo < hi for lo, hi in windows)
+            and attribution_window < math.inf and 3 <= len(windows) <= 10):
+        raise ValueError(
+            f"bucketing.boundaries_days must be 2 to 9 boundaries rising "
+            f"strictly inside (0, {attribution_window / DAY}), the attribution "
+            f"window in days: got {[b / DAY for b in boundaries]}")
     rc = regressor_config
     ens_rc = replace(rc, two_output_mode=two_output_mode)
-    windows = bucketing.windows
     specs = {}
     for spec in (
         VariantSpec("M1", rc, ((0.0, m1_delay),)),
         *(VariantSpec(f"M2_{int(round(d / DAY))}d", rc, ((0.0, d),))
           for d in m2_delays),
-        VariantSpec("M3", rc, ((0.0, bucketing.attribution_window),),
+        VariantSpec("M3", rc, ((0.0, attribution_window),),
                     mature_label=True),
         VariantSpec("M4", ens_rc, windows, encoding=BUCKET),
         VariantSpec("M5", ens_rc, windows),

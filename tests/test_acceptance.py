@@ -9,6 +9,7 @@ after code changes.
 
 import hashlib
 import json
+import math
 import statistics
 import sys
 import time
@@ -21,7 +22,6 @@ from delayfeed.cli import config_from_dict, main, stream_for_seed
 from delayfeed.core import (
     DAY,
     ContractViolation,
-    DelayBucketing,
     mature_label,
     observed_prefix,
     slice_label,
@@ -38,18 +38,18 @@ from delayfeed.regressor import (
 )
 from delayfeed.variants import VARIANT_NAMES, build_variant, standard_specs
 
+from test_core import windows
+
 SEEDS = (1, 2, 3, 4, 5)
 CACHE_DIR = Path(__file__).parent / "_cache"
 
-BUCKETING = DelayBucketing(
-    boundaries=(1 * DAY, 3 * DAY, 7 * DAY, 15 * DAY),
-    attribution_window=30 * DAY,
-)
+WINDOWS = windows(1 * DAY, 3 * DAY, 7 * DAY, 15 * DAY)
 SMALL_RC = RegressorConfig(
     categorical_fields=("campaign", "segment", "context"),
     embedding_dim=2,
     hash_buckets_per_field=64,
     hidden_layer_sizes=(4,),
+    output_bias_init=math.log(0.5),
     rng_seed=0,
 )
 
@@ -159,16 +159,16 @@ def test_label_completion_unbiased_with_analytic_tail():
     ))
     camps = stream.ground_truth.campaigns
     ens = SubModelEnsemble(
-        VariantSpec("Proposed", SMALL_RC, BUCKETING.windows, use_aux=True))
+        VariantSpec("Proposed", SMALL_RC, WINDOWS, use_aux=True))
 
     def tail(example, m):
         return posterior_expected_tail(
-            example, camps[example.campaign_id], BUCKETING.windows[m][0]
+            example, camps[example.campaign_id], WINDOWS[m][0]
         )
 
     true_mean = statistics.fmean(mature_label(e) for e in stream.examples)
     errors = []
-    for age, _ in BUCKETING.windows:
+    for age, _ in WINDOWS:
         est_mean = statistics.fmean(
             ens.estimate_mature_label(e, e.click_time + age, tail_predictor=tail)
             for e in stream.examples
@@ -280,6 +280,7 @@ def test_gradients_match_finite_differences():
             hash_buckets_per_field=8,
             hidden_layer_sizes=((), (3,), (4, 2))[trial % 3],
             two_output_mode=bool(trial % 2),
+            output_bias_init=math.log(0.5),
             rng_seed=trial,
         )
         model = PoissonRegressor(config)
@@ -340,20 +341,20 @@ def test_structural_invariants(tmp_path):
     rng = np.random.default_rng(5)
     from test_core import buckets, make_example, thermometer
     bucket_ens = SubModelEnsemble(
-        VariantSpec("M4", SMALL_RC, BUCKETING.windows, encoding=BUCKET))
+        VariantSpec("M4", SMALL_RC, WINDOWS, encoding=BUCKET))
     for _ in range(50):
         delays = sorted(rng.uniform(0, 30 * DAY, size=rng.integers(0, 8)))
         e = make_example(list(delays))
-        thermo = thermometer(e, BUCKETING)
-        slices = buckets(e, BUCKETING)
-        for m in range(len(BUCKETING.windows)):
+        thermo = thermometer(e, WINDOWS)
+        slices = buckets(e, WINDOWS)
+        for m in range(len(WINDOWS)):
             assert thermo[m] == pytest.approx(sum(slices[m:]))
             assert bucket_ens.training_label(e, m) == slices[m]
     checks.append("label identities")
 
     # training before an example matures for a sub-model is rejected
     ens = SubModelEnsemble(
-        VariantSpec("Proposed", SMALL_RC, BUCKETING.windows, use_aux=True))
+        VariantSpec("Proposed", SMALL_RC, WINDOWS, use_aux=True))
     e = make_example([0.5 * DAY])
     with pytest.raises(ContractViolation):
         ens.train_on(e, 1, now=e.click_time + 1 * DAY)
@@ -386,7 +387,7 @@ def test_structural_invariants(tmp_path):
     run(rec, [e], stream_end=e.click_time + 40 * DAY)
     assert rec.log[0] == ("eval", e.example_id)
     assert [entry[2] for entry in rec.log[1:]] == list(
-        range(len(BUCKETING.windows))
+        range(len(WINDOWS))
     )
     checks.append("evaluate-then-train ordering")
 
@@ -467,9 +468,10 @@ def test_retraction_two_output_pipeline():
         rng_seed=13,
     ))
     spec = standard_specs(
-        BUCKETING,
+        30 * DAY,
         RegressorConfig(
             categorical_fields=("campaign", "segment", "context"),
+            output_bias_init=math.log(0.5),
             rng_seed=0,
         ),
         two_output_mode=True,
@@ -479,7 +481,7 @@ def test_retraction_two_output_pipeline():
     # the signed decomposition is exact, for labels and for predictions
     decompose_exact = True
     for e in stream.examples[:500]:
-        for lo, _ in BUCKETING.windows:
+        for lo, _ in WINDOWS:
             hi = e.attribution_window
             pos, neg = split_signed(e, lo, hi)
             if pos - neg != slice_label(e, lo, hi):

@@ -67,6 +67,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_dict(bad)
 
+    @pytest.mark.parametrize("boundaries,window", [
+        ([3, 1], 30), ([0, 3], 30), ([1, 30], 30), ([1, 40], 30), ([7], 30),
+        (list(range(1, 11)), 30), ([1, 3], 2),
+    ], ids=["descending", "first-at-zero", "last-at-window",
+            "last-past-window", "two-windows", "eleven-windows",
+            "window-before-boundaries"])
+    def test_bucketing_refusal_names_the_key_in_days(self, boundaries, window):
+        raw = {"stream": {"attribution_window_days": window},
+               "bucketing": {"boundaries_days": boundaries}}
+        with pytest.raises(ValueError, match=re.escape(
+                f"inside (0, {float(window)}), the attribution window in "
+                f"days: got {[float(b) for b in boundaries]}")) as exc:
+            config_from_dict(raw)
+        assert str(exc.value).startswith("bucketing.boundaries_days ")
+
     @pytest.mark.parametrize("section,key,value", [
         ("regressor", "learning_rate", "NaN"),
         ("regressor", "learning_rate", "Infinity"),
@@ -303,6 +318,17 @@ class TestRun:
             ])
             outs.append(file_digest(out / "report_seed1.json"))
         assert outs[0] == outs[1]
+
+    def test_run_bad_boundary_list_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL, bucketing={
+            "boundaries_days": [5, 1]})))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bucketing.boundaries_days ")
+        assert "got [5.0, 1.0]" in err
+        assert not (tmp_path / "r").exists()
 
     def test_run_unknown_config_key_exits_1(self, tmp_path, capsys):
         path = tmp_path / "config.json"

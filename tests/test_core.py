@@ -9,7 +9,6 @@ from delayfeed.core import (
     ClickExample,
     ContractViolation,
     ConversionEvent,
-    DelayBucketing,
     MetricsAccumulator,
     mature_label,
     observed_prefix,
@@ -17,6 +16,8 @@ from delayfeed.core import (
     slice_label,
     split_signed,
 )
+from delayfeed.regressor import RegressorConfig
+from delayfeed.variants import standard_specs
 
 M = 30 * DAY
 
@@ -39,17 +40,24 @@ def make_example(delays, signs=None, values=None, m=M):
     )
 
 
-BUCKETING = DelayBucketing(boundaries=(1 * DAY, 7 * DAY), attribution_window=M)
+def windows(*boundaries, m=M):
+    """The sub-model windows (d_i, d_{i+1}) that the bucket boundaries
+    d_1 < ... < d_n cut from [0, m)."""
+    edges = (0.0, *boundaries, m)
+    return tuple(zip(edges, edges[1:]))
 
 
-def thermometer(e, b=BUCKETING):
+WINDOWS = windows(1 * DAY, 7 * DAY)
+
+
+def thermometer(e, w=WINDOWS):
     """Overlapping tail labels: element i covers [d_i, M)."""
-    return [slice_label(e, lo, b.attribution_window) for lo, _ in b.windows]
+    return [slice_label(e, lo, w[-1][1]) for lo, _ in w]
 
 
-def buckets(e, b=BUCKETING):
+def buckets(e, w=WINDOWS):
     """Disjoint window labels: element i covers [d_i, d_{i+1})."""
-    return [slice_label(e, lo, hi) for lo, hi in b.windows]
+    return [slice_label(e, lo, hi) for lo, hi in w]
 
 
 class TestMatureLabel:
@@ -106,7 +114,7 @@ class TestLabelEncodings:
     def test_bucket_counts(self):
         e = make_example([0.5 * DAY, 3 * DAY, 20 * DAY])
         assert buckets(e) == [1.0, 1.0, 1.0]
-        # the last window ends at the bucketing's M, not the example's
+        # the last window ends at M = 30 d, not at the example's 40 d
         long = make_example([0.5 * DAY, 3 * DAY, 20 * DAY, 35 * DAY], m=40 * DAY)
         assert buckets(long) == [1.0, 1.0, 1.0]
         assert thermometer(long) == [3.0, 2.0, 1.0]
@@ -161,7 +169,7 @@ class TestStructuralInvariants:
     @settings(max_examples=200, deadline=None)
     def test_prefix_plus_tail_is_mature(self, e):
         therm = thermometer(e)
-        for i, (lo, _) in enumerate(BUCKETING.windows):
+        for i, (lo, _) in enumerate(WINDOWS):
             prefix = observed_prefix(e, lo)
             assert prefix + therm[i] == pytest.approx(mature_label(e), abs=1e-9)
             pos, neg = split_signed(e, lo, M)
@@ -225,13 +233,23 @@ class TestPoissonNll:
 
 
 class TestDelayBucketing:
+    """The bucket boundaries d_1 < ... < d_n and the attribution window M,
+    which `standard_specs` cuts into the n+1 sub-model windows. Each refusal
+    names the config key and gives the boundaries in days."""
+
+    @staticmethod
+    def refuses(boundaries, window=M):
+        with pytest.raises(ValueError) as exc:
+            standard_specs(window, RegressorConfig(), boundaries=boundaries)
+        message = str(exc.value)
+        assert message.startswith("bucketing.boundaries_days ")
+        assert message.endswith(f"got {[b / DAY for b in boundaries]}")
+
     def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            DelayBucketing(boundaries=(7 * DAY, 1 * DAY), attribution_window=M)
+        self.refuses((7 * DAY, 1 * DAY))
 
     def test_rejects_boundary_at_window(self):
-        with pytest.raises(ValueError):
-            DelayBucketing(boundaries=(1 * DAY, M), attribution_window=M)
+        self.refuses((1 * DAY, M))
 
     @pytest.mark.parametrize("boundaries,window", [
         ((1 * DAY, 3 * DAY), math.nan),
@@ -241,19 +259,22 @@ class TestDelayBucketing:
         ((1 * DAY, math.nan, 3 * DAY), M),
     ], ids=["window-nan", "window-inf", "first-nan", "last-nan", "middle-nan"])
     def test_rejects_values_not_finite(self, boundaries, window):
-        with pytest.raises(ValueError):
-            DelayBucketing(boundaries=boundaries, attribution_window=window)
+        self.refuses(boundaries, window)
 
     def test_rejects_too_many_sub_models(self):
-        with pytest.raises(ValueError):
-            DelayBucketing(
-                boundaries=tuple(float(i) for i in range(1, 11)),
-                attribution_window=M,
-            )
+        self.refuses(tuple(float(i) for i in range(1, 11)))
 
     def test_windows_tile_zero_to_the_attribution_window(self):
-        assert BUCKETING.windows == ((0.0, 1 * DAY), (1 * DAY, 7 * DAY),
-                                     (7 * DAY, M))
+        specs = standard_specs(M, RegressorConfig(),
+                               boundaries=(1 * DAY, 7 * DAY))
+        for name in ("M4", "M5", "Proposed"):
+            assert specs[name].windows == WINDOWS == (
+                (0.0, 1 * DAY), (1 * DAY, 7 * DAY), (7 * DAY, M))
+
+    def test_default_boundaries_are_1_3_7_15_days(self):
+        specs = standard_specs(M, RegressorConfig())
+        assert specs["M5"].windows == windows(1 * DAY, 3 * DAY, 7 * DAY,
+                                              15 * DAY)
 
 
 class TestMetricsAccumulator:

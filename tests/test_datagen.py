@@ -181,6 +181,41 @@ class TestCampaignProfile:
         with pytest.raises(ValueError, match="campaign 1 segments"):
             read_sidecar(path)
 
+    @pytest.mark.parametrize("name,value", [
+        ("start_time", math.nan), ("start_time", -1.0), ("start_time", math.inf),
+        ("attribution_window", -5.0), ("attribution_window", 0.0),
+        ("attribution_window", math.nan), ("attribution_window", math.inf),
+        ("drift_per_day", math.inf), ("drift_per_day", 0.0),
+        ("drift_per_day", -1.0), ("drift_per_day", math.nan),
+        ("value_lognorm", (0.0, -1.0)), ("value_lognorm", (0.0, math.nan)),
+        ("value_lognorm", (0.0, math.inf)), ("value_lognorm", (math.nan, 0.5)),
+        ("value_lognorm", (math.inf, 0.5)), ("value_lognorm", (0.0,)),
+        ("value_lognorm", (0.0, 0.5, 1.0)),
+    ])
+    def test_rejects_bad_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^campaign 0: {name} must be "):
+            replace(single_campaign(), **{name: value})
+
+    def test_accepts_unit_spread_values_and_keeps_a_tuple(self):
+        camp = single_campaign(value_lognorm=[0.0, 0.0])
+        assert camp.value_lognorm == (0.0, 0.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("start_time", -1.0), ("attribution_window", -5.0),
+        ("drift_per_day", 0.0), ("value_lognorm", [0.0, -1.0]),
+    ])
+    def test_sidecar_with_a_bad_field_is_rejected(self, tmp_path, name, value):
+        stream = generate(StreamConfig(total_clicks=30, campaign_count=2,
+                                       rng_seed=15))
+        path = tmp_path / "truth.ndjson"
+        write_sidecar(path, stream)
+        header, *lines = path.read_text().splitlines()
+        d = json.loads(header)
+        d["campaigns"][1][name] = value
+        path.write_text("\n".join([json.dumps(d)] + lines) + "\n")
+        with pytest.raises(ValueError, match=f"^campaign 1: {name} must be "):
+            read_sidecar(path)
+
     def test_default_segment_weights_are_uniform(self):
         assert single_campaign().segment_weights == tuple([1 / 6] * 6)
 

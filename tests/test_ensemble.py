@@ -6,7 +6,6 @@ import pytest
 from delayfeed.core import (
     DAY,
     ContractViolation,
-    DelayBucketing,
     mature_label,
     slice_label,
 )
@@ -19,29 +18,29 @@ from delayfeed.ensemble import (
 )
 from delayfeed.regressor import FeatureVector, RegressorConfig
 
-from test_core import make_example
+from test_core import WINDOWS, make_example, windows
 
 M = 30 * DAY
-BUCKETING = DelayBucketing(boundaries=(1 * DAY, 7 * DAY), attribution_window=M)
 
 BASE_RC = RegressorConfig(
     categorical_fields=("campaign",),
     embedding_dim=3,
     hash_buckets_per_field=16,
     hidden_layer_sizes=(4,),
+    output_bias_init=math.log(0.5),
     rng_seed=11,
 )
 
 
 def make_ensemble(encoding=THERMOMETER, use_aux=True, two_output=False,
-                  bucketing=BUCKETING):
+                  windows=WINDOWS):
     rc = BASE_RC
     if two_output:
         rc = RegressorConfig(
             **{**rc.__dict__, "two_output_mode": True}
         )
     return SubModelEnsemble(VariantSpec(
-        "Proposed", rc, bucketing.windows, encoding=encoding, use_aux=use_aux,
+        "Proposed", rc, windows, encoding=encoding, use_aux=use_aux,
     ))
 
 
@@ -58,12 +57,12 @@ def zero_to_bias(model, bias):
 class TestConfig:
     def test_bucket_with_aux_rejected(self):
         with pytest.raises(ValueError, match="cannot use aux"):
-            VariantSpec("M4", BASE_RC, BUCKETING.windows, encoding=BUCKET,
+            VariantSpec("M4", BASE_RC, WINDOWS, encoding=BUCKET,
                         use_aux=True)
 
     # bucket encoding with aux: test_bucket_with_aux_rejected
     @pytest.mark.parametrize("windows,options,match", [
-        (BUCKETING.windows, {"encoding": "thermo"}, "unknown encoding"),
+        (WINDOWS, {"encoding": "thermo"}, "unknown encoding"),
         ((), {}, "at least one window"),
         (((1 * DAY, 7 * DAY), (0.0, 1 * DAY)), {}, "ascending"),
         (((0.0, 2 * DAY), (1 * DAY, 7 * DAY)), {}, "disjoint"),
@@ -74,7 +73,7 @@ class TestConfig:
         (((0.0, 1 * DAY), (1 * DAY, math.nan)), {}, "finite"),
         (((0.0, math.inf),), {}, "finite"),
         (((-1.0, 1 * DAY),), {}, "0 <= lo"),
-        (BUCKETING.windows, {"mature_label": True}, "exactly one"),
+        (WINDOWS, {"mature_label": True}, "exactly one"),
     ], ids=["unknown-encoding", "no-windows",
             "descending", "overlapping", "nested", "lo-above-hi", "nan-hi",
             "nan-lo", "nan-last-hi", "inf-hi", "negative-lo",
@@ -83,6 +82,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             VariantSpec("probe", BASE_RC, windows, **options)
 
+    def test_spec_rejects_mature_label_with_two_outputs(self):
+        # the mature label is one signed sum, not a (positive, negative) pair
+        rc = RegressorConfig(**{**BASE_RC.__dict__, "two_output_mode": True})
+        with pytest.raises(ValueError, match="^X: .*two-output"):
+            VariantSpec("X", rc, ((0.0, 0.0),), mature_label=True)
+
     def test_spec_keeps_windows_as_tuples(self):
         spec = VariantSpec("probe", BASE_RC, [[0.0, 1 * DAY], [1 * DAY, M]])
         assert spec.windows == ((0.0, 1 * DAY), (1 * DAY, M))
@@ -90,10 +95,10 @@ class TestConfig:
 
     def test_sub_model_count(self):
         ens = make_ensemble()
-        assert len(ens.sub_models) == len(BUCKETING.windows) == 3
+        assert len(ens.sub_models) == len(WINDOWS) == 3
 
     def test_sub_model_seeds(self):
-        spec = VariantSpec("probe", BASE_RC, BUCKETING.windows)
+        spec = VariantSpec("probe", BASE_RC, WINDOWS)
         ens = SubModelEnsemble(spec, seed_offset=101)
         assert ens.spec is spec
         assert [m.config.rng_seed for m in ens.sub_models] == [
@@ -106,7 +111,7 @@ class TestConfig:
             for b in buffers[i + 1:]:
                 assert not np.shares_memory(a, b)
         # each sub-model's state is its row of the ensemble's two buffers
-        n = len(BUCKETING.windows)
+        n = len(WINDOWS)
         assert ens.stack.params.shape == ens.stack.g2.shape
         assert ens.stack.params.shape[0] == n
         for i, m in enumerate(ens.sub_models):
@@ -185,10 +190,8 @@ class TestServe:
         # signed predictions (x, B, x, -B) with x below half an ulp of B:
         # left to right gives 0.0, a compensated sum (builtin sum() from
         # Python 3.12, math.fsum) gives 2x
-        bucketing = DelayBucketing(boundaries=(1 * DAY, 3 * DAY, 7 * DAY),
-                                   attribution_window=M)
         ens = make_ensemble(encoding=BUCKET, use_aux=False, two_output=True,
-                            bucketing=bucketing)
+                            windows=windows(1 * DAY, 3 * DAY, 7 * DAY))
         log_rates = [(-20.0, -30.0), (30.0, -30.0), (-20.0, -30.0), (-30.0, 30.0)]
         for m, bias in zip(ens.sub_models, log_rates):
             zero_to_bias(m, bias)
@@ -268,13 +271,10 @@ class TestTrainingSchedule:
         ]
 
     def test_length_and_monotone(self):
-        bucketing = DelayBucketing(
-            boundaries=(0.5 * DAY, 2 * DAY, 5 * DAY, 12 * DAY),
-            attribution_window=M,
-        )
-        ens = make_ensemble(bucketing=bucketing)
+        ens = make_ensemble(windows=windows(0.5 * DAY, 2 * DAY, 5 * DAY,
+                                            12 * DAY))
         sched = ens.training_schedule(make_example([], m=M))
-        assert len(sched) == len(bucketing.windows)
+        assert len(sched) == 5
         times = [t for t, _ in sched]
         assert times == sorted(times)
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -300,7 +300,7 @@ class TestTrainOn:
     def test_cascade_telescoping(self):
         ens = make_ensemble()
         e = make_example([0.5 * DAY, 2 * DAY, 8 * DAY, 20 * DAY])
-        slices = [slice_label(e, lo, hi) for lo, hi in BUCKETING.windows[:2]]
+        slices = [slice_label(e, lo, hi) for lo, hi in WINDOWS[:2]]
         tail = ens.training_label(e, 2)
         assert sum(slices) + tail == pytest.approx(mature_label(e))
 
@@ -327,10 +327,10 @@ class TestTrainOn:
     def test_causality_no_future_events(self, i, two_output):
         # training f_i at age d_{i+1} must give identical results whether or
         # not events beyond d_{i+1} exist yet; the example's own window (40d)
-        # outlasts the bucketing's (30d), so f_2 must stop at 30d too
+        # outlasts the windows' (30d), so f_2 must stop at 30d too
         delays = [0.2 * DAY, 5 * DAY, 20 * DAY, 35 * DAY]
         e_future = make_example(delays, m=40 * DAY)
-        upper = BUCKETING.windows[i][1]
+        upper = WINDOWS[i][1]
         e_censored = make_example([d for d in delays if d < upper], m=40 * DAY)
         ens_a = make_ensemble(two_output=two_output)
         ens_b = make_ensemble(two_output=two_output)

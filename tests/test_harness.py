@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from delayfeed.core import DAY, DelayBucketing, MetricsAccumulator, mature_label
+from delayfeed.core import DAY, MetricsAccumulator, mature_label
 from delayfeed.datagen import StreamConfig, generate
 from delayfeed.harness import (
     RunResult,
@@ -21,12 +21,13 @@ from delayfeed.variants import build_variant, standard_specs
 from test_core import make_example
 
 M = 30 * DAY
-BUCKETING = DelayBucketing(boundaries=(1 * DAY, 7 * DAY), attribution_window=M)
+BOUNDARIES = (1 * DAY, 7 * DAY)
 RC = RegressorConfig(
     categorical_fields=("campaign",),
     embedding_dim=2,
     hash_buckets_per_field=8,
     hidden_layer_sizes=(4,),
+    output_bias_init=math.log(0.5),
     rng_seed=3,
 )
 
@@ -71,7 +72,7 @@ def shifted(example, t):
 
 class TestEventOrdering:
     def test_single_example_proposed_schedule_order(self):
-        ens_spec = standard_specs(BUCKETING, RC)["Proposed"]
+        ens_spec = standard_specs(M, RC, boundaries=BOUNDARIES)["Proposed"]
         ens = build_variant(ens_spec)
         wrapper = RecordingVariant(ens.training_schedule)
         e = make_example([0.5 * DAY])
@@ -200,7 +201,7 @@ class TestStreamedTimeline:
         times = [e.click_time for e in stream]
         assert len(set(times)) < len(times) // 2
         rc = replace(RC, categorical_fields=("campaign", "segment", "context"))
-        spec = standard_specs(BUCKETING, rc)[name]
+        spec = standard_specs(M, rc, boundaries=BOUNDARIES)[name]
         got, want = DispatchLog(build_variant(spec)), DispatchLog(build_variant(spec))
         result = run(got, stream, slices)
         expected = reference_run(want, stream, slices)
@@ -271,7 +272,7 @@ class TestMetricsAndSlices:
         # example 1's serving prediction must be bit-identical whether or
         # not example 1's own training events exist (they come later on the
         # timeline); example 0's training still happens in both runs
-        spec = standard_specs(BUCKETING, RC)["Proposed"]
+        spec = standard_specs(M, RC, boundaries=BOUNDARIES)["Proposed"]
         e0 = shifted(make_example([0.2 * DAY, 3 * DAY]), 0.0)
         e1 = shifted(make_example([0.5 * DAY]), 10 * DAY)
         stream = stream_of([e0, e1])
@@ -285,7 +286,7 @@ class TestMetricsAndSlices:
         assert served[0] == served[1]
 
     def test_determinism_byte_identical_reports(self):
-        spec = standard_specs(BUCKETING, RC)["Proposed"]
+        spec = standard_specs(M, RC, boundaries=BOUNDARIES)["Proposed"]
         base = make_example([0.2 * DAY])
         stream = stream_of([shifted(base, float(i) * 3600) for i in range(50)])
         reports = []

@@ -27,6 +27,7 @@ def small_config(**kw):
         hash_buckets_per_field=16,
         hidden_layer_sizes=(5,),
         learning_rate=0.05,
+        output_bias_init=math.log(0.5),
         rng_seed=7,
     )
     defaults.update(kw)
@@ -187,6 +188,14 @@ class TestTrainStep:
         for bad in ((1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)):
             with pytest.raises(ContractViolation):
                 model.train_step(fv(), bad)
+
+    @pytest.mark.parametrize("label", [1.0, (1.0,), (1.0, 2.0, 3.0), None])
+    def test_two_output_label_must_be_a_pair(self, label):
+        model = PoissonRegressor(small_config(two_output_mode=True))
+        params = model.params.copy()
+        with pytest.raises(ContractViolation, match="label pair"):
+            model.train_step(fv(aux=1.0), label)
+        assert np.array_equal(model.params, params)
 
     def test_failing_step_leaves_no_partial_update(self):
         # the loss and the dense gradients stay finite, but the gradient

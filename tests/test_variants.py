@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from delayfeed import harness
-from delayfeed.core import DAY, ContractViolation, DelayBucketing, \
-    mature_label, slice_label
+from delayfeed.core import DAY, ContractViolation, mature_label, \
+    slice_label
 from delayfeed.ensemble import BUCKET, THERMOMETER, SubModelEnsemble, \
     VariantSpec
 from delayfeed.regressor import RegressorConfig
@@ -17,21 +17,22 @@ from delayfeed.variants import (
     standard_specs,
 )
 
-from test_core import make_example
+from test_core import WINDOWS, make_example
 
 M = 30 * DAY
-BUCKETING = DelayBucketing(boundaries=(1 * DAY, 7 * DAY), attribution_window=M)
+BOUNDARIES = (1 * DAY, 7 * DAY)
 RC = RegressorConfig(
     categorical_fields=("campaign",),
     embedding_dim=2,
     hash_buckets_per_field=8,
     hidden_layer_sizes=(),
+    output_bias_init=math.log(0.5),
     rng_seed=5,
 )
 
 
 def specs():
-    return standard_specs(BUCKETING, RC, m1_delay=6 * 3600.0)
+    return standard_specs(M, RC, boundaries=BOUNDARIES, m1_delay=6 * 3600.0)
 
 
 class TestMatrix:
@@ -48,7 +49,7 @@ class TestMatrix:
         assert s["M3"].windows == ((0.0, M),) and s["M3"].mature_label
         assert s["Oracle"].windows == ((0.0, 0.0),) and s["Oracle"].mature_label
         for name in ("M4", "M5", "Proposed"):
-            assert s[name].windows == BUCKETING.windows
+            assert s[name].windows == WINDOWS
             assert not s[name].mature_label
         assert s["M4"].encoding == BUCKET and not s["M4"].use_aux
         assert s["M5"].encoding == THERMOMETER and not s["M5"].use_aux
@@ -59,7 +60,8 @@ class TestMatrix:
     def test_duplicate_names_are_refused(self):
         # 6.8 and 7.2 days both round to M2_7d
         with pytest.raises(ValueError, match="duplicate variant name M2_7d"):
-            standard_specs(BUCKETING, RC, m2_delays=(6.8 * DAY, 7.2 * DAY))
+            standard_specs(M, RC, boundaries=BOUNDARIES,
+                           m2_delays=(6.8 * DAY, 7.2 * DAY))
 
     def test_m3_and_oracle_share_architecture(self):
         s = specs()
@@ -172,7 +174,7 @@ class TestBuildVariant:
         )
 
     def test_two_output_matrix(self):
-        s = standard_specs(BUCKETING, RC, two_output_mode=True)
+        s = standard_specs(M, RC, boundaries=BOUNDARIES, two_output_mode=True)
         assert s["Proposed"].regressor_config.two_output_mode
         # single-delay baselines stay single-output: like every single-output
         # variant they clamp a negative label to 0 and count it
