@@ -21,6 +21,7 @@ import numbers
 import os
 import statistics
 import sys
+import time
 from dataclasses import dataclass, fields, replace
 
 from . import __version__
@@ -159,6 +160,8 @@ _stream_cache = {}
 
 
 def _run_task(cfg: ExperimentConfig, name: str, seed: int):
+    """(seed, name, RunResult, runtime_s) of one (variant, seed) task; the
+    runtime is the replay's alone, without the stream's set-up."""
     key = (cfg.digest, seed)
     stream = _stream_cache.get(key)
     if stream is None:
@@ -170,26 +173,24 @@ def _run_task(cfg: ExperimentConfig, name: str, seed: int):
     variant = build_variant(cfg.specs[name], seed_offset=seed * 101)
     slices = default_slices(stream.ground_truth.high_delay)
     log.info("running %s seed %d (%d clicks)", name, seed, len(stream.examples))
-    return run(variant, stream.examples, slices)
+    t0 = time.perf_counter()
+    result = run(variant, stream.examples, slices)
+    return seed, name, result, time.perf_counter() - t0
 
 
-def run_matrix(cfg: ExperimentConfig, names, seeds, jobs: int = 1) -> dict:
-    """{seed: {variant: RunResult}} for the requested matrix."""
-    tasks = [(name, seed) for seed in seeds for name in names]
-    out = {seed: {} for seed in seeds}
+def run_matrix(cfg: ExperimentConfig, tasks, jobs: int = 1):
+    """Run each (variant name, seed) task of `tasks`, on `jobs` worker
+    processes if more than one, and yield (seed, name, RunResult,
+    runtime_s) as each finishes."""
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_run_task, cfg, name, seed): (name, seed)
-                for name, seed in tasks
-            }
+            futures = [pool.submit(_run_task, cfg, name, seed)
+                       for name, seed in tasks]
             for fut in concurrent.futures.as_completed(futures):
-                name, seed = futures[fut]
-                out[seed][name] = fut.result()
+                yield fut.result()
     else:
         for name, seed in tasks:
-            out[seed][name] = _run_task(cfg, name, seed)
-    return out
+            yield _run_task(cfg, name, seed)
 
 
 def seed_report(cfg: ExperimentConfig, seed: int, results: dict) -> dict:
@@ -283,7 +284,10 @@ def cmd_run(args) -> int:
         )
         return 2
 
-    matrix = run_matrix(cfg, names, seeds, jobs=args.jobs)
+    matrix = {seed: {} for seed in seeds}
+    tasks = [(name, seed) for seed in seeds for name in names]
+    for seed, name, result, _ in run_matrix(cfg, tasks, jobs=args.jobs):
+        matrix[seed][name] = result
     reports = []
     for seed in seeds:
         report = seed_report(cfg, seed, matrix[seed])

@@ -227,6 +227,13 @@ class StreamConfig:
             raise ValueError("attribution_window must be finite and > 0")
         if not 0 <= self.cold_start_fraction < 1:
             raise ValueError("cold_start_fraction must be in [0, 1)")
+        # written so that a NaN fails them
+        if not 0 <= self.retraction_prob <= 1:
+            raise ValueError(f"retraction_prob must be in [0, 1], got "
+                             f"{self.retraction_prob!r}")
+        if not 0 <= self.drift_magnitude < 1:
+            raise ValueError(f"drift_magnitude must be in [0, 1), got "
+                             f"{self.drift_magnitude!r}")
 
 
 @dataclass

@@ -2,14 +2,19 @@
 real stdout so the verdicts survive pytest's capture.
 
 The benchmark matrix (8 variants x 5 seeds at full scale) takes a while on
-one core, so its per-seed summaries are cached under tests/_cache/ keyed by
-the experiment config digest. Delete that directory to force a full rerun
-after code changes.
+one core, so its summaries are cached under tests/_cache/, one file per
+(variant, seed) task and one per seed for the stream's delay mass. Every
+file name holds the digest of the resolved default config and a sha256 of
+src/delayfeed/*.py, so any source or config change misses the cache and
+reruns the missing tasks through `delayfeed run`'s own `run_matrix`, on as
+many worker processes as there are usable CPUs. test_cli.py fails while a
+file keyed on another config or source is left in the directory.
 """
 
 import hashlib
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -18,7 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayfeed.cli import config_from_dict, main, stream_for_seed
+import delayfeed
+from delayfeed.cli import config_from_dict, main, run_matrix, stream_for_seed
 from delayfeed.core import (
     DAY,
     ContractViolation,
@@ -36,12 +42,14 @@ from delayfeed.regressor import (
     RegressorConfig,
     hash_token,
 )
-from delayfeed.variants import VARIANT_NAMES, build_variant, standard_specs
+from delayfeed.variants import build_variant, standard_specs
 
 from test_core import windows
 
 SEEDS = (1, 2, 3, 4, 5)
 CACHE_DIR = Path(__file__).parent / "_cache"
+SOURCE_DIR = Path(delayfeed.__file__).parent
+DELAY_MASS = "_delay_mass_beyond_1d"
 
 WINDOWS = windows(1 * DAY, 3 * DAY, 7 * DAY, 15 * DAY)
 SMALL_RC = RegressorConfig(
@@ -98,34 +106,56 @@ def _delay_mass_beyond(stream, threshold: float) -> float:
     return statistics.fmean(tail[e.campaign_id] for e in stream.examples)
 
 
-def matrix_seed(cfg, seed: int) -> dict:
-    """One seed's summaries of every variant, read from the cache or run
-    and written to it."""
-    cache_path = CACHE_DIR / f"matrix_{cfg.digest}_seed{seed}.json"
-    if cache_path.exists():
-        return json.loads(cache_path.read_text())
-    stream = stream_for_seed(cfg, seed)
-    slices = default_slices(stream.ground_truth.high_delay)
-    per_seed = {
-        "_delay_mass_beyond_1d": _delay_mass_beyond(stream, 1 * DAY),
-    }
-    for name in VARIANT_NAMES:
-        variant = build_variant(cfg.specs[name], seed_offset=seed * 101)
-        t0 = time.perf_counter()
-        result = run(variant, stream.examples, slices)
-        summary = _summarize(result)
-        summary["runtime_s"] = time.perf_counter() - t0
-        per_seed[name] = summary
-    CACHE_DIR.mkdir(exist_ok=True)
-    cache_path.write_text(json.dumps(per_seed))
-    return per_seed
+def source_digest(source_dir: Path = SOURCE_DIR) -> str:
+    """sha256 of the package's modules, each by file name and bytes."""
+    h = hashlib.sha256()
+    for path in sorted(source_dir.glob("*.py")):
+        h.update(f"{path.name}\0{path.stat().st_size}\0".encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def cache_prefix(cfg, source_dir: Path = SOURCE_DIR) -> str:
+    """What the name of every cache file of `cfg`'s matrix begins with: the
+    digest of the resolved config and that of the source that ran it."""
+    return f"matrix_{cfg.digest}_{source_digest(source_dir)}_seed"
+
+
+def _write_json(path: Path, value):
+    # written whole or not at all, so a killed run leaves no torn entry
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(json.dumps(value))
+    tmp.replace(path)
 
 
 @pytest.fixture(scope="session")
 def matrix():
+    """The default config's matrix, one cache file per (variant, seed) task
+    and one per seed for the stream's delay mass. Each missing task runs
+    through `cli.run_matrix`, the path of `delayfeed run`, and is written
+    as it finishes, so a killed rerun keeps every finished task."""
     cfg = config_from_dict({})
+    prefix = cache_prefix(cfg)
+
+    def path(seed, entry):
+        return CACHE_DIR / f"{prefix}{seed}_{entry}.json"
+
+    CACHE_DIR.mkdir(exist_ok=True)
+    for seed in SEEDS:
+        if not path(seed, DELAY_MASS).exists():
+            stream = stream_for_seed(cfg, seed)
+            _write_json(path(seed, DELAY_MASS),
+                        _delay_mass_beyond(stream, 1 * DAY))
+    missing = [(name, seed) for seed in SEEDS for name in cfg.variants
+               if not path(seed, name).exists()]
+    jobs = min(len(missing), len(os.sched_getaffinity(0)))
+    for seed, name, result, runtime_s in run_matrix(cfg, missing, jobs):
+        _write_json(path(seed, name),
+                    {**_summarize(result), "runtime_s": runtime_s})
     return {"digest": cfg.digest, "seeds": list(SEEDS), "results": {
-        str(seed): matrix_seed(cfg, seed) for seed in SEEDS}}
+        str(seed): {entry: json.loads(path(seed, entry).read_text())
+                    for entry in (DELAY_MASS, *cfg.variants)}
+        for seed in SEEDS}}
 
 
 def _pll(matrix, seed, variant, slice_name="ALL"):
@@ -198,9 +228,7 @@ def test_proposed_final_quarter_calibration(matrix):
 
 
 def test_short_delay_baseline_underpredicts(matrix):
-    masses = [
-        matrix["results"][str(seed)]["_delay_mass_beyond_1d"] for seed in SEEDS
-    ]
+    masses = [matrix["results"][str(seed)][DELAY_MASS] for seed in SEEDS]
     biases = [
         matrix["results"][str(seed)]["M1"]["slices"]["ALL"]["bias"]
         for seed in SEEDS

@@ -3,16 +3,22 @@ import hashlib
 import json
 import os
 import re
+import shutil
 
 import pytest
 
+from delayfeed import cli
 from delayfeed.cli import (
     aggregate_reports,
     config_from_dict,
     load_config,
     main,
+    run_matrix,
 )
+from delayfeed.harness import compare
 from delayfeed.variants import VARIANT_NAMES
+
+from test_acceptance import CACHE_DIR, SOURCE_DIR, cache_prefix
 
 SMALL = {
     "schema_version": "v1",
@@ -27,6 +33,9 @@ SMALL = {
                   "hash_buckets_per_field": 64},
     "seeds": [1],
 }
+# every variant at two seeds, at 400 clicks
+MATRIX = dict(SMALL, stream=dict(SMALL["stream"], total_clicks=400),
+              seeds=[1, 2])
 
 
 @pytest.fixture
@@ -141,6 +150,13 @@ class TestConfig:
         ("learning_rate", '"0.05"', "regressor"),
         ("m1_delay_hours", "true", None),
         ("schema_version", "1", None),
+        # a probability in [0, 1], a drift in [0, 1)
+        ("retraction_prob", "1.5", "stream"),
+        ("retraction_prob", "-0.1", "stream"),
+        ("retraction_prob", "NaN", "stream"),
+        ("drift_magnitude", "1", "stream"),
+        ("drift_magnitude", "-0.01", "stream"),
+        ("drift_magnitude", "NaN", "stream"),
     ])
     def test_rejection_names_the_key(self, tmp_path, key, value, where):
         raw = dict(SMALL)
@@ -207,15 +223,35 @@ class TestConfig:
         )}
         assert len(digests) == 1
 
-    def test_cached_matrices_are_keyed_on_the_default_digest(self):
-        # a stale cache file would grade the gate on another config's runs
-        cache = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                             "_cache")
-        digest = config_from_dict({}).digest
-        names = os.listdir(cache) if os.path.isdir(cache) else []
-        stale = [n for n in names if n.startswith("matrix_")
-                 and not n.startswith(f"matrix_{digest}_seed")]
-        assert stale == []
+    def test_cached_matrices_are_keyed_on_the_config_and_source(self):
+        # a stale cache file would grade the gate on another config's or
+        # another source's runs: delete it and rerun the gate
+        prefix = cache_prefix(config_from_dict({}))
+        names = os.listdir(CACHE_DIR) if CACHE_DIR.is_dir() else []
+        stale = [n for n in names
+                 if n.startswith("matrix_") and not n.startswith(prefix)]
+        assert stale == [], f"cache files not keyed on {prefix}*"
+
+    @pytest.mark.parametrize("module", sorted(
+        p.name for p in SOURCE_DIR.glob("*.py")))
+    def test_cache_key_covers_every_source_byte(self, tmp_path, module):
+        for path in SOURCE_DIR.glob("*.py"):
+            shutil.copy(path, tmp_path)
+        cfg = config_from_dict({})
+        assert cache_prefix(cfg, tmp_path) == cache_prefix(cfg)
+        target = tmp_path / module
+        code = bytearray(target.read_bytes())
+        code[len(code) // 2] ^= 1
+        target.write_bytes(code)
+        assert cache_prefix(cfg, tmp_path) != cache_prefix(cfg)
+
+    def test_cache_key_follows_the_resolved_config(self):
+        default = cache_prefix(config_from_dict({}))
+        assert cache_prefix(config_from_dict(
+            {"stream": {"total_clicks": 200000}})) == default
+        for raw in ({"regressor": {"learning_rate": 0.02}}, {"seeds": [1]},
+                    {"stream": {"retraction_prob": 0.1}}):
+            assert cache_prefix(config_from_dict(raw)) != default
 
 
 class TestGen:
@@ -246,19 +282,53 @@ class TestGen:
         (dict(SMALL, m2_delays_days=7), "m2_delays_days"),
         (dict(SMALL, regressor=dict(SMALL["regressor"], embedding_dim=2.5)),
          "embedding_dim"),
+        (dict(SMALL, stream=dict(SMALL["stream"], retraction_prob=1.5)),
+         "retraction_prob"),
+        (dict(SMALL, stream=dict(SMALL["stream"], drift_magnitude=1.0)),
+         "drift_magnitude"),
     ])
     @pytest.mark.parametrize("command", ["gen", "run"])
     def test_ill_typed_value_exits_1_naming_the_key(self, tmp_path, capsys,
-                                                     raw, key, command):
+                                                     monkeypatch, raw, key,
+                                                     command):
+        # refused while resolving, before the config is digested
+        monkeypatch.setattr(cli, "_digest", lambda obj: pytest.fail(
+            "digest of a config that should be refused"))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        rc = main([command, "--config", str(bad), "--out", str(tmp_path / "x")])
-        assert rc == 1
+        out = tmp_path / "x"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key.split(".")[-1] in err
+        assert not out.exists()
 
 
 class TestRun:
+    def test_run_matrix_jobs_yield_each_task_once_alike(self):
+        cfg = config_from_dict(MATRIX)
+        tasks = [(name, seed) for seed in cfg.seeds for name in cfg.variants]
+        reports = {}
+        for jobs in (1, 2):
+            done = list(run_matrix(cfg, tasks, jobs))
+            assert sorted((name, seed) for seed, name, _, _ in done) == \
+                sorted(tasks)
+            assert all(runtime_s > 0 for *_, runtime_s in done)
+            reports[jobs] = {(seed, name): json.dumps(compare({name: result}))
+                             for seed, name, result, _ in done}
+        assert reports[1] == reports[2]
+
+    def test_run_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(MATRIX))
+        outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            assert main(["run", "--config", str(path), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert "aggregate.json" in names and sorted(os.listdir(outs[1])) == names
+        for name in names:
+            assert file_digest(outs[0] / name) == file_digest(outs[1] / name)
+
     def test_run_single_variant_m3(self, config_path, tmp_path):
         out = tmp_path / "r"
         rc = main([

@@ -221,6 +221,17 @@ class TestCampaignProfile:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("field,ok,bad", [
+        ("retraction_prob", (0.0, 1.0), (-0.1, 1.5, math.nan)),
+        ("drift_magnitude", (0.0, 0.999), (-0.01, 1.0, math.inf, math.nan)),
+    ])
+    def test_config_range_is_checked(self, field, ok, bad):
+        for value in ok:
+            assert getattr(StreamConfig(**{field: value}), field) == value
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^{field} must be in "):
+                StreamConfig(**{field: value})
+
     def test_same_seed_identical(self, tmp_path):
         cfg = StreamConfig(total_clicks=500, campaign_count=5, rng_seed=42)
         a, b = generate(cfg), generate(cfg)
