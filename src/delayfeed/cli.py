@@ -101,6 +101,11 @@ def _section(d, path: str, keys: str) -> dict:
     return out
 
 
+def _repeated(seeds: tuple) -> str:
+    """The seeds listed more than once, comma-separated; empty if none."""
+    return ", ".join(map(str, sorted({s for s in seeds if seeds.count(s) > 1})))
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     """The resolved config of a JSON dict. Only the keys present reach the
     dataclasses and `standard_specs`, so each default is stated by its
@@ -132,6 +137,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     seeds = tuple(d.get("seeds", (0,)))
     if not all(map(is_integer, seeds)):
         raise ValueError(f"seeds must be a list of integers, got {list(seeds)}")
+    if repeated := _repeated(seeds):
+        raise ValueError(f"seeds lists {repeated} more than once; each seed "
+                         f"runs once")
     # every variant this config builds, unless a list of names is given
     variants = tuple(d.get("variants", ["all"]))
     variants = tuple(specs) if variants == ("all",) else variants
@@ -274,6 +282,10 @@ def cmd_run(args) -> int:
     seeds = (
         tuple(int(s) for s in args.seed.split(",")) if args.seed else cfg.seeds
     )
+    if repeated := _repeated(seeds):
+        print(f"--seed lists {repeated} more than once; each seed runs once",
+              file=sys.stderr)
+        return 2
     names = cfg.variants if args.variant == "all" else (args.variant,)
     unknown = [n for n in names if n not in cfg.specs]
     if unknown:

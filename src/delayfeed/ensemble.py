@@ -160,11 +160,11 @@ class SubModelEnsemble:
 
     def serve(self, example: ClickExample) -> float:
         """Predicted full mature label at click time, from serving features
-        only. Thermometer: a single f_0 forward. Bucket: the sum of every
+        only. Thermometer: one `read` of f_0. Bucket: the sum of every
         sub-model's prediction, from one stacked forward of all n+1."""
-        fv = FeatureVector(categorical=example.serving_features)
         if self._thermometer:
-            return self.sub_models[0].predict(fv)
+            return self.sub_models[0].read(example.serving_features)
+        fv = FeatureVector(categorical=example.serving_features)
         # left to right on purpose: builtin sum() of floats is compensated
         # from Python 3.12, which would make reports depend on the version
         total = 0.0

@@ -168,8 +168,9 @@ class PoissonRegressor:
     those two buffers. The model allocates them, or takes zero-filled
     `params` and `g2` vectors from its caller (rows of a `RegressorStack`).
 
-    Single-writer during training; read-only inference between training
-    steps is safe from any thread.
+    Single-writer during training; `forward` and `predict` between training
+    steps are safe from any thread, `read` (which reuses one input vector)
+    from one at a time.
     """
 
     def __init__(self, config: RegressorConfig, params=None, g2=None):
@@ -233,6 +234,12 @@ class PoissonRegressor:
         # np.dot adds to every call
         self._views = (self._emb_rows, np.zeros(d), self.weights, self.biases,
                        np.ndarray.dot)
+        # read's input vector; its embedding slots, one row per field, and
+        # their first k rows for every k; how many rows the last read filled
+        self._read_input = np.zeros(self.input_dim)
+        self._read_slots = self._read_input[: d * nf].reshape(nf, d)
+        self._read_heads = [self._read_slots[:k] for k in range(nf + 1)]
+        self._read_k = 0
 
     # -- forward ---------------------------------------------------------
 
@@ -323,6 +330,40 @@ class PoissonRegressor:
         if self.n_outputs == 1:
             return out
         return out[0] - out[1]
+
+    def read(self, categorical) -> float:
+        """`predict(FeatureVector(categorical))`, bit for bit: the serving
+        read. When the pairs are the first k declared fields, in declared
+        order, each once, their k embedding rows are gathered with one
+        `take` into the leading slots of the model's input vector, whose
+        other slots are zero; any other input goes through `predict`. Unlike
+        `forward`, it keeps no layer inputs for a backward pass."""
+        memo = self._rows
+        rows = []
+        for j, pair in enumerate(categorical):
+            fi, row = memo.get(pair) or self._lookup(pair)
+            if fi != j:
+                return self.predict(FeatureVector(categorical))
+            rows.append(row)
+        self.forward_calls += 1
+        k = len(rows)
+        if k:
+            # "clip" writes straight into `out`; "raise" would buffer
+            self._emb_rows.take(rows, 0, self._read_heads[k], "clip")
+        if k < self._read_k:
+            self._read_slots[k : self._read_k] = 0.0
+        self._read_k = k
+        h = self._read_input
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if i:
+                np.maximum(h, _ZERO, out=h)
+            h = h.dot(w)
+            h += b
+        rates = np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
+        if self.n_outputs == 1:
+            return float(rates[0])
+        plus, minus = rates.tolist()
+        return plus - minus
 
     # -- training --------------------------------------------------------
 

@@ -259,6 +259,20 @@ def test_all_data_pll_ranking(matrix):
     )
 
 
+def test_window_split_beats_mature_label(matrix):
+    # the paper's first idea alone: the thermometer ensemble without aux
+    # inputs trains on fresher labels than M3, which waits for maturity
+    wins, rows = 0, []
+    for seed in SEEDS:
+        m5, m3 = _pll(matrix, seed, "M5"), _pll(matrix, seed, "M3")
+        wins += m5 < m3
+        rows.append(f"seed {seed}: M5={m5:.4f} M3={m3:.4f}")
+    verdict(
+        wins == len(SEEDS), "window split: M5 below M3 on all-data PLL",
+        f"M5<M3 on {wins}/{len(SEEDS)}; " + "; ".join(rows),
+    )
+
+
 def test_cold_start_slice_advantage(matrix):
     wins = wider = 0
     for seed in SEEDS:

@@ -138,6 +138,9 @@ class TestConfig:
         ("hidden_layer_sizes", "[4.5]", "regressor"),
         ("seeds", "[1.5]", None),
         ("seeds", "[true]", None),
+        # each seed runs once
+        ("seeds", "[3, 3]", None),
+        ("seeds", "[1, 2, 1]", None),
         # list keys must be JSON lists
         ("seeds", '"12"', None),
         ("variants", '"M1"', None),
@@ -418,6 +421,17 @@ class TestRun:
         assert rc == 2
         err = capsys.readouterr().err
         assert "M99" in err and "Proposed" in err
+
+    def test_repeated_seed_exits_2_naming_it(self, config_path, tmp_path,
+                                             capsys):
+        rc = main([
+            "run", "--config", config_path, "--variant", "M1",
+            "--seed", "4,5,4", "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--seed lists 4 more than once" in err
+        assert not (tmp_path / "r").exists()
 
     def test_multi_seed_aggregate(self, config_path, tmp_path):
         out = tmp_path / "r"

@@ -1,8 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from delayfeed.cli import config_from_dict, stream_for_seed
 from delayfeed.core import (
     DAY,
     ContractViolation,
@@ -16,7 +18,9 @@ from delayfeed.ensemble import (
     VariantSpec,
     aux_count_token,
 )
+from delayfeed.harness import default_slices, run
 from delayfeed.regressor import FeatureVector, RegressorConfig
+from delayfeed.variants import build_variant
 
 from test_core import WINDOWS, make_example, windows
 
@@ -207,6 +211,18 @@ class TestServe:
         with_events = make_example([0.1 * DAY, 2 * DAY, 20 * DAY])
         without = make_example([])
         assert ens.serve(with_events) == ens.serve(without)
+
+    @pytest.mark.parametrize("name", ["Proposed", "M5", "M3", "M1"])
+    def test_thermometer_serve_is_f0_predict_bit_for_bit(self, name):
+        cfg = config_from_dict({"stream": {"total_clicks": 300}})
+        stream = stream_for_seed(cfg, 3)
+        model = build_variant(cfg.specs[name])
+        run(model, stream.examples, default_slices(stream.ground_truth.high_delay))
+        f0 = model.sub_models[0]
+        for e in stream.examples:
+            served = model.serve(e)
+            fv = FeatureVector(categorical=e.serving_features)
+            assert struct.pack("<d", served) == struct.pack("<d", f0.predict(fv))
 
 
 class TestEstimateMatureLabel:

@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 from dataclasses import replace
 
@@ -685,3 +686,116 @@ def test_full_memo_is_cleared_and_rows_stay_right(monkeypatch):
         assert model.train_step(features, label) == reference_step(
             ref, features, label), step
     assert np.array_equal(model.params, ref.params)
+
+
+# -- the serving read -----------------------------------------------------------
+
+SERVING_FIELDS = ("campaign", "segment", "context")
+
+
+def bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def read_layouts():
+    """The one-window layout, Proposed's f_0 layout (an aux field and an
+    aux numeric feature) and a two-output one, each with two hidden layers
+    so that a read applies ReLU in place."""
+    base = small_config(categorical_fields=SERVING_FIELDS, numeric_features=(),
+                        hidden_layer_sizes=(6, 5), hash_buckets_per_field=8)
+    aux = replace(base, categorical_fields=SERVING_FIELDS + ("aux_count",),
+                  numeric_features=("aux_label_so_far",))
+    return {"one_window": base, "proposed_f0": aux,
+            "two_output": replace(aux, two_output_mode=True)}
+
+
+def serving_tuple(rng, fields, k):
+    return tuple((f, f"t{rng.integers(5)}") for f in fields[:k])
+
+
+def trained_model(cfg, rng, steps=30):
+    model = PoissonRegressor(cfg)
+    for _ in range(steps):
+        categorical = list(serving_tuple(rng, cfg.categorical_fields,
+                                         len(cfg.categorical_fields)))
+        features = FeatureVector(categorical,
+                                 [(n, 2.0) for n in cfg.numeric_features])
+        label = (1.0, 0.5) if cfg.two_output_mode else 1.0
+        model.train_step(features, label)
+    return model
+
+
+@pytest.mark.parametrize("layout", sorted(read_layouts()))
+def test_read_equals_predict(layout):
+    cfg = read_layouts()[layout]
+    rng = np.random.default_rng(21)
+    model = trained_model(cfg, rng)
+    nf = len(cfg.categorical_fields)
+    # k = 3 is the serving tuple; on the aux layout k = 4 fills the aux slot
+    for k in sorted({3, nf}) * 20:
+        categorical = serving_tuple(rng, cfg.categorical_fields, k)
+        calls = model.forward_calls
+        got = model.read(categorical)
+        assert model.forward_calls == calls + 1
+        assert bits(got) == bits(model.predict(FeatureVector(categorical)))
+
+
+@pytest.mark.parametrize("layout", sorted(read_layouts()))
+def test_read_interleaved_with_forward_and_training(layout):
+    cfg = read_layouts()[layout]
+    rng = np.random.default_rng(22)
+    model = trained_model(cfg, rng, steps=5)
+    nf = len(cfg.categorical_fields)
+    for step in range(200):
+        # k falls as often as it rises, so a slot left by a longer read
+        # would show
+        k = int(rng.integers(nf + 1))
+        categorical = serving_tuple(rng, cfg.categorical_fields, k)
+        features = FeatureVector(list(categorical))
+        assert bits(model.read(categorical)) == bits(model.predict(features)), step
+        action = rng.integers(3)
+        if action == 0:
+            model.forward(FeatureVector(list(categorical),
+                                        [(n, 3.0) for n in cfg.numeric_features]))
+        elif action == 1:
+            label = (1.0, 2.0) if cfg.two_output_mode else 2.0
+            model.train_step(features, label)
+    full = serving_tuple(rng, cfg.categorical_fields, 3)
+    short = full[:2]
+    model.read(full)
+    assert bits(model.read(short)) == bits(model.predict(FeatureVector(short)))
+    assert bits(model.read(())) == bits(model.predict(FeatureVector([])))
+
+
+@pytest.mark.parametrize("categorical", [
+    (("segment", "s"), ("campaign", "c"), ("context", "x")),
+    (("campaign", "c"), ("campaign", "d"), ("segment", "s")),
+    (("campaign", "c"), ("segment", "s"), ("segment", "s")),
+    (("campaign", "c"), ("context", "x")),
+    (("segment", "s"),),
+], ids=["out_of_order", "repeated", "repeated_last", "absent_middle",
+        "absent_first"])
+def test_read_falls_back_to_predict(categorical):
+    cfg = read_layouts()["proposed_f0"]
+    model = trained_model(cfg, np.random.default_rng(23))
+    full = (("campaign", "c"), ("segment", "s"), ("context", "x"))
+    model.read(full)
+    calls = model.forward_calls
+    got = model.read(categorical)
+    assert model.forward_calls == calls + 1
+    assert bits(got) == bits(model.predict(FeatureVector(categorical)))
+    # and the next read in shape is still right
+    assert bits(model.read(full[:1])) == bits(model.predict(FeatureVector(full[:1])))
+
+
+@pytest.mark.parametrize("categorical", [
+    (("nope", "x"),),
+    (("campaign", "c"), ("nope", "x")),
+    (("campaign", "c"), ("segment", "s"), ("context", "x"), ("nope", "x")),
+])
+def test_read_of_an_unknown_field_raises_on_every_call(categorical):
+    model = PoissonRegressor(read_layouts()["one_window"])
+    for _ in range(3):
+        with pytest.raises(ContractViolation, match="nope"):
+            model.read(categorical)
+    assert ("nope", "x") not in model._rows
