@@ -169,7 +169,9 @@ _stream_cache = {}
 
 def _run_task(cfg: ExperimentConfig, name: str, seed: int):
     """(seed, name, RunResult, runtime_s) of one (variant, seed) task; the
-    runtime is the replay's alone, without the stream's set-up."""
+    runtime is the replay's alone, without the stream's set-up. A
+    non-finite training step ends the task with a FloatingPointError that
+    names the seed too."""
     key = (cfg.digest, seed)
     stream = _stream_cache.get(key)
     if stream is None:
@@ -182,7 +184,10 @@ def _run_task(cfg: ExperimentConfig, name: str, seed: int):
     slices = default_slices(stream.ground_truth.high_delay)
     log.info("running %s seed %d (%d clicks)", name, seed, len(stream.examples))
     t0 = time.perf_counter()
-    result = run(variant, stream.examples, slices)
+    try:
+        result = run(variant, stream.examples, slices)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"seed {seed}: {exc}") from exc
     return seed, name, result, time.perf_counter() - t0
 
 
@@ -406,7 +411,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

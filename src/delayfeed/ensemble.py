@@ -228,7 +228,8 @@ class SubModelEnsemble:
     def train_on(self, example: ClickExample, i: int, now: float = None) -> float:
         """One training step of sub-model i on this example. The harness
         guarantees scheduling order; `now`, when given, is asserted against
-        the maturity requirement."""
+        the maturity requirement. A non-finite step is not applied, and its
+        FloatingPointError names the variant, sub-model, example and time."""
         if not 0 <= i < len(self._windows):
             raise ContractViolation(f"{self.name} has no sub-model {i}")
         required = example.click_time + self._windows[i][1]
@@ -242,4 +243,9 @@ class SubModelEnsemble:
             self.negative_label_clamps += 1
             label = 0.0
         features = self.features_for(example, i)
-        return self.sub_models[i].train_step(features, label)
+        try:
+            return self.sub_models[i].train_step(features, label)
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"{self.name} sub-model {i}, example {example.example_id} "
+                f"at time {now}: {exc}") from exc

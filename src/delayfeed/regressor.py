@@ -168,9 +168,9 @@ class PoissonRegressor:
     those two buffers. The model allocates them, or takes zero-filled
     `params` and `g2` vectors from its caller (rows of a `RegressorStack`).
 
-    Single-writer during training; `forward` and `predict` between training
-    steps are safe from any thread, `read` (which reuses one input vector)
-    from one at a time.
+    Every pass assembles its input in one vector the model reuses:
+    `forward`, `predict`, `read` and `train_step` all write it, so a model
+    is for one thread at a time.
     """
 
     def __init__(self, config: RegressorConfig, params=None, g2=None):
@@ -190,15 +190,19 @@ class PoissonRegressor:
         size = sum(math.prod(s) for s in shapes)
         self.params = np.zeros(size) if params is None else _state_buffer(params, size)
         self.g2 = np.zeros(size) if g2 is None else _state_buffer(g2, size)
-        # dense gradient of the last backward pass, laid out like the
-        # dense tail of `params`
-        self._grad = np.empty(sum(math.prod(s) for s in dense_shapes))
-        self._work = np.empty((2, self._grad.size))
-        # zeros for train_step's finiteness check: the dense gradient's, and
-        # a buffer that grows to fit the embedding gradients
-        self._zeros = np.zeros(max(self._grad.size, d * nf))
-        self._dense_zeros = self._zeros[: self._grad.size]
-        n_emb = self.params.size - self._grad.size
+        n_dense = sum(math.prod(s) for s in dense_shapes)
+        # gradients of the last backward pass: the dense gradient, laid out
+        # like the dense tail of `params`, then the input's gradient, so
+        # that the dense gradient and the first k embedding slots' are one
+        # array for every k
+        self._grads = np.empty(n_dense + self.input_dim)
+        self._grad, self._input_grad = self._grads[:n_dense], self._grads[n_dense:]
+        self._checked = [self._grads[: n_dense + d * k] for k in range(nf + 1)]
+        self._work = np.empty((2, n_dense))
+        # zeros for train_step's finiteness check; they grow to fit the
+        # gradients of a summed input's rows
+        self._zeros = np.zeros(self._grads.size)
+        n_emb = self.params.size - n_dense
         self._dense = self.params[n_emb:]
         self._dense_g2 = self.g2[n_emb:]
         # every embedding row of every field, field by field: row
@@ -230,72 +234,16 @@ class PoissonRegressor:
         }
         self._field_index = {f: i for i, f in enumerate(fields)}
         self._rows = _row_memo(fields, config.hash_buckets_per_field)
-        # what _forward_cached reads; ndarray.dot skips the dispatch that
-        # np.dot adds to every call
-        self._views = (self._emb_rows, np.zeros(d), self.weights, self.biases,
-                       np.ndarray.dot)
-        # read's input vector; its embedding slots, one row per field, and
-        # their first k rows for every k; how many rows the last read filled
-        self._read_input = np.zeros(self.input_dim)
-        self._read_slots = self._read_input[: d * nf].reshape(nf, d)
-        self._read_heads = [self._read_slots[:k] for k in range(nf + 1)]
-        self._read_k = 0
+        # the input vector of every pass: one embedding slot per field, then
+        # the numeric slots; the first k slots for every k. Every entry from
+        # `_end` on is zero.
+        self._input = np.zeros(self.input_dim)
+        self._slots = self._input[: d * nf].reshape(nf, d)
+        self._heads = [self._slots[:k] for k in range(nf + 1)]
+        self._numeric = self._input[d * nf :]
+        self._end = 0
 
-    # -- forward ---------------------------------------------------------
-
-    def _forward_cached(self, features: FeatureVector, views):
-        """Returns (rates, the input of every layer, lookups); allocates
-        every array it returns. `views` is (embedding rows, zero block,
-        weights, biases, product). With this model's own `_views` the input
-        is one (input_dim,) vector and `product` is `dot`. With a
-        `RegressorStack`'s views of R models of this layout, the embedding
-        rows are (rows, R, embedding_dim), every other array gains a
-        leading R axis, `product` is `matmul` and the rates are
-        (R, 1, n_outputs).
-
-        The input is, in declared field order, the sum of each field's
-        embedding rows (the zero block for an absent field), then the
-        log1p-scaled numeric features. `lookups` lists (field index,
-        `_emb_rows` row) per categorical entry."""
-        emb, zero, weights, biases, product = views
-        cfg = self.config
-        memo = self._rows
-        parts = [zero] * len(cfg.categorical_fields)
-        lookups = []
-        for pair in features.categorical:
-            hit = memo.get(pair)
-            if hit is None:
-                hit = self._lookup(pair)
-            lookups.append(hit)
-            fi, row = hit
-            parts[fi] = emb[row] if parts[fi] is zero else parts[fi] + emb[row]
-        numeric = [0.0] * len(cfg.numeric_features)
-        for name, value in features.numeric:
-            idx = self._numeric_index.get(name)
-            if idx is None:
-                raise ContractViolation(
-                    f"unknown numeric feature {name!r}; declared: "
-                    f"{cfg.numeric_features}"
-                )
-            # log1p scaling for heavy-tailed count-like inputs
-            numeric[idx] = math.copysign(math.log1p(abs(value)), value)
-        # an empty numeric part only costs a conversion, unless it is the
-        # only part
-        if numeric or not parts:
-            parts.append(numeric if zero.ndim == 1 else [numeric] * len(zero))
-        if zero.ndim == 1:
-            h = np.concatenate(parts)
-        else:
-            h = np.concatenate(parts, axis=1)[:, None, :]
-        inputs = []
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if i:
-                np.maximum(h, _ZERO, out=h)
-            inputs.append(h)
-            h = product(h, w)
-            h += b
-        rates = np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
-        return rates, inputs, lookups
+    # -- input -----------------------------------------------------------
 
     def _lookup(self, pair):
         """(field index, `_emb_rows` row) of one (field_id, token) pair,
@@ -316,10 +264,93 @@ class PoissonRegressor:
         memo[pair] = hit
         return hit
 
+    def _lookups(self, categorical) -> list:
+        """(field index, `_emb_rows` row) of each pair, in order."""
+        memo = self._rows
+        return [memo.get(pair) or self._lookup(pair) for pair in categorical]
+
+    def _numeric_values(self, numeric) -> list:
+        """The numeric slots' values: each named feature log1p-scaled, every
+        other slot 0."""
+        values = [0.0] * len(self.config.numeric_features)
+        for name, value in numeric:
+            idx = self._numeric_index.get(name)
+            if idx is None:
+                raise ContractViolation(
+                    f"unknown numeric feature {name!r}; declared: "
+                    f"{self.config.numeric_features}"
+                )
+            # log1p scaling for heavy-tailed count-like inputs
+            values[idx] = math.copysign(math.log1p(abs(value)), value)
+        return values
+
+    def _fill(self, categorical, numeric=()):
+        """Writes the input vector of these features: in declared field
+        order, the sum of each field's embedding rows (zero for an absent
+        field), then the log1p-scaled numeric features (zero unless given).
+        When the pairs are the first k declared fields, in declared order,
+        each once, the k rows are gathered with one `take` into the first k
+        slots and returned as a list; any other input is summed slot by
+        slot, the first row of a field copied and later ones added, and
+        None is returned. An unknown field or feature raises before
+        anything is written."""
+        memo = self._rows
+        rows = []
+        for j, pair in enumerate(categorical):
+            fi, row = memo.get(pair) or self._lookup(pair)
+            if fi != j:
+                rows = None
+                break
+            rows.append(row)
+        values = self._numeric_values(numeric) if numeric else None
+        if rows is None:
+            lookups = self._lookups(categorical)
+            slots, emb = self._slots, self._emb_rows
+            slots[...] = 0.0
+            summed = set()
+            for fi, row in lookups:
+                if fi in summed:
+                    slots[fi] += emb[row]
+                else:
+                    slots[fi] = emb[row]
+                    summed.add(fi)
+            end = slots.size
+        else:
+            k = len(rows)
+            if k:
+                # "clip" writes straight into `out`; "raise" would buffer
+                self._emb_rows.take(rows, 0, self._heads[k], "clip")
+            end = k * self.config.embedding_dim
+        stale = self._end
+        if values is None:
+            self._end = end
+        else:
+            self._numeric[:] = values
+            stale = min(stale, self._slots.size)
+            self._end = self.input_dim
+        if end < stale:
+            self._input[end:stale] = 0.0
+        return rows
+
+    # -- forward ---------------------------------------------------------
+
+    def _rates(self):
+        """The rates of the input vector, allocated; no layer's input is
+        kept (the training pass keeps them)."""
+        h = self._input
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if i:
+                np.maximum(h, _ZERO, out=h)
+            # ndarray.dot skips the dispatch that np.dot adds to every call
+            h = h.dot(w)
+            h += b
+        return np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
+
     def forward(self, features: FeatureVector):
         """Rate (single output) or (rate_plus, rate_minus) in two-output mode."""
         self.forward_calls += 1
-        rates, _, _ = self._forward_cached(features, self._views)
+        self._fill(features.categorical, features.numeric)
+        rates = self._rates()
         if self.n_outputs == 1:
             return float(rates[0])
         return float(rates[0]), float(rates[1])
@@ -332,34 +363,11 @@ class PoissonRegressor:
         return out[0] - out[1]
 
     def read(self, categorical) -> float:
-        """`predict(FeatureVector(categorical))`, bit for bit: the serving
-        read. When the pairs are the first k declared fields, in declared
-        order, each once, their k embedding rows are gathered with one
-        `take` into the leading slots of the model's input vector, whose
-        other slots are zero; any other input goes through `predict`. Unlike
-        `forward`, it keeps no layer inputs for a backward pass."""
-        memo = self._rows
-        rows = []
-        for j, pair in enumerate(categorical):
-            fi, row = memo.get(pair) or self._lookup(pair)
-            if fi != j:
-                return self.predict(FeatureVector(categorical))
-            rows.append(row)
+        """`predict(FeatureVector(categorical))`, bit for bit, without
+        building the FeatureVector: the serving read."""
         self.forward_calls += 1
-        k = len(rows)
-        if k:
-            # "clip" writes straight into `out`; "raise" would buffer
-            self._emb_rows.take(rows, 0, self._read_heads[k], "clip")
-        if k < self._read_k:
-            self._read_slots[k : self._read_k] = 0.0
-        self._read_k = k
-        h = self._read_input
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if i:
-                np.maximum(h, _ZERO, out=h)
-            h = h.dot(w)
-            h += b
-        rates = np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
+        self._fill(categorical)
+        rates = self._rates()
         if self.n_outputs == 1:
             return float(rates[0])
         plus, minus = rates.tolist()
@@ -396,12 +404,25 @@ class PoissonRegressor:
 
     def _gradients(self, features: FeatureVector, label):
         """The one backward pass: gradients of the summed Poisson NLL over
-        outputs. Writes the dense gradients into `_grad` and returns (loss,
-        the distinct `_emb_rows` rows looked up, their gradients as one
-        (rows, embedding_dim) array). A row looked up k times gets the sum
-        of its k gradients."""
+        outputs. Returns (loss, the distinct `_emb_rows` rows looked up,
+        their values as one (rows, embedding_dim) array, the gradients as
+        one flat array: the dense gradient, laid out like `_grad`, then
+        each row's). A row looked up k times gets the sum of its k
+        gradients. After a gather the rows' values are the input vector's
+        slots and the gradients a view of `_grads`, so the row updates
+        apply to those in place."""
         y = self._label(label)
-        rates, inputs, lookups = self._forward_cached(features, self._views)
+        rows = self._fill(features.categorical, features.numeric)
+        # the layers of `_rates`, keeping each layer's input: the input
+        # vector, then the hidden layers' ReLU outputs
+        h, inputs = self._input, []
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if i:
+                np.maximum(h, _ZERO, out=h)
+            inputs.append(h)
+            h = h.dot(w)
+            h += b
+        rates = np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
         # the loss, rates - y * log(rates) summed, in float arithmetic gives
         # the bits numpy gives. The gradient of each layer's pre-activation
         # is its bias gradient; the output layer's is rates - y (exp link).
@@ -422,28 +443,29 @@ class PoissonRegressor:
             # of the active units, and a float mask multiplies faster
             grad *= np.sign(inputs[i])
         dot(inputs[0][:, None], grad_rows[0], out=self._weight_grads[0])
-        grad = self.weights[0].dot(grads[0])
-        d = self.config.embedding_dim
-        # dL/dx of each field's embedding slot
-        field_grads = grad[: d * len(self.config.categorical_fields)].reshape(-1, d)
-        position, rows, fields, repeats = {}, [], [], []
-        for fi, row in lookups:
+        # dL/dx of each slot of the input vector
+        dot(self.weights[0], grads[0], out=self._input_grad)
+        if rows is not None:
+            k = len(rows)
+            return loss, rows, self._heads[k], self._checked[k]
+        field_grads = self._input_grad[: self._slots.size].reshape(self._slots.shape)
+        position, rows, emb_grads = {}, [], []
+        for fi, row in self._lookups(features.categorical):
             j = position.get(row)
             if j is None:
                 position[row] = len(rows)
                 rows.append(row)
-                fields.append(fi)
+                emb_grads.append(field_grads[fi])
             else:
-                repeats.append((j, fi))
-        emb_grads = field_grads.take(fields, axis=0)
-        for j, fi in repeats:
-            emb_grads[j] += field_grads[fi]
-        return loss, np.array(rows, dtype=np.intp), emb_grads
+                emb_grads[j] = emb_grads[j] + field_grads[fi]
+        grads = np.concatenate([self._grad, *emb_grads])
+        return loss, rows, self._emb_rows.take(rows, axis=0), grads
 
     def gradients(self, features: FeatureVector, label):
         """Analytic gradients without updating: (loss, weight grads,
         bias grads, embedding grads as {(field, row): vector})."""
-        loss, rows, emb_grads = self._gradients(features, label)
+        loss, rows, _, grads = self._gradients(features, label)
+        emb_grads = grads[self._grad.size :].reshape(-1, self.config.embedding_dim)
         fields = self.config.categorical_fields
         buckets = self.config.hash_buckets_per_field
         return (
@@ -451,39 +473,40 @@ class PoissonRegressor:
             [g.copy() for g in self._weight_grads],
             [g.copy() for g in self._bias_grads],
             {
-                (fields[row // buckets], row % buckets): g
-                for row, g in zip(rows.tolist(), emb_grads)
+                (fields[row // buckets], row % buckets): g.copy()
+                for row, g in zip(rows, emb_grads)
             },
         )
 
     def train_step(self, features: FeatureVector, label) -> float:
         """One online AdaGrad step; returns the pre-update loss. Only
         embedding rows actually touched by the input are updated, all in
-        one AdaGrad update over their gathered values. A non-finite loss
-        or gradient raises before anything is written."""
-        loss, rows, emb_grads = self._gradients(features, label)
+        one AdaGrad update over their gathered values, which are then
+        scattered back. A non-finite loss or gradient raises before
+        anything is written."""
+        loss, rows, emb, grads = self._gradients(features, label)
+        n = grads.size
         zeros = self._zeros
-        if emb_grads.size > zeros.size:
-            zeros = self._zeros = np.zeros(emb_grads.size)
-        # x * 0 is NaN exactly when x is inf or NaN, so each product is NaN
-        # exactly when its gradient holds a non-finite entry; unlike dot,
+        if n > zeros.size:
+            zeros = self._zeros = np.zeros(n)
+        # x * 0 is NaN exactly when x is inf or NaN, so the sum is NaN
+        # exactly when a gradient holds a non-finite entry; unlike dot,
         # vdot does not turn the invalid flag of inf * 0 into a warning
-        if not math.isfinite(loss) or math.isnan(
-            np.vdot(self._grad, self._dense_zeros)
-            + np.vdot(emb_grads, zeros[: emb_grads.size])
-        ):
+        if not math.isfinite(loss) or math.isnan(np.vdot(grads, zeros[:n])):
             raise FloatingPointError(
                 f"non-finite loss or gradient (loss={loss}); step not applied"
             )
         lr, eps = self._lr, self._eps
+        n_dense = self._grad.size
         adagrad_update(
-            self._dense, self._dense_g2, self._grad, lr, eps, self._work
+            self._dense, self._dense_g2, grads[:n_dense], lr, eps, self._work
         )
-        emb = self._emb_rows.take(rows, axis=0)
-        emb_g2 = self._emb_rows_g2.take(rows, axis=0)
-        adagrad_update(emb, emb_g2, emb_grads, lr, eps)
-        self._emb_rows[rows] = emb
-        self._emb_rows_g2[rows] = emb_g2
+        if rows:
+            rows = np.array(rows)
+            emb_g2 = self._emb_rows_g2.take(rows, axis=0)
+            adagrad_update(emb, emb_g2, grads[n_dense:].reshape(emb.shape), lr, eps)
+            self._emb_rows[rows] = emb
+            self._emb_rows_g2[rows] = emb_g2
         return loss
 
     # -- checkpointing ----------------------------------------------------
@@ -531,7 +554,9 @@ class RegressorStack:
     Per call, numpy dispatch outweighs the arithmetic of these small
     layers: one stacked `matmul` costs about 2.5 single-model `dot`s and
     replaces R of them. So a read of several models at once takes
-    `forward`; a read of one model takes that model's own `forward`.
+    `forward`, which sums each field's rows into a concatenated input; a
+    pass of one model takes that model's own `read`, `forward` or
+    `train_step`, which gather into its input vector.
     """
 
     def __init__(self, config: RegressorConfig, seeds):
@@ -553,13 +578,32 @@ class RegressorStack:
         emb = self.params[:, :n_emb].reshape(n_rows, -1, d).transpose(1, 0, 2)
         # a (R, 1, fan_in) input times (R, fan_in, fan_out) weights
         dense = _carve(self.params[:, n_emb:], shapes[nf:])
-        biases = [b[:, None, :] for b in dense[nl:]]
-        self._views = (emb, np.zeros((n_rows, d)), dense[:nl], biases, np.matmul)
+        self._emb, self._zero = emb, np.zeros((n_rows, d))
+        self._weights = dense[:nl]
+        self._biases = [b[:, None, :] for b in dense[nl:]]
 
     def forward(self, features: FeatureVector):
         """(R, n_outputs) rates; row r equals `models[r].forward(features)`
         bit for bit. Counts one forward call on every model."""
         for m in self.models:
             m.forward_calls += 1
-        rates, _, _ = self.models[0]._forward_cached(features, self._views)
+        model = self.models[0]
+        emb, zero = self._emb, self._zero
+        # each field's (R, embedding_dim) block, in declared order, as the
+        # single model's slots: the first row copied, later ones added
+        parts = [zero] * len(model.config.categorical_fields)
+        for fi, row in model._lookups(features.categorical):
+            parts[fi] = emb[row] if parts[fi] is zero else parts[fi] + emb[row]
+        numeric = model._numeric_values(features.numeric)
+        # an empty numeric part only costs a conversion, unless it is the
+        # only part
+        if numeric or not parts:
+            parts.append([numeric] * len(zero))
+        h = np.concatenate(parts, axis=1)[:, None, :]
+        for i, (w, b) in enumerate(zip(self._weights, self._biases)):
+            if i:
+                np.maximum(h, _ZERO, out=h)
+            h = np.matmul(h, w)
+            h += b
+        rates = np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
         return rates[:, 0]

@@ -16,7 +16,8 @@ from delayfeed.cli import (
     run_matrix,
 )
 from delayfeed.harness import compare
-from delayfeed.variants import VARIANT_NAMES
+from delayfeed.regressor import PoissonRegressor
+from delayfeed.variants import VARIANT_NAMES, build_variant
 
 from test_acceptance import CACHE_DIR, SOURCE_DIR, cache_prefix
 
@@ -331,6 +332,49 @@ class TestRun:
         assert "aggregate.json" in names and sorted(os.listdir(outs[1])) == names
         for name in names:
             assert file_digest(outs[0] / name) == file_digest(outs[1] / name)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_finite_step_exits_1_naming_its_task(self, tmp_path, capfd,
+                                                     monkeypatch, jobs):
+        # each process's 50th train_step fails, which is in the first task
+        # it runs: (M1, seed 1) with one worker, any task with two
+        cfg = config_from_dict(MATRIX)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(MATRIX))
+        real = PoissonRegressor.train_step
+        calls = []
+
+        def train_step(self, features, label):
+            calls.append(None)
+            if len(calls) == 50:
+                raise FloatingPointError("non-finite loss or gradient "
+                                         "(loss=nan); step not applied")
+            return real(self, features, label)
+
+        monkeypatch.setattr(PoissonRegressor, "train_step", train_step)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r"),
+                     "--jobs", str(jobs)]) == 1
+        err = capfd.readouterr().err
+        line = re.fullmatch(r"error: seed (\d+): (\w+) sub-model (\d+), example "
+                            r"(\d+) at time (\S+): non-finite loss or gradient "
+                            r"\(loss=nan\); step not applied\n", err)
+        assert line, err
+        seed, name = int(line[1]), line[2]
+        if jobs == 1:
+            assert (name, seed) == ("M1", 1)
+        # the 50th step of that task, as an unpatched replay schedules it
+        monkeypatch.setattr(PoissonRegressor, "train_step", real)
+        steps = []
+        cls = type(build_variant(cfg.specs[name]))
+        train_on = cls.train_on
+
+        def record(self, example, i, now=None):
+            steps.append((str(i), str(example.example_id), str(now)))
+            return train_on(self, example, i, now)
+
+        monkeypatch.setattr(cls, "train_on", record)
+        cli._run_task(cfg, name, seed)
+        assert line.groups()[2:] == steps[49]
 
     def test_run_single_variant_m3(self, config_path, tmp_path):
         out = tmp_path / "r"

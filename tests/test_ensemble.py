@@ -320,6 +320,22 @@ class TestTrainOn:
         tail = ens.training_label(e, 2)
         assert sum(slices) + tail == pytest.approx(mature_label(e))
 
+    def test_non_finite_step_names_its_task_and_is_not_applied(self):
+        ens = make_ensemble()
+        e = make_example([0.5 * DAY, 2 * DAY])
+        e.example_id = 17
+        # f_1's own rate is NaN; f_2, which completes its label, is finite
+        ens.sub_models[1].biases[-1][:] = math.nan
+        params, g2 = ens.stack.params.tobytes(), ens.stack.g2.tobytes()
+        now = e.click_time + 7 * DAY
+        with pytest.raises(FloatingPointError) as info:
+            ens.train_on(e, 1, now=now)
+        assert str(info.value) == (
+            f"Proposed sub-model 1, example 17 at time {now}: non-finite "
+            f"loss or gradient (loss=nan); step not applied")
+        assert ens.stack.params.tobytes() == params
+        assert ens.stack.g2.tobytes() == g2
+
     def test_maturity_filter_enforced(self):
         ens = make_ensemble()
         e = make_example([])

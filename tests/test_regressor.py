@@ -444,6 +444,39 @@ def test_step_matches_reference_bit_for_bit(two_output):
         assert (got if two_output else (got,)) == tuple(float(r) for r in rates)
 
 
+@pytest.mark.parametrize("two_output", [False, True], ids=["single", "two"])
+def test_gathered_step_matches_reference_bit_for_bit(two_output):
+    # the input every pass of the replay assembles: the first k declared
+    # fields, in order, each once, which the model gathers with one take;
+    # reads of another k between the steps, so a stale slot would show
+    cfg = small_config(categorical_fields=REF_FIELDS, embedding_dim=4,
+                       hash_buckets_per_field=4, hidden_layer_sizes=(6, 5),
+                       two_output_mode=two_output)
+    model, ref = PoissonRegressor(cfg), PoissonRegressor(cfg)
+    rng = np.random.default_rng(31)
+    nf = len(REF_FIELDS)
+    for step in range(2000):
+        k = int(rng.integers(nf + 1))
+        categorical = [(f, f"t{rng.integers(6)}") for f in REF_FIELDS[:k]]
+        # the aux numeric present and absent in turn
+        numeric = [("aux", float(rng.normal(0.0, 3.0)))] if step % 2 else []
+        features = FeatureVector(categorical, numeric)
+        if two_output:
+            label = (float(rng.poisson(1.0)), float(rng.poisson(0.3)))
+        else:
+            label = float(rng.poisson(1.2))
+        served = tuple(serving_tuple(rng, REF_FIELDS, int(rng.integers(nf + 1))))
+        assert bits(model.read(served)) == bits(reference_predict(ref, served)), step
+        rates, _, _ = reference_forward(ref, features)
+        got = model.forward(features)
+        assert (got if two_output else (got,)) == tuple(float(r) for r in rates), step
+        assert model.train_step(features, label) == reference_step(
+            ref, features, label
+        ), step
+    assert np.array_equal(model.params, ref.params)
+    assert np.array_equal(model.g2, ref.g2)
+
+
 def test_repeated_lookup_updates_row_once_with_summed_gradient():
     model = PoissonRegressor(small_config())
     features = FeatureVector(
@@ -556,49 +589,58 @@ def test_stacked_forward_matches_each_model_bit_for_bit(embedding_dim, hidden,
 
 def inject(model, where, values):
     """Make each backward pass of `model` write `values` into entries of
-    one gradient: a weight's, a bias's or the embedding rows'. Returns a
-    dict that receives copies of the gradients the step then sees."""
+    one gradient the step sees: a weight's, a bias's or the second
+    embedding row's. Returns a dict that receives copies of the gradients
+    the step then sees, and whether the input was gathered."""
     seen = {}
     real = model._gradients
+    n_dense, d = model._grad.size, model.config.embedding_dim
+    nf = len(model.config.categorical_fields)
+    dense_shapes = regressor.param_shapes(model.config)[nf:]
 
     def gradients(features, label):
-        loss, rows, emb_grads = real(features, label)
-        target = {"weight": model._weight_grads[0][1],
-                  "bias": model._bias_grads[0],
-                  "embedding": emb_grads[1]}[where]
+        loss, rows, emb, grads = real(features, label)
+        dense = regressor._carve(grads[:n_dense], dense_shapes)
+        target = {"weight": dense[0][1],
+                  "bias": dense[len(model.weights)],
+                  "embedding": grads[n_dense + d : n_dense + 2 * d]}[where]
         target[: len(values)] = values
-        seen.update(dense=model._grad.copy(), rows=rows.copy(),
-                    emb=emb_grads.copy())
-        return loss, rows, emb_grads
+        seen.update(dense=grads[:n_dense].copy(), rows=list(rows),
+                    emb=grads[n_dense:].reshape(-1, d).copy(),
+                    gathered=np.shares_memory(emb, model._input))
+        return loss, rows, emb, grads
 
     model._gradients = gradients
     return seen
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
-                         ids=["inf", "-inf", "nan"])
-@pytest.mark.parametrize("where", ["weight", "bias", "embedding"])
-def test_non_finite_gradient_is_refused_without_a_warning(where, value):
+# fv(aux=1.0) is in declared order and is gathered; this one is summed slot
+# by slot, and its campaign row, looked up twice, gets the summed gradient
+SUMMED = FeatureVector(
+    categorical=[("segment", "s1"), ("campaign", "c1"), ("campaign", "c1")],
+    numeric=[("aux", 1.0)],
+)
+
+
+def refuse_non_finite(where, value, features, gathered):
     model = PoissonRegressor(small_config())
-    inject(model, where, [value])
+    seen = inject(model, where, [value])
     params, g2 = model.params.copy(), model.g2.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError):
-            model.train_step(fv(aux=1.0), 2.0)
+            model.train_step(features, 2.0)
+    assert seen["gathered"] is gathered
     assert np.array_equal(model.params, params)
     assert np.array_equal(model.g2, g2)
 
 
-@pytest.mark.parametrize("values", [(1e300, -1e300), (1.7e308, 1.7e308)],
-                         ids=["square-overflows", "sum-overflows"])
-@pytest.mark.parametrize("where", ["weight", "bias", "embedding"])
-def test_finite_extreme_gradient_is_applied(where, values):
+def apply_extreme(where, values, features, gathered):
     model = PoissonRegressor(small_config())
     seen = inject(model, where, values)
     params, g2 = model.params.copy(), model.g2.copy()
     with np.errstate(over="ignore"):
-        model.train_step(fv(aux=1.0), 2.0)
+        model.train_step(features, 2.0)
         # the update of the gradients the step saw, one parameter array
         # at a time
         n_emb = params.size - seen["dense"].size
@@ -606,11 +648,44 @@ def test_finite_extreme_gradient_is_applied(where, values):
         reference_adagrad(params[n_emb:], g2[n_emb:], seen["dense"], lr, eps)
         d = model.config.embedding_dim
         emb, emb_g2 = params[:n_emb].reshape(-1, d), g2[:n_emb].reshape(-1, d)
+        assert len(seen["rows"]) == len(seen["emb"]) == 2
         for row, g in zip(seen["rows"], seen["emb"]):
             reference_adagrad(emb[row], emb_g2[row], g, lr, eps)
+    assert seen["gathered"] is gathered
     assert np.isinf(model.g2).any()
     assert np.array_equal(model.params, params)
     assert np.array_equal(model.g2, g2)
+
+
+NON_FINITE = pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                                     ids=["inf", "-inf", "nan"])
+EXTREME = pytest.mark.parametrize("values", [(1e300, -1e300), (1.7e308, 1.7e308)],
+                                  ids=["square-overflows", "sum-overflows"])
+WHERE = pytest.mark.parametrize("where", ["weight", "bias", "embedding"])
+
+
+@NON_FINITE
+@WHERE
+def test_non_finite_gradient_is_refused_without_a_warning(where, value):
+    refuse_non_finite(where, value, fv(aux=1.0), gathered=True)
+
+
+@NON_FINITE
+@WHERE
+def test_non_finite_gradient_of_a_summed_input_is_refused(where, value):
+    refuse_non_finite(where, value, SUMMED, gathered=False)
+
+
+@EXTREME
+@WHERE
+def test_finite_extreme_gradient_is_applied(where, values):
+    apply_extreme(where, values, fv(aux=1.0), gathered=True)
+
+
+@EXTREME
+@WHERE
+def test_finite_extreme_gradient_of_a_summed_input_is_applied(where, values):
+    apply_extreme(where, values, SUMMED, gathered=False)
 
 
 # -- (field, token) row memo ----------------------------------------------------
@@ -623,7 +698,7 @@ def expected_lookup(model, pair):
 
 
 def lookups(model, features):
-    return model._forward_cached(features, model._views)[2]
+    return model._lookups(features.categorical)
 
 
 def test_unknown_field_raises_on_every_call():
@@ -725,6 +800,13 @@ def trained_model(cfg, rng, steps=30):
     return model
 
 
+def reference_predict(model, categorical) -> float:
+    """`predict(FeatureVector(categorical))` through `reference_forward`,
+    whose input vector is built afresh."""
+    rates = [float(r) for r in reference_forward(model, FeatureVector(categorical))[0]]
+    return rates[0] if len(rates) == 1 else rates[0] - rates[1]
+
+
 @pytest.mark.parametrize("layout", sorted(read_layouts()))
 def test_read_equals_predict(layout):
     cfg = read_layouts()[layout]
@@ -738,6 +820,26 @@ def test_read_equals_predict(layout):
         got = model.read(categorical)
         assert model.forward_calls == calls + 1
         assert bits(got) == bits(model.predict(FeatureVector(categorical)))
+        assert bits(got) == bits(reference_predict(model, categorical))
+
+
+@pytest.mark.parametrize("layout", ["proposed_f0", "two_output"])
+def test_read_after_an_aux_step_sees_no_numeric_feature(layout):
+    # read, predict and forward share the input vector that the aux step
+    # filled, so each is held to the reference, which builds its own
+    cfg = read_layouts()[layout]
+    rng = np.random.default_rng(24)
+    model = trained_model(cfg, rng, steps=5)
+    nf = len(cfg.categorical_fields)
+    for _ in range(20):
+        full = list(serving_tuple(rng, cfg.categorical_fields, nf))
+        aux = FeatureVector(full, [("aux_label_so_far", 3.0)])
+        model.train_step(aux, (1.0, 2.0) if cfg.two_output_mode else 2.0)
+        served = serving_tuple(rng, cfg.categorical_fields, 3)
+        expect = bits(reference_predict(model, served))
+        assert bits(model.read(served)) == expect
+        model.forward(aux)
+        assert bits(model.predict(FeatureVector(served))) == expect
 
 
 @pytest.mark.parametrize("layout", sorted(read_layouts()))
