@@ -291,6 +291,9 @@ def cmd_run(args) -> int:
         print(f"--seed lists {repeated} more than once; each seed runs once",
               file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     names = cfg.variants if args.variant == "all" else (args.variant,)
     unknown = [n for n in names if n not in cfg.specs]
     if unknown:

@@ -437,7 +437,11 @@ def write_stream(path, stream: Stream):
 
 
 def read_stream(path) -> list:
+    """The examples of a stream file. Each line's `features` must have
+    exactly the keys of CLICK_FIELDS, in any order; the serving features
+    come back in CLICK_FIELDS order, the one order a model takes."""
     examples = []
+    fields = set(CLICK_FIELDS)
     with open(path) as fh:
         header = json.loads(fh.readline())
         if header.get("schema_version") != SCHEMA_VERSION:
@@ -446,12 +450,20 @@ def read_stream(path) -> list:
             )
         for line in fh:
             d = json.loads(line)
+            features = d["features"]
+            if features.keys() != fields:
+                key = min(features.keys() ^ fields)
+                raise ValueError(
+                    f"example {d['example_id']}: "
+                    f"{'unknown' if key in features else 'missing'} features "
+                    f"key {key!r}; expected exactly {CLICK_FIELDS}"
+                )
             examples.append(ClickExample(
                 example_id=d["example_id"],
                 click_time=d["click_time"],
                 campaign_id=d["campaign_id"],
                 campaign_start_time=d["campaign_start_time"],
-                serving_features=list(d["features"].items()),
+                serving_features=[(f, features[f]) for f in CLICK_FIELDS],
                 attribution_window=d["attribution_window"],
                 events=[
                     ConversionEvent(ev["delay"], ev["value"], ev["sign"])

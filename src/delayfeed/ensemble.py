@@ -161,15 +161,14 @@ class SubModelEnsemble:
     def serve(self, example: ClickExample) -> float:
         """Predicted full mature label at click time, from serving features
         only. Thermometer: one `read` of f_0. Bucket: the sum of every
-        sub-model's prediction, from one stacked forward of all n+1."""
+        sub-model's prediction, from one stacked `read` of all n+1."""
         if self._thermometer:
             return self.sub_models[0].read(example.serving_features)
-        fv = FeatureVector(categorical=example.serving_features)
         # left to right on purpose: builtin sum() of floats is compensated
         # from Python 3.12, which would make reports depend on the version
         total = 0.0
         two_output = self.two_output
-        for rates in self.stack.forward(fv).tolist():
+        for rates in self.stack.read(example.serving_features).tolist():
             total += rates[0] - rates[1] if two_output else rates[0]
         return total
 

@@ -72,8 +72,9 @@ class RegressorConfig:
 @dataclass
 class FeatureVector:
     """Categorical (field_id, token) tuples plus named numeric features.
-    Fields must come from the regressor's declared schema; a declared field
-    absent from the input contributes a zero embedding."""
+    The tuples are the first k of the regressor's declared fields, in
+    declared order, each once; the fields after them contribute zero
+    embeddings."""
 
     categorical: list
     numeric: list = field(default_factory=list)
@@ -168,9 +169,11 @@ class PoissonRegressor:
     those two buffers. The model allocates them, or takes zero-filled
     `params` and `g2` vectors from its caller (rows of a `RegressorStack`).
 
-    Every pass assembles its input in one vector the model reuses:
-    `forward`, `predict`, `read` and `train_step` all write it, so a model
-    is for one thread at a time.
+    Every pass takes the first k declared categorical fields, in declared
+    order, each once, and refuses any other input with ContractViolation
+    before anything is written or counted. It gathers the k rows into one
+    input vector the model reuses: `forward`, `predict`, `read` and
+    `train_step` all write it, so a model is for one thread at a time.
     """
 
     def __init__(self, config: RegressorConfig, params=None, g2=None):
@@ -199,8 +202,7 @@ class PoissonRegressor:
         self._grad, self._input_grad = self._grads[:n_dense], self._grads[n_dense:]
         self._checked = [self._grads[: n_dense + d * k] for k in range(nf + 1)]
         self._work = np.empty((2, n_dense))
-        # zeros for train_step's finiteness check; they grow to fit the
-        # gradients of a summed input's rows
+        # zeros for train_step's finiteness check
         self._zeros = np.zeros(self._grads.size)
         n_emb = self.params.size - n_dense
         self._dense = self.params[n_emb:]
@@ -264,10 +266,23 @@ class PoissonRegressor:
         memo[pair] = hit
         return hit
 
-    def _lookups(self, categorical) -> list:
-        """(field index, `_emb_rows` row) of each pair, in order."""
+    def _rows_of(self, categorical) -> list:
+        """The `_emb_rows` row of each (field_id, token) pair. The pairs
+        must be the first k declared fields, in declared order, each once;
+        any other input raises, naming the field and its position."""
         memo = self._rows
-        return [memo.get(pair) or self._lookup(pair) for pair in categorical]
+        rows = []
+        for j, pair in enumerate(categorical):
+            fi, row = memo.get(pair) or self._lookup(pair)
+            if fi != j:
+                raise ContractViolation(
+                    f"categorical field {pair[0]!r} at position {j}: the input "
+                    f"must be the first k declared fields, in declared order, "
+                    f"each once; declared fields: "
+                    f"{self.config.categorical_fields}"
+                )
+            rows.append(row)
+        return rows
 
     def _numeric_values(self, numeric) -> list:
         """The numeric slots' values: each named feature log1p-scaled, every
@@ -285,42 +300,18 @@ class PoissonRegressor:
         return values
 
     def _fill(self, categorical, numeric=()):
-        """Writes the input vector of these features: in declared field
-        order, the sum of each field's embedding rows (zero for an absent
-        field), then the log1p-scaled numeric features (zero unless given).
-        When the pairs are the first k declared fields, in declared order,
-        each once, the k rows are gathered with one `take` into the first k
-        slots and returned as a list; any other input is summed slot by
-        slot, the first row of a field copied and later ones added, and
-        None is returned. An unknown field or feature raises before
+        """Writes the input vector of these features and returns their rows
+        (`_rows_of`): the k rows gathered with one `take` into the first k
+        slots, zeros in the later fields' slots, then the log1p-scaled
+        numeric features (zero unless given). A refused input raises before
         anything is written."""
-        memo = self._rows
-        rows = []
-        for j, pair in enumerate(categorical):
-            fi, row = memo.get(pair) or self._lookup(pair)
-            if fi != j:
-                rows = None
-                break
-            rows.append(row)
+        rows = self._rows_of(categorical)
         values = self._numeric_values(numeric) if numeric else None
-        if rows is None:
-            lookups = self._lookups(categorical)
-            slots, emb = self._slots, self._emb_rows
-            slots[...] = 0.0
-            summed = set()
-            for fi, row in lookups:
-                if fi in summed:
-                    slots[fi] += emb[row]
-                else:
-                    slots[fi] = emb[row]
-                    summed.add(fi)
-            end = slots.size
-        else:
-            k = len(rows)
-            if k:
-                # "clip" writes straight into `out`; "raise" would buffer
-                self._emb_rows.take(rows, 0, self._heads[k], "clip")
-            end = k * self.config.embedding_dim
+        k = len(rows)
+        if k:
+            # "clip" writes straight into `out`; "raise" would buffer
+            self._emb_rows.take(rows, 0, self._heads[k], "clip")
+        end = k * self.config.embedding_dim
         stale = self._end
         if values is None:
             self._end = end
@@ -348,8 +339,8 @@ class PoissonRegressor:
 
     def forward(self, features: FeatureVector):
         """Rate (single output) or (rate_plus, rate_minus) in two-output mode."""
-        self.forward_calls += 1
         self._fill(features.categorical, features.numeric)
+        self.forward_calls += 1
         rates = self._rates()
         if self.n_outputs == 1:
             return float(rates[0])
@@ -365,8 +356,8 @@ class PoissonRegressor:
     def read(self, categorical) -> float:
         """`predict(FeatureVector(categorical))`, bit for bit, without
         building the FeatureVector: the serving read."""
-        self.forward_calls += 1
         self._fill(categorical)
+        self.forward_calls += 1
         rates = self._rates()
         if self.n_outputs == 1:
             return float(rates[0])
@@ -404,13 +395,10 @@ class PoissonRegressor:
 
     def _gradients(self, features: FeatureVector, label):
         """The one backward pass: gradients of the summed Poisson NLL over
-        outputs. Returns (loss, the distinct `_emb_rows` rows looked up,
-        their values as one (rows, embedding_dim) array, the gradients as
-        one flat array: the dense gradient, laid out like `_grad`, then
-        each row's). A row looked up k times gets the sum of its k
-        gradients. After a gather the rows' values are the input vector's
-        slots and the gradients a view of `_grads`, so the row updates
-        apply to those in place."""
+        outputs. Returns (loss, the k `_emb_rows` rows looked up, their
+        values: the input vector's first k slots, the gradients: a view of
+        `_grads` holding the dense gradient, laid out like `_grad`, then
+        each row's), so the row updates apply to the slots in place."""
         y = self._label(label)
         rows = self._fill(features.categorical, features.numeric)
         # the layers of `_rates`, keeping each layer's input: the input
@@ -445,21 +433,8 @@ class PoissonRegressor:
         dot(inputs[0][:, None], grad_rows[0], out=self._weight_grads[0])
         # dL/dx of each slot of the input vector
         dot(self.weights[0], grads[0], out=self._input_grad)
-        if rows is not None:
-            k = len(rows)
-            return loss, rows, self._heads[k], self._checked[k]
-        field_grads = self._input_grad[: self._slots.size].reshape(self._slots.shape)
-        position, rows, emb_grads = {}, [], []
-        for fi, row in self._lookups(features.categorical):
-            j = position.get(row)
-            if j is None:
-                position[row] = len(rows)
-                rows.append(row)
-                emb_grads.append(field_grads[fi])
-            else:
-                emb_grads[j] = emb_grads[j] + field_grads[fi]
-        grads = np.concatenate([self._grad, *emb_grads])
-        return loss, rows, self._emb_rows.take(rows, axis=0), grads
+        k = len(rows)
+        return loss, rows, self._heads[k], self._checked[k]
 
     def gradients(self, features: FeatureVector, label):
         """Analytic gradients without updating: (loss, weight grads,
@@ -485,14 +460,11 @@ class PoissonRegressor:
         scattered back. A non-finite loss or gradient raises before
         anything is written."""
         loss, rows, emb, grads = self._gradients(features, label)
-        n = grads.size
-        zeros = self._zeros
-        if n > zeros.size:
-            zeros = self._zeros = np.zeros(n)
         # x * 0 is NaN exactly when x is inf or NaN, so the sum is NaN
         # exactly when a gradient holds a non-finite entry; unlike dot,
         # vdot does not turn the invalid flag of inf * 0 into a warning
-        if not math.isfinite(loss) or math.isnan(np.vdot(grads, zeros[:n])):
+        zeros = self._zeros[: grads.size]
+        if not math.isfinite(loss) or math.isnan(np.vdot(grads, zeros)):
             raise FloatingPointError(
                 f"non-finite loss or gradient (loss={loss}); step not applied"
             )
@@ -548,15 +520,14 @@ class RegressorStack:
     """R regressors of one layout, one per seed, whose `params` and `g2`
     are the rows of one (R, P) buffer each: `models[r]` is an ordinary
     PoissonRegressor on row r, with the initial values it would allocate
-    for itself. `forward` runs all R on one input with one set of numpy
-    calls.
+    for itself. `read` runs all R on one serving input with one set of
+    numpy calls.
 
     Per call, numpy dispatch outweighs the arithmetic of these small
     layers: one stacked `matmul` costs about 2.5 single-model `dot`s and
-    replaces R of them. So a read of several models at once takes
-    `forward`, which sums each field's rows into a concatenated input; a
-    pass of one model takes that model's own `read`, `forward` or
-    `train_step`, which gather into its input vector.
+    replaces R of them. So a read of several models at once takes the
+    stack's `read`; a pass of one model takes that model's own `read`,
+    `forward` or `train_step`.
     """
 
     def __init__(self, config: RegressorConfig, seeds):
@@ -575,30 +546,27 @@ class RegressorStack:
         n_emb = sum(math.prod(s) for s in shapes[:nf])
         # embedding rows first: indexing one row gives its (R, d) values
         # across the stack
-        emb = self.params[:, :n_emb].reshape(n_rows, -1, d).transpose(1, 0, 2)
+        self._emb = self.params[:, :n_emb].reshape(n_rows, -1, d).transpose(1, 0, 2)
         # a (R, 1, fan_in) input times (R, fan_in, fan_out) weights
         dense = _carve(self.params[:, n_emb:], shapes[nf:])
-        self._emb, self._zero = emb, np.zeros((n_rows, d))
+        # the input after k rows' (R, d) blocks: the later fields' slots
+        # and the numeric slots, all zero
+        input_dim = self.models[0].input_dim
+        self._tails = [np.zeros((n_rows, input_dim - d * k)) for k in range(nf + 1)]
         self._weights = dense[:nl]
         self._biases = [b[:, None, :] for b in dense[nl:]]
 
-    def forward(self, features: FeatureVector):
-        """(R, n_outputs) rates; row r equals `models[r].forward(features)`
-        bit for bit. Counts one forward call on every model."""
+    def read(self, categorical):
+        """(R, n_outputs) rates; row r equals
+        `models[r].forward(FeatureVector(categorical))` bit for bit. Takes
+        the input the models take, and counts one forward call on every
+        model once it is accepted."""
+        rows = self.models[0]._rows_of(categorical)
         for m in self.models:
             m.forward_calls += 1
-        model = self.models[0]
-        emb, zero = self._emb, self._zero
-        # each field's (R, embedding_dim) block, in declared order, as the
-        # single model's slots: the first row copied, later ones added
-        parts = [zero] * len(model.config.categorical_fields)
-        for fi, row in model._lookups(features.categorical):
-            parts[fi] = emb[row] if parts[fi] is zero else parts[fi] + emb[row]
-        numeric = model._numeric_values(features.numeric)
-        # an empty numeric part only costs a conversion, unless it is the
-        # only part
-        if numeric or not parts:
-            parts.append([numeric] * len(zero))
+        emb = self._emb
+        parts = [emb[row] for row in rows]
+        parts.append(self._tails[len(rows)])
         h = np.concatenate(parts, axis=1)[:, None, :]
         for i, (w, b) in enumerate(zip(self._weights, self._biases)):
             if i:

@@ -477,6 +477,21 @@ class TestRun:
         assert "--seed lists 4 more than once" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_exits_2_before_any_task(self, config_path, tmp_path,
+                                                     capsys, monkeypatch, jobs):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(cli, "run_matrix", no_run)
+        rc = main([
+            "run", "--config", config_path, "--variant", "M1",
+            "--jobs", str(jobs), "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"--jobs must be >= 1, got {jobs}\n"
+        assert not (tmp_path / "r").exists()
+
     def test_multi_seed_aggregate(self, config_path, tmp_path):
         out = tmp_path / "r"
         rc = main([

@@ -11,6 +11,7 @@ import pytest
 
 from delayfeed.core import DAY, ContractViolation, mature_label, observed_prefix
 from delayfeed.datagen import (
+    CLICK_FIELDS,
     CampaignProfile,
     DelayMixture,
     StreamConfig,
@@ -494,6 +495,37 @@ class TestFileFormats:
             "example_id", "click_time", "campaign_id", "campaign_start_time",
             "features", "attribution_window", "events",
         }
+
+    def test_stream_with_reordered_feature_keys_replays(self, tmp_path):
+        stream = generate(StreamConfig(total_clicks=50, campaign_count=3, rng_seed=16))
+        path = tmp_path / "stream.ndjson"
+        write_stream(path, stream)
+        lines = path.read_text().splitlines()
+        for k in range(1, len(lines)):
+            record = json.loads(lines[k])
+            record["features"] = dict(reversed(record["features"].items()))
+            lines[k] = json.dumps(record)
+        assert list(json.loads(lines[1])["features"]) == list(reversed(CLICK_FIELDS))
+        path.write_text("\n".join(lines) + "\n")
+        assert read_stream(path) == stream.examples
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda f: f.update(site="x"), "unknown features key 'site'"),
+        (lambda f: f.pop("segment"), "missing features key 'segment'"),
+    ], ids=["unknown", "missing"])
+    def test_stream_features_need_exactly_the_click_fields(self, tmp_path, edit,
+                                                           match):
+        stream = generate(StreamConfig(total_clicks=50, campaign_count=3, rng_seed=16))
+        path = tmp_path / "stream.ndjson"
+        write_stream(path, stream)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[7])
+        edit(record["features"])
+        lines[7] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"example {record['example_id']}: {match}"):
+            read_stream(path)
 
     def test_sidecar_roundtrip(self, tmp_path):
         stream = generate(StreamConfig(total_clicks=300, campaign_count=4, rng_seed=15))

@@ -400,18 +400,14 @@ def reference_step(model, features, label):
 REF_FIELDS = ("campaign", "segment", "site")
 
 
-def random_features(rng):
-    """Each field looked up 0 to 3 times (same or different token, few
-    buckets so rows collide), in shuffled order, with or without aux."""
-    categorical = []
-    for f in REF_FIELDS:
-        for _ in range(rng.choice(4, p=[0.15, 0.55, 0.2, 0.1])):
-            categorical.append((f, f"t{rng.integers(6)}"))
-    rng.shuffle(categorical)
-    numeric = []
-    if rng.random() < 0.8:
-        numeric.append(("aux", float(rng.normal(0.0, 3.0))))
-    return FeatureVector(categorical=categorical, numeric=numeric)
+def first_k_features(rng, aux):
+    """The one input form every pass takes: the first k of REF_FIELDS, k
+    from 0 to all of them, in declared order, each once (few tokens, so
+    that rows repeat across calls), with the aux numeric when `aux`."""
+    k = int(rng.integers(len(REF_FIELDS) + 1))
+    categorical = [(f, f"t{rng.integers(6)}") for f in REF_FIELDS[:k]]
+    numeric = [("aux", float(rng.normal(0.0, 3.0)))] if aux else []
+    return FeatureVector(categorical, numeric)
 
 
 @pytest.mark.parametrize("two_output", [False, True], ids=["single", "two"])
@@ -422,7 +418,8 @@ def test_step_matches_reference_bit_for_bit(two_output):
     model, ref = PoissonRegressor(cfg), PoissonRegressor(cfg)
     rng = np.random.default_rng(21)
     for step in range(2000):
-        features = random_features(rng)
+        # the aux numeric present and absent in turn
+        features = first_k_features(rng, aux=step % 2)
         if two_output:
             label = (float(rng.poisson(1.0)), float(rng.poisson(0.3)))
         else:
@@ -446,9 +443,7 @@ def test_step_matches_reference_bit_for_bit(two_output):
 
 @pytest.mark.parametrize("two_output", [False, True], ids=["single", "two"])
 def test_gathered_step_matches_reference_bit_for_bit(two_output):
-    # the input every pass of the replay assembles: the first k declared
-    # fields, in order, each once, which the model gathers with one take;
-    # reads of another k between the steps, so a stale slot would show
+    # reads of another k between the steps, so that a stale slot would show
     cfg = small_config(categorical_fields=REF_FIELDS, embedding_dim=4,
                        hash_buckets_per_field=4, hidden_layer_sizes=(6, 5),
                        two_output_mode=two_output)
@@ -456,11 +451,7 @@ def test_gathered_step_matches_reference_bit_for_bit(two_output):
     rng = np.random.default_rng(31)
     nf = len(REF_FIELDS)
     for step in range(2000):
-        k = int(rng.integers(nf + 1))
-        categorical = [(f, f"t{rng.integers(6)}") for f in REF_FIELDS[:k]]
-        # the aux numeric present and absent in turn
-        numeric = [("aux", float(rng.normal(0.0, 3.0)))] if step % 2 else []
-        features = FeatureVector(categorical, numeric)
+        features = first_k_features(rng, aux=step % 2)
         if two_output:
             label = (float(rng.poisson(1.0)), float(rng.poisson(0.3)))
         else:
@@ -475,43 +466,6 @@ def test_gathered_step_matches_reference_bit_for_bit(two_output):
         ), step
     assert np.array_equal(model.params, ref.params)
     assert np.array_equal(model.g2, ref.g2)
-
-
-def test_repeated_lookup_updates_row_once_with_summed_gradient():
-    model = PoissonRegressor(small_config())
-    features = FeatureVector(
-        categorical=[("campaign", "c1"), ("segment", "s1"), ("campaign", "c1")],
-        numeric=[("aux", 1.0)],
-    )
-    buckets = model.config.hash_buckets_per_field
-    crow = hash_token("campaign", "c1", buckets)
-    srow = hash_token("segment", "s1", buckets)
-    _, _, _, emb_grads = model.gradients(features, 3.0)
-    assert set(emb_grads) == {("campaign", crow), ("segment", srow)}
-    g = emb_grads[("campaign", crow)]
-
-    # the reported gradient is that of the row, which both lookups read
-    table = model.embeddings["campaign"]
-    for col in range(g.shape[0]):
-        orig, h = table[crow, col], 1e-6
-        table[crow, col] = orig + h
-        up = model.gradients(features, 3.0)[0]
-        table[crow, col] = orig - h
-        dn = model.gradients(features, 3.0)[0]
-        table[crow, col] = orig
-        assert (up - dn) / (2 * h) == pytest.approx(g[col], rel=1e-3, abs=1e-8)
-
-    row, acc = table[crow].copy(), model.embedding_g2["campaign"][crow].copy()
-    before = {f: t.copy() for f, t in model.embeddings.items()}
-    model.train_step(features, 3.0)
-    expect_row, expect_acc = row.copy(), acc.copy()
-    reference_adagrad(expect_row, expect_acc, g, model.config.learning_rate,
-                      model.config.adagrad_epsilon)
-    assert np.array_equal(table[crow], expect_row)
-    assert np.array_equal(model.embedding_g2["campaign"][crow], expect_acc)
-    for f, t in model.embeddings.items():
-        changed = set(np.where(np.any(t != before[f], axis=1))[0])
-        assert changed == {crow if f == "campaign" else srow}
 
 
 # -- stacked models ----------------------------------------------------------
@@ -575,13 +529,17 @@ def test_stacked_forward_matches_each_model_bit_for_bit(embedding_dim, hidden,
     # log-rates beyond the stability clamp, both ways
     stack.models[0].biases[-1][:] = -40.0
     stack.models[1].biases[-1][:] = 40.0
+    nf = len(REF_FIELDS)
     for step in range(300):
-        features = random_features(rng)
+        # every k in turn, so that a later field's stale block would show
+        categorical = tuple(serving_tuple(rng, REF_FIELDS, step % (nf + 1)))
         calls = [m.forward_calls for m in stack.models]
-        rates = stack.forward(features)
+        rates = stack.read(categorical)
         assert [m.forward_calls for m in stack.models] == [c + 1 for c in calls]
         for model, row in zip(stack.models, rates.tolist()):
-            got = model.forward(features)
+            served = row[0] - row[1] if two_output else row[0]
+            assert bits(served) == bits(model.read(categorical)), step
+            got = model.forward(FeatureVector(list(categorical)))
             assert tuple(row) == (got if two_output else (got,)), step
 
 
@@ -591,7 +549,7 @@ def inject(model, where, values):
     """Make each backward pass of `model` write `values` into entries of
     one gradient the step sees: a weight's, a bias's or the second
     embedding row's. Returns a dict that receives copies of the gradients
-    the step then sees, and whether the input was gathered."""
+    the step then sees."""
     seen = {}
     real = model._gradients
     n_dense, d = model._grad.size, model.config.embedding_dim
@@ -606,36 +564,38 @@ def inject(model, where, values):
                   "embedding": grads[n_dense + d : n_dense + 2 * d]}[where]
         target[: len(values)] = values
         seen.update(dense=grads[:n_dense].copy(), rows=list(rows),
-                    emb=grads[n_dense:].reshape(-1, d).copy(),
-                    gathered=np.shares_memory(emb, model._input))
+                    emb=grads[n_dense:].reshape(-1, d).copy())
         return loss, rows, emb, grads
 
     model._gradients = gradients
     return seen
 
 
-# fv(aux=1.0) is in declared order and is gathered; this one is summed slot
-# by slot, and its campaign row, looked up twice, gets the summed gradient
+# out of order, with the campaign row looked up twice: an input whose rows
+# would have to be summed into their fields' slots
 SUMMED = FeatureVector(
     categorical=[("segment", "s1"), ("campaign", "c1"), ("campaign", "c1")],
     numeric=[("aux", 1.0)],
 )
 
 
-def refuse_non_finite(where, value, features, gathered):
+def refuse(where, value, features, error):
+    """Asserts that a train_step on `features` with `value` injected raises
+    `error` without a warning and writes nothing. Returns what the step's
+    backward passed on."""
     model = PoissonRegressor(small_config())
     seen = inject(model, where, [value])
     params, g2 = model.params.copy(), model.g2.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(error):
             model.train_step(features, 2.0)
-    assert seen["gathered"] is gathered
     assert np.array_equal(model.params, params)
     assert np.array_equal(model.g2, g2)
+    return seen
 
 
-def apply_extreme(where, values, features, gathered):
+def apply_extreme(where, values, features):
     model = PoissonRegressor(small_config())
     seen = inject(model, where, values)
     params, g2 = model.params.copy(), model.g2.copy()
@@ -651,7 +611,6 @@ def apply_extreme(where, values, features, gathered):
         assert len(seen["rows"]) == len(seen["emb"]) == 2
         for row, g in zip(seen["rows"], seen["emb"]):
             reference_adagrad(emb[row], emb_g2[row], g, lr, eps)
-    assert seen["gathered"] is gathered
     assert np.isinf(model.g2).any()
     assert np.array_equal(model.params, params)
     assert np.array_equal(model.g2, g2)
@@ -667,38 +626,29 @@ WHERE = pytest.mark.parametrize("where", ["weight", "bias", "embedding"])
 @NON_FINITE
 @WHERE
 def test_non_finite_gradient_is_refused_without_a_warning(where, value):
-    refuse_non_finite(where, value, fv(aux=1.0), gathered=True)
+    assert refuse(where, value, fv(aux=1.0), FloatingPointError)
 
 
 @NON_FINITE
 @WHERE
 def test_non_finite_gradient_of_a_summed_input_is_refused(where, value):
-    refuse_non_finite(where, value, SUMMED, gathered=False)
+    # the input itself is refused, before its backward runs
+    assert refuse(where, value, SUMMED, ContractViolation) == {}
 
 
 @EXTREME
 @WHERE
 def test_finite_extreme_gradient_is_applied(where, values):
-    apply_extreme(where, values, fv(aux=1.0), gathered=True)
-
-
-@EXTREME
-@WHERE
-def test_finite_extreme_gradient_of_a_summed_input_is_applied(where, values):
-    apply_extreme(where, values, SUMMED, gathered=False)
+    apply_extreme(where, values, fv(aux=1.0))
 
 
 # -- (field, token) row memo ----------------------------------------------------
 
-def expected_lookup(model, pair):
+def expected_row(model, pair):
     field_id, token = pair
     fi = model.config.categorical_fields.index(field_id)
     buckets = model.config.hash_buckets_per_field
-    return fi, fi * buckets + hash_token(field_id, token, buckets)
-
-
-def lookups(model, features):
-    return model._lookups(features.categorical)
+    return fi * buckets + hash_token(field_id, token, buckets)
 
 
 def test_unknown_field_raises_on_every_call():
@@ -722,17 +672,21 @@ def test_layouts_map_a_pair_to_their_own_rows():
     assert len({id(m._rows) for m in (a, b, c)}) == 3
     pairs = [("campaign", "c1"), ("segment", "s1"), ("campaign", "c9")]
     # interleaved, so that one memo for all would hand one layout's rows
-    # to the next
+    # to the next; each layout takes its inputs in its own field order
     for _ in range(2):
         for model in (a, b, c):
+            first = model.config.categorical_fields[0]
             for pair in pairs:
-                features = FeatureVector(categorical=[pair], numeric=[("aux", 1.0)])
-                assert lookups(model, features) == [expected_lookup(model, pair)]
+                categorical = [pair] if pair[0] == first else [
+                    (first, "t1"), pair]
+                features = FeatureVector(categorical, [("aux", 1.0)])
+                assert model._rows_of(categorical) == [
+                    expected_row(model, p) for p in categorical]
                 rates, _, _ = reference_forward(model, features)
                 assert model.forward(features) == float(rates[0])
     # the second field's rows start at one table's length
-    assert expected_lookup(a, pairs[0]) != expected_lookup(b, pairs[0])
-    assert expected_lookup(a, pairs[1]) != expected_lookup(c, pairs[1])
+    assert expected_row(a, pairs[0]) != expected_row(b, pairs[0])
+    assert expected_row(a, pairs[1]) != expected_row(c, pairs[1])
 
 
 def test_stack_models_share_a_memo_that_agrees_with_hash_token():
@@ -740,11 +694,11 @@ def test_stack_models_share_a_memo_that_agrees_with_hash_token():
     stack = RegressorStack(cfg, [3, 4, 5])
     assert all(m._rows is stack.models[0]._rows for m in stack.models)
     rng = np.random.default_rng(8)
-    for _ in range(200):
-        features = random_features(rng)
-        expect = [expected_lookup(stack.models[0], p) for p in features.categorical]
+    for step in range(200):
+        categorical = first_k_features(rng, aux=step % 2).categorical
+        expect = [expected_row(stack.models[0], p) for p in categorical]
         for model in stack.models:
-            assert lookups(model, features) == expect
+            assert model._rows_of(categorical) == expect
 
 
 def test_full_memo_is_cleared_and_rows_stay_right(monkeypatch):
@@ -753,7 +707,7 @@ def test_full_memo_is_cleared_and_rows_stay_right(monkeypatch):
     model, ref = PoissonRegressor(cfg), PoissonRegressor(cfg)
     rng = np.random.default_rng(9)
     for step in range(300):
-        features = random_features(rng)
+        features = first_k_features(rng, aux=step % 2)
         rates, _, _ = reference_forward(ref, features)
         assert model.forward(features) == float(rates[0]), step
         assert len(model._rows) <= 2
@@ -869,25 +823,62 @@ def test_read_interleaved_with_forward_and_training(layout):
     assert bits(model.read(())) == bits(model.predict(FeatureVector([])))
 
 
-@pytest.mark.parametrize("categorical", [
-    (("segment", "s"), ("campaign", "c"), ("context", "x")),
-    (("campaign", "c"), ("campaign", "d"), ("segment", "s")),
-    (("campaign", "c"), ("segment", "s"), ("segment", "s")),
-    (("campaign", "c"), ("context", "x")),
-    (("segment", "s"),),
+# every input that is not the first k declared fields, in declared order,
+# each once, with the field and position each refusal names
+NON_CANONICAL = pytest.mark.parametrize("categorical,bad", [
+    ((("segment", "s"), ("campaign", "c"), ("context", "x")), "'segment' at position 0"),
+    ((("campaign", "c"), ("campaign", "d"), ("segment", "s")), "'campaign' at position 1"),
+    ((("campaign", "c"), ("segment", "s"), ("segment", "s")), "'segment' at position 2"),
+    ((("campaign", "c"), ("context", "x")), "'context' at position 1"),
+    ((("segment", "s"),), "'segment' at position 0"),
 ], ids=["out_of_order", "repeated", "repeated_last", "absent_middle",
         "absent_first"])
-def test_read_falls_back_to_predict(categorical):
+
+
+@NON_CANONICAL
+def test_read_falls_back_to_predict(categorical, bad):
+    # read takes the input predict takes: it refuses what predict refuses,
+    # with the same message
     cfg = read_layouts()["proposed_f0"]
     model = trained_model(cfg, np.random.default_rng(23))
     full = (("campaign", "c"), ("segment", "s"), ("context", "x"))
     model.read(full)
-    calls = model.forward_calls
-    got = model.read(categorical)
-    assert model.forward_calls == calls + 1
-    assert bits(got) == bits(model.predict(FeatureVector(categorical)))
+    with pytest.raises(ContractViolation, match=bad) as refused:
+        model.read(categorical)
+    with pytest.raises(ContractViolation) as predicted:
+        model.predict(FeatureVector(categorical))
+    assert str(refused.value) == str(predicted.value)
     # and the next read in shape is still right
-    assert bits(model.read(full[:1])) == bits(model.predict(FeatureVector(full[:1])))
+    assert bits(model.read(full[:1])) == bits(reference_predict(model, full[:1]))
+
+
+@NON_CANONICAL
+def test_non_canonical_input_is_refused_by_every_pass(categorical, bad):
+    cfg = read_layouts()["proposed_f0"]
+    stack = RegressorStack(cfg, [3, 4])
+    rng = np.random.default_rng(25)
+    stack.params[...] = rng.normal(0.0, 0.3, stack.params.shape)
+    model = stack.models[0]
+    # a full aux input first, so that every slot of the input vector is set
+    full = [*serving_tuple(rng, cfg.categorical_fields, 4)]
+    model.forward(FeatureVector(full, [("aux_label_so_far", 2.0)]))
+    numeric = [("aux_label_so_far", 3.0)]
+    state = [stack.params.tobytes(), stack.g2.tobytes(), model._input.tobytes(),
+             [m.forward_calls for m in stack.models]]
+    passes = [
+        lambda: model.read(categorical),
+        lambda: model.forward(FeatureVector(list(categorical), numeric)),
+        lambda: model.predict(FeatureVector(list(categorical))),
+        lambda: model.train_step(FeatureVector(list(categorical), numeric), 1.0),
+        lambda: stack.read(categorical),
+    ]
+    for run in passes:
+        with pytest.raises(ContractViolation, match=bad):
+            run()
+        assert [stack.params.tobytes(), stack.g2.tobytes(), model._input.tobytes(),
+                [m.forward_calls for m in stack.models]] == state
+    served = full[:3]
+    assert bits(model.read(served)) == bits(reference_predict(model, served))
 
 
 @pytest.mark.parametrize("categorical", [
