@@ -14,7 +14,7 @@ from .core import (
     poisson_nll,
 )
 from .ensemble import BUCKET, THERMOMETER, SubModelEnsemble, VariantSpec
-from .regressor import FeatureVector, PoissonRegressor, RegressorConfig
+from .regressor import PoissonRegressor, RegressorConfig
 
 __all__ = [
     "DAY",
@@ -29,7 +29,6 @@ __all__ = [
     "THERMOMETER",
     "SubModelEnsemble",
     "VariantSpec",
-    "FeatureVector",
     "PoissonRegressor",
     "RegressorConfig",
 ]

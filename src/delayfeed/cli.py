@@ -101,9 +101,9 @@ def _section(d, path: str, keys: str) -> dict:
     return out
 
 
-def _repeated(seeds: tuple) -> str:
-    """The seeds listed more than once, comma-separated; empty if none."""
-    return ", ".join(map(str, sorted({s for s in seeds if seeds.count(s) > 1})))
+def _repeated(items: tuple) -> str:
+    """The items listed more than once, comma-separated; empty if none."""
+    return ", ".join(map(str, sorted({s for s in items if items.count(s) > 1})))
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -145,6 +145,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     variants = tuple(specs) if variants == ("all",) else variants
     if not all(isinstance(name, str) for name in variants):
         raise ValueError(f"variants must be a list of names, got {list(variants)}")
+    if repeated := _repeated(variants):
+        raise ValueError(f"variants lists {repeated} more than once; each "
+                         f"variant runs once")
     resolved = {"stream": stream, "specs": specs, "variants": variants,
                 "seeds": seeds}
     return ExperimentConfig(**resolved, digest=_digest(resolved))

@@ -30,7 +30,7 @@ from .core import (
     slice_label,
     split_signed,
 )
-from .regressor import FeatureVector, RegressorConfig, RegressorStack
+from .regressor import RegressorConfig, RegressorStack
 
 THERMOMETER = "thermometer"
 BUCKET = "bucket"
@@ -102,13 +102,9 @@ _AUX_COUNT_PAIRS = tuple((AUX_COUNT_FIELD, tok) for tok in _count_tokens())
 
 
 def _aux_count_pair(prefix: float) -> tuple:
-    return _AUX_COUNT_PAIRS[bisect_right(AUX_COUNT_CUTS, math.floor(prefix))]
-
-
-def aux_count_token(prefix: float) -> str:
-    """Categorical token for the observed-so-far count, bucketed at
+    """The (field, token) pair of the observed-so-far count, bucketed at
     AUX_COUNT_CUTS."""
-    return _aux_count_pair(prefix)[1]
+    return _AUX_COUNT_PAIRS[bisect_right(AUX_COUNT_CUTS, math.floor(prefix))]
 
 
 class SubModelEnsemble:
@@ -143,27 +139,28 @@ class SubModelEnsemble:
 
     # -- features ----------------------------------------------------------
 
-    def features_for(self, example: ClickExample, i: int) -> FeatureVector:
-        """Input features for sub-model i: serving features, plus, when aux
-        is enabled and i >= 1, two aux entries derived strictly from events
-        with delay < d_i: the label so far (log1p-scaled inside the
-        regressor) and its bucketed count token."""
+    def features_for(self, example: ClickExample, i: int) -> tuple:
+        """Sub-model i's (categorical, numeric) input: the serving features
+        and no numeric ones, plus, when aux is enabled and i >= 1, two aux
+        entries derived strictly from events with delay < d_i: the label
+        so far (log1p-scaled inside the regressor) and its bucketed count
+        token."""
         if not self._use_aux or i < 1:
-            return FeatureVector(categorical=example.serving_features)
+            return example.serving_features, ()
         prefix = observed_prefix(example, self._windows[i][0])
-        return FeatureVector(
-            categorical=[*example.serving_features, _aux_count_pair(prefix)],
-            numeric=[(AUX_NUMERIC_FEATURE, max(prefix, 0.0))],
-        )
+        return ([*example.serving_features, _aux_count_pair(prefix)],
+                [(AUX_NUMERIC_FEATURE, max(prefix, 0.0))])
 
     # -- serving ------------------------------------------------------------
 
     def serve(self, example: ClickExample) -> float:
         """Predicted full mature label at click time, from serving features
-        only. Thermometer: one `read` of f_0. Bucket: the sum of every
-        sub-model's prediction, from one stacked `read` of all n+1."""
+        only. Thermometer: one `forward` of f_0. Bucket: the sum of every
+        sub-model's prediction, from one stacked `read` of all n+1. In
+        two-output mode a prediction is rate_plus - rate_minus."""
         if self._thermometer:
-            return self.sub_models[0].read(example.serving_features)
+            out = self.sub_models[0].forward(example.serving_features)
+            return out[0] - out[1] if self.two_output else out
         # left to right on purpose: builtin sum() of floats is compensated
         # from Python 3.12, which would make reports depend on the version
         total = 0.0
@@ -195,7 +192,9 @@ class SubModelEnsemble:
         if tail_predictor is not None:
             tail = tail_predictor(example, m)
         else:
-            tail = self.sub_models[m].predict(self.features_for(example, m))
+            tail = self.sub_models[m].forward(*self.features_for(example, m))
+            if self.two_output:
+                tail = tail[0] - tail[1]
         return known + tail
 
     # -- training -------------------------------------------------------------
@@ -219,7 +218,7 @@ class SubModelEnsemble:
             label = slice_label(example, lo, hi)
         if not self._thermometer or i == len(self._windows) - 1:
             return label
-        nxt = self.sub_models[i + 1].forward(self.features_for(example, i + 1))
+        nxt = self.sub_models[i + 1].forward(*self.features_for(example, i + 1))
         if self.two_output:
             return label[0] + nxt[0], label[1] + nxt[1]
         return label + nxt
@@ -241,9 +240,9 @@ class SubModelEnsemble:
             # only reachable with retractions in single-output mode
             self.negative_label_clamps += 1
             label = 0.0
-        features = self.features_for(example, i)
+        categorical, numeric = self.features_for(example, i)
         try:
-            return self.sub_models[i].train_step(features, label)
+            return self.sub_models[i].train_step(categorical, numeric, label)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"{self.name} sub-model {i}, example {example.example_id} "

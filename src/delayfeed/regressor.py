@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from functools import lru_cache
 
 import numpy as np
@@ -67,17 +67,6 @@ class RegressorConfig:
             raise ValueError("adagrad_epsilon must be finite and > 0")
         if not math.isfinite(self.output_bias_init):
             raise ValueError("output_bias_init must be finite")
-
-
-@dataclass
-class FeatureVector:
-    """Categorical (field_id, token) tuples plus named numeric features.
-    The tuples are the first k of the regressor's declared fields, in
-    declared order, each once; the fields after them contribute zero
-    embeddings."""
-
-    categorical: list
-    numeric: list = field(default_factory=list)
 
 
 @lru_cache(maxsize=65536)
@@ -169,11 +158,13 @@ class PoissonRegressor:
     those two buffers. The model allocates them, or takes zero-filled
     `params` and `g2` vectors from its caller (rows of a `RegressorStack`).
 
-    Every pass takes the first k declared categorical fields, in declared
-    order, each once, and refuses any other input with ContractViolation
-    before anything is written or counted. It gathers the k rows into one
-    input vector the model reuses: `forward`, `predict`, `read` and
-    `train_step` all write it, so a model is for one thread at a time.
+    Every pass takes `categorical`, (field_id, token) pairs of the first k
+    declared fields, in declared order, each once, and `numeric`, (name,
+    value) pairs of declared numeric features; the later fields' slots and
+    the unnamed numeric slots are zero. Any other input is refused with
+    ContractViolation before anything is written or counted. A pass
+    gathers the k rows into one input vector the model reuses: `forward`
+    and `train_step` both write it, so a model is for one thread at a time.
     """
 
     def __init__(self, config: RegressorConfig, params=None, g2=None):
@@ -337,32 +328,16 @@ class PoissonRegressor:
             h += b
         return np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
 
-    def forward(self, features: FeatureVector):
-        """Rate (single output) or (rate_plus, rate_minus) in two-output mode."""
-        self._fill(features.categorical, features.numeric)
-        self.forward_calls += 1
-        rates = self._rates()
-        if self.n_outputs == 1:
-            return float(rates[0])
-        return float(rates[0]), float(rates[1])
-
-    def predict(self, features: FeatureVector) -> float:
-        """Scalar prediction: the rate, or rate_plus - rate_minus."""
-        out = self.forward(features)
-        if self.n_outputs == 1:
-            return out
-        return out[0] - out[1]
-
-    def read(self, categorical) -> float:
-        """`predict(FeatureVector(categorical))`, bit for bit, without
-        building the FeatureVector: the serving read."""
-        self._fill(categorical)
+    def forward(self, categorical, numeric=()):
+        """The model's one inference pass: the rate, or (rate_plus,
+        rate_minus) in two-output mode."""
+        self._fill(categorical, numeric)
         self.forward_calls += 1
         rates = self._rates()
         if self.n_outputs == 1:
             return float(rates[0])
         plus, minus = rates.tolist()
-        return plus - minus
+        return plus, minus
 
     # -- training --------------------------------------------------------
 
@@ -393,14 +368,14 @@ class PoissonRegressor:
             )
         return float(pos), float(neg)
 
-    def _gradients(self, features: FeatureVector, label):
+    def _gradients(self, categorical, numeric, label):
         """The one backward pass: gradients of the summed Poisson NLL over
         outputs. Returns (loss, the k `_emb_rows` rows looked up, their
         values: the input vector's first k slots, the gradients: a view of
         `_grads` holding the dense gradient, laid out like `_grad`, then
         each row's), so the row updates apply to the slots in place."""
         y = self._label(label)
-        rows = self._fill(features.categorical, features.numeric)
+        rows = self._fill(categorical, numeric)
         # the layers of `_rates`, keeping each layer's input: the input
         # vector, then the hidden layers' ReLU outputs
         h, inputs = self._input, []
@@ -436,30 +411,13 @@ class PoissonRegressor:
         k = len(rows)
         return loss, rows, self._heads[k], self._checked[k]
 
-    def gradients(self, features: FeatureVector, label):
-        """Analytic gradients without updating: (loss, weight grads,
-        bias grads, embedding grads as {(field, row): vector})."""
-        loss, rows, _, grads = self._gradients(features, label)
-        emb_grads = grads[self._grad.size :].reshape(-1, self.config.embedding_dim)
-        fields = self.config.categorical_fields
-        buckets = self.config.hash_buckets_per_field
-        return (
-            loss,
-            [g.copy() for g in self._weight_grads],
-            [g.copy() for g in self._bias_grads],
-            {
-                (fields[row // buckets], row % buckets): g.copy()
-                for row, g in zip(rows, emb_grads)
-            },
-        )
-
-    def train_step(self, features: FeatureVector, label) -> float:
+    def train_step(self, categorical, numeric, label) -> float:
         """One online AdaGrad step; returns the pre-update loss. Only
         embedding rows actually touched by the input are updated, all in
         one AdaGrad update over their gathered values, which are then
         scattered back. A non-finite loss or gradient raises before
         anything is written."""
-        loss, rows, emb, grads = self._gradients(features, label)
+        loss, rows, emb, grads = self._gradients(categorical, numeric, label)
         # x * 0 is NaN exactly when x is inf or NaN, so the sum is NaN
         # exactly when a gradient holds a non-finite entry; unlike dot,
         # vdot does not turn the invalid flag of inf * 0 into a warning
@@ -526,8 +484,8 @@ class RegressorStack:
     Per call, numpy dispatch outweighs the arithmetic of these small
     layers: one stacked `matmul` costs about 2.5 single-model `dot`s and
     replaces R of them. So a read of several models at once takes the
-    stack's `read`; a pass of one model takes that model's own `read`,
-    `forward` or `train_step`.
+    stack's `read`; a pass of one model takes that model's own `forward`
+    or `train_step`.
     """
 
     def __init__(self, config: RegressorConfig, seeds):
@@ -557,10 +515,9 @@ class RegressorStack:
         self._biases = [b[:, None, :] for b in dense[nl:]]
 
     def read(self, categorical):
-        """(R, n_outputs) rates; row r equals
-        `models[r].forward(FeatureVector(categorical))` bit for bit. Takes
-        the input the models take, and counts one forward call on every
-        model once it is accepted."""
+        """(R, n_outputs) rates; row r equals `models[r].forward(categorical)`
+        bit for bit. Takes the input the models take, and counts one
+        forward call on every model once it is accepted."""
         rows = self.models[0]._rows_of(categorical)
         for m in self.models:
             m.forward_calls += 1

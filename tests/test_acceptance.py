@@ -36,15 +36,11 @@ from delayfeed.core import (
 from delayfeed.datagen import StreamConfig, generate, posterior_expected_tail
 from delayfeed.ensemble import BUCKET, SubModelEnsemble, VariantSpec
 from delayfeed.harness import default_slices, run
-from delayfeed.regressor import (
-    FeatureVector,
-    PoissonRegressor,
-    RegressorConfig,
-    hash_token,
-)
+from delayfeed.regressor import PoissonRegressor, RegressorConfig, hash_token
 from delayfeed.variants import build_variant, standard_specs
 
 from test_core import windows
+from test_regressor import analytic_gradients
 
 SEEDS = (1, 2, 3, 4, 5)
 CACHE_DIR = Path(__file__).parent / "_cache"
@@ -332,40 +328,34 @@ def test_gradients_match_finite_differences():
         # equal to its bias)
         for arr in model.biases:
             arr += rng.uniform(-0.3, 0.3, arr.shape)
-        fv = FeatureVector(
-            categorical=[(f, f"tok{rng.integers(0, 5)}") for f in fields],
-            numeric=[(n, float(rng.uniform(0.0, 3.0))) for n in numerics],
-        )
+        categorical = [(f, f"tok{rng.integers(0, 5)}") for f in fields]
+        numeric = [(n, float(rng.uniform(0.0, 3.0))) for n in numerics]
         if config.two_output_mode:
             label = (float(rng.uniform(0, 2)), float(rng.uniform(0, 2)))
         else:
             label = float(rng.uniform(0, 2))
-        _, w_grads, b_grads, emb_grads = model.gradients(fv, label)
+        _, dense_grads, emb_grads = analytic_gradients(
+            model, categorical, numeric, label)
 
         def fd(array, idx):
             orig = array[idx]
             array[idx] = orig + h
-            up = model.gradients(fv, label)[0]
+            up = model._gradients(categorical, numeric, label)[0]
             array[idx] = orig - h
-            down = model.gradients(fv, label)[0]
+            down = model._gradients(categorical, numeric, label)[0]
             array[idx] = orig
             return (up - down) / (2 * h)
 
         checks = []
-        for layer, grad in enumerate(w_grads):
+        for param, grad in zip(model.weights + model.biases, dense_grads):
             idx = tuple(int(rng.integers(0, s)) for s in grad.shape)
-            checks.append((model.weights[layer], idx, grad[idx]))
-        for layer, grad in enumerate(b_grads):
-            idx = (int(rng.integers(0, grad.shape[0])),)
-            checks.append((model.biases[layer], idx, grad[idx]))
-        for (field_id, row), grad in emb_grads.items():
+            checks.append((param, idx, grad[idx]))
+        for row, grad in emb_grads.items():
             col = int(rng.integers(0, grad.shape[0]))
-            checks.append(
-                (model.embeddings[field_id], (row, col), grad[col])
-            )
+            checks.append((model._emb_rows, (row, col), grad[col]))
         for array, idx, analytic in checks:
-            numeric = fd(array, idx)
-            err = abs(analytic - numeric) / max(abs(numeric), 1e-8)
+            finite = fd(array, idx)
+            err = abs(analytic - finite) / max(abs(finite), 1e-8)
             worst = max(worst, err)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-3 and elapsed < 10.0
@@ -435,11 +425,11 @@ def test_structural_invariants(tmp_path):
 
     # one training step only touches the embedding rows it looked up
     model = PoissonRegressor(SMALL_RC)
-    fv = FeatureVector(categorical=[("campaign", "c1")])
+    categorical = [("campaign", "c1")]
     snapshot = {f: t.copy() for f, t in model.embeddings.items()}
-    model.train_step(fv, 2.0)
+    model.train_step(categorical, (), 2.0)
     buckets = SMALL_RC.hash_buckets_per_field
-    touched_rows = {(f, hash_token(f, t, buckets)) for f, t in fv.categorical}
+    touched_rows = {(f, hash_token(f, t, buckets)) for f, t in categorical}
     for f, table in model.embeddings.items():
         for row in range(table.shape[0]):
             if (f, row) not in touched_rows:
@@ -528,10 +518,9 @@ def test_retraction_two_output_pipeline():
             pos, neg = split_signed(e, lo, hi)
             if pos - neg != slice_label(e, lo, hi):
                 decompose_exact = False
-    f0 = variant.sub_models[0]
-    probe = FeatureVector(categorical=stream.examples[0].serving_features)
-    plus, minus = f0.forward(probe)
-    if f0.predict(probe) != plus - minus:
+    probe = stream.examples[0]
+    plus, minus = variant.sub_models[0].forward(probe.serving_features)
+    if variant.serve(probe) != plus - minus:
         decompose_exact = False
 
     slices = default_slices(stream.ground_truth.high_delay)

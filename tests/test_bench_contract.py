@@ -41,15 +41,22 @@ def test_hash_token_cache_is_inspectable():
     assert info.hits >= 0 and info.misses >= 0
 
 
-def test_traced_proposed_replay_records_completion_edges():
-    workload = workloads.WORKLOADS["thermometer_cascade"]
+def traced_replay(workload_name, variant):
+    """(model, tracer) of a traced 200-click replay of one variant on the
+    workload's stream at seed 1."""
+    workload = workloads.WORKLOADS[workload_name]
     cfg = cli.config_from_dict(workload.config_dict(200))
     stream = cli.stream_for_seed(cfg, 1)
-    model = variants.build_variant(cli.variant_specs_for(cfg)["Proposed"])
+    model = variants.build_variant(cli.variant_specs_for(cfg)[variant])
     slices = harness.default_slices(stream.ground_truth.high_delay)
     with tracing.Tracer(keep=0) as tracer:
         result = harness.run(model, stream.examples, slices)
     assert result.n_examples == 200
+    return model, tracer
+
+
+def test_traced_proposed_replay_records_completion_edges():
+    _, tracer = traced_replay("thermometer_cascade", "Proposed")
     edges, agg = tracer.edges, tracer.agg
     assert edges.get(("ensemble.training_label", "regressor.forward"), 0) > 0
     assert edges.get(("ensemble.train_on", "regressor.train_step"), 0) == (
@@ -60,14 +67,7 @@ def test_traced_proposed_replay_records_completion_edges():
 
 
 def test_traced_bucket_replay_serves_in_one_stacked_forward():
-    workload = workloads.WORKLOADS["signed_bucket_wide"]
-    cfg = cli.config_from_dict(workload.config_dict(200))
-    stream = cli.stream_for_seed(cfg, 1)
-    model = variants.build_variant(cli.variant_specs_for(cfg)["M4"])
-    slices = harness.default_slices(stream.ground_truth.high_delay)
-    with tracing.Tracer(keep=0) as tracer:
-        result = harness.run(model, stream.examples, slices)
-    assert result.n_examples == 200
+    model, tracer = traced_replay("signed_bucket_wide", "M4")
     serves = tracer.agg["ensemble.serve"][0]
     assert serves == 200
     # all sub-models run inside ensemble.serve, none through forward()
@@ -79,20 +79,27 @@ def test_traced_bucket_replay_serves_in_one_stacked_forward():
 
 def test_traced_single_delay_replay_serves_through_variants():
     # the bench's variants.* metrics come from SingleDelayModel's methods
-    workload = workloads.WORKLOADS["single_delay_baselines"]
-    cfg = cli.config_from_dict(workload.config_dict(200))
-    stream = cli.stream_for_seed(cfg, 1)
-    model = variants.build_variant(cli.variant_specs_for(cfg)["M1"])
-    slices = harness.default_slices(stream.ground_truth.high_delay)
-    with tracing.Tracer(keep=0) as tracer:
-        result = harness.run(model, stream.examples, slices)
-    assert result.n_examples == 200
+    _, tracer = traced_replay("single_delay_baselines", "M1")
     agg = tracer.agg
     assert agg["variants.serve"][0] == 200
     assert agg["variants.train_on"][0] == agg["regressor.train_step"][0] > 0
     # the inherited methods run inside the variants.* spans, not as spans
     # of their own
     assert agg["ensemble.serve"][0] == agg["ensemble.train_on"][0] == 0
+
+
+@pytest.mark.parametrize("workload,variant,serve", [
+    ("thermometer_cascade", "Proposed", "ensemble.serve"),
+    ("single_delay_baselines", "M1", "variants.serve"),
+])
+def test_traced_thermometer_serve_is_one_traced_forward(workload, variant, serve):
+    # a thermometer serve is one forward of f_0, so the bench's
+    # regressor.forward_* count serves as well as label completions
+    _, tracer = traced_replay(workload, variant)
+    edges = tracer.edges
+    assert edges.get((serve, "regressor.forward"), 0) == 200
+    completions = edges.get(("ensemble.training_label", "regressor.forward"), 0)
+    assert tracer.agg["regressor.forward"][0] == 200 + completions
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

@@ -183,6 +183,17 @@ class TestConfig:
         assert config_from_dict({"variants": ["M3", "M1"]}).variants == (
             "M3", "M1")
 
+    @pytest.mark.parametrize("names,repeated", [
+        (["M1", "M1"], "M1"),
+        (["M3", "M1", "M3", "Proposed", "M1"], "M1, M3"),
+    ])
+    def test_repeated_variant_is_refused_naming_it(self, names, repeated):
+        # a variant listed twice would run twice and keep one report entry
+        with pytest.raises(ValueError) as exc:
+            config_from_dict({"variants": names})
+        assert str(exc.value) == (f"variants lists {repeated} more than once; "
+                                  f"each variant runs once")
+
     def test_load_config(self, config_path):
         cfg = load_config(config_path)
         assert cfg.stream.total_clicks == 800
@@ -344,12 +355,12 @@ class TestRun:
         real = PoissonRegressor.train_step
         calls = []
 
-        def train_step(self, features, label):
+        def train_step(self, categorical, numeric, label):
             calls.append(None)
             if len(calls) == 50:
                 raise FloatingPointError("non-finite loss or gradient "
                                          "(loss=nan); step not applied")
-            return real(self, features, label)
+            return real(self, categorical, numeric, label)
 
         monkeypatch.setattr(PoissonRegressor, "train_step", train_step)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "r"),

@@ -16,10 +16,9 @@ from delayfeed.ensemble import (
     THERMOMETER,
     SubModelEnsemble,
     VariantSpec,
-    aux_count_token,
 )
 from delayfeed.harness import default_slices, run
-from delayfeed.regressor import FeatureVector, RegressorConfig
+from delayfeed.regressor import RegressorConfig
 from delayfeed.variants import build_variant
 
 from test_core import WINDOWS, make_example, windows
@@ -124,16 +123,16 @@ class TestConfig:
 
     def test_failing_step_leaves_every_row_unchanged(self):
         ens = make_ensemble(encoding=BUCKET, use_aux=False)
-        fv = FeatureVector(categorical=make_example([]).serving_features)
+        categorical = make_example([]).serving_features
         for m in ens.sub_models:
-            m.train_step(fv, 1.0)
+            m.train_step(categorical, (), 1.0)
         # the output gradient overflows on its way back through these
         # weights, so the step is refused
         ens.sub_models[1].weights[-1][:] = 1e300
         params, g2 = ens.stack.params.copy(), ens.stack.g2.copy()
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError):
-            ens.sub_models[1].train_step(fv, 1.0)
+            ens.sub_models[1].train_step(categorical, (), 1.0)
         assert np.array_equal(ens.stack.params, params)
         assert np.array_equal(ens.stack.g2, g2)
 
@@ -141,25 +140,26 @@ class TestConfig:
 class TestAuxFeatures:
     def test_zero_prefix(self):
         ens = make_ensemble()
-        fv = ens.features_for(make_example([]), 1)
-        assert fv.numeric == [("aux_label_so_far", 0.0)]
-        assert fv.categorical == [("campaign", "0"), ("aux_count", "0")]
+        categorical, numeric = ens.features_for(make_example([]), 1)
+        assert numeric == [("aux_label_so_far", 0.0)]
+        assert categorical == [("campaign", "0"), ("aux_count", "0")]
 
     def test_count_bucket_token(self):
-        # the token set is {0, 1, 2, 3-4, 5-8, 9+}
-        assert aux_count_token(3) == "3-4"
-        assert aux_count_token(0) == "0"
-        assert aux_count_token(1) == "1"
-        assert aux_count_token(2) == "2"
-        assert aux_count_token(4) == "3-4"
-        assert aux_count_token(7) == "5-8"
-        assert aux_count_token(9) == "9+"
-        assert aux_count_token(42) == "9+"
-        assert aux_count_token(-2) == "0"  # clamped
+        # the token set is {0, 1, 2, 3-4, 5-8, 9+}; the events before d_1
+        # are the prefix, the one after it is not
         ens = make_ensemble()
-        fv = ens.features_for(make_example([0.1 * DAY] * 3 + [0.5 * DAY]), 1)
-        assert fv.numeric == [("aux_label_so_far", 4.0)]
-        assert fv.categorical[-1] == ("aux_count", "3-4")
+        for prefix, token in [(3, "3-4"), (0, "0"), (1, "1"), (2, "2"),
+                              (4, "3-4"), (7, "5-8"), (9, "9+"), (42, "9+")]:
+            e = make_example([0.1 * DAY] * prefix + [2 * DAY])
+            categorical, numeric = ens.features_for(e, 1)
+            assert categorical[-1] == ("aux_count", token), prefix
+            assert numeric == [("aux_label_so_far", float(prefix))]
+        # a conversion and three retractions before d_1: prefix -2, clamped
+        e = make_example([0.1 * DAY, 0.2 * DAY, 0.3 * DAY, 0.4 * DAY],
+                         signs=[1, -1, -1, -1])
+        categorical, numeric = ens.features_for(e, 1)
+        assert categorical[-1] == ("aux_count", "0")
+        assert numeric == [("aux_label_so_far", 0.0)]
 
     def test_uses_exactly_prefix_before_horizon(self):
         ens = make_ensemble()
@@ -167,8 +167,8 @@ class TestAuxFeatures:
         e2 = make_example([0.2 * DAY, 0.5 * DAY, 1 * DAY, 5 * DAY])
         # aux for horizon index 1 (d_1 = 1d) ignores events at delay >= 1d
         assert ens.features_for(e1, 1) == ens.features_for(e2, 1)
-        assert ens.features_for(e2, 1).numeric == [("aux_label_so_far", 2.0)]
-        assert ens.features_for(e2, 2).numeric == [("aux_label_so_far", 4.0)]
+        assert ens.features_for(e2, 1)[1] == [("aux_label_so_far", 2.0)]
+        assert ens.features_for(e2, 2)[1] == [("aux_label_so_far", 4.0)]
 
 
 class TestServe:
@@ -200,8 +200,8 @@ class TestServe:
         for m, bias in zip(ens.sub_models, log_rates):
             zero_to_bias(m, bias)
         e = make_example([])
-        fv = FeatureVector(categorical=e.serving_features)
-        preds = [m.predict(fv) for m in ens.sub_models]
+        preds = [plus - minus for plus, minus in
+                 (m.forward(e.serving_features) for m in ens.sub_models)]
         assert preds[0] == preds[2] > 0 and preds[3] == -preds[1]
         assert math.fsum(preds) == 2 * preds[0]
         assert ens.serve(e) == 0.0
@@ -214,6 +214,7 @@ class TestServe:
 
     @pytest.mark.parametrize("name", ["Proposed", "M5", "M3", "M1"])
     def test_thermometer_serve_is_f0_predict_bit_for_bit(self, name):
+        # serving is f_0's forward of the serving features, nothing more
         cfg = config_from_dict({"stream": {"total_clicks": 300}})
         stream = stream_for_seed(cfg, 3)
         model = build_variant(cfg.specs[name])
@@ -221,8 +222,8 @@ class TestServe:
         f0 = model.sub_models[0]
         for e in stream.examples:
             served = model.serve(e)
-            fv = FeatureVector(categorical=e.serving_features)
-            assert struct.pack("<d", served) == struct.pack("<d", f0.predict(fv))
+            assert struct.pack("<d", served) == struct.pack(
+                "<d", f0.forward(e.serving_features))
 
 
 class TestEstimateMatureLabel:
@@ -247,6 +248,13 @@ class TestEstimateMatureLabel:
         e = make_example([0.5 * DAY, 2 * DAY])
         got = ens.estimate_mature_label(e, e.click_time + 3 * DAY)
         assert got == pytest.approx(1.0 + 0.9)
+
+    def test_two_output_tail_is_plus_minus_minus(self):
+        ens = make_ensemble(two_output=True)
+        zero_to_bias(ens.sub_models[1], (math.log(0.9), math.log(0.4)))
+        e = make_example([0.5 * DAY, 2 * DAY])
+        got = ens.estimate_mature_label(e, e.click_time + 3 * DAY)
+        assert got == pytest.approx(1.0 + 0.9 - 0.4)
 
     def test_latest_window_start_at_each_boundary(self):
         # an age exactly at d_m already picks sub-model m and the prefix to d_m
@@ -382,18 +390,14 @@ class TestTrainOn:
     def test_m5_omits_aux_everywhere(self):
         ens = make_ensemble(use_aux=False)
         e = make_example([0.3 * DAY])
-        fv = ens.features_for(e, 1)
-        assert fv.numeric == []
-        assert all(f != "aux_count" for f, _ in fv.categorical)
+        assert ens.features_for(e, 1) == (e.serving_features, ())
 
     def test_f0_gets_no_aux_even_when_enabled(self):
         ens = make_ensemble(use_aux=True)
         e = make_example([0.3 * DAY])
-        fv = ens.features_for(e, 0)
-        assert fv.numeric == []
-        assert all(f != "aux_count" for f, _ in fv.categorical)
-        fv1 = ens.features_for(e, 1)
-        assert any(f == "aux_count" for f, _ in fv1.categorical)
+        assert ens.features_for(e, 0) == (e.serving_features, ())
+        categorical, _ = ens.features_for(e, 1)
+        assert any(f == "aux_count" for f, _ in categorical)
 
 
 class TestRetractions:
@@ -421,5 +425,5 @@ class TestRetractions:
     def test_signed_prediction_decomposition_exact(self):
         ens = make_ensemble(two_output=True)
         e = make_example([])
-        plus, minus = ens.sub_models[0].forward(ens.features_for(e, 0))
+        plus, minus = ens.sub_models[0].forward(*ens.features_for(e, 0))
         assert ens.serve(e) == plus - minus

@@ -9,7 +9,6 @@ import pytest
 from delayfeed import regressor
 from delayfeed.core import ContractViolation
 from delayfeed.regressor import (
-    FeatureVector,
     PoissonRegressor,
     RegressorConfig,
     RegressorStack,
@@ -36,11 +35,9 @@ def small_config(**kw):
 
 
 def fv(campaign="c1", segment="s1", aux=None):
+    """A (categorical, numeric) input of the small layout."""
     numeric = [] if aux is None else [("aux", aux)]
-    return FeatureVector(
-        categorical=[("campaign", campaign), ("segment", segment)],
-        numeric=numeric,
-    )
+    return [("campaign", campaign), ("segment", segment)], numeric
 
 
 def zero_weights(model):
@@ -76,7 +73,7 @@ class TestInit:
     def test_bias_only_forward(self):
         model = PoissonRegressor(small_config(output_bias_init=math.log(2)))
         zero_weights(model)
-        assert model.forward(fv()) == pytest.approx(2.0)
+        assert model.forward(*fv()) == pytest.approx(2.0)
 
     def test_accumulators_zero_at_init(self):
         model = PoissonRegressor(small_config())
@@ -108,26 +105,26 @@ class TestForward:
     def test_rate_positive(self):
         model = PoissonRegressor(small_config())
         for c in ("a", "b", "weird token"):
-            assert model.forward(fv(campaign=c, aux=3.0)) > 0
+            assert model.forward(*fv(campaign=c, aux=3.0)) > 0
 
     def test_deterministic(self):
         model = PoissonRegressor(small_config())
-        assert model.forward(fv(aux=2.0)) == model.forward(fv(aux=2.0))
+        assert model.forward(*fv(aux=2.0)) == model.forward(*fv(aux=2.0))
 
     def test_zeroed_network_constant(self):
         model = PoissonRegressor(small_config(output_bias_init=0.3))
         zero_weights(model)
         for c in ("x", "y"):
-            assert model.forward(fv(campaign=c, aux=5.0)) == pytest.approx(
+            assert model.forward(*fv(campaign=c, aux=5.0)) == pytest.approx(
                 math.exp(0.3)
             )
 
     def test_unknown_field_rejected(self):
         model = PoissonRegressor(small_config())
         with pytest.raises(ContractViolation):
-            model.forward(FeatureVector(categorical=[("nope", "x")]))
+            model.forward([("nope", "x")])
         with pytest.raises(ContractViolation):
-            model.forward(FeatureVector(categorical=[], numeric=[("nope", 1.0)]))
+            model.forward([], [("nope", 1.0)])
 
     def test_hash_stability(self):
         assert hash_token("f", "tok", 4096) == hash_token("f", "tok", 4096)
@@ -135,9 +132,10 @@ class TestForward:
 
     def test_two_output_signed_decomposition(self):
         model = PoissonRegressor(small_config(two_output_mode=True))
-        plus, minus = model.forward(fv(aux=1.0))
+        plus, minus = model.forward(*fv(aux=1.0))
         assert plus > 0 and minus > 0
-        assert model.predict(fv(aux=1.0)) == plus - minus
+        rates, _, _ = reference_forward(model, *fv(aux=1.0))
+        assert (plus, minus) == tuple(float(r) for r in rates)
 
 
 class TestTrainStep:
@@ -160,11 +158,10 @@ class TestTrainStep:
             rng_seed=0,
         )
         model = PoissonRegressor(cfg)
-        empty = FeatureVector(categorical=[])
         rate = None
         for step in range(5000):
-            model.train_step(empty, 3.0)
-            rate = model.forward(empty)
+            model.train_step([], (), 3.0)
+            rate = model.forward([])
             if abs(rate - 3.0) < 0.01:
                 break
         assert abs(rate - 3.0) < 0.01, f"no convergence, final rate {rate}"
@@ -172,7 +169,7 @@ class TestTrainStep:
     def test_returns_pre_update_loss(self):
         model = PoissonRegressor(small_config(output_bias_init=0.0))
         zero_weights(model)
-        loss = model.train_step(fv(aux=0.0), 2.0)
+        loss = model.train_step(*fv(aux=0.0), 2.0)
         # rate was exactly 1.0 before the step
         assert loss == pytest.approx(1.0 - 2.0 * math.log(1.0))
 
@@ -180,22 +177,22 @@ class TestTrainStep:
         model = PoissonRegressor(small_config())
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ContractViolation):
-                model.train_step(fv(), bad)
+                model.train_step(*fv(), bad)
 
     def test_two_output_label_pair(self):
         model = PoissonRegressor(small_config(two_output_mode=True))
-        loss = model.train_step(fv(aux=1.0), (2.0, 0.5))
+        loss = model.train_step(*fv(aux=1.0), (2.0, 0.5))
         assert math.isfinite(loss)
         for bad in ((1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)):
             with pytest.raises(ContractViolation):
-                model.train_step(fv(), bad)
+                model.train_step(*fv(), bad)
 
     @pytest.mark.parametrize("label", [1.0, (1.0,), (1.0, 2.0, 3.0), None])
     def test_two_output_label_must_be_a_pair(self, label):
         model = PoissonRegressor(small_config(two_output_mode=True))
         params = model.params.copy()
         with pytest.raises(ContractViolation, match="label pair"):
-            model.train_step(fv(aux=1.0), label)
+            model.train_step(*fv(aux=1.0), label)
         assert np.array_equal(model.params, params)
 
     def test_failing_step_leaves_no_partial_update(self):
@@ -205,13 +202,12 @@ class TestTrainStep:
             categorical_fields=("campaign",), numeric_features=(),
             hidden_layer_sizes=(),
         ))
-        features = FeatureVector(categorical=[("campaign", "c1")])
         row = hash_token("campaign", "c1", model.config.hash_buckets_per_field)
         model.embeddings["campaign"][row, 0] = 0.0
         model.weights[0][0, 0] = 1e300
         params, g2 = model.params.copy(), model.g2.copy()
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            model.train_step(features, 1e9)
+            model.train_step([("campaign", "c1")], (), 1e9)
         assert np.array_equal(model.params, params)
         assert np.array_equal(model.g2, g2)
 
@@ -219,33 +215,42 @@ class TestTrainStep:
         model = PoissonRegressor(small_config())
         features = fv(campaign="c9", segment="s2", aux=2.5)
         label = 3.0
-        loss, w_grads, b_grads, emb_grads = model.gradients(features, label)
+        _, dense_grads, emb_grads = analytic_gradients(model, *features, label)
+        assert len(emb_grads) == 2
 
         def numeric_grad(arr, idx):
             h = 1e-6
             orig = arr[idx]
             arr[idx] = orig + h
-            up, _, _, _ = model.gradients(features, label)
+            up = model._gradients(*features, label)[0]
             arr[idx] = orig - h
-            dn, _, _, _ = model.gradients(features, label)
+            dn = model._gradients(*features, label)[0]
             arr[idx] = orig
             return (up - dn) / (2 * h)
 
         rng = np.random.default_rng(0)
-        for layer, (wg, bg) in enumerate(zip(w_grads, b_grads)):
-            w = model.weights[layer]
+        for param, grad in zip(model.weights + model.biases, dense_grads):
             for _ in range(10):
-                idx = (rng.integers(w.shape[0]), rng.integers(w.shape[1]))
-                fd = numeric_grad(w, idx)
-                assert fd == pytest.approx(wg[idx], rel=1e-3, abs=1e-8)
-            idx = (rng.integers(model.biases[layer].shape[0]),)
-            fd = numeric_grad(model.biases[layer], idx)
-            assert fd == pytest.approx(bg[idx[0]], rel=1e-3, abs=1e-8)
-        for (field_id, row), g in emb_grads.items():
-            table = model.embeddings[field_id]
+                idx = tuple(int(rng.integers(n)) for n in grad.shape)
+                fd = numeric_grad(param, idx)
+                assert fd == pytest.approx(grad[idx], rel=1e-3, abs=1e-8)
+        for row, g in emb_grads.items():
             for col in range(g.shape[0]):
-                fd = numeric_grad(table, (row, col))
+                fd = numeric_grad(model._emb_rows, (row, col))
                 assert fd == pytest.approx(g[col], rel=1e-3, abs=1e-8)
+
+
+def analytic_gradients(model, categorical, numeric, label):
+    """The loss and gradients of the model's backward pass, `_gradients`,
+    copied: one array per dense parameter, in the order of `weights +
+    biases`, and {`_emb_rows` row: gradient} of the rows looked up."""
+    loss, rows, _, grads = model._gradients(categorical, numeric, label)
+    n_dense = model._grad.size
+    nf = len(model.config.categorical_fields)
+    dense = regressor._carve(grads[:n_dense].copy(),
+                             regressor.param_shapes(model.config)[nf:])
+    emb = grads[n_dense:].reshape(-1, model.config.embedding_dim).copy()
+    return loss, dense, dict(zip(rows, emb))
 
 
 class TestInvariants:
@@ -253,10 +258,10 @@ class TestInvariants:
         model = PoissonRegressor(small_config())
         touched = {
             (f, hash_token(f, t, model.config.hash_buckets_per_field))
-            for f, t in fv(aux=1.0).categorical
+            for f, t in fv(aux=1.0)[0]
         }
         before = {f: model.embeddings[f].copy() for f in FIELDS}
-        model.train_step(fv(aux=1.0), 2.0)
+        model.train_step(*fv(aux=1.0), 2.0)
         for f in FIELDS:
             diff_rows = np.where(
                 np.any(model.embeddings[f] != before[f], axis=1)
@@ -274,7 +279,7 @@ class TestInvariants:
                 segment=f"s{rng.integers(5)}",
                 aux=float(rng.exponential(1.0)),
             )
-            model.train_step(features, float(rng.poisson(0.7)))
+            model.train_step(*features, float(rng.poisson(0.7)))
             if step % 500 == 0:
                 cur = model.weight_g2 + model.bias_g2
                 for p, c in zip(prev, cur):
@@ -288,26 +293,26 @@ class TestInvariants:
 
     def test_zero_learning_rate_is_noop(self):
         model = PoissonRegressor(small_config(learning_rate=0.0))
-        before_out = model.forward(fv(aux=1.0))
+        before_out = model.forward(*fv(aux=1.0))
         before = [p.copy() for p in all_params(model)]
-        model.train_step(fv(aux=1.0), 5.0)
+        model.train_step(*fv(aux=1.0), 5.0)
         for p, b in zip(all_params(model), before):
             assert np.array_equal(p, b)
-        assert model.forward(fv(aux=1.0)) == before_out
+        assert model.forward(*fv(aux=1.0)) == before_out
 
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = PoissonRegressor(small_config())
         for _ in range(20):
-            model.train_step(fv(aux=1.0), 2.0)
+            model.train_step(*fv(aux=1.0), 2.0)
         path = tmp_path / "model.ckpt"
         model.save(path)
         loaded = PoissonRegressor.load(path)
         assert loaded.config == model.config
         assert np.array_equal(loaded.params, model.params)
         assert np.array_equal(loaded.g2, model.g2)
-        assert loaded.forward(fv(aux=1.0)) == model.forward(fv(aux=1.0))
+        assert loaded.forward(*fv(aux=1.0)) == model.forward(*fv(aux=1.0))
 
     @pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + b"\0"],
                              ids=["truncated", "appended"])
@@ -343,18 +348,18 @@ def reference_adagrad(param, accum, grad, lr, eps):
     param -= lr * grad / (np.sqrt(accum) + eps)
 
 
-def reference_forward(model, features):
+def reference_forward(model, categorical, numeric=()):
     cfg = model.config
     d = cfg.embedding_dim
     x = np.zeros(model.input_dim)
     lookups = []
-    for field_id, token in features.categorical:
+    for field_id, token in categorical:
         off = cfg.categorical_fields.index(field_id) * d
         row = hash_token(field_id, token, cfg.hash_buckets_per_field)
         x[off : off + d] += model.embeddings[field_id][row]
         lookups.append((field_id, row, off))
     base = d * len(cfg.categorical_fields)
-    for name, value in features.numeric:
+    for name, value in numeric:
         idx = cfg.numeric_features.index(name)
         x[base + idx] = math.copysign(math.log1p(abs(value)), value)
     activations = [x]
@@ -368,9 +373,9 @@ def reference_forward(model, features):
     return np.exp(np.clip(h, -30.0, 30.0)), activations, lookups
 
 
-def reference_step(model, features, label):
+def reference_step(model, categorical, numeric, label):
     y = np.array(label, dtype=float).reshape(-1)
-    rates, activations, lookups = reference_forward(model, features)
+    rates, activations, lookups = reference_forward(model, categorical, numeric)
     loss = float(np.sum(rates - y * np.log(rates)))
     grad = rates - y
     n = len(model.weights)
@@ -403,11 +408,12 @@ REF_FIELDS = ("campaign", "segment", "site")
 def first_k_features(rng, aux):
     """The one input form every pass takes: the first k of REF_FIELDS, k
     from 0 to all of them, in declared order, each once (few tokens, so
-    that rows repeat across calls), with the aux numeric when `aux`."""
+    that rows repeat across calls), with the aux numeric when `aux`; a
+    (categorical, numeric) pair."""
     k = int(rng.integers(len(REF_FIELDS) + 1))
     categorical = [(f, f"t{rng.integers(6)}") for f in REF_FIELDS[:k]]
     numeric = [("aux", float(rng.normal(0.0, 3.0)))] if aux else []
-    return FeatureVector(categorical, numeric)
+    return categorical, numeric
 
 
 @pytest.mark.parametrize("two_output", [False, True], ids=["single", "two"])
@@ -417,6 +423,7 @@ def test_step_matches_reference_bit_for_bit(two_output):
                        two_output_mode=two_output)
     model, ref = PoissonRegressor(cfg), PoissonRegressor(cfg)
     rng = np.random.default_rng(21)
+    nf = len(REF_FIELDS)
     for step in range(2000):
         # the aux numeric present and absent in turn
         features = first_k_features(rng, aux=step % 2)
@@ -424,48 +431,26 @@ def test_step_matches_reference_bit_for_bit(two_output):
             label = (float(rng.poisson(1.0)), float(rng.poisson(0.3)))
         else:
             label = float(rng.poisson(1.2))
-        rates, _, _ = reference_forward(ref, features)
+        # a serving forward of another k between the steps, so that a
+        # stale slot would show
+        served = serving_tuple(rng, REF_FIELDS, int(rng.integers(nf + 1)))
+        got = prediction(model.forward(served))
+        assert bits(got) == bits(reference_predict(ref, served)), step
+        rates, _, _ = reference_forward(ref, *features)
         expect = tuple(float(r) for r in rates)
-        got = model.forward(features)
+        got = model.forward(*features)
         assert (got if two_output else (got,)) == expect, step
-        assert model.train_step(features, label) == reference_step(
-            ref, features, label
+        assert model.train_step(*features, label) == reference_step(
+            ref, *features, label
         ), step
     assert np.array_equal(model.params, ref.params)
     assert np.array_equal(model.g2, ref.g2)
     # log-rates beyond the stability clamp, both ways
     for bias in (-40.0, 40.0):
         model.biases[-1][:] = ref.biases[-1][:] = bias
-        got = model.forward(features)
-        rates, _, _ = reference_forward(ref, features)
+        got = model.forward(*features)
+        rates, _, _ = reference_forward(ref, *features)
         assert (got if two_output else (got,)) == tuple(float(r) for r in rates)
-
-
-@pytest.mark.parametrize("two_output", [False, True], ids=["single", "two"])
-def test_gathered_step_matches_reference_bit_for_bit(two_output):
-    # reads of another k between the steps, so that a stale slot would show
-    cfg = small_config(categorical_fields=REF_FIELDS, embedding_dim=4,
-                       hash_buckets_per_field=4, hidden_layer_sizes=(6, 5),
-                       two_output_mode=two_output)
-    model, ref = PoissonRegressor(cfg), PoissonRegressor(cfg)
-    rng = np.random.default_rng(31)
-    nf = len(REF_FIELDS)
-    for step in range(2000):
-        features = first_k_features(rng, aux=step % 2)
-        if two_output:
-            label = (float(rng.poisson(1.0)), float(rng.poisson(0.3)))
-        else:
-            label = float(rng.poisson(1.2))
-        served = tuple(serving_tuple(rng, REF_FIELDS, int(rng.integers(nf + 1))))
-        assert bits(model.read(served)) == bits(reference_predict(ref, served)), step
-        rates, _, _ = reference_forward(ref, features)
-        got = model.forward(features)
-        assert (got if two_output else (got,)) == tuple(float(r) for r in rates), step
-        assert model.train_step(features, label) == reference_step(
-            ref, features, label
-        ), step
-    assert np.array_equal(model.params, ref.params)
-    assert np.array_equal(model.g2, ref.g2)
 
 
 # -- stacked models ----------------------------------------------------------
@@ -489,7 +474,7 @@ def test_stack_row_is_an_ordinary_model(tmp_path):
     for _ in range(50):
         features = fv(campaign=f"c{rng.integers(6)}", aux=float(rng.exponential()))
         label = float(rng.poisson(1.0))
-        assert row1.train_step(features, label) == alone.train_step(features, label)
+        assert row1.train_step(*features, label) == alone.train_step(*features, label)
     assert np.array_equal(row1.params, alone.params)
     assert np.array_equal(row1.g2, alone.g2)
     assert np.array_equal(stack.params[[0, 2]], others[0])
@@ -537,9 +522,7 @@ def test_stacked_forward_matches_each_model_bit_for_bit(embedding_dim, hidden,
         rates = stack.read(categorical)
         assert [m.forward_calls for m in stack.models] == [c + 1 for c in calls]
         for model, row in zip(stack.models, rates.tolist()):
-            served = row[0] - row[1] if two_output else row[0]
-            assert bits(served) == bits(model.read(categorical)), step
-            got = model.forward(FeatureVector(list(categorical)))
+            got = model.forward(categorical)
             assert tuple(row) == (got if two_output else (got,)), step
 
 
@@ -556,8 +539,8 @@ def inject(model, where, values):
     nf = len(model.config.categorical_fields)
     dense_shapes = regressor.param_shapes(model.config)[nf:]
 
-    def gradients(features, label):
-        loss, rows, emb, grads = real(features, label)
+    def gradients(categorical, numeric, label):
+        loss, rows, emb, grads = real(categorical, numeric, label)
         dense = regressor._carve(grads[:n_dense], dense_shapes)
         target = {"weight": dense[0][1],
                   "bias": dense[len(model.weights)],
@@ -573,10 +556,8 @@ def inject(model, where, values):
 
 # out of order, with the campaign row looked up twice: an input whose rows
 # would have to be summed into their fields' slots
-SUMMED = FeatureVector(
-    categorical=[("segment", "s1"), ("campaign", "c1"), ("campaign", "c1")],
-    numeric=[("aux", 1.0)],
-)
+SUMMED = ([("segment", "s1"), ("campaign", "c1"), ("campaign", "c1")],
+          [("aux", 1.0)])
 
 
 def refuse(where, value, features, error):
@@ -589,7 +570,7 @@ def refuse(where, value, features, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error):
-            model.train_step(features, 2.0)
+            model.train_step(*features, 2.0)
     assert np.array_equal(model.params, params)
     assert np.array_equal(model.g2, g2)
     return seen
@@ -600,7 +581,7 @@ def apply_extreme(where, values, features):
     seen = inject(model, where, values)
     params, g2 = model.params.copy(), model.g2.copy()
     with np.errstate(over="ignore"):
-        model.train_step(features, 2.0)
+        model.train_step(*features, 2.0)
         # the update of the gradients the step saw, one parameter array
         # at a time
         n_emb = params.size - seen["dense"].size
@@ -653,12 +634,12 @@ def expected_row(model, pair):
 
 def test_unknown_field_raises_on_every_call():
     model = PoissonRegressor(small_config())
-    bad = FeatureVector(categorical=[("campaign", "c1"), ("nope", "x")])
+    bad = [("campaign", "c1"), ("nope", "x")]
     for _ in range(3):
         with pytest.raises(ContractViolation, match="nope"):
             model.forward(bad)
         with pytest.raises(ContractViolation, match="nope"):
-            model.train_step(bad, 1.0)
+            model.train_step(bad, (), 1.0)
     assert ("nope", "x") not in model._rows
     assert ("campaign", "c1") in model._rows
 
@@ -679,11 +660,11 @@ def test_layouts_map_a_pair_to_their_own_rows():
             for pair in pairs:
                 categorical = [pair] if pair[0] == first else [
                     (first, "t1"), pair]
-                features = FeatureVector(categorical, [("aux", 1.0)])
+                numeric = [("aux", 1.0)]
                 assert model._rows_of(categorical) == [
                     expected_row(model, p) for p in categorical]
-                rates, _, _ = reference_forward(model, features)
-                assert model.forward(features) == float(rates[0])
+                rates, _, _ = reference_forward(model, categorical, numeric)
+                assert model.forward(categorical, numeric) == float(rates[0])
     # the second field's rows start at one table's length
     assert expected_row(a, pairs[0]) != expected_row(b, pairs[0])
     assert expected_row(a, pairs[1]) != expected_row(c, pairs[1])
@@ -695,7 +676,7 @@ def test_stack_models_share_a_memo_that_agrees_with_hash_token():
     assert all(m._rows is stack.models[0]._rows for m in stack.models)
     rng = np.random.default_rng(8)
     for step in range(200):
-        categorical = first_k_features(rng, aux=step % 2).categorical
+        categorical, _ = first_k_features(rng, aux=step % 2)
         expect = [expected_row(stack.models[0], p) for p in categorical]
         for model in stack.models:
             assert model._rows_of(categorical) == expect
@@ -708,16 +689,16 @@ def test_full_memo_is_cleared_and_rows_stay_right(monkeypatch):
     rng = np.random.default_rng(9)
     for step in range(300):
         features = first_k_features(rng, aux=step % 2)
-        rates, _, _ = reference_forward(ref, features)
-        assert model.forward(features) == float(rates[0]), step
+        rates, _, _ = reference_forward(ref, *features)
+        assert model.forward(*features) == float(rates[0]), step
         assert len(model._rows) <= 2
         label = float(rng.poisson(1.0))
-        assert model.train_step(features, label) == reference_step(
-            ref, features, label), step
+        assert model.train_step(*features, label) == reference_step(
+            ref, *features, label), step
     assert np.array_equal(model.params, ref.params)
 
 
-# -- the serving read -----------------------------------------------------------
+# -- the serving forward --------------------------------------------------------
 
 SERVING_FIELDS = ("campaign", "segment", "context")
 
@@ -726,10 +707,16 @@ def bits(x) -> bytes:
     return struct.pack("<d", x)
 
 
+def prediction(out) -> float:
+    """A forward's scalar prediction, as serving takes it: the rate, or
+    rate_plus - rate_minus."""
+    return out[0] - out[1] if isinstance(out, tuple) else out
+
+
 def read_layouts():
     """The one-window layout, Proposed's f_0 layout (an aux field and an
     aux numeric feature) and a two-output one, each with two hidden layers
-    so that a read applies ReLU in place."""
+    so that a forward applies ReLU in place."""
     base = small_config(categorical_fields=SERVING_FIELDS, numeric_features=(),
                         hidden_layer_sizes=(6, 5), hash_buckets_per_field=8)
     aux = replace(base, categorical_fields=SERVING_FIELDS + ("aux_count",),
@@ -747,17 +734,16 @@ def trained_model(cfg, rng, steps=30):
     for _ in range(steps):
         categorical = list(serving_tuple(rng, cfg.categorical_fields,
                                          len(cfg.categorical_fields)))
-        features = FeatureVector(categorical,
-                                 [(n, 2.0) for n in cfg.numeric_features])
+        numeric = [(n, 2.0) for n in cfg.numeric_features]
         label = (1.0, 0.5) if cfg.two_output_mode else 1.0
-        model.train_step(features, label)
+        model.train_step(categorical, numeric, label)
     return model
 
 
-def reference_predict(model, categorical) -> float:
-    """`predict(FeatureVector(categorical))` through `reference_forward`,
-    whose input vector is built afresh."""
-    rates = [float(r) for r in reference_forward(model, FeatureVector(categorical))[0]]
+def reference_predict(model, categorical, numeric=()) -> float:
+    """The scalar prediction of `reference_forward`, whose input vector is
+    built afresh."""
+    rates = [float(r) for r in reference_forward(model, categorical, numeric)[0]]
     return rates[0] if len(rates) == 1 else rates[0] - rates[1]
 
 
@@ -771,29 +757,28 @@ def test_read_equals_predict(layout):
     for k in sorted({3, nf}) * 20:
         categorical = serving_tuple(rng, cfg.categorical_fields, k)
         calls = model.forward_calls
-        got = model.read(categorical)
+        got = prediction(model.forward(categorical))
         assert model.forward_calls == calls + 1
-        assert bits(got) == bits(model.predict(FeatureVector(categorical)))
         assert bits(got) == bits(reference_predict(model, categorical))
 
 
 @pytest.mark.parametrize("layout", ["proposed_f0", "two_output"])
 def test_read_after_an_aux_step_sees_no_numeric_feature(layout):
-    # read, predict and forward share the input vector that the aux step
-    # filled, so each is held to the reference, which builds its own
+    # serving forwards share the input vector that the aux step and the aux
+    # forward filled, so each is held to the reference, which builds its own
     cfg = read_layouts()[layout]
     rng = np.random.default_rng(24)
     model = trained_model(cfg, rng, steps=5)
     nf = len(cfg.categorical_fields)
     for _ in range(20):
         full = list(serving_tuple(rng, cfg.categorical_fields, nf))
-        aux = FeatureVector(full, [("aux_label_so_far", 3.0)])
-        model.train_step(aux, (1.0, 2.0) if cfg.two_output_mode else 2.0)
+        aux = [("aux_label_so_far", 3.0)]
+        model.train_step(full, aux, (1.0, 2.0) if cfg.two_output_mode else 2.0)
         served = serving_tuple(rng, cfg.categorical_fields, 3)
         expect = bits(reference_predict(model, served))
-        assert bits(model.read(served)) == expect
-        model.forward(aux)
-        assert bits(model.predict(FeatureVector(served))) == expect
+        assert bits(prediction(model.forward(served))) == expect
+        model.forward(full, aux)
+        assert bits(prediction(model.forward(served))) == expect
 
 
 @pytest.mark.parametrize("layout", sorted(read_layouts()))
@@ -802,25 +787,27 @@ def test_read_interleaved_with_forward_and_training(layout):
     rng = np.random.default_rng(22)
     model = trained_model(cfg, rng, steps=5)
     nf = len(cfg.categorical_fields)
+
+    def served_right(categorical):
+        return (bits(prediction(model.forward(categorical)))
+                == bits(reference_predict(model, categorical)))
+
     for step in range(200):
-        # k falls as often as it rises, so a slot left by a longer read
+        # k falls as often as it rises, so a slot left by a longer forward
         # would show
         k = int(rng.integers(nf + 1))
         categorical = serving_tuple(rng, cfg.categorical_fields, k)
-        features = FeatureVector(list(categorical))
-        assert bits(model.read(categorical)) == bits(model.predict(features)), step
+        assert served_right(categorical), step
         action = rng.integers(3)
         if action == 0:
-            model.forward(FeatureVector(list(categorical),
-                                        [(n, 3.0) for n in cfg.numeric_features]))
+            model.forward(categorical, [(n, 3.0) for n in cfg.numeric_features])
         elif action == 1:
             label = (1.0, 2.0) if cfg.two_output_mode else 2.0
-            model.train_step(features, label)
+            model.train_step(categorical, (), label)
     full = serving_tuple(rng, cfg.categorical_fields, 3)
-    short = full[:2]
-    model.read(full)
-    assert bits(model.read(short)) == bits(model.predict(FeatureVector(short)))
-    assert bits(model.read(())) == bits(model.predict(FeatureVector([])))
+    model.forward(full)
+    assert served_right(full[:2])
+    assert served_right(())
 
 
 # every input that is not the first k declared fields, in declared order,
@@ -837,19 +824,20 @@ NON_CANONICAL = pytest.mark.parametrize("categorical,bad", [
 
 @NON_CANONICAL
 def test_read_falls_back_to_predict(categorical, bad):
-    # read takes the input predict takes: it refuses what predict refuses,
-    # with the same message
+    # a serving forward refuses what a training step refuses, with the
+    # same message
     cfg = read_layouts()["proposed_f0"]
     model = trained_model(cfg, np.random.default_rng(23))
     full = (("campaign", "c"), ("segment", "s"), ("context", "x"))
-    model.read(full)
+    model.forward(full)
     with pytest.raises(ContractViolation, match=bad) as refused:
-        model.read(categorical)
-    with pytest.raises(ContractViolation) as predicted:
-        model.predict(FeatureVector(categorical))
-    assert str(refused.value) == str(predicted.value)
-    # and the next read in shape is still right
-    assert bits(model.read(full[:1])) == bits(reference_predict(model, full[:1]))
+        model.forward(categorical)
+    with pytest.raises(ContractViolation) as stepped:
+        model.train_step(categorical, (), 1.0)
+    assert str(refused.value) == str(stepped.value)
+    # and the next forward in shape is still right
+    served = full[:1]
+    assert bits(model.forward(served)) == bits(reference_predict(model, served))
 
 
 @NON_CANONICAL
@@ -861,15 +849,14 @@ def test_non_canonical_input_is_refused_by_every_pass(categorical, bad):
     model = stack.models[0]
     # a full aux input first, so that every slot of the input vector is set
     full = [*serving_tuple(rng, cfg.categorical_fields, 4)]
-    model.forward(FeatureVector(full, [("aux_label_so_far", 2.0)]))
+    model.forward(full, [("aux_label_so_far", 2.0)])
     numeric = [("aux_label_so_far", 3.0)]
     state = [stack.params.tobytes(), stack.g2.tobytes(), model._input.tobytes(),
              [m.forward_calls for m in stack.models]]
     passes = [
-        lambda: model.read(categorical),
-        lambda: model.forward(FeatureVector(list(categorical), numeric)),
-        lambda: model.predict(FeatureVector(list(categorical))),
-        lambda: model.train_step(FeatureVector(list(categorical), numeric), 1.0),
+        lambda: model.forward(categorical),
+        lambda: model.forward(categorical, numeric),
+        lambda: model.train_step(categorical, numeric, 1.0),
         lambda: stack.read(categorical),
     ]
     for run in passes:
@@ -878,7 +865,7 @@ def test_non_canonical_input_is_refused_by_every_pass(categorical, bad):
         assert [stack.params.tobytes(), stack.g2.tobytes(), model._input.tobytes(),
                 [m.forward_calls for m in stack.models]] == state
     served = full[:3]
-    assert bits(model.read(served)) == bits(reference_predict(model, served))
+    assert bits(model.forward(served)) == bits(reference_predict(model, served))
 
 
 @pytest.mark.parametrize("categorical", [
@@ -890,5 +877,5 @@ def test_read_of_an_unknown_field_raises_on_every_call(categorical):
     model = PoissonRegressor(read_layouts()["one_window"])
     for _ in range(3):
         with pytest.raises(ContractViolation, match="nope"):
-            model.read(categorical)
+            model.forward(categorical)
     assert ("nope", "x") not in model._rows

@@ -205,7 +205,7 @@ def _training_label(variant, example):
     captured = {}
 
     class Spy:
-        def train_step(self, features, label):
+        def train_step(self, categorical, numeric, label):
             captured["label"] = label
             return 0.0
 
