@@ -197,13 +197,20 @@ def _run_task(cfg: ExperimentConfig, name: str, seed: int):
 def run_matrix(cfg: ExperimentConfig, tasks, jobs: int = 1):
     """Run each (variant name, seed) task of `tasks`, on `jobs` worker
     processes if more than one, and yield (seed, name, RunResult,
-    runtime_s) as each finishes."""
+    runtime_s) as each finishes. The first task that fails ends the run:
+    its error is raised once the tasks already handed to a worker have
+    ended, and the tasks not yet started never run."""
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_task, cfg, name, seed)
                        for name, seed in tasks]
             for fut in concurrent.futures.as_completed(futures):
-                yield fut.result()
+                try:
+                    result = fut.result()
+                except Exception:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+                yield result
     else:
         for name, seed in tasks:
             yield _run_task(cfg, name, seed)

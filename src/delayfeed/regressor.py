@@ -11,6 +11,7 @@ retractions are handled.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .adagrad import adagrad_step, bind
 from .core import ContractViolation, is_integer
 
 CHECKPOINT_MAGIC = b"DLYFEED1"
@@ -91,24 +93,6 @@ def _row_memo(fields: tuple, buckets: int) -> dict:
     return {}
 
 
-def adagrad_update(param, accum, grad, lr, eps, work=None):
-    """In-place AdaGrad step: accum += grad^2; param -= (lr * grad) /
-    (sqrt(accum) + eps), element by element. `lr` and `eps` are floats or
-    0-d arrays. `work`, a float64 array of shape (2, *grad.shape), holds
-    the intermediates so that the step allocates nothing; without it they
-    are allocated."""
-    if work is None:
-        work = np.empty((2, *grad.shape))
-    step, den = work
-    np.multiply(grad, grad, out=step)
-    accum += step
-    np.sqrt(accum, out=den)
-    den += eps
-    np.multiply(grad, lr, out=step)
-    step /= den
-    param -= step
-
-
 def param_shapes(config: RegressorConfig) -> list:
     """Shapes of a regressor's parameter arrays in the order they lie in its
     flat buffer: one embedding table per field, then the dense weights, then
@@ -157,6 +141,8 @@ class PoissonRegressor:
     `embeddings`, `weights`, `biases` and the `*_g2` names are views into
     those two buffers. The model allocates them, or takes zero-filled
     `params` and `g2` vectors from its caller (rows of a `RegressorStack`).
+    The compiled AdaGrad step holds their addresses, so they are written in
+    place and never replaced.
 
     Every pass takes `categorical`, (field_id, token) pairs of the first k
     declared fields, in declared order, each once, and `numeric`, (name,
@@ -191,10 +177,6 @@ class PoissonRegressor:
         # array for every k
         self._grads = np.empty(n_dense + self.input_dim)
         self._grad, self._input_grad = self._grads[:n_dense], self._grads[n_dense:]
-        self._checked = [self._grads[: n_dense + d * k] for k in range(nf + 1)]
-        self._work = np.empty((2, n_dense))
-        # zeros for train_step's finiteness check
-        self._zeros = np.zeros(self._grads.size)
         n_emb = self.params.size - n_dense
         self._dense = self.params[n_emb:]
         self._dense_g2 = self.g2[n_emb:]
@@ -212,8 +194,14 @@ class PoissonRegressor:
         self._weight_grads, self._bias_grads = g[:nl], g[nl:]
         # each bias gradient as a (1, fan_out) row, for the outer products
         self._bias_grad_rows = [b[None, :] for b in self._bias_grads]
-        self._lr = np.array(config.learning_rate)
-        self._eps = np.array(config.adagrad_epsilon)
+        # the rows a step looked up, and the AdaGrad kernel's arguments:
+        # the addresses of the dense tail, the embedding rows, `_grads` and
+        # the looked-up rows
+        self._looked_up = (ctypes.c_long * nf)()
+        self._step = bind(self._dense, self._dense_g2, self._emb_rows,
+                          self._emb_rows_g2, self._grads[: n_dense + d * nf],
+                          self._looked_up, config.learning_rate,
+                          config.adagrad_epsilon)
 
         for f, emb_shape in zip(fields, shapes):
             self.embeddings[f][...] = rng.uniform(-0.05, 0.05, size=emb_shape)
@@ -370,10 +358,9 @@ class PoissonRegressor:
 
     def _gradients(self, categorical, numeric, label):
         """The one backward pass: gradients of the summed Poisson NLL over
-        outputs. Returns (loss, the k `_emb_rows` rows looked up, their
-        values: the input vector's first k slots, the gradients: a view of
-        `_grads` holding the dense gradient, laid out like `_grad`, then
-        each row's), so the row updates apply to the slots in place."""
+        outputs. Writes `_grads`: the dense gradient, laid out like `_grad`,
+        then the input vector's gradient, whose first k slots are those of
+        the k `_emb_rows` rows looked up. Returns (loss, those rows)."""
         y = self._label(label)
         rows = self._fill(categorical, numeric)
         # the layers of `_rates`, keeping each layer's input: the input
@@ -408,35 +395,20 @@ class PoissonRegressor:
         dot(inputs[0][:, None], grad_rows[0], out=self._weight_grads[0])
         # dL/dx of each slot of the input vector
         dot(self.weights[0], grads[0], out=self._input_grad)
-        k = len(rows)
-        return loss, rows, self._heads[k], self._checked[k]
+        return loss, rows
 
     def train_step(self, categorical, numeric, label) -> float:
-        """One online AdaGrad step; returns the pre-update loss. Only
-        embedding rows actually touched by the input are updated, all in
-        one AdaGrad update over their gathered values, which are then
-        scattered back. A non-finite loss or gradient raises before
-        anything is written."""
-        loss, rows, emb, grads = self._gradients(categorical, numeric, label)
-        # x * 0 is NaN exactly when x is inf or NaN, so the sum is NaN
-        # exactly when a gradient holds a non-finite entry; unlike dot,
-        # vdot does not turn the invalid flag of inf * 0 into a warning
-        zeros = self._zeros[: grads.size]
-        if not math.isfinite(loss) or math.isnan(np.vdot(grads, zeros)):
+        """One online AdaGrad step; returns the pre-update loss. One call of
+        the compiled kernel (`adagrad.adagrad_step`) updates the dense
+        parameters and, in place, the embedding rows the input looked up.
+        A non-finite loss, or a non-finite entry in the dense gradient or
+        those rows' gradients, raises before anything is written."""
+        loss, rows = self._gradients(categorical, numeric, label)
+        self._looked_up[: len(rows)] = rows
+        if not math.isfinite(loss) or adagrad_step(self._step, len(rows)):
             raise FloatingPointError(
                 f"non-finite loss or gradient (loss={loss}); step not applied"
             )
-        lr, eps = self._lr, self._eps
-        n_dense = self._grad.size
-        adagrad_update(
-            self._dense, self._dense_g2, grads[:n_dense], lr, eps, self._work
-        )
-        if rows:
-            rows = np.array(rows)
-            emb_g2 = self._emb_rows_g2.take(rows, axis=0)
-            adagrad_update(emb, emb_g2, grads[n_dense:].reshape(emb.shape), lr, eps)
-            self._emb_rows[rows] = emb
-            self._emb_rows_g2[rows] = emb_g2
         return loss
 
     # -- checkpointing ----------------------------------------------------

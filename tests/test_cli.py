@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import time
 
 import pytest
 
@@ -331,6 +332,29 @@ class TestRun:
             reports[jobs] = {(seed, name): json.dumps(compare({name: result}))
                              for seed, name, result, _ in done}
         assert reports[1] == reports[2]
+
+    def test_first_failed_task_cancels_the_tasks_not_started(self, tmp_path,
+                                                             monkeypatch):
+        # every task marks its start with a file; the one of seed 1 fails
+        # at once, the others take 0.5 s each before failing too
+        cfg = config_from_dict(MATRIX)
+
+        def stream_for_seed(cfg, seed):
+            (tmp_path / f"started{seed}").touch()
+            if seed != 1:
+                time.sleep(0.5)
+            raise RuntimeError(f"task of seed {seed} failed")
+
+        monkeypatch.setattr(cli, "stream_for_seed", stream_for_seed)
+        monkeypatch.setattr(cli, "_stream_cache", {})
+        tasks = [("M1", seed) for seed in range(1, 17)]
+        with pytest.raises(RuntimeError, match="task of seed 1 failed"):
+            list(run_matrix(cfg, tasks, jobs=2))
+        started = sorted(int(p.name[7:]) for p in tmp_path.iterdir())
+        # only the tasks the pool had handed on, which it cannot cancel:
+        # one per worker and a queue of three, refilled once when the
+        # failed task's worker took the next task
+        assert started[0] == 1 and len(started) <= 6, started
 
     def test_run_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path):
         path = tmp_path / "config.json"

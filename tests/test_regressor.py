@@ -1,3 +1,4 @@
+import ctypes
 import math
 import struct
 import warnings
@@ -6,13 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from delayfeed import regressor
+from delayfeed import adagrad, regressor
 from delayfeed.core import ContractViolation
 from delayfeed.regressor import (
     PoissonRegressor,
     RegressorConfig,
     RegressorStack,
-    adagrad_update,
     hash_token,
 )
 
@@ -143,7 +143,7 @@ class TestTrainStep:
         # w=0, g=1, lr=0.1, eps=0 -> w = -0.1
         w = np.array([0.0])
         g2 = np.array([0.0])
-        adagrad_update(w, g2, np.array([1.0]), lr=0.1, eps=0.0)
+        assert kernel_step(w, g2, np.array([1.0]), lr=0.1, eps=0.0) == 0
         assert w[0] == pytest.approx(-0.1)
         assert g2[0] == 1.0
 
@@ -244,12 +244,12 @@ def analytic_gradients(model, categorical, numeric, label):
     """The loss and gradients of the model's backward pass, `_gradients`,
     copied: one array per dense parameter, in the order of `weights +
     biases`, and {`_emb_rows` row: gradient} of the rows looked up."""
-    loss, rows, _, grads = model._gradients(categorical, numeric, label)
-    n_dense = model._grad.size
+    loss, rows = model._gradients(categorical, numeric, label)
+    n_dense, d = model._grad.size, model.config.embedding_dim
     nf = len(model.config.categorical_fields)
-    dense = regressor._carve(grads[:n_dense].copy(),
+    dense = regressor._carve(model._grad.copy(),
                              regressor.param_shapes(model.config)[nf:])
-    emb = grads[n_dense:].reshape(-1, model.config.embedding_dim).copy()
+    emb = model._grads[n_dense : n_dense + d * len(rows)].reshape(-1, d).copy()
     return loss, dense, dict(zip(rows, emb))
 
 
@@ -402,6 +402,110 @@ def reference_step(model, categorical, numeric, label):
     return loss
 
 
+# -- the compiled AdaGrad kernel ------------------------------------------------
+
+def kernel_step(dense, dense_g2, grads, rows=None, rows_g2=None, looked_up=(),
+                lr=0.05, eps=1e-6):
+    """One call of the kernel's ctypes entry point on these arrays: `grads`
+    holds the dense gradient, then each looked-up row's. Returns its
+    status, 0 when the update was applied."""
+    if rows is None:
+        rows = rows_g2 = np.zeros((0, 1))
+    index = (ctypes.c_long * len(looked_up))(*looked_up)
+    step = adagrad.bind(dense, dense_g2, rows, rows_g2, grads, index, lr, eps)
+    return adagrad.adagrad_step(step, len(looked_up))
+
+
+TINY = 5e-324  # the smallest subnormal
+KERNEL_CASES = {
+    # (dense, its accumulators, its gradient, lr, eps)
+    "signed_zeros": ([0.0, -0.0, 0.0, -0.0, 1.0, -1.0], [0.0] * 6,
+                     [0.0, 0.0, -0.0, -0.0, -0.0, 0.0], 0.05, 1e-6),
+    "subnormals": ([TINY, -TINY, 1e-310, -0.0, 1e-300, 2.2e-308],
+                   [0.0, TINY, 1e-310, 0.0, TINY, 0.0],
+                   [TINY, -TINY, -1e-310, 3e-320, 1e-160, 2.2e-308], 0.05, TINY),
+    "square_overflows": ([1.0, -2.0, 0.5, 3.0, 0.0, -0.0],
+                         [0.0, 1e308, 0.0, 1.0, 0.0, 0.0],
+                         [1e200, -1e200, 1e-200, 1e154, 1.7e308, -1e200],
+                         0.05, 1e-6),
+    "lr_zero": ([-0.0, 0.0, -1.5, 2.0, -0.0, 0.0], [0.0, 1.0, 2.0, 0.0, 0.0, 3.0],
+                [-1.0, 1.0, -0.5, 0.25, 0.0, -3.0], 0.0, 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_matches_reference_adagrad_bytes(case):
+    # the dense entries and two rows of a 4-row table (the last one first),
+    # each row's gradient one of the dense gradient's halves reversed
+    values, accum, grad, lr, eps = KERNEL_CASES[case]
+    values, accum, grad = (np.array(v) for v in (values, accum, grad))
+    rows, rows_g2 = np.tile(values[:3], (4, 1)), np.tile(accum[3:], (4, 1))
+    looked_up = (3, 1)
+    grads = np.concatenate([grad, grad[2::-1], grad[:2:-1]])
+    dense, dense_g2 = values.copy(), accum.copy()
+    want = [values.copy(), accum.copy(), rows.copy(), rows_g2.copy()]
+    with np.errstate(over="ignore"):
+        assert kernel_step(dense, dense_g2, grads, rows, rows_g2, looked_up,
+                           lr, eps) == 0
+        reference_adagrad(want[0], want[1], grad, lr, eps)
+        for j, row in enumerate(looked_up):
+            reference_adagrad(want[2][row], want[3][row],
+                              grads[6 + 3 * j : 9 + 3 * j], lr, eps)
+    for got, expect in zip((dense, dense_g2, rows, rows_g2), want):
+        assert got.tobytes() == expect.tobytes(), case
+
+
+def test_kernel_matches_reference_adagrad_over_repeated_updates():
+    rng = np.random.default_rng(5)
+    dense, dense_g2 = rng.normal(size=40), np.zeros(40)
+    rows, rows_g2 = rng.normal(size=(6, 4)), np.zeros((6, 4))
+    want = [dense.copy(), dense_g2.copy(), rows.copy(), rows_g2.copy()]
+    for step in range(1000):
+        # gradients over eleven orders of magnitude, about 30% exactly zero
+        grads = rng.normal(size=48) * 10.0 ** rng.integers(-8, 3, size=48)
+        grads[rng.random(48) < 0.3] = 0.0
+        looked_up = tuple(rng.permutation(6)[:2])
+        assert kernel_step(dense, dense_g2, grads, rows, rows_g2, looked_up,
+                           0.05, 1e-6) == 0
+        reference_adagrad(want[0], want[1], grads[:40], 0.05, 1e-6)
+        for j, row in enumerate(looked_up):
+            reference_adagrad(want[2][row], want[3][row],
+                              grads[40 + 4 * j : 44 + 4 * j], 0.05, 1e-6)
+    for got, expect in zip((dense, dense_g2, rows, rows_g2), want):
+        assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("at", [0, 5, 6, 11])
+def test_kernel_refuses_a_non_finite_gradient_writing_nothing(at, value):
+    # the first and last dense entry, the first and last row entry
+    dense, dense_g2 = np.ones(6), np.ones(6)
+    rows, rows_g2 = np.ones((2, 3)), np.ones((2, 3))
+    grads = np.full(12, 0.5)
+    grads[at] = value
+    assert kernel_step(dense, dense_g2, grads, rows, rows_g2, (1, 0)) == 1
+    assert (dense == 1).all() and (dense_g2 == 1).all()
+    assert (rows == 1).all() and (rows_g2 == 1).all()
+
+
+def test_build_compiles_once_and_names_the_compiler(tmp_path, monkeypatch):
+    lib = adagrad.build(tmp_path / "a")
+    assert ctypes.CDLL(str(lib)).adagrad_step
+    monkeypatch.setattr(adagrad.subprocess, "run", lambda *a, **kw: pytest.fail(
+        "compiled a kernel that was already built"))
+    assert adagrad.build(tmp_path / "a") == lib
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [lib.name]
+    monkeypatch.undo()
+    # no compiler on PATH, and none in the working directory
+    monkeypatch.setenv("PATH", "")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(RuntimeError, match=r"`cc -O3 -fPIC -shared "
+                       r"-ffp-contract=off -fno-math-errno .*` failed"):
+        adagrad.build(tmp_path / "b")
+    assert list((tmp_path / "b").iterdir()) == []
+
+
 REF_FIELDS = ("campaign", "segment", "site")
 
 
@@ -530,9 +634,9 @@ def test_stacked_forward_matches_each_model_bit_for_bit(embedding_dim, hidden,
 
 def inject(model, where, values):
     """Make each backward pass of `model` write `values` into entries of
-    one gradient the step sees: a weight's, a bias's or the second
-    embedding row's. Returns a dict that receives copies of the gradients
-    the step then sees."""
+    one gradient the step sees: a weight's, a bias's, the second
+    embedding row's, or the last entry of the last looked-up row's. Returns
+    a dict that receives copies of the gradients the step then sees."""
     seen = {}
     real = model._gradients
     n_dense, d = model._grad.size, model.config.embedding_dim
@@ -540,15 +644,17 @@ def inject(model, where, values):
     dense_shapes = regressor.param_shapes(model.config)[nf:]
 
     def gradients(categorical, numeric, label):
-        loss, rows, emb, grads = real(categorical, numeric, label)
-        dense = regressor._carve(grads[:n_dense], dense_shapes)
+        loss, rows = real(categorical, numeric, label)
+        grads = model._grads[: n_dense + d * len(rows)]
+        dense = regressor._carve(model._grad, dense_shapes)
         target = {"weight": dense[0][1],
                   "bias": dense[len(model.weights)],
-                  "embedding": grads[n_dense + d : n_dense + 2 * d]}[where]
+                  "embedding": grads[n_dense + d : n_dense + 2 * d],
+                  "last": grads[-1:]}[where]
         target[: len(values)] = values
-        seen.update(dense=grads[:n_dense].copy(), rows=list(rows),
+        seen.update(dense=model._grad.copy(), rows=list(rows),
                     emb=grads[n_dense:].reshape(-1, d).copy())
-        return loss, rows, emb, grads
+        return loss, rows
 
     model._gradients = gradients
     return seen
@@ -571,8 +677,8 @@ def refuse(where, value, features, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             model.train_step(*features, 2.0)
-    assert np.array_equal(model.params, params)
-    assert np.array_equal(model.g2, g2)
+    assert model.params.tobytes() == params.tobytes()
+    assert model.g2.tobytes() == g2.tobytes()
     return seen
 
 
@@ -605,9 +711,34 @@ WHERE = pytest.mark.parametrize("where", ["weight", "bias", "embedding"])
 
 
 @NON_FINITE
-@WHERE
+@pytest.mark.parametrize("where", ["weight", "bias", "embedding", "last"])
 def test_non_finite_gradient_is_refused_without_a_warning(where, value):
     assert refuse(where, value, fv(aux=1.0), FloatingPointError)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_gradient_after_the_looked_up_rows_is_not_checked(k):
+    # a NaN in the input gradient's first slot after the k rows: the next
+    # field's slot, or the aux numeric's; the step neither reads nor
+    # checks it
+    model, ref = PoissonRegressor(small_config()), PoissonRegressor(small_config())
+    categorical, numeric = fv(aux=1.0)
+    categorical = categorical[:k]
+    real, after = model._gradients, model._grad.size + model.config.embedding_dim * k
+
+    def gradients(categorical, numeric, label):
+        loss, rows = real(categorical, numeric, label)
+        model._grads[after] = math.nan
+        return loss, rows
+
+    model._gradients = gradients
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = model.train_step(categorical, numeric, 2.0)
+    assert math.isnan(model._grads[after])
+    assert loss == reference_step(ref, categorical, numeric, 2.0)
+    assert model.params.tobytes() == ref.params.tobytes()
+    assert model.g2.tobytes() == ref.g2.tobytes()
 
 
 @NON_FINITE
