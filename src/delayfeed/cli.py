@@ -14,6 +14,7 @@ import concurrent.futures
 import csv
 import glob
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -135,8 +136,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         **{k: d[k] for k in ("m1_delay", "m2_delays", "two_output_mode")
            if k in d})
     seeds = tuple(d.get("seeds", (0,)))
-    if not all(map(is_integer, seeds)):
-        raise ValueError(f"seeds must be a list of integers, got {list(seeds)}")
+    if not all(is_integer(s) and s >= 0 for s in seeds):
+        raise ValueError(f"seeds must be a list of integers >= 0, got "
+                         f"{list(seeds)}")
     if repeated := _repeated(seeds):
         raise ValueError(f"seeds lists {repeated} more than once; each seed "
                          f"runs once")
@@ -197,20 +199,25 @@ def _run_task(cfg: ExperimentConfig, name: str, seed: int):
 def run_matrix(cfg: ExperimentConfig, tasks, jobs: int = 1):
     """Run each (variant name, seed) task of `tasks`, on `jobs` worker
     processes if more than one, and yield (seed, name, RunResult,
-    runtime_s) as each finishes. The first task that fails ends the run:
-    its error is raised once the tasks already handed to a worker have
-    ended, and the tasks not yet started never run."""
+    runtime_s) as each finishes. At most `jobs` tasks are submitted and
+    unfinished at a time, the next one submitted as one finishes. The
+    first task that fails ends the run: no task is submitted after it, and
+    its error is raised once the tasks still running have ended."""
     if jobs > 1:
+        pending = iter(tasks)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_task, cfg, name, seed)
-                       for name, seed in tasks]
-            for fut in concurrent.futures.as_completed(futures):
-                try:
-                    result = fut.result()
-                except Exception:
-                    pool.shutdown(cancel_futures=True)
-                    raise
-                yield result
+            running = {pool.submit(_run_task, cfg, name, seed)
+                       for name, seed in itertools.islice(pending, jobs)}
+            while running:
+                done, running = concurrent.futures.wait(
+                    running, return_when=concurrent.futures.FIRST_COMPLETED)
+                # every finished task's result before any submission, so
+                # that a failure among them submits nothing
+                results = [fut.result() for fut in done]
+                running |= {pool.submit(_run_task, cfg, name, seed)
+                            for name, seed in itertools.islice(pending,
+                                                               len(done))}
+                yield from results
     else:
         for name, seed in tasks:
             yield _run_task(cfg, name, seed)
@@ -294,9 +301,14 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    seeds = (
-        tuple(int(s) for s in args.seed.split(",")) if args.seed else cfg.seeds
-    )
+    seeds = cfg.seeds
+    if args.seed:
+        entries = args.seed.split(",")
+        if not all(s.strip().isdecimal() for s in entries):
+            print(f"--seed takes comma-separated integers >= 0, got "
+                  f"{args.seed!r}", file=sys.stderr)
+            return 2
+        seeds = tuple(map(int, entries))
     if repeated := _repeated(seeds):
         print(f"--seed lists {repeated} more than once; each seed runs once",
               file=sys.stderr)

@@ -8,9 +8,10 @@ counts positively correlated, so the observed "label so far" genuinely
 carries information about the unobserved tail, and it admits a closed-form
 posterior tail mean used as an analytic stand-in for an ideal sub-model.
 
-Stream files are newline-delimited JSON (schema "v1"), with a parallel
-ground-truth sidecar keyed by example_id (schema "v2": a campaign's delay
-mixture is stored by its median).
+`delayfeed gen` writes a stream as newline-delimited JSON (schema "v1"),
+with a parallel ground-truth sidecar keyed by example_id (schema "v2": a
+campaign's delay mixture is stored by its median). Nothing reads them back:
+a run regenerates its streams from their config.
 
 A stream is a pure function of its `StreamConfig`, and tests pin its bytes.
 `choice_cdf` with `exact_choice`, and `exact_uniform`, draw exactly what
@@ -191,11 +192,6 @@ class CampaignProfile:
             return 1.0
         return self.delay.cdf(t) / self.delay.cdf(self.attribution_window)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CampaignProfile":
-        d = dict(d)
-        return cls(delay=DelayMixture(**d.pop("delay")), **d)
-
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -217,6 +213,8 @@ class StreamConfig:
         for name in ("total_clicks", "campaign_count", "rng_seed"):
             if not is_integer(value := getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.total_clicks < 1:
             raise ValueError("total_clicks must be >= 1")
         if self.campaign_count < 1:
@@ -436,43 +434,6 @@ def write_stream(path, stream: Stream):
             }) + "\n")
 
 
-def read_stream(path) -> list:
-    """The examples of a stream file. Each line's `features` must have
-    exactly the keys of CLICK_FIELDS, in any order; the serving features
-    come back in CLICK_FIELDS order, the one order a model takes."""
-    examples = []
-    fields = set(CLICK_FIELDS)
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported stream schema {header.get('schema_version')!r}"
-            )
-        for line in fh:
-            d = json.loads(line)
-            features = d["features"]
-            if features.keys() != fields:
-                key = min(features.keys() ^ fields)
-                raise ValueError(
-                    f"example {d['example_id']}: "
-                    f"{'unknown' if key in features else 'missing'} features "
-                    f"key {key!r}; expected exactly {CLICK_FIELDS}"
-                )
-            examples.append(ClickExample(
-                example_id=d["example_id"],
-                click_time=d["click_time"],
-                campaign_id=d["campaign_id"],
-                campaign_start_time=d["campaign_start_time"],
-                serving_features=[(f, features[f]) for f in CLICK_FIELDS],
-                attribution_window=d["attribution_window"],
-                events=[
-                    ConversionEvent(ev["delay"], ev["value"], ev["sign"])
-                    for ev in d["events"]
-                ],
-            ))
-    return examples
-
-
 def write_sidecar(path, stream: Stream):
     truth = stream.ground_truth
     with open(path, "w") as fh:
@@ -486,35 +447,3 @@ def write_sidecar(path, stream: Stream):
                 "example_id": example_id,
                 "theta": theta,
             }) + "\n")
-
-
-def read_sidecar(path) -> GroundTruth:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("schema_version") != SIDECAR_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported sidecar schema {header.get('schema_version')!r}"
-            )
-        campaigns = {
-            c["campaign_id"]: CampaignProfile.from_dict(c)
-            for c in header["campaigns"]
-        }
-        by_id = {}
-        for line in fh:
-            d = json.loads(line)
-            if d["example_id"] in by_id:
-                raise ValueError(
-                    f"sidecar repeats example_id {d['example_id']}"
-                )
-            by_id[d["example_id"]] = d["theta"]
-    missing = set(range(len(by_id))) - by_id.keys()
-    if missing:
-        raise ValueError(
-            f"sidecar misses example_id {min(missing)}: ids must run from 0 "
-            f"to the number of clicks - 1"
-        )
-    return GroundTruth(
-        thetas=np.array([by_id[i] for i in range(len(by_id))], dtype=float),
-        campaigns=campaigns,
-        high_delay=set(header["high_delay"]),
-    )

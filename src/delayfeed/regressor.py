@@ -54,6 +54,8 @@ class RegressorConfig:
         for name in ("embedding_dim", "hash_buckets_per_field", "rng_seed"):
             if not is_integer(value := getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")
         if self.hash_buckets_per_field < 2:
@@ -91,6 +93,25 @@ def _row_memo(fields: tuple, buckets: int) -> dict:
     """The one (field_id, token) -> (field index, `_emb_rows` row) memo of
     every model with these categorical fields and bucket count."""
     return {}
+
+
+def _layer_rates(h, weights, biases, inputs=None):
+    """The rates of input `h` through the dense layers: ReLU (from the
+    second layer on, in place), product with the layer's weights, its bias,
+    then `exp` of the clamped log-rate. `h` is one input vector, or a
+    stack's (R, 1, n) inputs, each row times its own weights. When `inputs`
+    is a list, each layer's input is appended to it: the input, then the
+    hidden layers' ReLU outputs."""
+    stacked = h.ndim > 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if i:
+            np.maximum(h, _ZERO, out=h)
+        if inputs is not None:
+            inputs.append(h)
+        # a 1-D ndarray.dot skips the dispatch np.matmul adds to every call
+        h = np.matmul(h, w) if stacked else h.dot(w)
+        h += b
+    return np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
 
 
 def param_shapes(config: RegressorConfig) -> list:
@@ -304,24 +325,12 @@ class PoissonRegressor:
 
     # -- forward ---------------------------------------------------------
 
-    def _rates(self):
-        """The rates of the input vector, allocated; no layer's input is
-        kept (the training pass keeps them)."""
-        h = self._input
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if i:
-                np.maximum(h, _ZERO, out=h)
-            # ndarray.dot skips the dispatch that np.dot adds to every call
-            h = h.dot(w)
-            h += b
-        return np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
-
     def forward(self, categorical, numeric=()):
         """The model's one inference pass: the rate, or (rate_plus,
         rate_minus) in two-output mode."""
         self._fill(categorical, numeric)
         self.forward_calls += 1
-        rates = self._rates()
+        rates = _layer_rates(self._input, self.weights, self.biases)
         if self.n_outputs == 1:
             return float(rates[0])
         plus, minus = rates.tolist()
@@ -363,16 +372,8 @@ class PoissonRegressor:
         the k `_emb_rows` rows looked up. Returns (loss, those rows)."""
         y = self._label(label)
         rows = self._fill(categorical, numeric)
-        # the layers of `_rates`, keeping each layer's input: the input
-        # vector, then the hidden layers' ReLU outputs
-        h, inputs = self._input, []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if i:
-                np.maximum(h, _ZERO, out=h)
-            inputs.append(h)
-            h = h.dot(w)
-            h += b
-        rates = np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
+        inputs = []
+        rates = _layer_rates(self._input, self.weights, self.biases, inputs)
         # the loss, rates - y * log(rates) summed, in float arithmetic gives
         # the bits numpy gives. The gradient of each layer's pre-activation
         # is its bias gradient; the output layer's is rates - y (exp link).
@@ -426,18 +427,27 @@ class PoissonRegressor:
 
     @classmethod
     def load(cls, path) -> "PoissonRegressor":
+        """The model `save` wrote to `path`. A malformed checkpoint raises
+        ValueError naming the file."""
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != CHECKPOINT_MAGIC:
-                raise ValueError(f"bad checkpoint magic {magic!r}")
-            (cfg_len,) = struct.unpack("<I", fh.read(4))
-            cfg = json.loads(fh.read(cfg_len).decode("utf-8"))
-            raw = fh.read()
-        model = cls(RegressorConfig(**cfg))
+            data = fh.read()
+        try:
+            if data[:8] != CHECKPOINT_MAGIC:
+                raise ValueError(f"bad checkpoint magic {data[:8]!r}")
+            if len(data) < 12:
+                raise ValueError(f"header of {len(data)} bytes, need 12")
+            (cfg_len,) = struct.unpack_from("<I", data, 8)
+            # an unknown key, or a config that is no JSON object, is a
+            # TypeError; an integer too large for a float, an OverflowError
+            config = RegressorConfig(**json.loads(data[12 : 12 + cfg_len]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from exc
+        model = cls(config)
+        raw = data[12 + cfg_len :]
         n = model.params.size
         if len(raw) != 2 * 8 * n:
             raise ValueError(
-                f"checkpoint holds {len(raw)} bytes of state, its config "
+                f"checkpoint {path}: {len(raw)} bytes of state, its config "
                 f"implies {2 * 8 * n}"
             )
         state = np.frombuffer(raw, dtype="<f8")
@@ -497,10 +507,4 @@ class RegressorStack:
         parts = [emb[row] for row in rows]
         parts.append(self._tails[len(rows)])
         h = np.concatenate(parts, axis=1)[:, None, :]
-        for i, (w, b) in enumerate(zip(self._weights, self._biases)):
-            if i:
-                np.maximum(h, _ZERO, out=h)
-            h = np.matmul(h, w)
-            h += b
-        rates = np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
-        return rates[:, 0]
+        return _layer_rates(h, self._weights, self._biases)[:, 0]

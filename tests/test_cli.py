@@ -140,6 +140,11 @@ class TestConfig:
         ("hidden_layer_sizes", "[4.5]", "regressor"),
         ("seeds", "[1.5]", None),
         ("seeds", "[true]", None),
+        # seeds are integers >= 0
+        ("seeds", "[-1]", None),
+        ("seeds", "[2, -3]", None),
+        ("rng_seed", "-1", "stream"),
+        ("rng_seed", "-5", "regressor"),
         # each seed runs once
         ("seeds", "[3, 3]", None),
         ("seeds", "[1, 2, 1]", None),
@@ -351,10 +356,8 @@ class TestRun:
         with pytest.raises(RuntimeError, match="task of seed 1 failed"):
             list(run_matrix(cfg, tasks, jobs=2))
         started = sorted(int(p.name[7:]) for p in tmp_path.iterdir())
-        # only the tasks the pool had handed on, which it cannot cancel:
-        # one per worker and a queue of three, refilled once when the
-        # failed task's worker took the next task
-        assert started[0] == 1 and len(started) <= 6, started
+        # only the tasks running when it failed: one per worker
+        assert started[0] == 1 and len(started) <= 2, started
 
     def test_run_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path):
         path = tmp_path / "config.json"
@@ -510,6 +513,18 @@ class TestRun:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--seed lists 4 more than once" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5", "1,-2", "1,,2"])
+    def test_bad_seed_exits_2_naming_it(self, config_path, tmp_path, capsys,
+                                        seed):
+        rc = main([
+            "run", "--config", config_path, "--variant", "M1",
+            f"--seed={seed}", "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"--seed takes comma-separated integers >= 0, got {seed!r}\n")
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("jobs", [0, -3])

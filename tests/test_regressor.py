@@ -1,5 +1,6 @@
 import ctypes
 import math
+import re
 import struct
 import warnings
 from dataclasses import replace
@@ -313,6 +314,9 @@ class TestCheckpoint:
         assert np.array_equal(loaded.params, model.params)
         assert np.array_equal(loaded.g2, model.g2)
         assert loaded.forward(*fv(aux=1.0)) == model.forward(*fv(aux=1.0))
+        again = tmp_path / "again.ckpt"
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + b"\0"],
                              ids=["truncated", "appended"])
@@ -322,6 +326,32 @@ class TestCheckpoint:
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(ValueError):
             PoissonRegressor.load(path)
+
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda b: b[:10], "header of 10 bytes, need 12"),
+        (lambda b: b[:8], "header of 8 bytes, need 12"),
+        (lambda b: _with_config(b, b'{"colour": 1}'),
+         "unexpected keyword argument 'colour'"),
+        (lambda b: _with_config(b, b'{"embedding_dim": 3'), "Expecting"),
+        (lambda b: _with_config(b, b"\xff"), "utf-8"),
+        (lambda b: _with_config(b, b"[3]"), "must be a mapping"),
+        (lambda b: _with_config(b, b'{"embedding_dim": 0}'),
+         "embedding_dim must be >= 1"),
+        (lambda b: _with_config(b, b'{"learning_rate": "fast"}'), "'<='"),
+        # the config then runs into the state's bytes
+        (lambda b: b[:8] + struct.pack("<I", len(b)) + b[12:], "utf-8"),
+    ], ids=["short-header", "magic-only", "unknown-key", "bad-json",
+            "not-utf8", "not-an-object", "bad-value", "ill-typed-value",
+            "config-length-past-the-end"])
+    def test_malformed_checkpoint_raises_value_error_naming_it(
+            self, tmp_path, edit, reason):
+        path = tmp_path / "model.ckpt"
+        PoissonRegressor(small_config()).save(path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError,
+                           match=f"^checkpoint {re.escape(str(path))}: ") as info:
+            PoissonRegressor.load(path)
+        assert reason in str(info.value)
 
     def test_magic_header(self, tmp_path):
         model = PoissonRegressor(small_config())
@@ -335,6 +365,13 @@ class TestCheckpoint:
         path.write_bytes(b"NOTDLYFD" + b"\x00" * 32)
         with pytest.raises(ValueError):
             PoissonRegressor.load(path)
+
+
+def _with_config(checkpoint: bytes, config: bytes) -> bytes:
+    """`checkpoint` with its config JSON replaced by `config`."""
+    (n,) = struct.unpack_from("<I", checkpoint, 8)
+    return (checkpoint[:8] + struct.pack("<I", len(config)) + config
+            + checkpoint[12 + n :])
 
 
 # -- reference step ----------------------------------------------------------
