@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, fields, replace
 
 from . import __version__
-from .core import DAY, is_integer
+from .core import DAY, as_float, is_integer
 from .datagen import CLICK_FIELDS, StreamConfig, generate, write_sidecar, \
     write_stream
 from .harness import compare, default_slices, report_csv_rows, run
@@ -66,11 +66,14 @@ def _digest(obj) -> str:
 
 
 def _seconds(value, unit: float, path: str) -> float:
-    """`value` units in seconds; raises ValueError unless finite and >= 0."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                       and 0 <= value < math.inf):
-        raise ValueError(f"{path} must be finite and >= 0, got {value!r}")
-    return value * unit
+    """`value` units in seconds; raises ValueError unless a number that is
+    finite and >= 0 in seconds too."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        seconds = as_float(value) * unit
+        if 0 <= seconds < math.inf:
+            return seconds
+    raise ValueError(f"{path} must be finite and >= 0, in seconds too, got "
+                     f"{value!r}")
 
 
 def _section(d, path: str, keys: str) -> dict:
@@ -125,7 +128,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                  "embedding_dim hash_buckets_per_field hidden_layer_sizes "
                  "learning_rate adagrad_epsilon prior_rate rng_seed")
     if "prior_rate" in r:
-        if not 0 < (prior_rate := r.pop("prior_rate")) < math.inf:
+        if not 0 < as_float(prior_rate := r.pop("prior_rate")) < math.inf:
             raise ValueError(f"regressor.prior_rate must be finite and > 0, "
                              f"got {prior_rate}")
         r["output_bias_init"] = math.log(prior_rate)

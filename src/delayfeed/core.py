@@ -25,6 +25,18 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def as_float(value):
+    """A real number as a float, an integer too large for one as infinity
+    of its sign, for range checks to compare; any other value as it is, so
+    that comparing it raises TypeError."""
+    if not isinstance(value, numbers.Real):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True, slots=True)
 class ConversionEvent:
     """One post-click event: delay in seconds from the click, a non-negative

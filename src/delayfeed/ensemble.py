@@ -116,7 +116,6 @@ class SubModelEnsemble:
     negative label is clamped to 0 and counted."""
 
     def __init__(self, spec: VariantSpec, seed_offset: int = 0):
-        self.spec = spec
         self.name = spec.name
         self.negative_label_clamps = 0
         self._windows = spec.windows

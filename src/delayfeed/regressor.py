@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .adagrad import adagrad_step, bind
-from .core import ContractViolation, is_integer
+from .core import ContractViolation, as_float, is_integer
 
 CHECKPOINT_MAGIC = b"DLYFEED1"
 
@@ -64,12 +64,13 @@ class RegressorConfig:
                    for size in self.hidden_layer_sizes):
             raise ValueError(f"hidden_layer_sizes must be integers >= 1: "
                              f"{self.hidden_layer_sizes}")
-        # NaN fails every comparison, so each check is written to fail on it
-        if not 0 <= self.learning_rate < math.inf:
+        # NaN fails every comparison, so each check is written to fail on
+        # it; an integer too large for a float compares as infinite
+        if not 0 <= as_float(self.learning_rate) < math.inf:
             raise ValueError("learning_rate must be finite and >= 0")
-        if not 0 < self.adagrad_epsilon < math.inf:
+        if not 0 < as_float(self.adagrad_epsilon) < math.inf:
             raise ValueError("adagrad_epsilon must be finite and > 0")
-        if not math.isfinite(self.output_bias_init):
+        if not math.isfinite(as_float(self.output_bias_init)):
             raise ValueError("output_bias_init must be finite")
 
 
@@ -83,16 +84,9 @@ def hash_token(field_id: str, token: str, buckets: int) -> int:
     return int.from_bytes(digest, "little") % buckets
 
 
-# entries a layout's row memo holds before it is cleared, as many as
+# entries a model's row memo holds before it is cleared, as many as
 # hash_token's cache
 ROW_MEMO_SIZE = 65536
-
-
-@lru_cache(maxsize=None)
-def _row_memo(fields: tuple, buckets: int) -> dict:
-    """The one (field_id, token) -> (field index, `_emb_rows` row) memo of
-    every model with these categorical fields and bucket count."""
-    return {}
 
 
 def _layer_rates(h, weights, biases, inputs=None):
@@ -156,27 +150,27 @@ def _state_buffer(buf, size: int):
 class PoissonRegressor:
     """Hashed-embedding MLP with exponential output link and AdaGrad state.
 
-    All parameters live in one float64 buffer `params` and their AdaGrad
-    accumulators in `g2`, laid out as `param_shapes(config)`: the per-field
-    embedding tables, then the dense weights, then the dense biases.
-    `embeddings`, `weights`, `biases` and the `*_g2` names are views into
-    those two buffers. The model allocates them, or takes zero-filled
-    `params` and `g2` vectors from its caller (rows of a `RegressorStack`).
-    The compiled AdaGrad step holds their addresses, so they are written in
-    place and never replaced.
+    The model's whole state is two float64 buffers, its parameters
+    `params` and their AdaGrad accumulators `g2`, both laid out as
+    `param_shapes(config)`: the per-field embedding tables, then the dense
+    weights, then the dense biases. `embeddings`, `weights` and `biases`
+    are views into `params`. The model allocates both buffers, or takes
+    zero-filled `params` and `g2` vectors from its caller (rows of a
+    `RegressorStack`). The compiled AdaGrad step holds their addresses, so
+    they are written in place and never replaced.
 
     Every pass takes `categorical`, (field_id, token) pairs of the first k
     declared fields, in declared order, each once, and `numeric`, (name,
     value) pairs of declared numeric features; the later fields' slots and
     the unnamed numeric slots are zero. Any other input is refused with
-    ContractViolation before anything is written or counted. A pass
-    gathers the k rows into one input vector the model reuses: `forward`
-    and `train_step` both write it, so a model is for one thread at a time.
+    ContractViolation before anything is written. A pass writes the whole
+    of one input vector the model reuses, so no pass depends on the one
+    before; `forward` and `train_step` both write it, so a model is for
+    one thread at a time.
     """
 
     def __init__(self, config: RegressorConfig, params=None, g2=None):
         self.config = config
-        self.forward_calls = 0
         rng = np.random.default_rng(config.rng_seed)
 
         d = config.embedding_dim
@@ -206,11 +200,9 @@ class PoissonRegressor:
         self._emb_rows = self.params[:n_emb].reshape(-1, d)
         self._emb_rows_g2 = self.g2[:n_emb].reshape(-1, d)
 
-        p, a = _carve(self.params, shapes), _carve(self.g2, shapes)
+        p = _carve(self.params, shapes)
         self.embeddings = dict(zip(fields, p[:nf]))
-        self.embedding_g2 = dict(zip(fields, a[:nf]))
         self.weights, self.biases = p[nf : nf + nl], p[nf + nl :]
-        self.weight_g2, self.bias_g2 = a[nf : nf + nl], a[nf + nl :]
         g = _carve(self._grad, dense_shapes)
         self._weight_grads, self._bias_grads = g[:nl], g[nl:]
         # each bias gradient as a (1, fan_out) row, for the outer products
@@ -235,21 +227,22 @@ class PoissonRegressor:
             name: i for i, name in enumerate(config.numeric_features)
         }
         self._field_index = {f: i for i, f in enumerate(fields)}
-        self._rows = _row_memo(fields, config.hash_buckets_per_field)
+        # (field_id, token) -> (field index, `_emb_rows` row)
+        self._rows = {}
         # the input vector of every pass: one embedding slot per field, then
-        # the numeric slots; the first k slots for every k. Every entry from
-        # `_end` on is zero.
+        # the numeric slots. For every k: the first k slots, and all that
+        # follows them.
         self._input = np.zeros(self.input_dim)
-        self._slots = self._input[: d * nf].reshape(nf, d)
-        self._heads = [self._slots[:k] for k in range(nf + 1)]
+        slots = self._input[: d * nf].reshape(nf, d)
+        self._heads = [slots[:k] for k in range(nf + 1)]
+        self._tails = [self._input[d * k :] for k in range(nf + 1)]
         self._numeric = self._input[d * nf :]
-        self._end = 0
 
     # -- input -----------------------------------------------------------
 
     def _lookup(self, pair):
         """(field index, `_emb_rows` row) of one (field_id, token) pair,
-        remembered in the layout's memo. An unknown field raises, and is
+        remembered in the model's memo. An unknown field raises, and is
         not remembered."""
         field_id, token = pair
         fi = self._field_index.get(field_id)
@@ -300,27 +293,20 @@ class PoissonRegressor:
         return values
 
     def _fill(self, categorical, numeric=()):
-        """Writes the input vector of these features and returns their rows
-        (`_rows_of`): the k rows gathered with one `take` into the first k
-        slots, zeros in the later fields' slots, then the log1p-scaled
-        numeric features (zero unless given). A refused input raises before
-        anything is written."""
+        """Writes the whole input vector of these features and returns their
+        rows (`_rows_of`): the k rows gathered with one `take` into the
+        first k slots, zeros in the later fields' slots, then the
+        log1p-scaled numeric features, or zeros when none is given. A
+        refused input raises before anything is written."""
         rows = self._rows_of(categorical)
         values = self._numeric_values(numeric) if numeric else None
         k = len(rows)
         if k:
             # "clip" writes straight into `out`; "raise" would buffer
             self._emb_rows.take(rows, 0, self._heads[k], "clip")
-        end = k * self.config.embedding_dim
-        stale = self._end
-        if values is None:
-            self._end = end
-        else:
+        self._tails[k].fill(0.0)
+        if values is not None:
             self._numeric[:] = values
-            stale = min(stale, self._slots.size)
-            self._end = self.input_dim
-        if end < stale:
-            self._input[end:stale] = 0.0
         return rows
 
     # -- forward ---------------------------------------------------------
@@ -329,7 +315,6 @@ class PoissonRegressor:
         """The model's one inference pass: the rate, or (rate_plus,
         rate_minus) in two-output mode."""
         self._fill(categorical, numeric)
-        self.forward_calls += 1
         rates = _layer_rates(self._input, self.weights, self.biases)
         if self.n_outputs == 1:
             return float(rates[0])
@@ -438,18 +423,17 @@ class PoissonRegressor:
                 raise ValueError(f"header of {len(data)} bytes, need 12")
             (cfg_len,) = struct.unpack_from("<I", data, 8)
             # an unknown key, or a config that is no JSON object, is a
-            # TypeError; an integer too large for a float, an OverflowError
+            # TypeError
             config = RegressorConfig(**json.loads(data[12 : 12 + cfg_len]))
-        except (TypeError, ValueError, OverflowError) as exc:
+            # the state's length is checked before any model is built
+            raw = data[12 + cfg_len :]
+            n = sum(math.prod(s) for s in param_shapes(config))
+            if len(raw) != 2 * 8 * n:
+                raise ValueError(f"{len(raw)} bytes of state, its config "
+                                 f"implies {2 * 8 * n}")
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"checkpoint {path}: {exc}") from exc
         model = cls(config)
-        raw = data[12 + cfg_len :]
-        n = model.params.size
-        if len(raw) != 2 * 8 * n:
-            raise ValueError(
-                f"checkpoint {path}: {len(raw)} bytes of state, its config "
-                f"implies {2 * 8 * n}"
-            )
         state = np.frombuffer(raw, dtype="<f8")
         model.params[:] = state[:n]
         model.g2[:] = state[n:]
@@ -498,11 +482,8 @@ class RegressorStack:
 
     def read(self, categorical):
         """(R, n_outputs) rates; row r equals `models[r].forward(categorical)`
-        bit for bit. Takes the input the models take, and counts one
-        forward call on every model once it is accepted."""
+        bit for bit. Takes the input the models take."""
         rows = self.models[0]._rows_of(categorical)
-        for m in self.models:
-            m.forward_calls += 1
         emb = self._emb
         parts = [emb[row] for row in rows]
         parts.append(self._tails[len(rows)])

@@ -20,8 +20,6 @@ from .core import DAY
 from .ensemble import BUCKET, SubModelEnsemble, VariantSpec
 from .regressor import RegressorConfig
 
-VARIANT_NAMES = ("M1", "M2_7d", "M2_15d", "M3", "M4", "M5", "Proposed", "Oracle")
-
 
 class SingleDelayModel(SubModelEnsemble):
     """One Poisson regressor trained at a fixed delay after each click,

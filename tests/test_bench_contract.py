@@ -12,6 +12,8 @@ import pytest
 
 from delayfeed import cli, harness, regressor, variants
 
+from test_regressor import count_passes
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
 
@@ -42,17 +44,31 @@ def test_hash_token_cache_is_inspectable():
 
 
 def traced_replay(workload_name, variant):
-    """(model, tracer) of a traced 200-click replay of one variant on the
-    workload's stream at seed 1."""
+    """(passes, tracer) of a traced 200-click replay of one variant on the
+    workload's stream at seed 1: `passes` counts each sub-model's
+    forward passes (`count_passes`)."""
     workload = workloads.WORKLOADS[workload_name]
     cfg = cli.config_from_dict(workload.config_dict(200))
     stream = cli.stream_for_seed(cfg, 1)
     model = variants.build_variant(cli.variant_specs_for(cfg)[variant])
+    passes = count_passes(model.sub_models, model.stack)
     slices = harness.default_slices(stream.ground_truth.high_delay)
     with tracing.Tracer(keep=0) as tracer:
         result = harness.run(model, stream.examples, slices)
     assert result.n_examples == 200
-    return model, tracer
+    return passes, tracer
+
+
+def test_second_replay_hits_the_hash_token_cache():
+    # every model owns its row memo, so a new model asks hash_token for
+    # each pair once, and a second replay in the process finds every pair
+    # in its cache: the bench's regressor.hash_token_hit_ratio reads reuse
+    traced_replay("thermometer_cascade", "Proposed")
+    before = regressor.hash_token.cache_info()
+    traced_replay("thermometer_cascade", "Proposed")
+    after = regressor.hash_token.cache_info()
+    assert after.hits > before.hits
+    assert after.misses == before.misses
 
 
 def test_traced_proposed_replay_records_completion_edges():
@@ -67,14 +83,14 @@ def test_traced_proposed_replay_records_completion_edges():
 
 
 def test_traced_bucket_replay_serves_in_one_stacked_forward():
-    model, tracer = traced_replay("signed_bucket_wide", "M4")
+    passes, tracer = traced_replay("signed_bucket_wide", "M4")
     serves = tracer.agg["ensemble.serve"][0]
     assert serves == 200
     # all sub-models run inside ensemble.serve, none through forward()
     assert ("ensemble.serve", "regressor.forward") not in tracer.edges
     assert tracer.agg["regressor.forward"][0] == 0
-    # bucket encoding completes no labels: each forward call is one serve's
-    assert [m.forward_calls for m in model.sub_models] == [serves] * 5
+    # bucket encoding completes no labels: each forward pass is one serve's
+    assert passes == [serves] * 5
 
 
 def test_traced_single_delay_replay_serves_through_variants():

@@ -18,9 +18,10 @@ from delayfeed.cli import (
 )
 from delayfeed.harness import compare
 from delayfeed.regressor import PoissonRegressor
-from delayfeed.variants import VARIANT_NAMES, build_variant
+from delayfeed.variants import build_variant
 
 from test_acceptance import CACHE_DIR, SOURCE_DIR, cache_prefix
+from test_variants import STANDARD_NAMES
 
 SMALL = {
     "schema_version": "v1",
@@ -35,6 +36,8 @@ SMALL = {
                   "hash_buckets_per_field": 64},
     "seeds": [1],
 }
+# 10**400, a JSON integer too large for a float
+BIG = "1" + "0" * 400
 # every variant at two seeds, at 400 clicks
 MATRIX = dict(SMALL, stream=dict(SMALL["stream"], total_clicks=400),
               seeds=[1, 2])
@@ -56,7 +59,7 @@ class TestConfig:
         cfg = config_from_dict({})
         assert cfg.stream.total_clicks == 200_000
         assert cfg.stream.campaign_count == 50
-        assert tuple(cfg.specs) == cfg.variants == VARIANT_NAMES
+        assert tuple(cfg.specs) == cfg.variants == STANDARD_NAMES
         assert len(cfg.specs["Proposed"].windows) == 5
         assert cfg.seeds == (0,)
         assert cfg.digest
@@ -167,6 +170,23 @@ class TestConfig:
         ("drift_magnitude", "1", "stream"),
         ("drift_magnitude", "-0.01", "stream"),
         ("drift_magnitude", "NaN", "stream"),
+        # numbers too large for a float, and times too large for one in
+        # seconds
+        *(pytest.param(key, value, where, id=f"{key}-10**400-{where}")
+          for key, value, where in [
+              ("duration_days", BIG, "stream"),
+              ("attribution_window_days", BIG, "stream"),
+              ("m1_delay_hours", BIG, None),
+              ("m2_delays_days", f"[{BIG}]", None),
+              ("boundaries_days", f"[{BIG}]", "bucketing"),
+              ("learning_rate", BIG, "regressor"),
+              ("adagrad_epsilon", BIG, "regressor"),
+              ("prior_rate", BIG, "regressor")]),
+        ("duration_days", "1e305", "stream"),
+        ("attribution_window_days", "1e305", "stream"),
+        ("m1_delay_hours", "1e305", None),
+        ("m2_delays_days", "[7, 1e305]", None),
+        ("boundaries_days", "[1, 1e305]", "bucketing"),
     ])
     def test_rejection_names_the_key(self, tmp_path, key, value, where):
         raw = dict(SMALL)
@@ -180,8 +200,8 @@ class TestConfig:
             load_config(str(path))
 
     def test_default_variants_follow_the_configured_delays(self):
-        assert config_from_dict({}).variants == VARIANT_NAMES
-        assert config_from_dict({"variants": ["all"]}).variants == VARIANT_NAMES
+        assert config_from_dict({}).variants == STANDARD_NAMES
+        assert config_from_dict({"variants": ["all"]}).variants == STANDARD_NAMES
         want = ("M1", "M2_3d", "M3", "M4", "M5", "Proposed", "Oracle")
         assert config_from_dict({"m2_delays_days": [3]}).variants == want
         assert config_from_dict(
@@ -525,6 +545,19 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"--seed takes comma-separated integers >= 0, got {seed!r}\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_time_too_large_for_a_float_exits_1_naming_it(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "config.json"
+        stream = dict(SMALL["stream"], duration_days="@")
+        path.write_text(json.dumps(dict(SMALL, stream=stream)).replace('"@"', BIG))
+        rc = main(["run", "--config", str(path), "--variant", "M1",
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stream.duration_days must be finite")
+        assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("jobs", [0, -3])

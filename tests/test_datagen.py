@@ -463,18 +463,6 @@ class TestFileFormats:
             }
         assert any(ev.sign == -1 for e in stream.examples for ev in e.events)
 
-    def test_stream_schema_fields(self, tmp_path):
-        stream = generate(StreamConfig(total_clicks=10, campaign_count=2, rng_seed=14))
-        path = tmp_path / "stream.ndjson"
-        write_stream(path, stream)
-        lines = path.read_text().splitlines()
-        assert json.loads(lines[0]) == {"schema_version": "v1"}
-        record = json.loads(lines[1])
-        assert set(record) == {
-            "example_id", "click_time", "campaign_id", "campaign_start_time",
-            "features", "attribution_window", "events",
-        }
-
     def test_sidecar_roundtrip(self, tmp_path):
         # the header holds every campaign and the HIGH_DELAY tags, then one
         # line per click holds its theta

@@ -13,7 +13,9 @@ import pytest
 
 from delayfeed.cli import config_from_dict, stream_for_seed, variant_specs_for
 from delayfeed.harness import compare, default_slices, run
-from delayfeed.variants import VARIANT_NAMES, build_variant
+from delayfeed.variants import build_variant
+
+from test_variants import STANDARD_NAMES
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_reports.json"
 
@@ -39,7 +41,7 @@ def golden_reports() -> dict:
         results = {
             v: run(build_variant(specs[v], seed_offset=SEED * 101),
                    stream.examples, slices)
-            for v in VARIANT_NAMES
+            for v in STANDARD_NAMES
         }
         report = compare(results)
         out[name] = {
@@ -61,7 +63,7 @@ def golden():
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-@pytest.mark.parametrize("variant", VARIANT_NAMES)
+@pytest.mark.parametrize("variant", STANDARD_NAMES)
 def test_report_matches_golden(reports, golden, config_name, variant):
     want = golden[config_name][variant]
     got = reports[config_name][variant]

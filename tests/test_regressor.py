@@ -1,9 +1,10 @@
 import ctypes
+import json
 import math
 import re
 import struct
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from delayfeed import adagrad, regressor
 from delayfeed.core import ContractViolation
 from delayfeed.regressor import (
+    CHECKPOINT_MAGIC,
     PoissonRegressor,
     RegressorConfig,
     RegressorStack,
@@ -59,6 +61,40 @@ def all_params(model):
     )
 
 
+def g2_views(model):
+    """`model.g2` carved the way `params` is: ({field: its table's
+    accumulators}, one array per weight, one per bias)."""
+    nf = len(model.config.categorical_fields)
+    nl = len(model.weights)
+    views = regressor._carve(model.g2, regressor.param_shapes(model.config))
+    return (dict(zip(model.config.categorical_fields, views[:nf])),
+            views[nf : nf + nl], views[nf + nl :])
+
+
+def count_passes(models, stack=None):
+    """A list that counts each model's passes from now on: its `forward`
+    calls and, with `stack`, each `stack.read`, which runs every model of
+    the stack once. A refused pass is not counted. Each counted `forward`
+    is looked up on the class when called, so a wrapper put on the class
+    later (the bench's tracer) still sees it."""
+    counts = [0] * len(models)
+    for i, model in enumerate(models):
+        def forward(*args, i=i, model=model, **kwargs):
+            out = type(model).forward(model, *args, **kwargs)
+            counts[i] += 1
+            return out
+        model.forward = forward
+    if stack is not None:
+        read = stack.read
+
+        def counted_read(categorical):
+            out = read(categorical)
+            counts[:] = [c + 1 for c in counts]
+            return out
+        stack.read = counted_read
+    return counts
+
+
 class TestInit:
     def test_same_seed_bit_identical(self):
         a = PoissonRegressor(small_config())
@@ -78,7 +114,8 @@ class TestInit:
 
     def test_accumulators_zero_at_init(self):
         model = PoissonRegressor(small_config())
-        for g2 in model.weight_g2 + model.bias_g2 + list(model.embedding_g2.values()):
+        embedding_g2, weight_g2, bias_g2 = g2_views(model)
+        for g2 in weight_g2 + bias_g2 + list(embedding_g2.values()):
             assert np.all(g2 == 0)
 
     def test_output_bias_applied(self):
@@ -271,9 +308,10 @@ class TestInvariants:
 
     def test_accumulators_never_decrease_fuzz(self):
         model = PoissonRegressor(small_config())
+        embedding_g2, weight_g2, bias_g2 = g2_views(model)
         rng = np.random.default_rng(3)
-        prev = [g2.copy() for g2 in model.weight_g2 + model.bias_g2]
-        prev_emb = {f: g2.copy() for f, g2 in model.embedding_g2.items()}
+        prev = [g2.copy() for g2 in weight_g2 + bias_g2]
+        prev_emb = {f: g2.copy() for f, g2 in embedding_g2.items()}
         for step in range(10_000):
             features = fv(
                 campaign=f"c{rng.integers(40)}",
@@ -282,11 +320,11 @@ class TestInvariants:
             )
             model.train_step(*features, float(rng.poisson(0.7)))
             if step % 500 == 0:
-                cur = model.weight_g2 + model.bias_g2
+                cur = weight_g2 + bias_g2
                 for p, c in zip(prev, cur):
                     assert np.all(c >= p - 1e-15)
                 prev = [g2.copy() for g2 in cur]
-                for f, g2 in model.embedding_g2.items():
+                for f, g2 in embedding_g2.items():
                     assert np.all(g2 >= prev_emb[f] - 1e-15)
                     prev_emb[f] = g2.copy()
         for p in model.weights + model.biases:
@@ -302,21 +340,67 @@ class TestInvariants:
         assert model.forward(*fv(aux=1.0)) == before_out
 
 
+def checkpoint_pass(model, rng, two_output):
+    """One pass of `model` drawn from `rng`: a forward or a train_step, on
+    the first k of REF_FIELDS, k from 0 to all of them, with the aux
+    numeric present or absent. Returns what the pass returned."""
+    features = first_k_features(rng, aux=rng.integers(2))
+    if rng.integers(2):
+        return model.forward(*features)
+    if two_output:
+        label = (float(rng.poisson(1.0)), float(rng.poisson(0.3)))
+    else:
+        label = float(rng.poisson(1.2))
+    return model.train_step(*features, label)
+
+
 class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        model = PoissonRegressor(small_config())
+    @pytest.mark.parametrize("two_output", [False, True], ids=["single", "two"])
+    def test_roundtrip(self, tmp_path, two_output):
+        # a checkpoint is the whole model: its loaded copy, and a copy
+        # saved halfway through the passes that follow, answer every later
+        # pass as the original does
+        cfg = small_config(categorical_fields=REF_FIELDS,
+                           two_output_mode=two_output)
+        model = PoissonRegressor(cfg)
+        rng = np.random.default_rng(1)
         for _ in range(20):
-            model.train_step(*fv(aux=1.0), 2.0)
+            checkpoint_pass(model, rng, two_output)
         path = tmp_path / "model.ckpt"
         model.save(path)
         loaded = PoissonRegressor.load(path)
         assert loaded.config == model.config
         assert np.array_equal(loaded.params, model.params)
         assert np.array_equal(loaded.g2, model.g2)
-        assert loaded.forward(*fv(aux=1.0)) == model.forward(*fv(aux=1.0))
         again = tmp_path / "again.ckpt"
         loaded.save(again)
         assert again.read_bytes() == path.read_bytes()
+        copies = [loaded]
+        for step in range(1200):
+            if step == 600:
+                loaded.save(tmp_path / "mid.ckpt")
+                copies.append(PoissonRegressor.load(tmp_path / "mid.ckpt"))
+            want = checkpoint_pass(model, np.random.default_rng(step), two_output)
+            for copy in copies:
+                got = checkpoint_pass(copy, np.random.default_rng(step), two_output)
+                assert got == want, step
+        for copy in copies:
+            assert copy.params.tobytes() == model.params.tobytes()
+            assert copy.g2.tobytes() == model.g2.tobytes()
+
+    def test_state_length_is_checked_before_a_model_is_built(
+            self, tmp_path, monkeypatch):
+        # 2**40 rows per field would take terabytes to build
+        monkeypatch.setattr(PoissonRegressor, "__init__", lambda *a, **kw: (
+            pytest.fail("built a model before checking the state's length")))
+        config = json.dumps({**asdict(small_config()),
+                             "hash_buckets_per_field": 2**40}).encode()
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(config))
+                         + config + bytes(16))
+        with pytest.raises(ValueError, match=f"^checkpoint "
+                           f"{re.escape(str(path))}: 16 bytes of state"):
+            PoissonRegressor.load(path)
 
     @pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + b"\0"],
                              ids=["truncated", "appended"])
@@ -340,9 +424,17 @@ class TestCheckpoint:
         (lambda b: _with_config(b, b'{"learning_rate": "fast"}'), "'<='"),
         # the config then runs into the state's bytes
         (lambda b: b[:8] + struct.pack("<I", len(b)) + b[12:], "utf-8"),
+        # integers too large for a float
+        (lambda b: _with_config(b, b'{"learning_rate": %s}' % BIG),
+         "learning_rate must be finite"),
+        (lambda b: _with_config(b, b'{"adagrad_epsilon": %s}' % BIG),
+         "adagrad_epsilon must be finite"),
+        (lambda b: _with_config(b, b'{"output_bias_init": -%s}' % BIG),
+         "output_bias_init must be finite"),
     ], ids=["short-header", "magic-only", "unknown-key", "bad-json",
             "not-utf8", "not-an-object", "bad-value", "ill-typed-value",
-            "config-length-past-the-end"])
+            "config-length-past-the-end", "huge-learning-rate",
+            "huge-adagrad-epsilon", "huge-output-bias-init"])
     def test_malformed_checkpoint_raises_value_error_naming_it(
             self, tmp_path, edit, reason):
         path = tmp_path / "model.ckpt"
@@ -365,6 +457,10 @@ class TestCheckpoint:
         path.write_bytes(b"NOTDLYFD" + b"\x00" * 32)
         with pytest.raises(ValueError):
             PoissonRegressor.load(path)
+
+
+# 10**400, a JSON integer too large for a float
+BIG = b"1" + b"0" * 400
 
 
 def _with_config(checkpoint: bytes, config: bytes) -> bytes:
@@ -430,12 +526,13 @@ def reference_step(model, categorical, numeric, label):
         key = (field_id, row)
         emb_grads[key] = emb_grads[key] + g if key in emb_grads else g
     lr, eps = model.config.learning_rate, model.config.adagrad_epsilon
+    embedding_g2, weight_g2, bias_g2 = g2_views(model)
     for p, a, g in zip(model.weights + model.biases,
-                       model.weight_g2 + model.bias_g2, w_grads + b_grads):
+                       weight_g2 + bias_g2, w_grads + b_grads):
         reference_adagrad(p, a, g, lr, eps)
     for (field_id, row), g in emb_grads.items():
         reference_adagrad(model.embeddings[field_id][row],
-                          model.embedding_g2[field_id][row], g, lr, eps)
+                          embedding_g2[field_id][row], g, lr, eps)
     return loss
 
 
@@ -659,9 +756,7 @@ def test_stacked_forward_matches_each_model_bit_for_bit(embedding_dim, hidden,
     for step in range(300):
         # every k in turn, so that a later field's stale block would show
         categorical = tuple(serving_tuple(rng, REF_FIELDS, step % (nf + 1)))
-        calls = [m.forward_calls for m in stack.models]
         rates = stack.read(categorical)
-        assert [m.forward_calls for m in stack.models] == [c + 1 for c in calls]
         for model, row in zip(stack.models, rates.tolist()):
             got = model.forward(categorical)
             assert tuple(row) == (got if two_output else (got,)), step
@@ -817,8 +912,8 @@ def test_layouts_map_a_pair_to_their_own_rows():
     b = PoissonRegressor(small_config(categorical_fields=("segment", "campaign")))
     c = PoissonRegressor(small_config(hash_buckets_per_field=32))
     same = PoissonRegressor(small_config(rng_seed=8, hidden_layer_sizes=(4, 4)))
-    assert same._rows is a._rows
-    assert len({id(m._rows) for m in (a, b, c)}) == 3
+    # every model owns its memo, one layout or another
+    assert len({id(m._rows) for m in (a, b, c, same)}) == 4
     pairs = [("campaign", "c1"), ("segment", "s1"), ("campaign", "c9")]
     # interleaved, so that one memo for all would hand one layout's rows
     # to the next; each layout takes its inputs in its own field order
@@ -838,10 +933,10 @@ def test_layouts_map_a_pair_to_their_own_rows():
     assert expected_row(a, pairs[1]) != expected_row(c, pairs[1])
 
 
-def test_stack_models_share_a_memo_that_agrees_with_hash_token():
+def test_stack_models_own_memos_that_agree_with_hash_token():
     cfg = small_config(categorical_fields=REF_FIELDS, hash_buckets_per_field=4)
     stack = RegressorStack(cfg, [3, 4, 5])
-    assert all(m._rows is stack.models[0]._rows for m in stack.models)
+    assert len({id(m._rows) for m in stack.models}) == 3
     rng = np.random.default_rng(8)
     for step in range(200):
         categorical, _ = first_k_features(rng, aux=step % 2)
@@ -924,9 +1019,7 @@ def test_read_equals_predict(layout):
     # k = 3 is the serving tuple; on the aux layout k = 4 fills the aux slot
     for k in sorted({3, nf}) * 20:
         categorical = serving_tuple(rng, cfg.categorical_fields, k)
-        calls = model.forward_calls
         got = prediction(model.forward(categorical))
-        assert model.forward_calls == calls + 1
         assert bits(got) == bits(reference_predict(model, categorical))
 
 
@@ -1019,8 +1112,7 @@ def test_non_canonical_input_is_refused_by_every_pass(categorical, bad):
     full = [*serving_tuple(rng, cfg.categorical_fields, 4)]
     model.forward(full, [("aux_label_so_far", 2.0)])
     numeric = [("aux_label_so_far", 3.0)]
-    state = [stack.params.tobytes(), stack.g2.tobytes(), model._input.tobytes(),
-             [m.forward_calls for m in stack.models]]
+    state = [stack.params.tobytes(), stack.g2.tobytes(), model._input.tobytes()]
     passes = [
         lambda: model.forward(categorical),
         lambda: model.forward(categorical, numeric),
@@ -1030,8 +1122,8 @@ def test_non_canonical_input_is_refused_by_every_pass(categorical, bad):
     for run in passes:
         with pytest.raises(ContractViolation, match=bad):
             run()
-        assert [stack.params.tobytes(), stack.g2.tobytes(), model._input.tobytes(),
-                [m.forward_calls for m in stack.models]] == state
+        assert [stack.params.tobytes(), stack.g2.tobytes(),
+                model._input.tobytes()] == state
     served = full[:3]
     assert bits(model.forward(served)) == bits(reference_predict(model, served))
 
