@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DAY = 86400.0
 
@@ -153,33 +153,20 @@ def poisson_nll(rate: float, label: float) -> float:
 
 @dataclass
 class MetricsAccumulator:
-    """Streaming sums for PLL and calibration bias, with a per-window
-    (simulated day) breakdown."""
+    """Streaming sums for PLL and calibration bias."""
 
     sum_nll: float = 0.0
     sum_pred: float = 0.0
     sum_label: float = 0.0
     example_count: int = 0
-    windows: dict = field(default_factory=dict)  # day -> [nll, pred, label, n]
 
-    def record(self, rate: float, label: float, window_index: int,
-               pred: float = None):
-        """`pred`, when given, is the raw (possibly non-positive signed)
-        prediction used for bias sums; `rate` must stay positive for the NLL."""
-        if pred is None:
-            pred = rate
-        nll = poisson_nll(rate, label)
+    def record(self, nll: float, pred: float, label: float):
+        """One scored click: its Poisson NLL, its raw prediction (summed for
+        bias; a signed two-output one may be <= 0) and its mature label."""
         self.sum_nll += nll
         self.sum_pred += pred
         self.sum_label += label
         self.example_count += 1
-        w = self.windows.get(window_index)
-        if w is None:
-            w = self.windows[window_index] = [0.0, 0.0, 0.0, 0]
-        w[0] += nll
-        w[1] += pred
-        w[2] += label
-        w[3] += 1
 
     def finalize(self) -> tuple:
         """(pll, bias); either is None when undefined (no examples, or no

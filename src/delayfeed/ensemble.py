@@ -112,13 +112,13 @@ class SubModelEnsemble:
     parameters: their `params` and `g2` are the rows of one (n+1, P)
     buffer each, `stack.params` and `stack.g2`; sub-model i's seed is the
     layout's `rng_seed + seed_offset + i`. Owns serving, label completion,
-    and the per-example training schedule. In single-output mode a
-    negative label is clamped to 0 and counted."""
+    and the `windows` whose ends time each sub-model's training. In
+    single-output mode a negative label is clamped to 0 and counted."""
 
     def __init__(self, spec: VariantSpec, seed_offset: int = 0):
         self.name = spec.name
         self.negative_label_clamps = 0
-        self._windows = spec.windows
+        self.windows = spec.windows
         self._thermometer = spec.encoding == THERMOMETER
         self._use_aux = spec.use_aux
         self._mature_label = spec.mature_label
@@ -146,7 +146,7 @@ class SubModelEnsemble:
         token."""
         if not self._use_aux or i < 1:
             return example.serving_features, ()
-        prefix = observed_prefix(example, self._windows[i][0])
+        prefix = observed_prefix(example, self.windows[i][0])
         return ([*example.serving_features, _aux_count_pair(prefix)],
                 [(AUX_NUMERIC_FEATURE, max(prefix, 0.0))])
 
@@ -186,8 +186,8 @@ class SubModelEnsemble:
         if age >= example.attribution_window:
             return mature_label(example)
         # m: the last window that starts at or before age (d_0 = 0 does)
-        m = bisect_right([lo for lo, _ in self._windows], age) - 1
-        known = observed_prefix(example, self._windows[m][0])
+        m = bisect_right([lo for lo, _ in self.windows], age) - 1
+        known = observed_prefix(example, self.windows[m][0])
         if tail_predictor is not None:
             tail = tail_predictor(example, m)
         else:
@@ -200,9 +200,10 @@ class SubModelEnsemble:
 
     def training_schedule(self, example: ClickExample) -> list:
         """(train_time, sub_model_index) pairs, ascending: f_i trains when
-        the example's age reaches d_{i+1}, f_n at full maturity."""
+        the example's age reaches d_{i+1}, f_n at full maturity. This states
+        the rule that `harness.run` applies to `windows`."""
         t = example.click_time
-        return [(t + hi, i) for i, (_, hi) in enumerate(self._windows)]
+        return [(t + hi, i) for i, (_, hi) in enumerate(self.windows)]
 
     def training_label(self, example: ClickExample, i: int):
         """Completed label for sub-model i (see module docstring): a
@@ -210,12 +211,12 @@ class SubModelEnsemble:
         the mature label when the spec asks for it."""
         if self._mature_label:
             return mature_label(example)
-        lo, hi = self._windows[i]
+        lo, hi = self.windows[i]
         if self.two_output:
             label = split_signed(example, lo, hi)
         else:
             label = slice_label(example, lo, hi)
-        if not self._thermometer or i == len(self._windows) - 1:
+        if not self._thermometer or i == len(self.windows) - 1:
             return label
         nxt = self.sub_models[i + 1].forward(*self.features_for(example, i + 1))
         if self.two_output:
@@ -227,9 +228,9 @@ class SubModelEnsemble:
         guarantees scheduling order; `now`, when given, is asserted against
         the maturity requirement. A non-finite step is not applied, and its
         FloatingPointError names the variant, sub-model, example and time."""
-        if not 0 <= i < len(self._windows):
+        if not 0 <= i < len(self.windows):
             raise ContractViolation(f"{self.name} has no sub-model {i}")
-        required = example.click_time + self._windows[i][1]
+        required = example.click_time + self.windows[i][1]
         if now is not None and now < required:
             raise ContractViolation(
                 f"sub-model {i} trained at {now}, before maturity {required}"

@@ -2,21 +2,21 @@
 
 Streams one timeline per variant: an EVAL at every click time and the
 variant's TRAINs after it, in (time, EVAL-before-TRAIN, sub-model index,
-arrival sequence) order. A click's TRAINs are scheduled at its EVAL and wait
-in one FIFO queue per index, so the timeline holds the pending TRAINs, not
-the whole stream. EVALs score the serving prediction against the mature
-label per slice; TRAINs past the stream's end are dropped and counted.
+click order) order. Sub-model i trains on a click once its age reaches
+window i's end, so the timeline is one cursor into the stream per
+sub-model and holds no pending TRAIN. An EVAL scores the serving
+prediction against the mature label once, for every matching slice and
+the click's day; TRAINs past the stream's end are dropped and counted.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import pairwise
 
-from .core import DAY, MetricsAccumulator, mature_label
+from .core import DAY, MetricsAccumulator, mature_label, poisson_nll
 
 NEW_CAMPAIGN_AGE = 10 * DAY
 
@@ -40,83 +40,90 @@ class RunResult:
     dropped_train_events: int = 0
     n_examples: int = 0
     negative_label_clamps: int = 0
+    days: dict = field(default_factory=dict)  # simulated day -> MetricsAccumulator
 
     def timeseries(self) -> list:
-        """Per-simulated-day and cumulative PLL/bias from the ALL slice."""
-        acc = self.slices["ALL"]
+        """Per-simulated-day and cumulative PLL/bias over every click."""
         rows = []
         c_nll = c_pred = c_label = 0.0
         c_n = 0
-        for day in sorted(acc.windows):
-            nll, pred, label, n = acc.windows[day]
-            c_nll += nll
-            c_pred += pred
-            c_label += label
-            c_n += n
+        for day, acc in sorted(self.days.items()):
+            pll, bias = acc.finalize()
+            c_nll += acc.sum_nll
+            c_pred += acc.sum_pred
+            c_label += acc.sum_label
+            c_n += acc.example_count
             rows.append({
                 "day": day,
-                "pll": nll / n if n else None,
-                "bias": pred / label if label > 0 else None,
+                "pll": pll,
+                "bias": bias,
                 "cum_pll": c_nll / c_n if c_n else None,
                 "cum_bias": c_pred / c_label if c_label > 0 else None,
-                "n": n,
+                "n": acc.example_count,
             })
         return rows
 
 
 def run(variant, stream_examples, slices=None, stream_end=None) -> RunResult:
-    """Evaluate-then-train pass over a stream sorted by click time. TRAIN
-    times must be finite, not before their click, and monotone per index."""
+    """Evaluate-then-train pass over a stream sorted by click time.
+    Sub-model i trains on each click at its click time plus the end of
+    `variant.windows[i]`, which must be finite and >= 0; a TRAIN due at a
+    click's time runs after that click's EVAL."""
     slices = default_slices() if slices is None else slices
     for a, b in pairwise(stream_examples):
         if not (a.click_time <= b.click_time and a.example_id < b.example_id):
             raise ValueError("stream must be sorted by click_time, with "
                              "strictly increasing example_ids")
-    if stream_end is None and stream_examples:
+    ends = [hi for _, hi in variant.windows]
+    for i, hi in enumerate(ends):
+        if not 0 <= hi < math.inf:
+            raise ValueError(f"{variant.name}: window {i} ends at {hi}; a "
+                             f"window end must be finite and >= 0")
+    n = len(stream_examples)
+    if stream_end is None and n:
         stream_end = stream_examples[-1].click_time
 
-    result = RunResult(getattr(variant, "name", variant.__class__.__name__),
-                       {name: MetricsAccumulator() for name in slices})
-    queues = defaultdict(deque)  # index -> FIFO of pending (train time, example)
-    heads = []  # heap of (train time, index), one per non-empty queue
+    result = RunResult(variant.name,
+                       {name: MetricsAccumulator() for name in slices},
+                       n_examples=n)
+    # cursor i's head: (its next TRAIN's time, i, that click's position)
+    heads = [(stream_examples[0].click_time + hi, i, 0)
+             for i, hi in enumerate(ends)] if n else []
+    heapq.heapify(heads)
 
     def train_before(limit):
         while heads and heads[0][0] < limit:
-            t, i = heapq.heappop(heads)
-            queue = queues[i]
-            e = queue.popleft()[1]
-            if queue:
-                heapq.heappush(heads, (queue[0][0], i))
-            variant.train_on(e, i, now=t)
+            t, i, pos = heads[0]
+            if t > stream_end:
+                # so are all of this cursor's later TRAINs
+                result.dropped_train_events += n - pos
+                heapq.heappop(heads)
+                continue
+            variant.train_on(stream_examples[pos], i, now=t)
+            pos += 1
+            if pos < n:
+                heapq.heapreplace(
+                    heads, (stream_examples[pos].click_time + ends[i], i, pos))
+            else:
+                heapq.heappop(heads)
 
-    slice_items = list(slices.items())
+    slice_items = [(m, result.slices[name]) for name, m in slices.items()]
+    days = result.days
     for e in stream_examples:
         train_before(e.click_time)  # one due at this time waits for the EVAL
         rate = variant.serve(e)
+        label = mature_label(e)
         # signed two-output predictions can be <= 0; NLL needs a
         # positive rate while bias keeps the raw prediction
-        safe_rate = max(rate, 1e-12)
-        label = mature_label(e)
-        window = int(e.click_time // DAY)
-        for name, matches in slice_items:
+        nll = poisson_nll(max(rate, 1e-12), label)
+        for matches, acc in slice_items:
             if matches(e):
-                result.slices[name].record(safe_rate, label, window, pred=rate)
-        result.n_examples += 1
-        for t, i in variant.training_schedule(e):
-            queue = queues[i]
-            # a queued TRAIN is not due yet, so it is no earlier than the click
-            earliest = queue[-1][0] if queue else e.click_time
-            if not earliest <= t < math.inf:
-                raise ValueError(f"example {e.example_id}: TRAIN {i} at {t} must "
-                                 f"be finite and no earlier than {earliest}")
-            if t > stream_end:
-                result.dropped_train_events += 1
-            else:
-                queue.append((t, e))
-                if len(queue) == 1:
-                    heapq.heappush(heads, (t, i))
+                acc.record(nll, rate, label)
+        if (day := int(e.click_time // DAY)) not in days:
+            days[day] = MetricsAccumulator()
+        days[day].record(nll, rate, label)
     train_before(math.inf)
-    result.negative_label_clamps = getattr(variant, "negative_label_clamps", 0)
+    result.negative_label_clamps = variant.negative_label_clamps
     return result
 
 

@@ -51,6 +51,10 @@ class RegressorConfig:
         object.__setattr__(self, "categorical_fields", tuple(self.categorical_fields))
         object.__setattr__(self, "numeric_features", tuple(self.numeric_features))
         object.__setattr__(self, "hidden_layer_sizes", tuple(self.hidden_layer_sizes))
+        for name in ("categorical_fields", "numeric_features"):
+            names = getattr(self, name)
+            if dup := [x for i, x in enumerate(names) if x in names[:i]]:
+                raise ValueError(f"{name} lists {dup[0]!r} more than once")
         for name in ("embedding_dim", "hash_buckets_per_field", "rng_seed"):
             if not is_integer(value := getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -2,9 +2,9 @@
 
 Every variant is one VariantSpec (a name, a regressor layout and its
 delay windows) built into a SubModelEnsemble, so all share the surface
-the harness drives: serve(example) -> rate, training_schedule(example) ->
-[(time, index)], train_on(example, index, now) -> loss. A single-delay
-baseline is the ensemble with the one window [0, delay).
+the harness drives: serve(example) -> rate, train_on(example, index, now)
+-> loss, and `windows`, whose ends say when each index trains. A
+single-delay baseline is the ensemble with the one window [0, delay).
 
 Standard names (report rows): M1, M2_7d, M2_15d, M3, M4, M5, Proposed,
 Oracle. Oracle trains on the complete label with zero delay, which is

@@ -90,8 +90,8 @@ def _summarize(result):
         pll, bias = acc.finalize()
         slices[name] = {"pll": pll, "bias": bias}
     windows = [
-        [day] + list(vals)
-        for day, vals in sorted(result.slices["ALL"].windows.items())
+        [day, acc.sum_nll, acc.sum_pred, acc.sum_label, acc.example_count]
+        for day, acc in sorted(result.days.items())
     ]
     return {"slices": slices, "windows": windows}
 
@@ -401,14 +401,13 @@ def test_structural_invariants(tmp_path):
     # each example is evaluated before any of its training events fire
     class Recorder:
         name = "recorder"
+        negative_label_clamps = 0
+        windows = ens.windows
         log = []
 
         def serve(self, example):
             self.log.append(("eval", example.example_id))
             return 1.0
-
-        def training_schedule(self, example):
-            return ens.training_schedule(example)
 
         def train_on(self, example, i, now=None):
             self.log.append(("train", example.example_id, i))

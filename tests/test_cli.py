@@ -560,6 +560,21 @@ class TestRun:
         assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_layout_too_large_to_allocate_exits_1(self, tmp_path, capfd, jobs):
+        # 2**50 buckets a field: an allocation no host grants, so no array
+        # is made, let alone touched
+        path = tmp_path / "config.json"
+        raw = dict(SMALL, stream=dict(SMALL["stream"], total_clicks=50),
+                   regressor=dict(SMALL["regressor"], hash_buckets_per_field=2**50))
+        path.write_text(json.dumps(raw))
+        rc = main(["run", "--config", str(path), "--variant", "M1",
+                   "--out", str(tmp_path / "r"), "--jobs", str(jobs)])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_exits_2_before_any_task(self, config_path, tmp_path,
                                                      capsys, monkeypatch, jobs):

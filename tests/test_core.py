@@ -280,21 +280,21 @@ class TestDelayBucketing:
 class TestMetricsAccumulator:
     def test_bias_sums_match(self):
         acc = MetricsAccumulator()
-        acc.record(2.0, 1.0, 0)
-        acc.record(2.0, 3.0, 0)
+        acc.record(poisson_nll(2.0, 1.0), 2.0, 1.0)
+        acc.record(poisson_nll(2.0, 3.0), 2.0, 3.0)
         _, bias = acc.finalize()
         assert bias == 1.0
 
     def test_bias_half(self):
         acc = MetricsAccumulator()
-        acc.record(1.0, 2.0, 0)
-        acc.record(1.0, 2.0, 1)
+        acc.record(poisson_nll(1.0, 2.0), 1.0, 2.0)
+        acc.record(poisson_nll(1.0, 2.0), 1.0, 2.0)
         _, bias = acc.finalize()
         assert bias == 0.5
 
     def test_single_pll(self):
         acc = MetricsAccumulator()
-        acc.record(1.0, 0.0, 0)
+        acc.record(poisson_nll(1.0, 0.0), 1.0, 0.0)
         pll, bias = acc.finalize()
         assert pll == 1.0
         assert bias is None  # no label mass

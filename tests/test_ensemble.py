@@ -92,6 +92,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="^X: .*two-output"):
             VariantSpec("X", rc, ((0.0, 0.0),), mature_label=True)
 
+    def test_aux_inputs_refused_when_the_layout_declares_them(self):
+        rc = RegressorConfig(**{**BASE_RC.__dict__,
+                                "categorical_fields": ("campaign", "aux_count")})
+        spec = VariantSpec("Proposed", rc, WINDOWS, use_aux=True)
+        with pytest.raises(ValueError,
+                           match="categorical_fields lists 'aux_count' more than once"):
+            SubModelEnsemble(spec)
+
     def test_spec_keeps_windows_as_tuples(self):
         spec = VariantSpec("probe", BASE_RC, [[0.0, 1 * DAY], [1 * DAY, M]])
         assert spec.windows == ((0.0, 1 * DAY), (1 * DAY, M))

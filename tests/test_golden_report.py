@@ -7,8 +7,10 @@ Regenerate (only when a change is meant to alter the numbers):
 """
 
 import json
+import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from delayfeed.cli import config_from_dict, stream_for_seed, variant_specs_for
@@ -52,6 +54,23 @@ def golden_reports() -> dict:
     return json.loads(json.dumps(out))
 
 
+def host_note() -> str:
+    """What picks the kernels a report's bits depend on, for a failure
+    message: the environment variables that choose them and numpy's SIMD
+    targets."""
+    env = {k: os.environ.get(k) for k in ("OPENBLAS_CORETYPE",
+                                          "NPY_DISABLE_CPU_FEATURES")}
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        simd = f"unknown (numpy {np.__version__})"
+    return (f"host {env}, numpy SIMD {simd}. The reports' bits depend on "
+            f"the OpenBLAS dgemv kernel and numpy's SIMD exp/log loop that "
+            f"the CPU selects; the golden file holds this project's AVX-512 "
+            f"host's bits, so a host without AVX-512 fails here with moves "
+            f"below 1e-12 relative and no regression (ROADMAP item 4).")
+
+
 @pytest.fixture(scope="module")
 def reports():
     return golden_reports()
@@ -67,8 +86,8 @@ def golden():
 def test_report_matches_golden(reports, golden, config_name, variant):
     want = golden[config_name][variant]
     got = reports[config_name][variant]
-    assert got["slices"] == want["slices"]
-    assert got["timeseries"] == want["timeseries"]
+    assert got["slices"] == want["slices"], host_note()
+    assert got["timeseries"] == want["timeseries"], host_note()
 
 
 if __name__ == "__main__":

@@ -5,8 +5,10 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delayfeed.core import DAY, MetricsAccumulator, mature_label
+from delayfeed.core import DAY, MetricsAccumulator, mature_label, poisson_nll
 from delayfeed.datagen import StreamConfig, generate
 from delayfeed.harness import (
     RunResult,
@@ -19,6 +21,7 @@ from delayfeed.regressor import RegressorConfig
 from delayfeed.variants import build_variant, standard_specs
 
 from test_core import make_example
+from test_variants import STANDARD_NAMES
 
 M = 30 * DAY
 BOUNDARIES = (1 * DAY, 7 * DAY)
@@ -33,12 +36,14 @@ RC = RegressorConfig(
 
 
 class RecordingVariant:
-    """Scripted variant that logs the order of harness callbacks."""
+    """Scripted variant with the given (lo, hi) windows that logs the order
+    of harness callbacks."""
 
     name = "recorder"
+    negative_label_clamps = 0
 
-    def __init__(self, schedule_fn, rate=1.0):
-        self.schedule_fn = schedule_fn
+    def __init__(self, windows, rate=1.0):
+        self.windows = windows
         self.rate = rate
         self.log = []
 
@@ -47,7 +52,8 @@ class RecordingVariant:
         return self.rate
 
     def training_schedule(self, example):
-        return self.schedule_fn(example)
+        return [(example.click_time + hi, i)
+                for i, (_, hi) in enumerate(self.windows)]
 
     def train_on(self, example, i, now=None):
         self.log.append(("train", example.example_id, i))
@@ -74,7 +80,7 @@ class TestEventOrdering:
     def test_single_example_proposed_schedule_order(self):
         ens_spec = standard_specs(M, RC, boundaries=BOUNDARIES)["Proposed"]
         ens = build_variant(ens_spec)
-        wrapper = RecordingVariant(ens.training_schedule)
+        wrapper = RecordingVariant(ens.windows)
         e = make_example([0.5 * DAY])
         run(wrapper, stream_of([e]), stream_end=40 * DAY)
         assert wrapper.log == [
@@ -86,7 +92,7 @@ class TestEventOrdering:
 
     def test_eval_precedes_train_at_same_timestamp(self):
         # Oracle-style: training scheduled exactly at click time
-        v = RecordingVariant(lambda e: [(e.click_time, 0)])
+        v = RecordingVariant(((0.0, 0.0),))
         e = make_example([])
         run(v, stream_of([e]), stream_end=1 * DAY)
         assert v.log == [("eval", 0), ("train", 0, 0)]
@@ -94,7 +100,7 @@ class TestEventOrdering:
     def test_interleaving_two_examples(self):
         # two clicks 1 minute apart, 6h training delay:
         # EVAL1, EVAL2, TRAIN1, TRAIN2
-        v = RecordingVariant(lambda e: [(e.click_time + 6 * 3600.0, 0)])
+        v = RecordingVariant(((0.0, 6 * 3600.0),))
         base = make_example([])
         ex = stream_of([shifted(base, 0.0), shifted(base, 60.0)])
         run(v, ex, stream_end=1 * DAY)
@@ -103,14 +109,13 @@ class TestEventOrdering:
         ]
 
     def test_train_tiebreak_lower_sub_model_first(self):
-        v = RecordingVariant(lambda e: [(e.click_time + 100.0, 1),
-                                        (e.click_time + 100.0, 0)])
+        v = RecordingVariant(((0.0, 100.0), (100.0, 100.0)))
         e = make_example([])
         run(v, stream_of([e]), stream_end=1 * DAY)
         assert v.log == [("eval", 0), ("train", 0, 0), ("train", 0, 1)]
 
     def test_out_of_order_stream_rejected(self):
-        v = RecordingVariant(lambda e: [])
+        v = RecordingVariant(())
         base = make_example([])
         ex = stream_of([shifted(base, 100.0), shifted(base, 0.0)])
         with pytest.raises(ValueError):
@@ -118,8 +123,9 @@ class TestEventOrdering:
 
 
 def reference_run(variant, stream_examples, slices=None, stream_end=None):
-    """The timeline `run` streams, built whole: every EVAL and TRAIN of the
-    stream goes into one heap before the first event is dispatched."""
+    """The timeline `run` streams, built whole from `training_schedule`:
+    every EVAL and TRAIN of the stream goes into one heap before the first
+    event is dispatched."""
     EVAL, TRAIN = 0, 1
     slices = default_slices() if slices is None else slices
     if stream_end is None:
@@ -138,16 +144,18 @@ def reference_run(variant, stream_examples, slices=None, stream_end=None):
     while events:
         t, kind, i, _, e = heapq.heappop(events)
         if kind == EVAL:
-            rate = variant.serve(e)
+            rate, label = variant.serve(e), mature_label(e)
+            nll = poisson_nll(max(rate, 1e-12), label)
             for name, matches in slices.items():
                 if matches(e):
-                    result.slices[name].record(
-                        max(rate, 1e-12), mature_label(e),
-                        int(e.click_time // DAY), pred=rate)
+                    result.slices[name].record(nll, rate, label)
+            day = int(e.click_time // DAY)
+            result.days.setdefault(day, MetricsAccumulator()).record(
+                nll, rate, label)
             result.n_examples += 1
         else:
             variant.train_on(e, i, now=t)
-    result.negative_label_clamps = getattr(variant, "negative_label_clamps", 0)
+    result.negative_label_clamps = variant.negative_label_clamps
     return result
 
 
@@ -158,6 +166,7 @@ class DispatchLog:
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
+        self.windows = inner.windows
         self.log = []
 
     def serve(self, example):
@@ -173,7 +182,7 @@ class DispatchLog:
 
     @property
     def negative_label_clamps(self):
-        return getattr(self.inner, "negative_label_clamps", 0)
+        return self.inner.negative_label_clamps
 
 
 def coarse_stream():
@@ -194,8 +203,21 @@ def coarse_stream():
         default_slices(stream.ground_truth.high_delay)
 
 
+@st.composite
+def timelines(draw):
+    """(window ends, click times, stream end or None) on a coarse integer
+    grid, so that ends tie across indices, TRAINs land on later clicks'
+    times and clicks share a time; an end may outlast the stream and the
+    stream end may fall before the last click."""
+    ends = draw(st.lists(st.integers(0, 12).map(float), max_size=4))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    times = [float(sum(gaps[:k + 1])) for k in range(len(gaps))]
+    stream_end = draw(st.none() | st.integers(0, int(times[-1]) + 12).map(float))
+    return ends, times, stream_end
+
+
 class TestStreamedTimeline:
-    @pytest.mark.parametrize("name", ["Proposed", "M4", "M1", "Oracle", "M3"])
+    @pytest.mark.parametrize("name", STANDARD_NAMES)
     def test_matches_whole_timeline_reference(self, name):
         stream, slices = coarse_stream()
         times = [e.click_time for e in stream]
@@ -210,33 +232,46 @@ class TestStreamedTimeline:
         assert result.dropped_train_events == expected.dropped_train_events
         assert (json.dumps(compare({name: result}), sort_keys=True)
                 == json.dumps(compare({name: expected}), sort_keys=True))
-        if name in ("Proposed", "M3"):
-            assert result.dropped_train_events > 0
+        # every window but Oracle's outlasts the stream's last click
+        assert (result.dropped_train_events > 0) == (name != "Oracle")
         if name in ("M1", "Oracle"):
             # some TRAIN shares its time with a later click's EVAL
             evals = {t for t, kind, _, _ in got.log if kind == "EVAL"}
             assert any(t in evals and kind == "TRAIN"
                        for t, kind, _, _ in got.log)
 
-    @pytest.mark.parametrize("schedule", [
-        # goes backwards within index 0: the second click trains first
-        lambda e: [(e.click_time + (100.0 if e.example_id == 0 else 1.0), 0)],
-        lambda e: [(e.click_time + 5.0, 1), (e.click_time + 3.0, 1)],
-        lambda e: [(e.click_time - 1.0, 0)],
-        lambda e: [(math.nan, 0)],
-        lambda e: [(math.inf, 0)],
-    ], ids=["backwards-across-clicks", "backwards-in-one-click",
-            "before-click", "nan", "inf"])
-    def test_rejects_bad_schedule(self, schedule):
+    @given(timelines())
+    @settings(max_examples=300, deadline=None)
+    def test_cursors_match_whole_timeline_reference(self, timeline):
+        ends, times, stream_end = timeline
+        base = make_example([0.5])
+        stream = stream_of([shifted(base, t) for t in times])
+        windows = tuple((0.0, hi) for hi in ends)
+        got = DispatchLog(RecordingVariant(windows, rate=0.5))
+        want = DispatchLog(RecordingVariant(windows, rate=0.5))
+        result = run(got, stream, stream_end=stream_end)
+        expected = reference_run(want, stream, stream_end=stream_end)
+        assert got.log == want.log
+        trains = sum(kind == "TRAIN" for _, kind, _, _ in got.log)
+        assert (result.dropped_train_events == expected.dropped_train_events
+                == len(stream) * len(ends) - trains)
+        assert result.n_examples == expected.n_examples == len(stream)
+        assert compare({"v": result}) == compare({"v": expected})
+
+    @pytest.mark.parametrize("end", [-1.0, math.nan, math.inf],
+                             ids=["before-click", "nan", "inf"])
+    def test_rejects_bad_schedule(self, end):
         base = make_example([])
         ex = stream_of([shifted(base, 0.0), shifted(base, 10.0)])
-        with pytest.raises(ValueError):
-            run(RecordingVariant(schedule), ex, stream_end=1 * DAY)
+        v = RecordingVariant(((0.0, 5.0), (5.0, end)))
+        with pytest.raises(ValueError, match="window 1 ends at"):
+            run(v, ex, stream_end=1 * DAY)
+        assert v.log == []
 
 
 class TestDropping:
     def test_immature_trailing_train_events_dropped(self):
-        v = RecordingVariant(lambda e: [(e.click_time + M, 0)])
+        v = RecordingVariant(((0.0, M),))
         base = make_example([])
         ex = stream_of([shifted(base, 0.0), shifted(base, 5 * DAY)])
         result = run(v, ex, stream_end=3 * DAY)
@@ -244,7 +279,7 @@ class TestDropping:
         assert all(entry[0] == "eval" for entry in v.log)
 
     def test_stream_end_defaults_to_last_click(self):
-        v = RecordingVariant(lambda e: [(e.click_time + 1.0, 0)])
+        v = RecordingVariant(((0.0, 1.0),))
         base = make_example([])
         ex = stream_of([shifted(base, 0.0), shifted(base, 10.0)])
         result = run(v, ex)
@@ -261,7 +296,7 @@ class TestMetricsAndSlices:
         old.campaign_start_time = 0.0
         old.campaign_id = 7
         ex = stream_of([young, old])
-        v = RecordingVariant(lambda e: [])
+        v = RecordingVariant(())
         slices = default_slices(high_delay_campaigns={7})
         result = run(v, ex, slices=slices)
         assert result.slices["ALL"].example_count == 2
@@ -298,7 +333,7 @@ class TestMetricsAndSlices:
         assert reports[0] == reports[1]
 
     def test_timeseries_days(self):
-        v = RecordingVariant(lambda e: [], rate=2.0)
+        v = RecordingVariant((), rate=2.0)
         base = make_example([0.5 * DAY])
         stream = stream_of([shifted(base, 0.0), shifted(base, 3 * DAY)])
         result = run(v, stream)
@@ -312,7 +347,7 @@ class TestCompare:
         acc = MetricsAccumulator()
         labels = labels or [1.0] * len(pll_values)
         for rate, label in zip(pll_values, labels):
-            acc.record(rate, label, 0)
+            acc.record(poisson_nll(rate, label), rate, label)
         return RunResult(variant=name, slices={"ALL": acc})
 
     def test_m3_relative_is_zero(self):
@@ -330,6 +365,15 @@ class TestCompare:
         assert report["variants"]["V"]["slices"]["ALL"]["pll_vs_M3_pct"] == (
             pytest.approx(10.0)
         )
+
+    def test_timeseries_without_all_slice(self):
+        v = RecordingVariant((), rate=2.0)
+        base = make_example([0.5 * DAY])
+        stream = stream_of([shifted(base, 0.0), shifted(base, 3 * DAY)])
+        result = run(v, stream, slices={"NONE": lambda e: False})
+        ts = compare({"V": result})["variants"]["V"]["timeseries"]
+        assert [(row["day"], row["n"]) for row in ts] == [(0, 1), (3, 1)]
+        assert ts[-1]["cum_bias"] == 4.0 / 2.0
 
     def test_missing_m3_omits_relative_columns(self):
         report = compare({"V": self._result("V", [1.0])})

@@ -138,6 +138,16 @@ class TestInit:
         with pytest.raises(ValueError):
             small_config(**kw)
 
+    @pytest.mark.parametrize("kw,name", [
+        ({"categorical_fields": ("a", "b", "a")}, "categorical_fields lists 'a'"),
+        ({"numeric_features": ("v", "v")}, "numeric_features lists 'v'"),
+    ], ids=["categorical-field", "numeric-feature"])
+    def test_config_rejects_a_repeated_input_naming_it(self, kw, name):
+        # a repeated field leaves its first table unread, and a repeated
+        # numeric feature its first slot always zero
+        with pytest.raises(ValueError, match=f"^{name} more than once"):
+            small_config(**kw)
+
 
 class TestForward:
     def test_rate_positive(self):
