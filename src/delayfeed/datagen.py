@@ -99,17 +99,15 @@ class DelayMixture:
     def lognorm_mu(self) -> float:
         return math.log(self.median)
 
-    def cdf(self, t):
-        """Exact mixture CDF (untruncated)."""
-        t = np.asarray(t, dtype=float)
-        safe = np.maximum(t, 1e-300)
-        e = 1.0 - np.exp(-safe / self.exp_mean)
-        w = 1.0 - np.exp(-((safe / self.weibull_scale) ** self.weibull_shape))
-        z = (np.log(safe) - self.lognorm_mu) / (self.lognorm_sigma * math.sqrt(2))
-        ln = 0.5 * (1.0 + _erf(z))
-        out = self.weights[0] * e + self.weights[1] * w + self.weights[2] * ln
-        out = np.where(t <= 0, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+    def cdf(self, t: float) -> float:
+        """Exact mixture CDF (untruncated) at delay t."""
+        if t <= 0:
+            return 0.0
+        e = 1.0 - math.exp(-t / self.exp_mean)
+        w = 1.0 - math.exp(-((t / self.weibull_scale) ** self.weibull_shape))
+        z = (math.log(t) - self.lognorm_mu) / (self.lognorm_sigma * math.sqrt(2))
+        ln = 0.5 * (1.0 + math.erf(z))
+        return self.weights[0] * e + self.weights[1] * w + self.weights[2] * ln
 
     def sample(self, rng: np.random.Generator, n: int, max_delay: float):
         """n i.i.d. draws truncated to [0, max_delay) by rejection."""
@@ -134,10 +132,6 @@ class DelayMixture:
             out[pending] = draws
             pending = pending[draws >= max_delay]
         return out
-
-
-def _erf(z):
-    return np.vectorize(math.erf)(z) if np.ndim(z) else math.erf(z)
 
 
 @dataclass(frozen=True)

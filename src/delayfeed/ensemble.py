@@ -155,7 +155,7 @@ class SubModelEnsemble:
     def serve(self, example: ClickExample) -> float:
         """Predicted full mature label at click time, from serving features
         only. Thermometer: one `forward` of f_0. Bucket: the sum of every
-        sub-model's prediction, from one stacked `read` of all n+1. In
+        sub-model's prediction, from one compiled `read` of all n+1. In
         two-output mode a prediction is rate_plus - rate_minus."""
         if self._thermometer:
             out = self.sub_models[0].forward(example.serving_features)
@@ -164,7 +164,7 @@ class SubModelEnsemble:
         # from Python 3.12, which would make reports depend on the version
         total = 0.0
         two_output = self.two_output
-        for rates in self.stack.read(example.serving_features).tolist():
+        for rates in self.stack.read(example.serving_features):
             total += rates[0] - rates[1] if two_output else rates[0]
         return total
 

@@ -6,13 +6,15 @@ click order) order. Sub-model i trains on a click once its age reaches
 window i's end, so the timeline is one cursor into the stream per
 sub-model and holds no pending TRAIN. An EVAL scores the serving
 prediction against the mature label once, for every matching slice and
-the click's day; TRAINs past the stream's end are dropped and counted.
+the click's day, whose rows are made once, at the end of the run; TRAINs
+past the stream's end are dropped and counted.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import pairwise
 
@@ -40,28 +42,36 @@ class RunResult:
     dropped_train_events: int = 0
     n_examples: int = 0
     negative_label_clamps: int = 0
-    days: dict = field(default_factory=dict)  # simulated day -> MetricsAccumulator
+    timeseries: list = field(default_factory=list)  # `daily_rows` of every click
+    day_sums: tuple = ()  # `daily_rows` (NLL, prediction, label) sums by day
 
-    def timeseries(self) -> list:
-        """Per-simulated-day and cumulative PLL/bias over every click."""
-        rows = []
-        c_nll = c_pred = c_label = 0.0
-        c_n = 0
-        for day, acc in sorted(self.days.items()):
-            pll, bias = acc.finalize()
-            c_nll += acc.sum_nll
-            c_pred += acc.sum_pred
-            c_label += acc.sum_label
-            c_n += acc.example_count
-            rows.append({
-                "day": day,
-                "pll": pll,
-                "bias": bias,
-                "cum_pll": c_nll / c_n if c_n else None,
-                "cum_bias": c_pred / c_label if c_label > 0 else None,
-                "n": acc.example_count,
-            })
-        return rows
+
+def daily_rows(days: dict) -> tuple:
+    """(rows, sums) of {day: MetricsAccumulator}, in day order: the per-day
+    and cumulative PLL/bias rows of a report, and the days' sums of NLL,
+    prediction and label as three arrays, from which the PLL and bias of
+    any run of days follow exactly."""
+    rows = []
+    sums = array("d"), array("d"), array("d")
+    c_nll = c_pred = c_label = 0.0
+    c_n = 0
+    for day, acc in sorted(days.items()):
+        pll, bias = acc.finalize()
+        c_nll += acc.sum_nll
+        c_pred += acc.sum_pred
+        c_label += acc.sum_label
+        c_n += acc.example_count
+        rows.append({
+            "day": day,
+            "pll": pll,
+            "bias": bias,
+            "cum_pll": c_nll / c_n if c_n else None,
+            "cum_bias": c_pred / c_label if c_label > 0 else None,
+            "n": acc.example_count,
+        })
+        for column, value in zip(sums, (acc.sum_nll, acc.sum_pred, acc.sum_label)):
+            column.append(value)
+    return rows, sums
 
 
 def run(variant, stream_examples, slices=None, stream_end=None) -> RunResult:
@@ -108,7 +118,7 @@ def run(variant, stream_examples, slices=None, stream_end=None) -> RunResult:
                 heapq.heappop(heads)
 
     slice_items = [(m, result.slices[name]) for name, m in slices.items()]
-    days = result.days
+    days = {}  # simulated day -> MetricsAccumulator
     for e in stream_examples:
         train_before(e.click_time)  # one due at this time waits for the EVAL
         rate = variant.serve(e)
@@ -123,6 +133,7 @@ def run(variant, stream_examples, slices=None, stream_end=None) -> RunResult:
             days[day] = MetricsAccumulator()
         days[day].record(nll, rate, label)
     train_before(math.inf)
+    result.timeseries, result.day_sums = daily_rows(days)
     result.negative_label_clamps = variant.negative_label_clamps
     return result
 
@@ -164,7 +175,7 @@ def compare(results: dict, config_digest: str = "", extra: dict = None) -> dict:
             slices_out[slice_name] = entry
         variant_out = {
             "slices": slices_out,
-            "timeseries": r.timeseries(),
+            "timeseries": r.timeseries,
         }
         if name == "Oracle":
             variant_out["note"] = "upper bound, impossible in practice"

@@ -7,6 +7,14 @@ Training is strictly one example at a time with per-parameter AdaGrad.
 In two-output mode the network emits (rate_plus, rate_minus) and the signed
 prediction is their difference, which is how negative labels from
 retractions are handled.
+
+Every pass, a model's `forward` and `train_step` and a stack's `read`, is
+one call of the compiled `kernel`, whose arithmetic, `exp` and `log`
+included, is its own, so its bits do not depend on the host's numpy or
+BLAS kernels. Python checks the input, hashes each (field, token) pair to
+its embedding row, scales the numeric features and checks the label; the
+kernel gathers the rows, runs the layers and, in a step, the backward and
+the AdaGrad update.
 """
 
 from __future__ import annotations
@@ -21,17 +29,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .adagrad import adagrad_step, bind
+from . import kernel
 from .core import ContractViolation, as_float, is_integer
 
 CHECKPOINT_MAGIC = b"DLYFEED1"
-
-# ufunc operands as 0-d arrays: numpy converts a Python float operand on
-# every call
-_ZERO = np.array(0.0)
-# stability clamp on the log-rate; exp would overflow/underflow far outside
-# this range and AdaGrad recovers from the clipped gradient
-_LOG_RATE_MIN, _LOG_RATE_MAX = np.array(-30.0), np.array(30.0)
 
 
 @dataclass(frozen=True)
@@ -93,25 +94,6 @@ def hash_token(field_id: str, token: str, buckets: int) -> int:
 ROW_MEMO_SIZE = 65536
 
 
-def _layer_rates(h, weights, biases, inputs=None):
-    """The rates of input `h` through the dense layers: ReLU (from the
-    second layer on, in place), product with the layer's weights, its bias,
-    then `exp` of the clamped log-rate. `h` is one input vector, or a
-    stack's (R, 1, n) inputs, each row times its own weights. When `inputs`
-    is a list, each layer's input is appended to it: the input, then the
-    hidden layers' ReLU outputs."""
-    stacked = h.ndim > 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if i:
-            np.maximum(h, _ZERO, out=h)
-        if inputs is not None:
-            inputs.append(h)
-        # a 1-D ndarray.dot skips the dispatch np.matmul adds to every call
-        h = np.matmul(h, w) if stacked else h.dot(w)
-        h += b
-    return np.exp(np.minimum(np.maximum(h, _LOG_RATE_MIN), _LOG_RATE_MAX))
-
-
 def param_shapes(config: RegressorConfig) -> list:
     """Shapes of a regressor's parameter arrays in the order they lie in its
     flat buffer: one embedding table per field, then the dense weights, then
@@ -160,17 +142,17 @@ class PoissonRegressor:
     weights, then the dense biases. `embeddings`, `weights` and `biases`
     are views into `params`. The model allocates both buffers, or takes
     zero-filled `params` and `g2` vectors from its caller (rows of a
-    `RegressorStack`). The compiled AdaGrad step holds their addresses, so
-    they are written in place and never replaced.
+    `RegressorStack`). The compiled passes (`kernel`) hold their
+    addresses, so they are written in place and never replaced.
 
     Every pass takes `categorical`, (field_id, token) pairs of the first k
     declared fields, in declared order, each once, and `numeric`, (name,
     value) pairs of declared numeric features; the later fields' slots and
     the unnamed numeric slots are zero. Any other input is refused with
     ContractViolation before anything is written. A pass writes the whole
-    of one input vector the model reuses, so no pass depends on the one
-    before; `forward` and `train_step` both write it, so a model is for
-    one thread at a time.
+    of one input vector the model reuses (the numeric slots here, the rest
+    in the kernel), so no pass depends on the one before; `forward` and
+    `train_step` both write it, so a model is for one thread at a time.
     """
 
     def __init__(self, config: RegressorConfig, params=None, g2=None):
@@ -190,36 +172,14 @@ class PoissonRegressor:
         self.params = np.zeros(size) if params is None else _state_buffer(params, size)
         self.g2 = np.zeros(size) if g2 is None else _state_buffer(g2, size)
         n_dense = sum(math.prod(s) for s in dense_shapes)
-        # gradients of the last backward pass: the dense gradient, laid out
-        # like the dense tail of `params`, then the input's gradient, so
-        # that the dense gradient and the first k embedding slots' are one
-        # array for every k
-        self._grads = np.empty(n_dense + self.input_dim)
-        self._grad, self._input_grad = self._grads[:n_dense], self._grads[n_dense:]
         n_emb = self.params.size - n_dense
-        self._dense = self.params[n_emb:]
-        self._dense_g2 = self.g2[n_emb:]
         # every embedding row of every field, field by field: row
         # field_index * hash_buckets_per_field + bucket
         self._emb_rows = self.params[:n_emb].reshape(-1, d)
-        self._emb_rows_g2 = self.g2[:n_emb].reshape(-1, d)
 
         p = _carve(self.params, shapes)
         self.embeddings = dict(zip(fields, p[:nf]))
         self.weights, self.biases = p[nf : nf + nl], p[nf + nl :]
-        g = _carve(self._grad, dense_shapes)
-        self._weight_grads, self._bias_grads = g[:nl], g[nl:]
-        # each bias gradient as a (1, fan_out) row, for the outer products
-        self._bias_grad_rows = [b[None, :] for b in self._bias_grads]
-        # the rows a step looked up, and the AdaGrad kernel's arguments:
-        # the addresses of the dense tail, the embedding rows, `_grads` and
-        # the looked-up rows
-        self._looked_up = (ctypes.c_long * nf)()
-        self._step = bind(self._dense, self._dense_g2, self._emb_rows,
-                          self._emb_rows_g2, self._grads[: n_dense + d * nf],
-                          self._looked_up, config.learning_rate,
-                          config.adagrad_epsilon)
-
         for f, emb_shape in zip(fields, shapes):
             self.embeddings[f][...] = rng.uniform(-0.05, 0.05, size=emb_shape)
         for w, (fan_in, fan_out) in zip(self.weights, layers):
@@ -234,13 +194,30 @@ class PoissonRegressor:
         # (field_id, token) -> (field index, `_emb_rows` row)
         self._rows = {}
         # the input vector of every pass: one embedding slot per field, then
-        # the numeric slots. For every k: the first k slots, and all that
-        # follows them.
+        # the numeric slots, which are written here through `_numeric`
         self._input = np.zeros(self.input_dim)
-        slots = self._input[: d * nf].reshape(nf, d)
-        self._heads = [slots[:k] for k in range(nf + 1)]
-        self._tails = [self._input[d * k :] for k in range(nf + 1)]
-        self._numeric = self._input[d * nf :]
+        self._numeric = (ctypes.c_double * len(config.numeric_features)).from_buffer(
+            self._input, 8 * d * nf)
+        # gradients of the last step: the dense gradient, laid out like the
+        # dense tail of `params`, then the input vector's, of which a step
+        # writes the first k slots, those of the k rows it looked up
+        self._grads = np.zeros(n_dense + self.input_dim)
+        # the kernel's arguments: the rows a pass looks up, its labels,
+        # outputs and loss, and the addresses of the buffers
+        self._looked_up = (ctypes.c_long * nf)()
+        self._labels = (ctypes.c_double * self.n_outputs)()
+        self._out = (ctypes.c_double * self.n_outputs)()
+        self._loss = ctypes.c_double()
+        self._acts = np.zeros(sum(fan_out for _, fan_out in layers))
+        self._net = kernel.bind(
+            self._emb_rows, self.g2[:n_emb].reshape(-1, d), self.params[n_emb:],
+            self.g2[n_emb:], self._input, self._acts, self._grads,
+            self._looked_up, [self.input_dim, *config.hidden_layer_sizes,
+                              self.n_outputs],
+            config.learning_rate, config.adagrad_epsilon)
+        self._net_p, self._out_p, self._labels_p, self._loss_p = (
+            kernel.address(x) for x in (self._net, self._out, self._labels,
+                                        self._loss))
 
     # -- input -----------------------------------------------------------
 
@@ -296,33 +273,28 @@ class PoissonRegressor:
             values[idx] = math.copysign(math.log1p(abs(value)), value)
         return values
 
-    def _fill(self, categorical, numeric=()):
-        """Writes the whole input vector of these features and returns their
-        rows (`_rows_of`): the k rows gathered with one `take` into the
-        first k slots, zeros in the later fields' slots, then the
-        log1p-scaled numeric features, or zeros when none is given. A
-        refused input raises before anything is written."""
+    def _fill(self, categorical, numeric=()) -> int:
+        """Writes the looked-up rows of these features (`_rows_of`) into
+        `_looked_up` and their numeric slots' values into the input vector,
+        and returns k, the number of rows; the kernel then gathers the rows
+        and zeros the later fields' slots. A refused input raises before
+        anything is written."""
         rows = self._rows_of(categorical)
-        values = self._numeric_values(numeric) if numeric else None
+        values = self._numeric_values(numeric)
         k = len(rows)
-        if k:
-            # "clip" writes straight into `out`; "raise" would buffer
-            self._emb_rows.take(rows, 0, self._heads[k], "clip")
-        self._tails[k].fill(0.0)
-        if values is not None:
-            self._numeric[:] = values
-        return rows
+        self._looked_up[:k] = rows
+        self._numeric[:] = values
+        return k
 
     # -- forward ---------------------------------------------------------
 
     def forward(self, categorical, numeric=()):
         """The model's one inference pass: the rate, or (rate_plus,
         rate_minus) in two-output mode."""
-        self._fill(categorical, numeric)
-        rates = _layer_rates(self._input, self.weights, self.biases)
+        kernel.forward(self._net_p, self._fill(categorical, numeric), self._out_p)
         if self.n_outputs == 1:
-            return float(rates[0])
-        plus, minus = rates.tolist()
+            return self._out[0]
+        plus, minus = self._out
         return plus, minus
 
     # -- training --------------------------------------------------------
@@ -354,52 +326,26 @@ class PoissonRegressor:
             )
         return float(pos), float(neg)
 
-    def _gradients(self, categorical, numeric, label):
-        """The one backward pass: gradients of the summed Poisson NLL over
-        outputs. Writes `_grads`: the dense gradient, laid out like `_grad`,
-        then the input vector's gradient, whose first k slots are those of
-        the k `_emb_rows` rows looked up. Returns (loss, those rows)."""
-        y = self._label(label)
-        rows = self._fill(categorical, numeric)
-        inputs = []
-        rates = _layer_rates(self._input, self.weights, self.biases, inputs)
-        # the loss, rates - y * log(rates) summed, in float arithmetic gives
-        # the bits numpy gives. The gradient of each layer's pre-activation
-        # is its bias gradient; the output layer's is rates - y (exp link).
-        grads, grad_rows = self._bias_grads, self._bias_grad_rows
-        if self.n_outputs == 1:
-            (rate,), (log_rate,) = rates.tolist(), np.log(rates).tolist()
-            loss = rate - y * log_rate
-            grads[-1][0] = rate - y
-        else:
-            (r0, r1), (l0, l1) = rates.tolist(), np.log(rates).tolist()
-            loss = (r0 - y[0] * l0) + (r1 - y[1] * l1)
-            grads[-1][0], grads[-1][1] = r0 - y[0], r1 - y[1]
-        dot = np.ndarray.dot
-        for i in range(len(self.weights) - 1, 0, -1):
-            dot(inputs[i][:, None], grad_rows[i], out=self._weight_grads[i])
-            grad = dot(self.weights[i], grads[i], out=grads[i - 1])
-            # the inputs are ReLU outputs, so their sign is the {0, 1} mask
-            # of the active units, and a float mask multiplies faster
-            grad *= np.sign(inputs[i])
-        dot(inputs[0][:, None], grad_rows[0], out=self._weight_grads[0])
-        # dL/dx of each slot of the input vector
-        dot(self.weights[0], grads[0], out=self._input_grad)
-        return loss, rows
-
     def train_step(self, categorical, numeric, label) -> float:
         """One online AdaGrad step; returns the pre-update loss. One call of
-        the compiled kernel (`adagrad.adagrad_step`) updates the dense
-        parameters and, in place, the embedding rows the input looked up.
-        A non-finite loss, or a non-finite entry in the dense gradient or
-        those rows' gradients, raises before anything is written."""
-        loss, rows = self._gradients(categorical, numeric, label)
-        self._looked_up[: len(rows)] = rows
-        if not math.isfinite(loss) or adagrad_step(self._step, len(rows)):
+        the compiled kernel (`kernel.train_step`) runs the forward, the
+        backward of the summed Poisson NLL over outputs, which it writes
+        into `_grads`, and the update of the dense parameters and, in place,
+        of the embedding rows the input looked up. A non-finite loss, or a
+        non-finite entry in the dense gradient or those rows' gradients,
+        raises before anything is written."""
+        y = self._label(label)
+        k = self._fill(categorical, numeric)
+        if self.n_outputs == 1:
+            self._labels[0] = y
+        else:
+            self._labels[:] = y
+        if kernel.train_step(self._net_p, k, self._labels_p, self._loss_p):
             raise FloatingPointError(
-                f"non-finite loss or gradient (loss={loss}); step not applied"
+                f"non-finite loss or gradient (loss={self._loss.value}); "
+                f"step not applied"
             )
-        return loss
+        return self._loss.value
 
     # -- checkpointing ----------------------------------------------------
 
@@ -448,14 +394,8 @@ class RegressorStack:
     """R regressors of one layout, one per seed, whose `params` and `g2`
     are the rows of one (R, P) buffer each: `models[r]` is an ordinary
     PoissonRegressor on row r, with the initial values it would allocate
-    for itself. `read` runs all R on one serving input with one set of
-    numpy calls.
-
-    Per call, numpy dispatch outweighs the arithmetic of these small
-    layers: one stacked `matmul` costs about 2.5 single-model `dot`s and
-    replaces R of them. So a read of several models at once takes the
-    stack's `read`; a pass of one model takes that model's own `forward`
-    or `train_step`.
+    for itself. `read` runs all R on one serving input with one call of
+    the compiled kernel.
     """
 
     def __init__(self, config: RegressorConfig, seeds):
@@ -467,29 +407,18 @@ class RegressorStack:
             PoissonRegressor(replace(config, rng_seed=seed), p, a)
             for seed, p, a in zip(seeds, self.params, self.g2)
         ]
+        self._stack = kernel.bind_stack([m._net for m in self.models])
+        self._stack_p = kernel.address(self._stack)
+        self._out = np.zeros((n_rows, self.models[0].n_outputs))
+        self._out_p = ctypes.c_void_p(self._out.ctypes.data)
 
-        nf = len(config.categorical_fields)
-        nl = len(config.hidden_layer_sizes) + 1
-        d = config.embedding_dim
-        n_emb = sum(math.prod(s) for s in shapes[:nf])
-        # embedding rows first: indexing one row gives its (R, d) values
-        # across the stack
-        self._emb = self.params[:, :n_emb].reshape(n_rows, -1, d).transpose(1, 0, 2)
-        # a (R, 1, fan_in) input times (R, fan_in, fan_out) weights
-        dense = _carve(self.params[:, n_emb:], shapes[nf:])
-        # the input after k rows' (R, d) blocks: the later fields' slots
-        # and the numeric slots, all zero
-        input_dim = self.models[0].input_dim
-        self._tails = [np.zeros((n_rows, input_dim - d * k)) for k in range(nf + 1)]
-        self._weights = dense[:nl]
-        self._biases = [b[:, None, :] for b in dense[nl:]]
-
-    def read(self, categorical):
-        """(R, n_outputs) rates; row r equals `models[r].forward(categorical)`
-        bit for bit. Takes the input the models take."""
-        rows = self.models[0]._rows_of(categorical)
-        emb = self._emb
-        parts = [emb[row] for row in rows]
-        parts.append(self._tails[len(rows)])
-        h = np.concatenate(parts, axis=1)[:, None, :]
-        return _layer_rates(h, self._weights, self._biases)[:, 0]
+    def read(self, categorical) -> list:
+        """R lists of n_outputs rates; row r equals
+        `models[r].forward(categorical)` bit for bit. Takes the input the
+        models take."""
+        first = self.models[0]
+        rows = first._rows_of(categorical)
+        k = len(rows)
+        first._looked_up[:k] = rows
+        kernel.read(self._stack_p, k, self._out_p)
+        return self._out.tolist()

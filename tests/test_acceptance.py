@@ -40,7 +40,7 @@ from delayfeed.regressor import PoissonRegressor, RegressorConfig, hash_token
 from delayfeed.variants import build_variant, standard_specs
 
 from test_core import windows
-from test_regressor import analytic_gradients, count_passes
+from test_regressor import analytic_gradients, count_passes, step_loss
 
 SEEDS = (1, 2, 3, 4, 5)
 CACHE_DIR = Path(__file__).parent / "_cache"
@@ -89,10 +89,8 @@ def _summarize(result):
     for name, acc in result.slices.items():
         pll, bias = acc.finalize()
         slices[name] = {"pll": pll, "bias": bias}
-    windows = [
-        [day, acc.sum_nll, acc.sum_pred, acc.sum_label, acc.example_count]
-        for day, acc in sorted(result.days.items())
-    ]
+    windows = [[row["day"], nll, pred, label, row["n"]] for row, nll, pred, label
+               in zip(result.timeseries, *result.day_sums)]
     return {"slices": slices, "windows": windows}
 
 
@@ -340,9 +338,9 @@ def test_gradients_match_finite_differences():
         def fd(array, idx):
             orig = array[idx]
             array[idx] = orig + h
-            up = model._gradients(categorical, numeric, label)[0]
+            up = step_loss(model, categorical, numeric, label)
             array[idx] = orig - h
-            down = model._gradients(categorical, numeric, label)[0]
+            down = step_loss(model, categorical, numeric, label)
             array[idx] = orig
             return (up - down) / (2 * h)
 

@@ -2,6 +2,7 @@
 acceptance-gate cache equals the old one."""
 
 import json
+import math
 
 import pytest
 
@@ -34,9 +35,11 @@ def test_only_runtime_differing_is_equal(tmp_path, capsys):
 
 @pytest.mark.parametrize("new,line", [
     ({**OLD, "1_M1.json": {"slices": {"ALL": {"pll": 0.5, "bias": 1.01}},
-                           "runtime_s": 3.0}}, "differs: 1_M1.json"),
+                           "runtime_s": 3.0}},
+     "differs: 1_M1.json: largest relative move 0.01 at slices.ALL.bias"),
     ({**OLD, "1__delay_mass_beyond_1d.json": 0.26},
-     "differs: 1__delay_mass_beyond_1d.json"),
+     "differs: 1__delay_mass_beyond_1d.json: largest relative move 0.04 at "
+     "the value"),
     ({"1_M1.json": OLD["1_M1.json"]},
      "missing in NEW: 1__delay_mass_beyond_1d.json"),
     ({**OLD, "2_M1.json": OLD["1_M1.json"]}, "missing in OLD: 2_M1.json"),
@@ -47,6 +50,21 @@ def test_a_changed_or_missing_entry_exits_1_naming_it(tmp_path, capsys, new,
                           write_cache(tmp_path / "new", "cfg_src2", new))
     assert status == 1
     assert out[0] == line and out[1].startswith("1 of ")
+
+
+@pytest.mark.parametrize("old,new,want", [
+    ({"a": [1.0, 2.0, 4.0]}, {"a": [1.0, 2.0 * (1 + 1e-14), 4.0 * (1 - 3e-14)]},
+     (3e-14, "a[2]")),
+    ({"windows": [[0, 1.5], [1, 2.5]]}, {"windows": [[0, 1.5], [1, 2.5]]},
+     (0.0, "")),
+    ({"a": 0.0, "b": 1.0}, {"a": 1e-300, "b": 2.0}, (math.inf, "a")),
+    ({"a": [1.0, 2.0]}, {"a": [1.0, 2.0, 3.0]}, (math.inf, "a")),
+    ({"a": {"x": 1.0}}, {"a": {"y": 1.0}}, (math.inf, "a")),
+    ({"a": None, "b": 1.0}, {"a": 0.5, "b": 1.0}, (math.inf, "a")),
+], ids=["nested", "equal", "old-zero", "length", "keys", "none"])
+def test_largest_move_names_its_key(old, new, want):
+    move, key = compare_cache.largest_move(old, new)
+    assert (pytest.approx(move, rel=1e-3), key) == want
 
 
 def test_an_empty_directory_exits_2(tmp_path, capsys):

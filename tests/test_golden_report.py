@@ -9,6 +9,8 @@ Regenerate (only when a change is meant to alter the numbers):
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -54,21 +56,22 @@ def golden_reports() -> dict:
     return json.loads(json.dumps(out))
 
 
+# what picks numpy's and OpenBLAS's kernels, none of which a report's bits
+# may depend on: every model pass runs in the compiled `delayfeed.kernel`
+KERNEL_CHOICES = {"haswell-blas": {"OPENBLAS_CORETYPE": "Haswell"},
+                  "no-avx512-numpy": {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}}
+
+
 def host_note() -> str:
-    """What picks the kernels a report's bits depend on, for a failure
-    message: the environment variables that choose them and numpy's SIMD
-    targets."""
-    env = {k: os.environ.get(k) for k in ("OPENBLAS_CORETYPE",
-                                          "NPY_DISABLE_CPU_FEATURES")}
+    """The host's kernel choices, for a failure message: the environment
+    variables that choose them and numpy's SIMD targets."""
+    env = {k: os.environ.get(k) for choice in KERNEL_CHOICES.values()
+           for k in choice}
     try:
         simd = np.show_config(mode="dicts")["SIMD Extensions"]
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
         simd = f"unknown (numpy {np.__version__})"
-    return (f"host {env}, numpy SIMD {simd}. The reports' bits depend on "
-            f"the OpenBLAS dgemv kernel and numpy's SIMD exp/log loop that "
-            f"the CPU selects; the golden file holds this project's AVX-512 "
-            f"host's bits, so a host without AVX-512 fails here with moves "
-            f"below 1e-12 relative and no regression (ROADMAP item 4).")
+    return f"host {env}, numpy SIMD {simd}"
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +91,20 @@ def test_report_matches_golden(reports, golden, config_name, variant):
     got = reports[config_name][variant]
     assert got["slices"] == want["slices"], host_note()
     assert got["timeseries"] == want["timeseries"], host_note()
+
+
+@pytest.mark.parametrize("choice", sorted(KERNEL_CHOICES))
+def test_reports_do_not_depend_on_numpy_or_blas_kernels(reports, choice):
+    # each report built again in a child process whose numpy and OpenBLAS
+    # take other kernels than this one's
+    here = pathlib.Path(__file__).parent
+    env = {**os.environ, **KERNEL_CHOICES[choice],
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    child = subprocess.run(
+        [sys.executable, "-c", "import json, test_golden_report as t; "
+         "print(json.dumps(t.golden_reports(), sort_keys=True))"],
+        env=env, cwd=here, capture_output=True, text=True, check=True)
+    assert child.stdout == json.dumps(reports, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":

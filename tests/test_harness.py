@@ -13,6 +13,7 @@ from delayfeed.datagen import StreamConfig, generate
 from delayfeed.harness import (
     RunResult,
     compare,
+    daily_rows,
     default_slices,
     report_csv_rows,
     run,
@@ -132,6 +133,7 @@ def reference_run(variant, stream_examples, slices=None, stream_end=None):
         stream_end = stream_examples[-1].click_time
     result = RunResult(variant=variant.name,
                        slices={name: MetricsAccumulator() for name in slices})
+    days = {}
     events = []
     for seq, e in enumerate(stream_examples):
         events.append((e.click_time, EVAL, 0, seq, e))
@@ -150,11 +152,11 @@ def reference_run(variant, stream_examples, slices=None, stream_end=None):
                 if matches(e):
                     result.slices[name].record(nll, rate, label)
             day = int(e.click_time // DAY)
-            result.days.setdefault(day, MetricsAccumulator()).record(
-                nll, rate, label)
+            days.setdefault(day, MetricsAccumulator()).record(nll, rate, label)
             result.n_examples += 1
         else:
             variant.train_on(e, i, now=t)
+    result.timeseries, result.day_sums = daily_rows(days)
     result.negative_label_clamps = variant.negative_label_clamps
     return result
 
@@ -337,7 +339,7 @@ class TestMetricsAndSlices:
         base = make_example([0.5 * DAY])
         stream = stream_of([shifted(base, 0.0), shifted(base, 3 * DAY)])
         result = run(v, stream)
-        ts = result.timeseries()
+        ts = result.timeseries
         assert [row["day"] for row in ts] == [0, 3]
         assert ts[-1]["cum_bias"] == pytest.approx(4.0 / 2.0)
 

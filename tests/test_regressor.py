@@ -9,7 +9,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from delayfeed import adagrad, regressor
+from delayfeed import kernel, regressor
 from delayfeed.core import ContractViolation
 from delayfeed.regressor import (
     CHECKPOINT_MAGIC,
@@ -254,7 +254,7 @@ class TestTrainStep:
         model.embeddings["campaign"][row, 0] = 0.0
         model.weights[0][0, 0] = 1e300
         params, g2 = model.params.copy(), model.g2.copy()
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError):
             model.train_step([("campaign", "c1")], (), 1e9)
         assert np.array_equal(model.params, params)
         assert np.array_equal(model.g2, g2)
@@ -270,9 +270,9 @@ class TestTrainStep:
             h = 1e-6
             orig = arr[idx]
             arr[idx] = orig + h
-            up = model._gradients(*features, label)[0]
+            up = step_loss(model, *features, label)
             arr[idx] = orig - h
-            dn = model._gradients(*features, label)[0]
+            dn = step_loss(model, *features, label)
             arr[idx] = orig
             return (up - dn) / (2 * h)
 
@@ -288,14 +288,24 @@ class TestTrainStep:
                 assert fd == pytest.approx(g[col], rel=1e-3, abs=1e-8)
 
 
+def step_loss(model, categorical, numeric, label) -> float:
+    """The loss of a `train_step` of `model`, which is then undone: its
+    gradients stay in `_grads`."""
+    state = model.params.copy(), model.g2.copy()
+    loss = model.train_step(categorical, numeric, label)
+    model.params[:], model.g2[:] = state
+    return loss
+
+
 def analytic_gradients(model, categorical, numeric, label):
-    """The loss and gradients of the model's backward pass, `_gradients`,
-    copied: one array per dense parameter, in the order of `weights +
+    """The loss and gradients of a step of `model` (`step_loss`), read from
+    `_grads`: one array per dense parameter, in the order of `weights +
     biases`, and {`_emb_rows` row: gradient} of the rows looked up."""
-    loss, rows = model._gradients(categorical, numeric, label)
-    n_dense, d = model._grad.size, model.config.embedding_dim
-    nf = len(model.config.categorical_fields)
-    dense = regressor._carve(model._grad.copy(),
+    loss = step_loss(model, categorical, numeric, label)
+    rows = model._rows_of(categorical)
+    d, nf = model.config.embedding_dim, len(model.config.categorical_fields)
+    n_dense = model._grads.size - model.input_dim
+    dense = regressor._carve(model._grads[:n_dense].copy(),
                              regressor.param_shapes(model.config)[nf:])
     emb = model._grads[n_dense : n_dense + d * len(rows)].reshape(-1, d).copy()
     return loss, dense, dict(zip(rows, emb))
@@ -481,83 +491,111 @@ def _with_config(checkpoint: bytes, config: bytes) -> bytes:
 
 
 # -- reference step ----------------------------------------------------------
-# The straightforward form of one training step: zeros plus one slice-add per
-# lookup, `@`, np.clip, broadcast outer products and one AdaGrad update per
-# parameter array. PoissonRegressor computes the same arithmetic in fewer
-# numpy calls and must match it bit for bit.
+# One training step written out in Python floats, in the kernel's order: each
+# layer sums input i outer and output j inner, each pre-activation from 0.0
+# and then its bias; ReLU keeps a NaN; the output's log-rates are clamped to
+# [-30, 30] and go through the kernel's own exp, the loss through its log;
+# each input gradient is summed over j from 0.0, zero for an inactive unit.
+# Python floats are IEEE doubles, so PoissonRegressor must match it bit for
+# bit. The update is one AdaGrad per parameter array, with no zero skipped.
 
 def reference_adagrad(param, accum, grad, lr, eps):
     accum += grad * grad
     param -= lr * grad / (np.sqrt(accum) + eps)
 
 
-def reference_forward(model, categorical, numeric=()):
+def reference_input(model, categorical, numeric=()):
+    """The input vector of these features, as a list, and the `_emb_rows`
+    row of each looked-up field."""
     cfg = model.config
     d = cfg.embedding_dim
-    x = np.zeros(model.input_dim)
-    lookups = []
-    for field_id, token in categorical:
-        off = cfg.categorical_fields.index(field_id) * d
-        row = hash_token(field_id, token, cfg.hash_buckets_per_field)
-        x[off : off + d] += model.embeddings[field_id][row]
-        lookups.append((field_id, row, off))
+    x = [0.0] * model.input_dim
+    rows = []
+    for j, (field_id, token) in enumerate(categorical):
+        assert cfg.categorical_fields[j] == field_id
+        row = j * cfg.hash_buckets_per_field + hash_token(
+            field_id, token, cfg.hash_buckets_per_field)
+        x[j * d : (j + 1) * d] = model._emb_rows[row].tolist()
+        rows.append(row)
     base = d * len(cfg.categorical_fields)
     for name, value in numeric:
         idx = cfg.numeric_features.index(name)
         x[base + idx] = math.copysign(math.log1p(abs(value)), value)
-    activations = [x]
+    return x, rows
+
+
+def reference_forward(model, categorical, numeric=()):
+    """(rates, each layer's input vector, the looked-up rows)."""
+    x, rows = reference_input(model, categorical, numeric)
+    inputs = []
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
+        inputs.append(h)
+        z = [0.0] * len(b)
+        for x_i, w_i in zip(h, w.tolist()):
+            for j, w_ij in enumerate(w_i):
+                z[j] += x_i * w_ij
+        z = [z_j + b_j for z_j, b_j in zip(z, b.tolist())]
         if i < last:
-            h = np.maximum(h, 0.0)
-        activations.append(h)
-    return np.exp(np.clip(h, -30.0, 30.0)), activations, lookups
+            z = [0.0 if v < 0.0 else v for v in z]
+        h = z
+    rates = [kernel.exp(-30.0 if v < -30.0 else 30.0 if v > 30.0 else v)
+             for v in h]
+    return rates, inputs, rows
 
 
 def reference_step(model, categorical, numeric, label):
-    y = np.array(label, dtype=float).reshape(-1)
-    rates, activations, lookups = reference_forward(model, categorical, numeric)
-    loss = float(np.sum(rates - y * np.log(rates)))
-    grad = rates - y
+    y = [float(v) for v in np.reshape(label, -1)]
+    rates, inputs, rows = reference_forward(model, categorical, numeric)
+    loss = 0.0
+    for r, y_o in zip(rates, y):
+        loss += r - y_o * kernel.log(r)
+    delta = [r - y_o for r, y_o in zip(rates, y)]
     n = len(model.weights)
     w_grads, b_grads = [None] * n, [None] * n
     for i in range(n - 1, -1, -1):
-        w_grads[i] = activations[i][:, None] * grad
-        b_grads[i] = grad.copy()
-        grad = model.weights[i] @ grad
-        if i > 0:
-            grad = grad * (activations[i] > 0.0)
+        h = inputs[i]
+        w_grads[i] = np.array([[h_k * d_j for d_j in delta] for h_k in h])
+        w_grads[i] = w_grads[i].reshape(model.weights[i].shape)
+        b_grads[i] = np.array(delta)
+        active = [h_k > 0.0 or i == 0 for h_k in h]
+        grad = []
+        for w_k, on in zip(model.weights[i].tolist(), active):
+            s = 0.0
+            if on:
+                for w_kj, d_j in zip(w_k, delta):
+                    s += w_kj * d_j
+            grad.append(s)
+        delta = grad
     d = model.config.embedding_dim
-    emb_grads = {}
-    for field_id, row, off in lookups:
-        g = grad[off : off + d]
-        key = (field_id, row)
-        emb_grads[key] = emb_grads[key] + g if key in emb_grads else g
     lr, eps = model.config.learning_rate, model.config.adagrad_epsilon
-    embedding_g2, weight_g2, bias_g2 = g2_views(model)
+    _, weight_g2, bias_g2 = g2_views(model)
     for p, a, g in zip(model.weights + model.biases,
                        weight_g2 + bias_g2, w_grads + b_grads):
         reference_adagrad(p, a, g, lr, eps)
-    for (field_id, row), g in emb_grads.items():
-        reference_adagrad(model.embeddings[field_id][row],
-                          embedding_g2[field_id][row], g, lr, eps)
+    emb_g2 = model.g2[: model._emb_rows.size].reshape(-1, d)
+    for j, row in enumerate(rows):
+        reference_adagrad(model._emb_rows[row], emb_g2[row],
+                          np.array(delta[j * d : (j + 1) * d]), lr, eps)
     return loss
 
 
-# -- the compiled AdaGrad kernel ------------------------------------------------
+# -- the compiled AdaGrad update ------------------------------------------------
 
 def kernel_step(dense, dense_g2, grads, rows=None, rows_g2=None, looked_up=(),
                 lr=0.05, eps=1e-6):
-    """One call of the kernel's ctypes entry point on these arrays: `grads`
-    holds the dense gradient, then each looked-up row's. Returns its
-    status, 0 when the update was applied."""
+    """One call of the kernel's `update` on these arrays: `grads` holds the
+    dense gradient, then each looked-up row's. Returns its status, 0 when
+    the update was applied."""
     if rows is None:
         rows = rows_g2 = np.zeros((0, 1))
     index = (ctypes.c_long * len(looked_up))(*looked_up)
-    step = adagrad.bind(dense, dense_g2, rows, rows_g2, grads, index, lr, eps)
-    return adagrad.adagrad_step(step, len(looked_up))
+    net = kernel.Net(rows=rows.ctypes.data, rows_g2=rows_g2.ctypes.data,
+                     dense=dense.ctypes.data, dense_g2=dense_g2.ctypes.data,
+                     grads=grads.ctypes.data, looked_up=index,
+                     n_dense=dense.size, d=rows.shape[1], lr=lr, eps=eps)
+    return kernel.update(kernel.address(net), len(looked_up))
 
 
 TINY = 5e-324  # the smallest subnormal
@@ -633,12 +671,50 @@ def test_kernel_refuses_a_non_finite_gradient_writing_nothing(at, value):
     assert (rows == 1).all() and (rows_g2 == 1).all()
 
 
+@pytest.mark.parametrize("lr", [0.05, 0.0, -0.0], ids=["lr", "lr-zero", "lr-minus-zero"])
+def test_zero_skipping_update_equals_a_full_update_bytes(lr):
+    # gradients, parameters and accumulators drawn from ±0.0 and a few
+    # finite values: the update skips the division wherever g * lr is
+    # zero, and must still give a full update's bytes, -0.0 included
+    rng = np.random.default_rng(11)
+    pool = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.0, 1e-320, -3e-300])
+    dense, grads = rng.choice(pool, 400), rng.choice(pool, 400 + 2 * 4)
+    dense_g2 = rng.choice(np.array([0.0, -0.0, 0.25, 1e308]), 400)
+    rows = rng.choice(pool, (3, 4))
+    rows_g2 = rng.choice(np.array([0.0, -0.0, 2.0]), (3, 4))
+    want = [dense.copy(), dense_g2.copy(), rows.copy(), rows_g2.copy()]
+    assert kernel_step(dense, dense_g2, grads, rows, rows_g2, (2, 0), lr) == 0
+    with np.errstate(over="ignore", under="ignore"):
+        reference_adagrad(want[0], want[1], grads[:400], lr, 1e-6)
+        reference_adagrad(want[2][2], want[3][2], grads[400:404], lr, 1e-6)
+        reference_adagrad(want[2][0], want[3][0], grads[404:], lr, 1e-6)
+    for got, expect in zip((dense, dense_g2, rows, rows_g2), want):
+        assert got.tobytes() == expect.tobytes()
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """How many doubles lie from a to b, for finite a and b of one sign."""
+    (ia,), (ib,) = struct.unpack("<q", bits(a)), struct.unpack("<q", bits(b))
+    return abs(ia - ib)
+
+
+def test_kernel_exp_and_log_are_within_one_ulp():
+    # every rate the clamp lets through, and every log of such a rate
+    grid = np.linspace(-30.0, 30.0, 120_001).tolist()
+    assert max(ulps_apart(kernel.exp(x), math.exp(x)) for x in grid) <= 1
+    rates = [math.exp(x) for x in grid]
+    assert max(ulps_apart(kernel.log(r), math.log(r)) for r in rates) <= 1
+    assert kernel.exp(0.0) == 1.0 and kernel.log(1.0) == 0.0
+    assert math.isnan(kernel.exp(math.nan)) and math.isnan(kernel.log(-1.0))
+    assert kernel.exp(-math.inf) == 0.0 and kernel.log(0.0) == -math.inf
+
+
 def test_build_compiles_once_and_names_the_compiler(tmp_path, monkeypatch):
-    lib = adagrad.build(tmp_path / "a")
-    assert ctypes.CDLL(str(lib)).adagrad_step
-    monkeypatch.setattr(adagrad.subprocess, "run", lambda *a, **kw: pytest.fail(
+    lib = kernel.build(tmp_path / "a")
+    assert ctypes.CDLL(str(lib)).kernel_train_step
+    monkeypatch.setattr(kernel.subprocess, "run", lambda *a, **kw: pytest.fail(
         "compiled a kernel that was already built"))
-    assert adagrad.build(tmp_path / "a") == lib
+    assert kernel.build(tmp_path / "a") == lib
     assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [lib.name]
     monkeypatch.undo()
     # no compiler on PATH, and none in the working directory
@@ -646,7 +722,7 @@ def test_build_compiles_once_and_names_the_compiler(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(RuntimeError, match=r"`cc -O3 -fPIC -shared "
                        r"-ffp-contract=off -fno-math-errno .*` failed"):
-        adagrad.build(tmp_path / "b")
+        kernel.build(tmp_path / "b")
     assert list((tmp_path / "b").iterdir()) == []
 
 
@@ -767,39 +843,55 @@ def test_stacked_forward_matches_each_model_bit_for_bit(embedding_dim, hidden,
         # every k in turn, so that a later field's stale block would show
         categorical = tuple(serving_tuple(rng, REF_FIELDS, step % (nf + 1)))
         rates = stack.read(categorical)
-        for model, row in zip(stack.models, rates.tolist()):
+        for model, row in zip(stack.models, rates):
             got = model.forward(categorical)
             assert tuple(row) == (got if two_output else (got,)), step
 
 
 # -- the step's finiteness check ----------------------------------------------
+# A step's gradients are set through the model's state and labels: a zeroed
+# `small_config` model (hidden layer of 5) with the first two hidden units
+# switched on by their biases, on fv(aux=1.0), whose aux slot holds
+# log1p(1). Input slots 0-5 are the two looked-up rows'.
 
-def inject(model, where, values):
-    """Make each backward pass of `model` write `values` into entries of
-    one gradient the step sees: a weight's, a bias's, the second
-    embedding row's, or the last entry of the last looked-up row's. Returns
-    a dict that receives copies of the gradients the step then sees."""
-    seen = {}
-    real = model._gradients
-    n_dense, d = model._grad.size, model.config.embedding_dim
-    nf = len(model.config.categorical_fields)
-    dense_shapes = regressor.param_shapes(model.config)[nf:]
+AUX_SLOT = 6
 
-    def gradients(categorical, numeric, label):
-        loss, rows = real(categorical, numeric, label)
-        grads = model._grads[: n_dense + d * len(rows)]
-        dense = regressor._carve(model._grad, dense_shapes)
-        target = {"weight": dense[0][1],
-                  "bias": dense[len(model.weights)],
-                  "embedding": grads[n_dense + d : n_dense + 2 * d],
-                  "last": grads[-1:]}[where]
-        target[: len(values)] = values
-        seen.update(dense=model._grad.copy(), rows=list(rows),
-                    emb=grads[n_dense:].reshape(-1, d).copy())
-        return loss, rows
 
-    model._gradients = gradients
-    return seen
+def zeroed(two_output=False):
+    model = PoissonRegressor(small_config(two_output_mode=two_output))
+    zero_weights(model)
+    model.biases[-1][:] = 0.0
+    model.biases[0][:2] = 1.0
+    return model
+
+
+def grads_index(model, where):
+    """The `_grads` entry of the gradient of the first hidden unit's bias,
+    of weights[0][AUX_SLOT, 0], or of input slot 3 or 5 (the second row's
+    first and last entries)."""
+    n_weights = sum(w.size for w in model.weights)
+    n_dense = model._grads.size - model.input_dim
+    return {"bias": n_weights, "weight": AUX_SLOT * model.weights[0].shape[1],
+            "embedding": n_dense + 3, "last": n_dense + 5}[where]
+
+
+# the signs of the first hidden unit's two output weights that make its
+# bias gradient, a sum of two overflowing products, this value
+SIGNS = {"inf": (-1.0, -1.0), "-inf": (1.0, 1.0), "nan": (1.0, -1.0)}
+
+
+def inject(value):
+    """A two-output model whose step on fv(aux=1.0) with labels (1e15,
+    1e15) has a finite loss, and `value` in every gradient entry
+    `grads_index` names. Only the first hidden unit is on, and its output
+    weights are ±1e300, so both log-rates are clamped and the output
+    gradients are about -1e15; the weights of input slots 3 and 5 to that
+    unit are 1."""
+    model = zeroed(two_output=True)
+    model.biases[0][1] = 0.0
+    model.weights[1][0] = [1e300 * s for s in SIGNS[str(value)]]
+    model.weights[0][[3, 5], 0] = 1.0
+    return model
 
 
 # out of order, with the campaign row looked up twice: an input whose rows
@@ -808,77 +900,51 @@ SUMMED = ([("segment", "s1"), ("campaign", "c1"), ("campaign", "c1")],
           [("aux", 1.0)])
 
 
-def refuse(where, value, features, error):
-    """Asserts that a train_step on `features` with `value` injected raises
-    `error` without a warning and writes nothing. Returns what the step's
-    backward passed on."""
-    model = PoissonRegressor(small_config())
-    seen = inject(model, where, [value])
+def refuse(value, features, error):
+    """Asserts that a train_step of `inject(value)` on `features` raises
+    `error` without a warning and writes nothing. Returns the model."""
+    model = inject(value)
     params, g2 = model.params.copy(), model.g2.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error):
-            model.train_step(*features, 2.0)
+            model.train_step(*features, (1e15, 1e15))
     assert model.params.tobytes() == params.tobytes()
     assert model.g2.tobytes() == g2.tobytes()
-    return seen
-
-
-def apply_extreme(where, values, features):
-    model = PoissonRegressor(small_config())
-    seen = inject(model, where, values)
-    params, g2 = model.params.copy(), model.g2.copy()
-    with np.errstate(over="ignore"):
-        model.train_step(*features, 2.0)
-        # the update of the gradients the step saw, one parameter array
-        # at a time
-        n_emb = params.size - seen["dense"].size
-        lr, eps = model.config.learning_rate, model.config.adagrad_epsilon
-        reference_adagrad(params[n_emb:], g2[n_emb:], seen["dense"], lr, eps)
-        d = model.config.embedding_dim
-        emb, emb_g2 = params[:n_emb].reshape(-1, d), g2[:n_emb].reshape(-1, d)
-        assert len(seen["rows"]) == len(seen["emb"]) == 2
-        for row, g in zip(seen["rows"], seen["emb"]):
-            reference_adagrad(emb[row], emb_g2[row], g, lr, eps)
-    assert np.isinf(model.g2).any()
-    assert np.array_equal(model.params, params)
-    assert np.array_equal(model.g2, g2)
+    return model
 
 
 NON_FINITE = pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
                                      ids=["inf", "-inf", "nan"])
-EXTREME = pytest.mark.parametrize("values", [(1e300, -1e300), (1.7e308, 1.7e308)],
-                                  ids=["square-overflows", "sum-overflows"])
 WHERE = pytest.mark.parametrize("where", ["weight", "bias", "embedding"])
 
 
 @NON_FINITE
 @pytest.mark.parametrize("where", ["weight", "bias", "embedding", "last"])
 def test_non_finite_gradient_is_refused_without_a_warning(where, value):
-    assert refuse(where, value, fv(aux=1.0), FloatingPointError)
+    model = refuse(value, fv(aux=1.0), FloatingPointError)
+    got = model._grads[grads_index(model, where)]
+    assert bits(got) == bits(value) if not math.isnan(value) else math.isnan(got)
+    # the loss was finite, so the gradient check refused the step
+    assert math.isfinite(model._loss.value)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_gradient_after_the_looked_up_rows_is_not_checked(k):
-    # a NaN in the input gradient's first slot after the k rows: the next
-    # field's slot, or the aux numeric's; the step neither reads nor
-    # checks it
+    # the weights of the input's first slot after the k rows (the next
+    # field's slot, or the aux numeric's, absent here) are 1e300, so that
+    # slot's gradient would overflow; the step neither computes nor checks
+    # it
     model, ref = PoissonRegressor(small_config()), PoissonRegressor(small_config())
-    categorical, numeric = fv(aux=1.0)
-    categorical = categorical[:k]
-    real, after = model._gradients, model._grad.size + model.config.embedding_dim * k
-
-    def gradients(categorical, numeric, label):
-        loss, rows = real(categorical, numeric, label)
-        model._grads[after] = math.nan
-        return loss, rows
-
-    model._gradients = gradients
+    categorical = fv()[0][:k]
+    after = model.config.embedding_dim * k
+    for m in (model, ref):
+        m.weights[0][after] = 1e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loss = model.train_step(categorical, numeric, 2.0)
-    assert math.isnan(model._grads[after])
-    assert loss == reference_step(ref, categorical, numeric, 2.0)
+        loss = model.train_step(categorical, (), 1e9)
+    assert model._grads[model._grads.size - model.input_dim + after] == 0.0
+    assert loss == reference_step(ref, categorical, (), 1e9)
     assert model.params.tobytes() == ref.params.tobytes()
     assert model.g2.tobytes() == ref.g2.tobytes()
 
@@ -886,14 +952,51 @@ def test_gradient_after_the_looked_up_rows_is_not_checked(k):
 @NON_FINITE
 @WHERE
 def test_non_finite_gradient_of_a_summed_input_is_refused(where, value):
-    # the input itself is refused, before its backward runs
-    assert refuse(where, value, SUMMED, ContractViolation) == {}
+    # the input itself is refused, before its backward runs, whichever
+    # entry `where` names
+    model = refuse(value, SUMMED, ContractViolation)
+    assert not model._grads.any()
 
 
-@EXTREME
+@pytest.mark.parametrize("magnitude", [1e300, 1.3e154],
+                         ids=["square-overflows", "sum-overflows"])
 @WHERE
-def test_finite_extreme_gradient_is_applied(where, values):
-    apply_extreme(where, values, fv(aux=1.0))
+def test_finite_extreme_gradient_is_applied(where, magnitude):
+    # the first two hidden units' output weights are v and -v, so the
+    # log-rate is 0 and, at label 2, the output gradient -1: their bias
+    # gradients are (-v, v), the aux slot's weight gradients log1p(1) times
+    # those, and input slots 3 and 4, weighted 1 to one unit each, take
+    # them too. 1e300 squared overflows; 1.3e154 squared does not, but added
+    # to an accumulator of 1.7e308 it does.
+    model = zeroed()
+    model.weights[1][:2, 0] = magnitude, -magnitude
+    model.weights[0][3, 0] = model.weights[0][4, 1] = 1.0
+    first = grads_index(model, where)
+    # the two entries of `g2` those gradients go to
+    if where == "embedding":
+        row = model._rows_of(fv()[0])[1]
+        targets = row * 3 + np.array([0, 1])
+    else:
+        targets = model._emb_rows.size + first + np.array([0, 1])
+    if magnitude < 1e300:
+        model.g2[targets] = 1.7e308
+    params, g2 = model.params.copy(), model.g2.copy()
+    model.train_step(*fv(aux=1.0), 2.0)
+    n_dense = model._grads.size - model.input_dim
+    grads = model._grads[: n_dense + 6]
+    assert abs(grads[first : first + 2]).min() >= 0.69 * magnitude
+    # the update of the gradients the step wrote, one array at a time
+    n_emb = model._emb_rows.size
+    lr, eps = model.config.learning_rate, model.config.adagrad_epsilon
+    with np.errstate(over="ignore"):
+        reference_adagrad(params[n_emb:], g2[n_emb:], grads[:n_dense], lr, eps)
+        emb, emb_g2 = params[:n_emb].reshape(-1, 3), g2[:n_emb].reshape(-1, 3)
+        for j, row in enumerate(model._rows_of(fv()[0])):
+            reference_adagrad(emb[row], emb_g2[row],
+                              grads[n_dense + 3 * j : n_dense + 3 * j + 3], lr, eps)
+    assert np.isinf(model.g2[targets]).all()
+    assert model.params.tobytes() == params.tobytes()
+    assert model.g2.tobytes() == g2.tobytes()
 
 
 # -- (field, token) row memo ----------------------------------------------------
