@@ -108,10 +108,9 @@ def _aux_count_pair(prefix: float) -> tuple:
 
 
 class SubModelEnsemble:
-    """One independent Poisson regressor per window of `spec`, sharing no
-    parameters: their `params` and `g2` are the rows of one (n+1, P)
-    buffer each, `stack.params` and `stack.g2`; sub-model i's seed is the
-    layout's `rng_seed + seed_offset + i`. Owns serving, label completion,
+    """One independent Poisson regressor per window of `spec`, each with
+    its own `params` and `g2`: the models of `stack`, sub-model i of seed
+    `rng_seed + seed_offset + i`. Owns serving, label completion,
     and the `windows` whose ends time each sub-model's training. In
     single-output mode a negative label is clamped to 0 and counted."""
 
@@ -155,18 +154,13 @@ class SubModelEnsemble:
     def serve(self, example: ClickExample) -> float:
         """Predicted full mature label at click time, from serving features
         only. Thermometer: one `forward` of f_0. Bucket: the sum of every
-        sub-model's prediction, from one compiled `read` of all n+1. In
-        two-output mode a prediction is rate_plus - rate_minus."""
+        sub-model's prediction, from 0.0 in model order, by one compiled
+        `stack.read`. In two-output mode a prediction is rate_plus -
+        rate_minus."""
         if self._thermometer:
             out = self.sub_models[0].forward(example.serving_features)
             return out[0] - out[1] if self.two_output else out
-        # left to right on purpose: builtin sum() of floats is compensated
-        # from Python 3.12, which would make reports depend on the version
-        total = 0.0
-        two_output = self.two_output
-        for rates in self.stack.read(example.serving_features):
-            total += rates[0] - rates[1] if two_output else rates[0]
-        return total
+        return self.stack.read(example.serving_features)
 
     def estimate_mature_label(
         self, example: ClickExample, now: float, tail_predictor=None

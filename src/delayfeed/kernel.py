@@ -15,17 +15,24 @@ summed Poisson NLL, writing the loss and the gradients (`Net.grads`: the
 dense gradient, laid out like the dense parameters, then the input
 gradient's first d * k entries, the looked-up rows'). Each gradient of a
 layer's input sums over that layer's outputs in order, from 0.0; a hidden
-unit whose ReLU output is not above 0 gets 0.0. Then `update`
-refuses the step, writing no parameter and no accumulator, when the loss
-or an entry of those gradients is not finite; otherwise it applies AdaGrad
-element by element, to the dense parameters and then in place to each
-looked-up row: accum += g*g; s = g*lr; den = sqrt(accum); den += eps;
-s /= den; param -= s. Where s is zero it skips the division, whose
-quotient would be that same signed zero (den > 0), so the skip gives the
-full update's bits; about three quarters of a step's dense gradient is
-exactly zero. `read(stack, k, out)` runs every model of a `RegressorStack`
-on one serving input: each model's forward with all numeric slots zero,
-on the rows its first model's `looked_up` names.
+unit whose ReLU output is not above 0 gets 0.0. The backward lists a
+layer's active inputs in the model's scratch `Net.on`, not on the C
+stack, so a layer of any width runs on a thread of small stack. Then
+`update` refuses the step, writing no parameter and no accumulator, when
+the loss or an entry of those gradients is not finite; otherwise it
+applies AdaGrad element by element, to the dense parameters and then in
+place to each looked-up row: accum += g*g; s = g*lr; den = sqrt(accum);
+den += eps; s /= den; param -= s. Where s is zero it skips the division,
+whose quotient would be that same signed zero (den > 0), so the skip
+gives the full update's bits; about three quarters of a step's dense
+gradient is exactly zero.
+
+`read(stack, k)` returns the served rate of a `RegressorStack` on one
+serving input: each model's forward with all numeric slots zero, on the
+rows its first model's `looked_up` names, and their rates (rate_plus -
+rate_minus with two outputs) summed from 0.0 in model order, the IEEE
+operations of that sum written left to right in Python. A model has one
+or two outputs.
 
 `exp` and `log` are fdlibm's, in the source, and each operation is one
 IEEE double operation: the library is built with `-ffp-contract=off`,
@@ -239,6 +246,7 @@ struct net {
     double *grads;              /* the dense gradient, then the input's */
     const long *sizes;          /* n_layers + 1 layer widths */
     const long *looked_up;      /* the rows of a pass's k fields */
+    long *on;                   /* a layer's active inputs, in the backward */
     long n_layers, n_slots, n_dense, d;
     double lr, eps;
 };
@@ -357,7 +365,7 @@ static double backward(const struct net *t, const double *rates,
                 gw[i * m + j] = h[i] * delta[j];
         /* the gradient of this layer's input: of the previous layer's
            units, 0.0 where inactive, or of the looked-up rows' slots */
-        long on[n];
+        long *on = t->on;
         if (l) {
             gb -= n;
             for (long i = 0; i < n; i++) {
@@ -427,7 +435,7 @@ void kernel_forward(const struct net *t, int k, double *out)
 int kernel_train_step(const struct net *t, int k, const double *y,
                       double *loss)
 {
-    double rates[t->sizes[t->n_layers]];
+    double rates[2];
     gather(t, t->looked_up, k);
     layers(t, rates);
     *loss = backward(t, rates, y, k);
@@ -436,17 +444,19 @@ int kernel_train_step(const struct net *t, int k, const double *y,
     return kernel_update(t, k);
 }
 
-void kernel_read(const struct stack *s, int k, double *out)
+double kernel_read(const struct stack *s, int k)
 {
     const long *rows = s->nets[0]->looked_up;
+    double total = 0.0, rates[2];
     for (long r = 0; r < s->n_nets; r++) {
         const struct net *t = s->nets[r];
         gather(t, rows, k);
         memset(t->input + t->n_slots, 0,
                (t->sizes[0] - t->n_slots) * sizeof(double));
-        layers(t, out);
-        out += t->sizes[t->n_layers];
+        layers(t, rates);
+        total += t->sizes[t->n_layers] == 2 ? rates[0] - rates[1] : rates[0];
     }
+    return total;
 }
 """
 
@@ -491,6 +501,7 @@ class Net(ctypes.Structure):
         ("grads", ctypes.c_void_p),
         ("sizes", ctypes.POINTER(ctypes.c_long)),
         ("looked_up", ctypes.POINTER(ctypes.c_long)),
+        ("on", ctypes.POINTER(ctypes.c_long)),
         ("n_layers", ctypes.c_long), ("n_slots", ctypes.c_long),
         ("n_dense", ctypes.c_long), ("d", ctypes.c_long),
         ("lr", ctypes.c_double), ("eps", ctypes.c_double),
@@ -504,17 +515,19 @@ class Stack(ctypes.Structure):
                 ("n_nets", ctypes.c_long)]
 
 
-def bind(rows, rows_g2, dense, dense_g2, input, acts, grads, looked_up,
+def bind(rows, rows_g2, dense, dense_g2, input, acts, grads, looked_up, on,
          sizes, lr, eps) -> Net:
     """The `Net` of these buffers, which the caller keeps alive as long as
     it: `rows` and `rows_g2` of shape (m, d); `dense` and `dense_g2`, every
     layer's (n, m) weights and then every layer's m biases for the layer
-    widths `sizes`; `input` of sizes[0] entries, d per field of
-    `looked_up` and then the numeric slots; `acts` of sum(sizes[1:]);
-    `grads` of dense.size + sizes[0]; all C-contiguous float64; and
-    `looked_up`, a ctypes array of c_long, one entry per field. Before each
-    pass the caller writes the numeric slots of `input` and the first k
-    entries of `looked_up`, rows below m."""
+    widths `sizes`, at most two outputs; `input` of sizes[0] entries, d per
+    field of `looked_up` and then the numeric slots; `acts` of
+    sum(sizes[1:]); `grads` of dense.size + sizes[0]; all C-contiguous
+    float64; `looked_up`, a ctypes array of c_long, one entry per field;
+    and `on`, the backward's scratch, a ctypes array of c_long with an
+    entry per input of the widest layer. Before each pass the caller
+    writes the numeric slots of `input` and the first k entries of
+    `looked_up`, rows below m."""
     arrays = rows, rows_g2, dense, dense_g2, input, acts, grads
     if not all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays):
         raise ValueError("the model kernel takes C-contiguous float64 arrays")
@@ -526,16 +539,18 @@ def bind(rows, rows_g2, dense, dense_g2, input, acts, grads, looked_up,
             and dense.shape == dense_g2.shape == (n_dense,)
             and input.shape == (sizes[0],) and n_slots <= sizes[0]
             and acts.shape == (sum(sizes[1:]),)
-            and grads.shape == (n_dense + sizes[0],)):
+            and grads.shape == (n_dense + sizes[0],)
+            and sizes[-1] <= 2 and len(on) >= max(sizes[:-1])):
         raise ValueError(
             f"model kernel buffers do not match layers {sizes}: rows "
             f"{rows.shape}, rows_g2 {rows_g2.shape}, dense {dense.shape}, "
             f"dense_g2 {dense_g2.shape}, input {input.shape}, acts "
-            f"{acts.shape}, grads {grads.shape}, {len(looked_up)} fields")
+            f"{acts.shape}, grads {grads.shape}, {len(looked_up)} fields, "
+            f"{len(on)} scratch entries")
     return Net(rows.ctypes.data, rows_g2.ctypes.data, dense.ctypes.data,
                dense_g2.ctypes.data, input.ctypes.data, acts.ctypes.data,
                grads.ctypes.data, (ctypes.c_long * len(sizes))(*sizes),
-               looked_up, len(layers), n_slots, n_dense, d, lr, eps)
+               looked_up, on, len(layers), n_slots, n_dense, d, lr, eps)
 
 
 def bind_stack(nets) -> Stack:
@@ -565,7 +580,7 @@ def address(obj) -> ctypes.c_void_p:
 _P, _K = ctypes.c_void_p, ctypes.c_int
 forward = _entry("kernel_forward", None, _P, _K, _P)
 train_step = _entry("kernel_train_step", _K, _P, _K, _P, _P)
-read = _entry("kernel_read", None, _P, _K, _P)
+read = _entry("kernel_read", ctypes.c_double, _P, _K)
 update = _entry("kernel_update", _K, _P, _K)
 exp = _entry("fd_exp", ctypes.c_double, ctypes.c_double)
 log = _entry("fd_log", ctypes.c_double, ctypes.c_double)

@@ -109,41 +109,25 @@ def param_shapes(config: RegressorConfig) -> list:
 
 
 def _carve(buf, shapes) -> list:
-    """Consecutive views of `buf` along its last axis, one per shape: for
-    a flat buffer, arrays of those shapes; for an (R, P) buffer, arrays of
-    shape (R, *shape)."""
+    """Consecutive views of the flat buffer `buf`, one of each shape."""
     views, start = [], 0
     for shape in shapes:
         n = math.prod(shape)
-        views.append(buf[..., start : start + n].reshape(buf.shape[:-1] + shape))
+        views.append(buf[start : start + n].reshape(shape))
         start += n
     return views
-
-
-def _state_buffer(buf, size: int):
-    """`buf` when it can be a model's `params` or `g2`: a C-contiguous
-    float64 vector of `size` elements, so that every carved array is a view
-    of it."""
-    if not (buf.dtype == np.float64 and buf.shape == (size,)
-            and buf.flags.c_contiguous):
-        raise ValueError(
-            f"state buffer must be a contiguous float64 vector of {size} "
-            f"elements, got {buf.dtype} {buf.shape}"
-        )
-    return buf
 
 
 class PoissonRegressor:
     """Hashed-embedding MLP with exponential output link and AdaGrad state.
 
-    The model's whole state is two float64 buffers, its parameters
-    `params` and their AdaGrad accumulators `g2`, both laid out as
-    `param_shapes(config)`: the per-field embedding tables, then the dense
-    weights, then the dense biases. `embeddings`, `weights` and `biases`
-    are views into `params`. The model allocates both buffers, or takes
-    zero-filled `params` and `g2` vectors from its caller (rows of a
-    `RegressorStack`). The compiled passes (`kernel`) hold their
-    addresses, so they are written in place and never replaced.
+    The model's whole state is two float64 vectors, the rows of one array
+    it allocates: its parameters `params` and their AdaGrad accumulators
+    `g2`, both laid out as `param_shapes(config)`: the per-field embedding
+    tables, then the dense weights, then the dense biases. `embeddings`,
+    `weights` and `biases` are views into `params`. The compiled passes
+    (`kernel`) hold their addresses, so they are written in place and
+    never replaced.
 
     Every pass takes `categorical`, (field_id, token) pairs of the first k
     declared fields, in declared order, each once, and `numeric`, (name,
@@ -155,7 +139,7 @@ class PoissonRegressor:
     `train_step` both write it, so a model is for one thread at a time.
     """
 
-    def __init__(self, config: RegressorConfig, params=None, g2=None):
+    def __init__(self, config: RegressorConfig):
         self.config = config
         rng = np.random.default_rng(config.rng_seed)
 
@@ -169,8 +153,8 @@ class PoissonRegressor:
         self.n_outputs = layers[-1][1]
 
         size = sum(math.prod(s) for s in shapes)
-        self.params = np.zeros(size) if params is None else _state_buffer(params, size)
-        self.g2 = np.zeros(size) if g2 is None else _state_buffer(g2, size)
+        # one allocation for both, which sets up faster than two
+        self.params, self.g2 = np.zeros((2, size))
         n_dense = sum(math.prod(s) for s in dense_shapes)
         n_emb = self.params.size - n_dense
         # every embedding row of every field, field by field: row
@@ -209,11 +193,13 @@ class PoissonRegressor:
         self._out = (ctypes.c_double * self.n_outputs)()
         self._loss = ctypes.c_double()
         self._acts = np.zeros(sum(fan_out for _, fan_out in layers))
+        # the backward's active inputs of one layer
+        self._on = (ctypes.c_long * max(fan_in for fan_in, _ in layers))()
         self._net = kernel.bind(
             self._emb_rows, self.g2[:n_emb].reshape(-1, d), self.params[n_emb:],
             self.g2[n_emb:], self._input, self._acts, self._grads,
-            self._looked_up, [self.input_dim, *config.hidden_layer_sizes,
-                              self.n_outputs],
+            self._looked_up, self._on,
+            [self.input_dim, *config.hidden_layer_sizes, self.n_outputs],
             config.learning_rate, config.adagrad_epsilon)
         self._net_p, self._out_p, self._labels_p, self._loss_p = (
             kernel.address(x) for x in (self._net, self._out, self._labels,
@@ -391,34 +377,22 @@ class PoissonRegressor:
 
 
 class RegressorStack:
-    """R regressors of one layout, one per seed, whose `params` and `g2`
-    are the rows of one (R, P) buffer each: `models[r]` is an ordinary
-    PoissonRegressor on row r, with the initial values it would allocate
-    for itself. `read` runs all R on one serving input with one call of
-    the compiled kernel.
-    """
+    """R regressors of one layout, `models[r]` the ordinary
+    PoissonRegressor of the r-th seed, and `read`, their summed rate on
+    one serving input in one call of the compiled kernel."""
 
     def __init__(self, config: RegressorConfig, seeds):
-        shapes = param_shapes(config)
-        n_rows = len(seeds)
-        self.params = np.zeros((n_rows, sum(math.prod(s) for s in shapes)))
-        self.g2 = np.zeros(self.params.shape)
-        self.models = [
-            PoissonRegressor(replace(config, rng_seed=seed), p, a)
-            for seed, p, a in zip(seeds, self.params, self.g2)
-        ]
+        self.models = [PoissonRegressor(replace(config, rng_seed=seed))
+                       for seed in seeds]
         self._stack = kernel.bind_stack([m._net for m in self.models])
         self._stack_p = kernel.address(self._stack)
-        self._out = np.zeros((n_rows, self.models[0].n_outputs))
-        self._out_p = ctypes.c_void_p(self._out.ctypes.data)
 
-    def read(self, categorical) -> list:
-        """R lists of n_outputs rates; row r equals
-        `models[r].forward(categorical)` bit for bit. Takes the input the
-        models take."""
+    def read(self, categorical) -> float:
+        """The sum, from 0.0 and in model order, of each model's
+        `forward(categorical)` (rate_plus - rate_minus in two-output mode),
+        bit for bit. Takes the input the models take."""
         first = self.models[0]
         rows = first._rows_of(categorical)
         k = len(rows)
         first._looked_up[:k] = rows
-        kernel.read(self._stack_p, k, self._out_p)
-        return self._out.tolist()
+        return kernel.read(self._stack_p, k)

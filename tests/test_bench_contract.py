@@ -32,6 +32,21 @@ tracing = load_bench_module("tracing")
 workloads = load_bench_module("workloads")
 
 
+@pytest.fixture(scope="module")
+def bench_run():
+    """bench/run.py, imported as the script runs: with bench/ on sys.path.
+    The BLAS thread counts its import pins are taken back out of the
+    environment."""
+    environ = dict(os.environ)
+    sys.path.insert(0, BENCH)
+    try:
+        return load_bench_module("run")
+    finally:
+        sys.path.remove(BENCH)
+        os.environ.clear()
+        os.environ.update(environ)
+
+
 @pytest.mark.parametrize("name,owner,attr", tracing.TARGETS,
                          ids=[t[0] for t in tracing.TARGETS])
 def test_every_target_resolves(name, owner, attr):
@@ -131,3 +146,22 @@ def test_workload_setup_runs(name):
     specs = cli.variant_specs_for(cfg)
     for variant in cfg.variants:
         assert variants.build_variant(specs[variant]).name == variant
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_bench_output_checks_pass(bench_run, name):
+    # the checks a bench run makes of its own outputs, on a small stream:
+    # event counts against training_schedule, slice sizes, finite PLL and
+    # bias, bit-identical replays and a serve probe without a failed call
+    sub = bench_run.SubStream(bench_run.WORKLOADS[name], 3, 400)
+    first, second = sub.replay(), sub.replay()
+    assert first["problems"] == second["problems"] == []
+    assert [done["eval"] for done in first["done"].values()] == [400] * len(
+        sub.cfg.variants)
+    assert bench_run.quality(first) == bench_run.quality(second)
+    probes = [bench_run.serve_probe(p["models"].values(), sub.stream.examples)
+              for p in (first, second)]
+    for _, timed, _, failed in probes:
+        assert failed == 0
+        assert timed == 400 * len(sub.cfg.variants)
+    assert probes[0][2] == probes[1][2]

@@ -58,6 +58,11 @@ def zero_to_bias(model, bias):
     model.biases[-1][:] = bias
 
 
+def state_bytes(ens):
+    """Every sub-model's `params` and `g2`, as bytes."""
+    return [b.tobytes() for m in ens.sub_models for b in (m.params, m.g2)]
+
+
 class TestConfig:
     def test_bucket_with_aux_rejected(self):
         with pytest.raises(ValueError, match="cannot use aux"):
@@ -121,13 +126,7 @@ class TestConfig:
         for i, a in enumerate(buffers):
             for b in buffers[i + 1:]:
                 assert not np.shares_memory(a, b)
-        # each sub-model's state is its row of the ensemble's two buffers
-        n = len(WINDOWS)
-        assert ens.stack.params.shape == ens.stack.g2.shape
-        assert ens.stack.params.shape[0] == n
-        for i, m in enumerate(ens.sub_models):
-            assert np.shares_memory(m.params, ens.stack.params[i])
-            assert np.shares_memory(m.g2, ens.stack.g2[i])
+        assert ens.sub_models == ens.stack.models
 
     def test_failing_step_leaves_every_row_unchanged(self):
         ens = make_ensemble(encoding=BUCKET, use_aux=False)
@@ -137,12 +136,11 @@ class TestConfig:
         # the output gradient overflows on its way back through these
         # weights, so the step is refused
         ens.sub_models[1].weights[-1][:] = 1e300
-        params, g2 = ens.stack.params.copy(), ens.stack.g2.copy()
+        state = state_bytes(ens)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError):
             ens.sub_models[1].train_step(categorical, (), 1.0)
-        assert np.array_equal(ens.stack.params, params)
-        assert np.array_equal(ens.stack.g2, g2)
+        assert state_bytes(ens) == state
 
 
 class TestAuxFeatures:
@@ -341,15 +339,14 @@ class TestTrainOn:
         e.example_id = 17
         # f_1's own rate is NaN; f_2, which completes its label, is finite
         ens.sub_models[1].biases[-1][:] = math.nan
-        params, g2 = ens.stack.params.tobytes(), ens.stack.g2.tobytes()
+        state = state_bytes(ens)
         now = e.click_time + 7 * DAY
         with pytest.raises(FloatingPointError) as info:
             ens.train_on(e, 1, now=now)
         assert str(info.value) == (
             f"Proposed sub-model 1, example 17 at time {now}: non-finite "
             f"loss or gradient (loss=nan); step not applied")
-        assert ens.stack.params.tobytes() == params
-        assert ens.stack.g2.tobytes() == g2
+        assert state_bytes(ens) == state
 
     def test_maturity_filter_enforced(self):
         ens = make_ensemble()
