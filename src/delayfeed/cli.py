@@ -139,17 +139,18 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         **{k: d[k] for k in ("m1_delay", "m2_delays", "two_output_mode")
            if k in d})
     seeds = tuple(d.get("seeds", (0,)))
-    if not all(is_integer(s) and s >= 0 for s in seeds):
-        raise ValueError(f"seeds must be a list of integers >= 0, got "
-                         f"{list(seeds)}")
+    if not seeds or not all(is_integer(s) and s >= 0 for s in seeds):
+        raise ValueError(f"seeds must be a non-empty list of integers >= 0, "
+                         f"got {list(seeds)}")
     if repeated := _repeated(seeds):
         raise ValueError(f"seeds lists {repeated} more than once; each seed "
                          f"runs once")
     # every variant this config builds, unless a list of names is given
     variants = tuple(d.get("variants", ["all"]))
     variants = tuple(specs) if variants == ("all",) else variants
-    if not all(isinstance(name, str) for name in variants):
-        raise ValueError(f"variants must be a list of names, got {list(variants)}")
+    if not variants or not all(isinstance(name, str) for name in variants):
+        raise ValueError(f"variants must be a non-empty list of names, got "
+                         f"{list(variants)}")
     if repeated := _repeated(variants):
         raise ValueError(f"variants lists {repeated} more than once; each "
                          f"variant runs once")
@@ -180,14 +181,14 @@ def _run_task(cfg: ExperimentConfig, name: str, seed: int):
     runtime is the replay's alone, without the stream's set-up. A
     non-finite training step ends the task with a FloatingPointError that
     names the seed too."""
+    if name not in cfg.specs:
+        raise ValueError(f"unknown variant {name!r}; valid names: "
+                         f"{', '.join(sorted(cfg.specs))}")
     key = (cfg.digest, seed)
     stream = _stream_cache.get(key)
     if stream is None:
         _stream_cache.clear()
         stream = _stream_cache[key] = stream_for_seed(cfg, seed)
-    if name not in cfg.specs:
-        raise ValueError(f"unknown variant {name!r}; valid names: "
-                         f"{', '.join(sorted(cfg.specs))}")
     variant = build_variant(cfg.specs[name], seed_offset=seed * 101)
     slices = default_slices(stream.ground_truth.high_delay)
     log.info("running %s seed %d (%d clicks)", name, seed, len(stream.examples))

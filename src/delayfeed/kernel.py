@@ -1,31 +1,32 @@
 """Every pass of a model, compiled from C: the forward, the training step
 and the stacked read.
 
-A model's `Net`, made once by `bind`, holds the addresses of its buffers.
-`forward(net, k, out)` gathers the k embedding rows that `net.looked_up`
-names into the first k fields' slots of the input vector, writes zeros
-into the later fields' slots (the caller has written the numeric slots),
-and runs the dense layers: ReLU after each hidden layer, the output
-layer's log-rates clamped to [-30, 30], then `exp`. Every layer sums in
-one fixed order, input i outer and output j inner, each pre-activation
-from 0.0 upwards and then its bias.
+A model's `Net`, made once by `bind`, holds the addresses of its buffers
+and, inline, the rates `out`, a step's labels `y` and its `loss`, so a
+pass takes two arguments. `forward(net, k)` gathers the k embedding rows
+that `net.looked_up` names into the first k fields' slots of the input
+vector, writes zeros into the later fields' slots (the caller has written
+the numeric slots), and runs the dense layers into `net.out`: ReLU after
+each hidden layer, the output layer's log-rates clamped to [-30, 30],
+then `exp`. Every layer sums in one fixed order, input i outer and output
+j inner, each pre-activation from 0.0 upwards and then its bias.
 
-`train_step(net, k, y, loss)` runs that forward and the backward of the
-summed Poisson NLL, writing the loss and the gradients (`Net.grads`: the
-dense gradient, laid out like the dense parameters, then the input
-gradient's first d * k entries, the looked-up rows'). Each gradient of a
-layer's input sums over that layer's outputs in order, from 0.0; a hidden
-unit whose ReLU output is not above 0 gets 0.0. The backward lists a
-layer's active inputs in the model's scratch `Net.on`, not on the C
-stack, so a layer of any width runs on a thread of small stack. Then
-`update` refuses the step, writing no parameter and no accumulator, when
-the loss or an entry of those gradients is not finite; otherwise it
-applies AdaGrad element by element, to the dense parameters and then in
-place to each looked-up row: accum += g*g; s = g*lr; den = sqrt(accum);
-den += eps; s /= den; param -= s. Where s is zero it skips the division,
-whose quotient would be that same signed zero (den > 0), so the skip
-gives the full update's bits; about three quarters of a step's dense
-gradient is exactly zero.
+`train_step(net, k)` runs that forward and the backward of the summed
+Poisson NLL against `net.y`, writing `net.loss` and the gradients
+(`Net.grads`: the dense gradient, laid out like the dense parameters,
+then the input gradient's first d * k entries, the looked-up rows'). Each
+gradient of a layer's input sums over that layer's outputs in order, from
+0.0; a hidden unit whose ReLU output is not above 0 gets 0.0. The
+backward lists a layer's active inputs in the model's scratch `Net.on`,
+not on the C stack, so a layer of any width runs on a thread of small
+stack. Then `update` refuses the step, writing no parameter and no
+accumulator, when the loss or an entry of those gradients is not finite;
+otherwise it applies AdaGrad element by element, to the dense parameters
+and then in place to each looked-up row: accum += g*g; s = g*lr;
+den = sqrt(accum); den += eps; s /= den; param -= s. Where s is zero it
+skips the division, whose quotient would be that same signed zero
+(den > 0), so the skip gives the full update's bits; about three quarters
+of a step's dense gradient is exactly zero.
 
 `read(stack, k)` returns the served rate of a `RegressorStack` on one
 serving input: each model's forward with all numeric slots zero, on the
@@ -249,6 +250,7 @@ struct net {
     long *on;                   /* a layer's active inputs, in the backward */
     long n_layers, n_slots, n_dense, d;
     double lr, eps;
+    double out[2], y[2], loss;  /* a pass's rates, a step's labels and loss */
 };
 
 struct stack {
@@ -426,20 +428,18 @@ int kernel_update(const struct net *t, int k)
     return 0;
 }
 
-void kernel_forward(const struct net *t, int k, double *out)
+void kernel_forward(struct net *t, int k)
 {
     gather(t, t->looked_up, k);
-    layers(t, out);
+    layers(t, t->out);
 }
 
-int kernel_train_step(const struct net *t, int k, const double *y,
-                      double *loss)
+int kernel_train_step(struct net *t, int k)
 {
-    double rates[2];
     gather(t, t->looked_up, k);
-    layers(t, rates);
-    *loss = backward(t, rates, y, k);
-    if (!isfinite(*loss))
+    layers(t, t->out);
+    t->loss = backward(t, t->out, t->y, k);
+    if (!isfinite(t->loss))
         return 1;
     return kernel_update(t, k);
 }
@@ -492,7 +492,12 @@ def build(out_dir) -> Path:
 
 
 class Net(ctypes.Structure):
-    """One model's arguments to every pass, made once by `bind`."""
+    """One model's arguments to every pass, made once by `bind`: its
+    buffers' addresses and layout, then `out`, the rates of its last
+    forward or step, `y`, the labels the caller writes before a step, and
+    `loss`, that step's loss. Reading the fields `out` and `y` gives ctypes
+    arrays that share the structure's memory; a pass uses one entry of
+    each per output."""
 
     _fields_ = [
         ("rows", ctypes.c_void_p), ("rows_g2", ctypes.c_void_p),
@@ -505,6 +510,8 @@ class Net(ctypes.Structure):
         ("n_layers", ctypes.c_long), ("n_slots", ctypes.c_long),
         ("n_dense", ctypes.c_long), ("d", ctypes.c_long),
         ("lr", ctypes.c_double), ("eps", ctypes.c_double),
+        ("out", ctypes.c_double * 2), ("y", ctypes.c_double * 2),
+        ("loss", ctypes.c_double),
     ]
 
 
@@ -527,7 +534,7 @@ def bind(rows, rows_g2, dense, dense_g2, input, acts, grads, looked_up, on,
     and `on`, the backward's scratch, a ctypes array of c_long with an
     entry per input of the widest layer. Before each pass the caller
     writes the numeric slots of `input` and the first k entries of
-    `looked_up`, rows below m."""
+    `looked_up`, rows below m, and before a step the labels `Net.y`."""
     arrays = rows, rows_g2, dense, dense_g2, input, acts, grads
     if not all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays):
         raise ValueError("the model kernel takes C-contiguous float64 arrays")
@@ -570,16 +577,16 @@ def _entry(name, restype, *argtypes):
 
 
 def address(obj) -> ctypes.c_void_p:
-    """A pointer argument to the passes: the address of a ctypes object,
-    which the caller keeps alive as long as it. The passes take every
-    pointer as a `c_void_p` made once, as a typed pointer would cost a
-    conversion on every call."""
+    """A pass's one pointer argument, its `Net` or `Stack`: the address of
+    a ctypes object, which the caller keeps alive as long as it, as a
+    `c_void_p` made once, as a typed pointer would cost a conversion on
+    every call."""
     return ctypes.c_void_p(ctypes.addressof(obj))
 
 
 _P, _K = ctypes.c_void_p, ctypes.c_int
-forward = _entry("kernel_forward", None, _P, _K, _P)
-train_step = _entry("kernel_train_step", _K, _P, _K, _P, _P)
+forward = _entry("kernel_forward", None, _P, _K)
+train_step = _entry("kernel_train_step", _K, _P, _K)
 read = _entry("kernel_read", ctypes.c_double, _P, _K)
 update = _entry("kernel_update", _K, _P, _K)
 exp = _entry("fd_exp", ctypes.c_double, ctypes.c_double)

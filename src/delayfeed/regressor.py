@@ -182,16 +182,14 @@ class PoissonRegressor:
         self._input = np.zeros(self.input_dim)
         self._numeric = (ctypes.c_double * len(config.numeric_features)).from_buffer(
             self._input, 8 * d * nf)
+        # their values when a pass names no numeric feature
+        self._no_numeric = [0.0] * len(config.numeric_features)
         # gradients of the last step: the dense gradient, laid out like the
         # dense tail of `params`, then the input vector's, of which a step
         # writes the first k slots, those of the k rows it looked up
         self._grads = np.zeros(n_dense + self.input_dim)
-        # the kernel's arguments: the rows a pass looks up, its labels,
-        # outputs and loss, and the addresses of the buffers
+        # the rows a pass looks up
         self._looked_up = (ctypes.c_long * nf)()
-        self._labels = (ctypes.c_double * self.n_outputs)()
-        self._out = (ctypes.c_double * self.n_outputs)()
-        self._loss = ctypes.c_double()
         self._acts = np.zeros(sum(fan_out for _, fan_out in layers))
         # the backward's active inputs of one layer
         self._on = (ctypes.c_long * max(fan_in for fan_in, _ in layers))()
@@ -201,39 +199,38 @@ class PoissonRegressor:
             self._looked_up, self._on,
             [self.input_dim, *config.hidden_layer_sizes, self.n_outputs],
             config.learning_rate, config.adagrad_epsilon)
-        self._net_p, self._out_p, self._labels_p, self._loss_p = (
-            kernel.address(x) for x in (self._net, self._out, self._labels,
-                                        self._loss))
+        self._net_p = kernel.address(self._net)
+        # the rates of a pass and the labels of a step, in the `Net`
+        self._out, self._labels = self._net.out, self._net.y
 
     # -- input -----------------------------------------------------------
 
-    def _lookup(self, pair):
-        """(field index, `_emb_rows` row) of one (field_id, token) pair,
-        remembered in the model's memo. An unknown field raises, and is
-        not remembered."""
-        field_id, token = pair
-        fi = self._field_index.get(field_id)
-        if fi is None:
-            raise ContractViolation(
-                f"unknown categorical field {field_id!r}; declared fields: "
-                f"{self.config.categorical_fields}"
-            )
-        buckets = self.config.hash_buckets_per_field
-        hit = fi, fi * buckets + hash_token(field_id, token, buckets)
-        memo = self._rows
-        if len(memo) >= ROW_MEMO_SIZE:
-            memo.clear()
-        memo[pair] = hit
-        return hit
-
-    def _rows_of(self, categorical) -> list:
-        """The `_emb_rows` row of each (field_id, token) pair. The pairs
-        must be the first k declared fields, in declared order, each once;
-        any other input raises, naming the field and its position."""
-        memo = self._rows
-        rows = []
+    def _fill(self, categorical, numeric=()) -> int:
+        """Writes the `_emb_rows` row of each (field_id, token) pair into
+        `_looked_up` and the numeric slots' values into the input vector,
+        and returns k, the number of rows; the kernel then gathers the rows
+        and zeros the later fields' slots. The pairs must be the first k
+        declared fields, in declared order, each once, and each name a
+        declared numeric feature, whose value is log1p-scaled; every other
+        numeric slot is 0. A refused input raises, naming the field or the
+        feature, before anything is written. A pair's (field index, row)
+        is remembered in the model's memo; an unknown field is not."""
+        memo, rows = self._rows, []
         for j, pair in enumerate(categorical):
-            fi, row = memo.get(pair) or self._lookup(pair)
+            hit = memo.get(pair)
+            if hit is None:
+                field_id, token = pair
+                fi = self._field_index.get(field_id)
+                if fi is None:
+                    raise ContractViolation(
+                        f"unknown categorical field {field_id!r}; declared "
+                        f"fields: {self.config.categorical_fields}")
+                buckets = self.config.hash_buckets_per_field
+                hit = fi, fi * buckets + hash_token(field_id, token, buckets)
+                if len(memo) >= ROW_MEMO_SIZE:
+                    memo.clear()
+                memo[pair] = hit
+            fi, row = hit
             if fi != j:
                 raise ContractViolation(
                     f"categorical field {pair[0]!r} at position {j}: the input "
@@ -242,31 +239,18 @@ class PoissonRegressor:
                     f"{self.config.categorical_fields}"
                 )
             rows.append(row)
-        return rows
-
-    def _numeric_values(self, numeric) -> list:
-        """The numeric slots' values: each named feature log1p-scaled, every
-        other slot 0."""
-        values = [0.0] * len(self.config.numeric_features)
-        for name, value in numeric:
-            idx = self._numeric_index.get(name)
-            if idx is None:
-                raise ContractViolation(
-                    f"unknown numeric feature {name!r}; declared: "
-                    f"{self.config.numeric_features}"
-                )
-            # log1p scaling for heavy-tailed count-like inputs
-            values[idx] = math.copysign(math.log1p(abs(value)), value)
-        return values
-
-    def _fill(self, categorical, numeric=()) -> int:
-        """Writes the looked-up rows of these features (`_rows_of`) into
-        `_looked_up` and their numeric slots' values into the input vector,
-        and returns k, the number of rows; the kernel then gathers the rows
-        and zeros the later fields' slots. A refused input raises before
-        anything is written."""
-        rows = self._rows_of(categorical)
-        values = self._numeric_values(numeric)
+        values = self._no_numeric
+        if numeric:
+            values = values.copy()
+            for name, value in numeric:
+                idx = self._numeric_index.get(name)
+                if idx is None:
+                    raise ContractViolation(
+                        f"unknown numeric feature {name!r}; declared: "
+                        f"{self.config.numeric_features}"
+                    )
+                # log1p scaling for heavy-tailed count-like inputs
+                values[idx] = math.copysign(math.log1p(abs(value)), value)
         k = len(rows)
         self._looked_up[:k] = rows
         self._numeric[:] = values
@@ -277,7 +261,7 @@ class PoissonRegressor:
     def forward(self, categorical, numeric=()):
         """The model's one inference pass: the rate, or (rate_plus,
         rate_minus) in two-output mode."""
-        kernel.forward(self._net_p, self._fill(categorical, numeric), self._out_p)
+        kernel.forward(self._net_p, self._fill(categorical, numeric))
         if self.n_outputs == 1:
             return self._out[0]
         plus, minus = self._out
@@ -326,12 +310,12 @@ class PoissonRegressor:
             self._labels[0] = y
         else:
             self._labels[:] = y
-        if kernel.train_step(self._net_p, k, self._labels_p, self._loss_p):
+        if kernel.train_step(self._net_p, k):
             raise FloatingPointError(
-                f"non-finite loss or gradient (loss={self._loss.value}); "
+                f"non-finite loss or gradient (loss={self._net.loss}); "
                 f"step not applied"
             )
-        return self._loss.value
+        return self._net.loss
 
     # -- checkpointing ----------------------------------------------------
 
@@ -391,8 +375,4 @@ class RegressorStack:
         """The sum, from 0.0 and in model order, of each model's
         `forward(categorical)` (rate_plus - rate_minus in two-output mode),
         bit for bit. Takes the input the models take."""
-        first = self.models[0]
-        rows = first._rows_of(categorical)
-        k = len(rows)
-        first._looked_up[:k] = rows
-        return kernel.read(self._stack_p, k)
+        return kernel.read(self._stack_p, self.models[0]._fill(categorical))

@@ -327,6 +327,9 @@ class TestGen:
          "retraction_prob"),
         (dict(SMALL, stream=dict(SMALL["stream"], drift_magnitude=1.0)),
          "drift_magnitude"),
+        # an empty list would run nothing
+        (dict(SMALL, seeds=[]), "seeds"),
+        (dict(SMALL, variants=[]), "variants"),
     ])
     @pytest.mark.parametrize("command", ["gen", "run"])
     def test_ill_typed_value_exits_1_naming_the_key(self, tmp_path, capsys,
@@ -357,6 +360,13 @@ class TestRun:
             reports[jobs] = {(seed, name): json.dumps(compare({name: result}))
                              for seed, name, result, _ in done}
         assert reports[1] == reports[2]
+
+    def test_unknown_variant_is_refused_before_its_stream(self, monkeypatch):
+        monkeypatch.setattr(cli, "stream_for_seed", lambda cfg, seed: pytest.fail(
+            "stream generated for an unknown variant"))
+        monkeypatch.setattr(cli, "_stream_cache", {})
+        with pytest.raises(ValueError, match="unknown variant 'M9'"):
+            list(run_matrix(config_from_dict(MATRIX), [("M9", 1)]))
 
     def test_first_failed_task_cancels_the_tasks_not_started(self, tmp_path,
                                                              monkeypatch):

@@ -56,10 +56,14 @@ def golden_reports() -> dict:
     return json.loads(json.dumps(out))
 
 
-# what picks numpy's and OpenBLAS's kernels, none of which a report's bits
-# may depend on: every model pass runs in the compiled `delayfeed.kernel`
+# what picks numpy's, OpenBLAS's and glibc's libm kernels, none of which a
+# report's bits may depend on: every model pass runs in the compiled
+# `delayfeed.kernel`. The last makes glibc take its non-FMA `exp` and `log`,
+# which the generator reaches through `math` and numpy's samplers; they move
+# no bit of these 500-click streams' reports
 KERNEL_CHOICES = {"haswell-blas": {"OPENBLAS_CORETYPE": "Haswell"},
-                  "no-avx512-numpy": {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}}
+                  "no-avx512-numpy": {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+                  "no-fma-libm": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}}
 
 
 def host_note() -> str:

@@ -176,6 +176,19 @@ class TestForward:
             model.forward([("nope", "x")])
         with pytest.raises(ContractViolation):
             model.forward([], [("nope", 1.0)])
+        # a valid categorical input with an unknown numeric name: refused
+        # by both passes before its rows or any numeric slot is written
+        model.forward(*fv(campaign="c2", aux=4.0))
+
+        def state():
+            return [b.tobytes() for b in (model.params, model.g2, model._input)
+                    ] + [model._looked_up[:]]
+        before = state()
+        for run in (lambda: model.forward(fv()[0], [("nope", 1.0)]),
+                    lambda: model.train_step(fv()[0], [("nope", 1.0)], 1.0)):
+            with pytest.raises(ContractViolation, match="'nope'"):
+                run()
+            assert state() == before
 
     def test_hash_stability(self):
         assert hash_token("f", "tok", 4096) == hash_token("f", "tok", 4096)
@@ -305,7 +318,7 @@ def analytic_gradients(model, categorical, numeric, label):
     `_grads`: one array per dense parameter, in the order of `weights +
     biases`, and {`_emb_rows` row: gradient} of the rows looked up."""
     loss = step_loss(model, categorical, numeric, label)
-    rows = model._rows_of(categorical)
+    rows = model._looked_up[:len(categorical)]
     d, nf = model.config.embedding_dim, len(model.config.categorical_fields)
     n_dense = model._grads.size - model.input_dim
     dense = regressor._carve(model._grads[:n_dense].copy(),
@@ -945,7 +958,7 @@ def test_non_finite_gradient_is_refused_without_a_warning(where, value):
     got = model._grads[grads_index(model, where)]
     assert bits(got) == bits(value) if not math.isnan(value) else math.isnan(got)
     # the loss was finite, so the gradient check refused the step
-    assert math.isfinite(model._loss.value)
+    assert math.isfinite(model._net.loss)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -993,7 +1006,7 @@ def test_finite_extreme_gradient_is_applied(where, magnitude):
     first = grads_index(model, where)
     # the two entries of `g2` those gradients go to
     if where == "embedding":
-        row = model._rows_of(fv()[0])[1]
+        row = expected_row(model, fv()[0][1])
         targets = row * 3 + np.array([0, 1])
     else:
         targets = model._emb_rows.size + first + np.array([0, 1])
@@ -1010,7 +1023,7 @@ def test_finite_extreme_gradient_is_applied(where, magnitude):
     with np.errstate(over="ignore"):
         reference_adagrad(params[n_emb:], g2[n_emb:], grads[:n_dense], lr, eps)
         emb, emb_g2 = params[:n_emb].reshape(-1, 3), g2[:n_emb].reshape(-1, 3)
-        for j, row in enumerate(model._rows_of(fv()[0])):
+        for j, row in enumerate(expected_row(model, p) for p in fv()[0]):
             reference_adagrad(emb[row], emb_g2[row],
                               grads[n_dense + 3 * j : n_dense + 3 * j + 3], lr, eps)
     assert np.isinf(model.g2[targets]).all()
@@ -1056,7 +1069,8 @@ def test_layouts_map_a_pair_to_their_own_rows():
                 categorical = [pair] if pair[0] == first else [
                     (first, "t1"), pair]
                 numeric = [("aux", 1.0)]
-                assert model._rows_of(categorical) == [
+                k = model._fill(categorical)
+                assert model._looked_up[:k] == [
                     expected_row(model, p) for p in categorical]
                 rates, _, _ = reference_forward(model, categorical, numeric)
                 assert model.forward(categorical, numeric) == float(rates[0])
@@ -1074,7 +1088,8 @@ def test_stack_models_own_memos_that_agree_with_hash_token():
         categorical, _ = first_k_features(rng, aux=step % 2)
         expect = [expected_row(stack.models[0], p) for p in categorical]
         for model in stack.models:
-            assert model._rows_of(categorical) == expect
+            k = model._fill(categorical)
+            assert model._looked_up[:k] == expect
 
 
 def test_full_memo_is_cleared_and_rows_stay_right(monkeypatch):
