@@ -201,12 +201,15 @@ def _run_task(cfg: ExperimentConfig, name: str, seed: int):
 
 
 def run_matrix(cfg: ExperimentConfig, tasks, jobs: int = 1):
-    """Run each (variant name, seed) task of `tasks`, on `jobs` worker
-    processes if more than one, and yield (seed, name, RunResult,
-    runtime_s) as each finishes. At most `jobs` tasks are submitted and
-    unfinished at a time, the next one submitted as one finishes. The
-    first task that fails ends the run: no task is submitted after it, and
-    its error is raised once the tasks still running have ended."""
+    """Run each (variant name, seed) task of `tasks`, on min(`jobs`, task
+    count) worker processes if more than one, and yield (seed, name,
+    RunResult, runtime_s) as each finishes. At most `jobs` tasks are
+    submitted and unfinished at a time, the next one submitted as one
+    finishes. The first task that fails ends the run: no task is submitted
+    after it, and its error is raised once the tasks still running have
+    ended."""
+    tasks = list(tasks)
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         pending = iter(tasks)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -225,11 +228,6 @@ def run_matrix(cfg: ExperimentConfig, tasks, jobs: int = 1):
     else:
         for name, seed in tasks:
             yield _run_task(cfg, name, seed)
-
-
-def seed_report(cfg: ExperimentConfig, seed: int, results: dict) -> dict:
-    return compare(results, config_digest=cfg.digest,
-                   extra={"artifact_version": __version__, "seed": seed})
 
 
 def aggregate_reports(reports: list) -> dict:
@@ -336,7 +334,8 @@ def cmd_run(args) -> int:
         matrix[seed][name] = result
     reports = []
     for seed in seeds:
-        report = seed_report(cfg, seed, matrix[seed])
+        report = compare(matrix[seed], config_digest=cfg.digest,
+                         extra={"artifact_version": __version__, "seed": seed})
         reports.append(report)
         paths = write_report_files(report, args.out, f"report_seed{seed}")
         print(f"seed {seed}: wrote {paths[0]}")
@@ -350,6 +349,16 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _is_report(value) -> bool:
+    """Whether a loaded JSON value holds what plotdata reads of a report."""
+    return (isinstance(value, dict)
+            and isinstance(value.get("config_digest"), str)
+            and isinstance(value.get("variants"), dict)
+            and all(isinstance(v, dict) and isinstance(v.get("slices"), dict)
+                    and isinstance(v.get("timeseries"), list)
+                    for v in value["variants"].values()))
+
+
 def cmd_plotdata(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.reports, "report_seed*.json")))
     if not paths:
@@ -361,7 +370,13 @@ def cmd_plotdata(args) -> int:
     reports = []
     for p in paths:
         with open(p) as fh:
-            reports.append((p, json.load(fh)))
+            report = json.load(fh)
+        if not _is_report(report):
+            print(f"{p} is not a report: expected a JSON object with a "
+                  f"config_digest whose variants each hold slices and "
+                  f"timeseries", file=sys.stderr)
+            return 2
+        reports.append((p, report))
     digests = {r["config_digest"] for _, r in reports}
     if len(digests) != 1:
         print(f"refusing to mix config digests: {digests}", file=sys.stderr)

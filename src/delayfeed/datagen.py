@@ -240,7 +240,6 @@ class GroundTruth:
 @dataclass
 class Stream:
     examples: list
-    config: StreamConfig
     ground_truth: GroundTruth
 
 
@@ -384,7 +383,7 @@ def generate(config: StreamConfig) -> Stream:
         campaigns=camp_by_id,
         high_delay=campaign_delay_quantiles(campaigns),
     )
-    return Stream(examples=examples, config=config, ground_truth=truth)
+    return Stream(examples=examples, ground_truth=truth)
 
 
 def posterior_expected_tail(

@@ -162,34 +162,6 @@ class SubModelEnsemble:
             return out[0] - out[1] if self.two_output else out
         return self.stack.read(example.serving_features)
 
-    def estimate_mature_label(
-        self, example: ClickExample, now: float, tail_predictor=None
-    ) -> float:
-        """Estimate of the final label at simulated time `now`: observed
-        events up to the latest passed boundary d_m plus a single sub-model
-        prediction of the tail [d_m, M). Events in [d_m, age) are
-        deliberately discarded. `tail_predictor(example, m)`, when given,
-        replaces the sub-model (used for oracle-substitution checks)."""
-        if now < example.click_time:
-            raise ContractViolation("cannot estimate before the click")
-        if not self._thermometer:
-            raise ContractViolation(
-                "label completion requires thermometer encoding"
-            )
-        age = now - example.click_time
-        if age >= example.attribution_window:
-            return mature_label(example)
-        # m: the last window that starts at or before age (d_0 = 0 does)
-        m = bisect_right([lo for lo, _ in self.windows], age) - 1
-        known = observed_prefix(example, self.windows[m][0])
-        if tail_predictor is not None:
-            tail = tail_predictor(example, m)
-        else:
-            tail = self.sub_models[m].forward(*self.features_for(example, m))
-            if self.two_output:
-                tail = tail[0] - tail[1]
-        return known + tail
-
     # -- training -------------------------------------------------------------
 
     def training_schedule(self, example: ClickExample) -> list:
@@ -217,15 +189,15 @@ class SubModelEnsemble:
             return label[0] + nxt[0], label[1] + nxt[1]
         return label + nxt
 
-    def train_on(self, example: ClickExample, i: int, now: float = None) -> float:
-        """One training step of sub-model i on this example. The harness
-        guarantees scheduling order; `now`, when given, is asserted against
-        the maturity requirement. A non-finite step is not applied, and its
-        FloatingPointError names the variant, sub-model, example and time."""
+    def train_on(self, example: ClickExample, i: int, now: float) -> float:
+        """One training step of sub-model i on this example at simulated
+        time `now`, which must have reached the click time plus window i's
+        end. A non-finite step is not applied, and its FloatingPointError
+        names the variant, sub-model, example and time."""
         if not 0 <= i < len(self.windows):
             raise ContractViolation(f"{self.name} has no sub-model {i}")
         required = example.click_time + self.windows[i][1]
-        if now is not None and now < required:
+        if now < required:
             raise ContractViolation(
                 f"sub-model {i} trained at {now}, before maturity {required}"
             )

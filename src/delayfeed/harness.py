@@ -37,7 +37,9 @@ def default_slices(high_delay_campaigns=frozenset()) -> dict:
 
 @dataclass
 class RunResult:
-    variant: str
+    """What one variant's `run` measured; `compare` keys results by
+    variant name."""
+
     slices: dict                     # slice name -> MetricsAccumulator
     dropped_train_events: int = 0
     n_examples: int = 0
@@ -93,8 +95,7 @@ def run(variant, stream_examples, slices=None, stream_end=None) -> RunResult:
     if stream_end is None and n:
         stream_end = stream_examples[-1].click_time
 
-    result = RunResult(variant.name,
-                       {name: MetricsAccumulator() for name in slices},
+    result = RunResult({name: MetricsAccumulator() for name in slices},
                        n_examples=n)
     # cursor i's head: (its next TRAIN's time, i, that click's position)
     heads = [(stream_examples[0].click_time + hi, i, 0)

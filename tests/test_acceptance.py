@@ -7,8 +7,9 @@ one core, so its summaries are cached under tests/_cache/, one file per
 file name holds the digest of the resolved default config and a sha256 of
 src/delayfeed/*.py, so any source or config change misses the cache and
 reruns the missing tasks through `delayfeed run`'s own `run_matrix`, on as
-many worker processes as there are usable CPUs. test_cli.py fails while a
-file keyed on another config or source is left in the directory.
+many worker processes as there are usable CPUs, at most one per task.
+test_cli.py fails while a file keyed on another config or source is left in
+the directory.
 """
 
 import hashlib
@@ -142,7 +143,7 @@ def matrix():
                         _delay_mass_beyond(stream, 1 * DAY))
     missing = [(name, seed) for seed in SEEDS for name in cfg.variants
                if not path(seed, name).exists()]
-    jobs = min(len(missing), len(os.sched_getaffinity(0)))
+    jobs = len(os.sched_getaffinity(0))
     for seed, name, result, runtime_s in run_matrix(cfg, missing, jobs):
         _write_json(path(seed, name),
                     {**_summarize(result), "runtime_s": runtime_s})
@@ -182,19 +183,14 @@ def test_label_completion_unbiased_with_analytic_tail():
         rng_seed=7,
     ))
     camps = stream.ground_truth.campaigns
-    ens = SubModelEnsemble(
-        VariantSpec("Proposed", SMALL_RC, WINDOWS, use_aux=True))
-
-    def tail(example, m):
-        return posterior_expected_tail(
-            example, camps[example.campaign_id], WINDOWS[m][0]
-        )
-
     true_mean = statistics.fmean(mature_label(e) for e in stream.examples)
     errors = []
-    for age, _ in WINDOWS:
+    # at each window start lo: the label observed before lo plus the
+    # analytic posterior mean of the tail [lo, M), an ideal sub-model's
+    for lo, _ in WINDOWS:
         est_mean = statistics.fmean(
-            ens.estimate_mature_label(e, e.click_time + age, tail_predictor=tail)
+            observed_prefix(e, lo)
+            + posterior_expected_tail(e, camps[e.campaign_id], lo)
             for e in stream.examples
         )
         errors.append(abs(est_mean / true_mean - 1.0))
@@ -407,7 +403,7 @@ def test_structural_invariants(tmp_path):
             self.log.append(("eval", example.example_id))
             return 1.0
 
-        def train_on(self, example, i, now=None):
+        def train_on(self, example, i, now):
             self.log.append(("train", example.example_id, i))
             return 0.0
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -361,6 +362,27 @@ class TestRun:
                              for seed, name, result, _ in done}
         assert reports[1] == reports[2]
 
+    @pytest.mark.parametrize("tasks, workers", [
+        ([("M1", 1), ("M3", 1)], [2]),
+        ([("M1", 1)], []),
+    ])
+    def test_run_matrix_starts_no_more_workers_than_tasks(self, monkeypatch,
+                                                          tasks, workers):
+        # threads stand in for the worker processes, so no process starts
+        built = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "_run_task",
+                            lambda cfg, name, seed: (seed, name, None, 0.0))
+        done = run_matrix(config_from_dict(MATRIX), iter(tasks), jobs=8)
+        assert sorted((name, seed) for seed, name, *_ in done) == sorted(tasks)
+        assert built == workers
+
     def test_unknown_variant_is_refused_before_its_stream(self, monkeypatch):
         monkeypatch.setattr(cli, "stream_for_seed", lambda cfg, seed: pytest.fail(
             "stream generated for an unknown variant"))
@@ -436,7 +458,7 @@ class TestRun:
         cls = type(build_variant(cfg.specs[name]))
         train_on = cls.train_on
 
-        def record(self, example, i, now=None):
+        def record(self, example, i, now):
             steps.append((str(i), str(example.example_id), str(now)))
             return train_on(self, example, i, now)
 
@@ -573,9 +595,11 @@ class TestRun:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_layout_too_large_to_allocate_exits_1(self, tmp_path, capfd, jobs):
         # 2**50 buckets a field: an allocation no host grants, so no array
-        # is made, let alone touched
+        # is made, let alone touched; two tasks, so that two jobs start a
+        # pool and the error crosses the process boundary
         path = tmp_path / "config.json"
-        raw = dict(SMALL, stream=dict(SMALL["stream"], total_clicks=50),
+        raw = dict(SMALL, seeds=[1, 2],
+                   stream=dict(SMALL["stream"], total_clicks=50),
                    regressor=dict(SMALL["regressor"], hash_buckets_per_field=2**50))
         path.write_text(json.dumps(raw))
         rc = main(["run", "--config", str(path), "--variant", "M1",
@@ -661,6 +685,28 @@ class TestPlotdata:
         rc = main(["plotdata", "--reports", str(tmp_path)])
         assert rc == 2
         assert "report_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        {"seed": 1},
+        [1, 2],
+        {"config_digest": "x", "variants": {"M3": {"slices": {}}}},
+    ], ids=["no_digest", "list", "no_timeseries"])
+    def test_plotdata_refuses_a_file_that_is_no_report(self, tmp_path, capsys,
+                                                       content):
+        # the report that sorts first is sound: nothing is written before
+        # every file is checked
+        good = {"config_digest": "x", "seed": 1,
+                "variants": {"M3": {"slices": {}, "timeseries": []}}}
+        (tmp_path / "report_seed1.json").write_text(json.dumps(good))
+        bad = tmp_path / "report_seed2.json"
+        bad.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        rc = main(["plotdata", "--reports", str(tmp_path), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{bad} is not a report")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
 
     def test_plotdata_empty_timeseries_header_only(self, tmp_path):
         report = {

@@ -231,63 +231,6 @@ class TestServe:
                 "<d", f0.forward(e.serving_features))
 
 
-class TestEstimateMatureLabel:
-    def test_fully_mature_returns_exact_label(self):
-        ens = make_ensemble()
-        e = make_example([0.5 * DAY, 3 * DAY, 20 * DAY])
-        assert ens.estimate_mature_label(e, e.click_time + M) == 3.0
-        assert ens.estimate_mature_label(e, e.click_time + M + DAY) == 3.0
-
-    def test_young_example_uses_f0_only(self):
-        ens = make_ensemble()
-        zero_to_bias(ens.sub_models[0], math.log(1.7))
-        e = make_example([0.1 * DAY])
-        got = ens.estimate_mature_label(e, e.click_time + 0.5 * DAY)
-        # m = 0: no observed term, just f_0's rate
-        assert got == pytest.approx(1.7)
-
-    def test_intermediate_discards_events_past_boundary(self):
-        ens = make_ensemble()
-        zero_to_bias(ens.sub_models[1], math.log(0.9))
-        # age 3d -> m = 1 (d_1 = 1d); the event at 2d is deliberately discarded
-        e = make_example([0.5 * DAY, 2 * DAY])
-        got = ens.estimate_mature_label(e, e.click_time + 3 * DAY)
-        assert got == pytest.approx(1.0 + 0.9)
-
-    def test_two_output_tail_is_plus_minus_minus(self):
-        ens = make_ensemble(two_output=True)
-        zero_to_bias(ens.sub_models[1], (math.log(0.9), math.log(0.4)))
-        e = make_example([0.5 * DAY, 2 * DAY])
-        got = ens.estimate_mature_label(e, e.click_time + 3 * DAY)
-        assert got == pytest.approx(1.0 + 0.9 - 0.4)
-
-    def test_latest_window_start_at_each_boundary(self):
-        # an age exactly at d_m already picks sub-model m and the prefix to d_m
-        ens = make_ensemble()
-        e = make_example([0.5 * DAY, 3 * DAY])
-        for age, m, known in ((0.0, 0, 0.0), (0.5 * DAY, 0, 0.0),
-                              (1 * DAY, 1, 1.0), (6 * DAY, 1, 1.0),
-                              (7 * DAY, 2, 2.0), (29 * DAY, 2, 2.0)):
-            got = ens.estimate_mature_label(
-                e, e.click_time + age, tail_predictor=lambda ex, j: 10.0 * j
-            )
-            assert got == known + 10.0 * m, age
-
-    def test_before_click_rejected(self):
-        ens = make_ensemble()
-        e = make_example([])
-        with pytest.raises(ContractViolation):
-            ens.estimate_mature_label(e, e.click_time - 1.0)
-
-    def test_oracle_substitution_hook(self):
-        ens = make_ensemble()
-        e = make_example([0.5 * DAY])
-        got = ens.estimate_mature_label(
-            e, e.click_time + 2 * DAY, tail_predictor=lambda ex, m: 0.25
-        )
-        assert got == pytest.approx(1.0 + 0.25)
-
-
 class TestTrainingSchedule:
     def test_table_read_off(self):
         ens = make_ensemble()

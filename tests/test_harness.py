@@ -56,7 +56,7 @@ class RecordingVariant:
         return [(example.click_time + hi, i)
                 for i, (_, hi) in enumerate(self.windows)]
 
-    def train_on(self, example, i, now=None):
+    def train_on(self, example, i, now):
         self.log.append(("train", example.example_id, i))
         return 0.0
 
@@ -131,8 +131,7 @@ def reference_run(variant, stream_examples, slices=None, stream_end=None):
     slices = default_slices() if slices is None else slices
     if stream_end is None:
         stream_end = stream_examples[-1].click_time
-    result = RunResult(variant=variant.name,
-                       slices={name: MetricsAccumulator() for name in slices})
+    result = RunResult(slices={name: MetricsAccumulator() for name in slices})
     days = {}
     events = []
     for seq, e in enumerate(stream_examples):
@@ -178,7 +177,7 @@ class DispatchLog:
     def training_schedule(self, example):
         return self.inner.training_schedule(example)
 
-    def train_on(self, example, i, now=None):
+    def train_on(self, example, i, now):
         self.log.append((now, "TRAIN", i, example.example_id))
         return self.inner.train_on(example, i, now=now)
 
@@ -345,23 +344,23 @@ class TestMetricsAndSlices:
 
 
 class TestCompare:
-    def _result(self, name, pll_values, labels=None):
+    def _result(self, pll_values, labels=None):
         acc = MetricsAccumulator()
         labels = labels or [1.0] * len(pll_values)
         for rate, label in zip(pll_values, labels):
             acc.record(poisson_nll(rate, label), rate, label)
-        return RunResult(variant=name, slices={"ALL": acc})
+        return RunResult(slices={"ALL": acc})
 
     def test_m3_relative_is_zero(self):
-        results = {"M3": self._result("M3", [1.5, 0.5])}
+        results = {"M3": self._result([1.5, 0.5])}
         report = compare(results)
         assert report["variants"]["M3"]["slices"]["ALL"]["pll_vs_M3_pct"] == 0.0
 
     def test_hand_set_improvement_ten_percent(self):
         # construct accumulators with pll exactly 1.0 vs 0.9
-        m3 = RunResult("M3", {"ALL": MetricsAccumulator(
+        m3 = RunResult({"ALL": MetricsAccumulator(
             sum_nll=1.0, sum_pred=1.0, sum_label=1.0, example_count=1)})
-        v = RunResult("V", {"ALL": MetricsAccumulator(
+        v = RunResult({"ALL": MetricsAccumulator(
             sum_nll=0.9, sum_pred=1.0, sum_label=1.0, example_count=1)})
         report = compare({"M3": m3, "V": v})
         assert report["variants"]["V"]["slices"]["ALL"]["pll_vs_M3_pct"] == (
@@ -378,17 +377,17 @@ class TestCompare:
         assert ts[-1]["cum_bias"] == 4.0 / 2.0
 
     def test_missing_m3_omits_relative_columns(self):
-        report = compare({"V": self._result("V", [1.0])})
+        report = compare({"V": self._result([1.0])})
         entry = report["variants"]["V"]["slices"]["ALL"]
         assert "pll_vs_M3_pct" not in entry
         assert entry["pll"] is not None
 
     def test_oracle_flagged_impossible(self):
-        report = compare({"Oracle": self._result("Oracle", [1.0])})
+        report = compare({"Oracle": self._result([1.0])})
         assert "impossible in practice" in report["variants"]["Oracle"]["note"]
 
     def test_csv_rows_flat_schema(self):
-        report = compare({"M3": self._result("M3", [1.0])})
+        report = compare({"M3": self._result([1.0])})
         rows = report_csv_rows(report)
         assert rows[0] == ("variant", "slice", "metric", "value")
         assert ("M3", "ALL", "pll", 1.0) in rows
@@ -396,7 +395,7 @@ class TestCompare:
 
 def _skip_training_for(variant, example_id):
     inner = variant.train_on
-    variant.train_on = lambda e, i, now=None: (
+    variant.train_on = lambda e, i, now: (
         0.0 if e.example_id == example_id else inner(e, i, now=now)
     )
     return variant
