@@ -349,13 +349,22 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _is_day_row(row) -> bool:
+    day = row.get("day") if isinstance(row, dict) else None
+    return isinstance(day, (int, float)) and not isinstance(day, bool)
+
+
 def _is_report(value) -> bool:
-    """Whether a loaded JSON value holds what plotdata reads of a report."""
+    """Whether a loaded JSON value holds what plotdata reads of a report:
+    each variant's slices are objects, and its timeseries rows objects
+    with a numeric `day`."""
     return (isinstance(value, dict)
             and isinstance(value.get("config_digest"), str)
             and isinstance(value.get("variants"), dict)
             and all(isinstance(v, dict) and isinstance(v.get("slices"), dict)
                     and isinstance(v.get("timeseries"), list)
+                    and all(isinstance(e, dict) for e in v["slices"].values())
+                    and all(map(_is_day_row, v["timeseries"]))
                     for v in value["variants"].values()))
 
 
@@ -369,12 +378,16 @@ def cmd_plotdata(args) -> int:
         return 2
     reports = []
     for p in paths:
-        with open(p) as fh:
-            report = json.load(fh)
+        with open(p, "rb") as fh:
+            try:
+                report = json.load(fh)
+            except ValueError as exc:  # no JSON, or no UTF-8 text
+                print(f"{p} is not valid JSON: {exc}", file=sys.stderr)
+                return 2
         if not _is_report(report):
             print(f"{p} is not a report: expected a JSON object with a "
-                  f"config_digest whose variants each hold slices and "
-                  f"timeseries", file=sys.stderr)
+                  f"config_digest whose variants each hold slices of "
+                  f"objects and timeseries rows with a day", file=sys.stderr)
             return 2
         reports.append((p, report))
     digests = {r["config_digest"] for _, r in reports}

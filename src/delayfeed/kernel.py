@@ -1,65 +1,86 @@
 """Every pass of a model, compiled from C: the forward, the training step
-and the stacked read.
+and the stacked read, the functions of one CPython extension module.
 
 A model's `Net`, made once by `bind`, holds the addresses of its buffers
-and, inline, the rates `out`, a step's labels `y` and its `loss`, so a
-pass takes two arguments. `forward(net, k)` gathers the k embedding rows
-that `net.looked_up` names into the first k fields' slots of the input
-vector, writes zeros into the later fields' slots (the caller has written
-the numeric slots), and runs the dense layers into `net.out`: ReLU after
-each hidden layer, the output layer's log-rates clamped to [-30, 30],
-then `exp`. Every layer sums in one fixed order, input i outer and output
-j inner, each pre-activation from 0.0 upwards and then its bias.
+and its layout. A pass is one call that takes the `Net`'s address as an
+int (`ctypes.addressof`), the embedding rows of the pass's first k
+fields as a list of k ints, and the values of its numeric slots as a
+list of floats, and returns Python floats. `forward(net, rows,
+values)` writes the rows into `net.looked_up` and the values into the
+input vector's numeric slots, gathers those rows into the first k fields'
+slots, writes zeros into the later fields' slots, and runs the dense
+layers: ReLU after each hidden layer, the output layer's log-rates
+clamped to [-30, 30], then `exp`. Every layer sums in one fixed order,
+input i outer and output j inner, each pre-activation from 0.0 upwards
+and then its bias. It returns the rate, or the (rate_plus, rate_minus)
+pair of a model of two outputs.
 
-`train_step(net, k)` runs that forward and the backward of the summed
-Poisson NLL against `net.y`, writing `net.loss` and the gradients
-(`Net.grads`: the dense gradient, laid out like the dense parameters,
-then the input gradient's first d * k entries, the looked-up rows'). Each
-gradient of a layer's input sums over that layer's outputs in order, from
-0.0; a hidden unit whose ReLU output is not above 0 gets 0.0. The
-backward lists a layer's active inputs in the model's scratch `Net.on`,
-not on the C stack, so a layer of any width runs on a thread of small
-stack. Then `update` refuses the step, writing no parameter and no
-accumulator, when the loss or an entry of those gradients is not finite;
-otherwise it applies AdaGrad element by element, to the dense parameters
-and then in place to each looked-up row: accum += g*g; s = g*lr;
-den = sqrt(accum); den += eps; s /= den; param -= s. Where s is zero it
-skips the division, whose quotient would be that same signed zero
-(den > 0), so the skip gives the full update's bits; about three quarters
-of a step's dense gradient is exactly zero.
+`train_step(net, rows, values, labels)`, `labels` a tuple of one float
+per output, runs that forward and the backward of the summed Poisson NLL
+against the labels, writing `net.loss` and the gradients (`Net.grads`:
+the dense gradient, laid out like the dense parameters, then the input
+gradient's first d * k entries, the looked-up rows'). Each gradient of a
+layer's input sums over that layer's outputs in order, from 0.0; a hidden
+unit whose ReLU output is not above 0 gets 0.0. The backward lists a
+layer's active inputs in the model's scratch `Net.on`, not on the C
+stack, so a layer of any width runs on a thread of small stack. Then the
+update refuses the step, writing no parameter and no accumulator, when
+the loss or an entry of those gradients is not finite; otherwise it
+applies AdaGrad element by element, to the dense parameters and then in
+place to each looked-up row: accum += g*g; s = g*lr; den = sqrt(accum);
+den += eps; s /= den; param -= s. Where s is zero it skips the division,
+whose quotient would be that same signed zero (den > 0), so the skip
+gives the full update's bits; about three quarters of a step's dense
+gradient is exactly zero. It returns the loss, or None when it refused
+the step.
 
-`read(stack, k)` returns the served rate of a `RegressorStack` on one
-serving input: each model's forward with all numeric slots zero, on the
-rows its first model's `looked_up` names, and their rates (rate_plus -
-rate_minus with two outputs) summed from 0.0 in model order, the IEEE
-operations of that sum written left to right in Python. A model has one
-or two outputs.
+`read(stack, rows)` returns the served rate of a `RegressorStack` on one
+serving input: each model's forward on those rows with all numeric slots
+zero, and their rates (rate_plus - rate_minus with two outputs) summed
+from 0.0 in model order, the IEEE operations of that sum written left to
+right in Python. A model has one or two outputs.
+
+Every pass checks its arguments before it writes anything. It raises
+TypeError for rows or values that are no list, labels that are no tuple,
+a row that is no int, or a value or label that is no float, and
+ValueError for more rows than the layout has fields, a row outside its
+tables, or a count of values or labels other than the layout's. The
+address is not checked: it must be that of a live `Net`, or of a `Stack`
+for `read`.
 
 `exp` and `log` are fdlibm's, in the source, and each operation is one
-IEEE double operation: the library is built with `-ffp-contract=off`,
+IEEE double operation: the module is built with `-ffp-contract=off`,
 which keeps the compiler from fusing a multiply into an add, and with no
 `-march`, so it takes the same code path, and gives the same bits, on
 every x86-64 host. libm is not used, because glibc picks its `exp` and
 `log` by CPU. The two are exported as `exp` and `log` here, for the
-tests' references.
+tests' references, as is `update(net, k)`, the step's update alone: it
+applies AdaGrad from `Net.grads` to the dense parameters and to the
+first k rows that `net.looked_up` names, and returns 0, or 1 when it
+refused the update.
 
-The library is compiled once per source and command, by `build`, into the
-package's `__pycache__/` when the module is first imported; a C compiler,
-`cc`, must be on PATH then.
+The module is compiled once per source, command, Python include directory
+and extension suffix, by `build`, into the package's `__pycache__/` when
+this module is first imported; a C compiler, `cc`, and the running
+Python's headers (`Python.h`) must be there then.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.util
 import os
 import subprocess
+import sysconfig
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -246,11 +267,11 @@ struct net {
     double *acts;               /* each layer's output */
     double *grads;              /* the dense gradient, then the input's */
     const long *sizes;          /* n_layers + 1 layer widths */
-    const long *looked_up;      /* the rows of a pass's k fields */
+    long *looked_up;            /* the rows of a pass's k fields */
     long *on;                   /* a layer's active inputs, in the backward */
-    long n_layers, n_slots, n_dense, d;
+    long n_rows, n_layers, n_slots, n_dense, d;
     double lr, eps;
-    double out[2], y[2], loss;  /* a pass's rates, a step's labels and loss */
+    double loss;                /* a step's loss */
 };
 
 struct stack {
@@ -401,7 +422,7 @@ static void adagrad(double *restrict p, double *restrict a,
     }
 }
 
-int kernel_update(const struct net *t, int k)
+int kernel_update(const struct net *t, long k)
 {
     long d = t->d;
     /* g * 0.0 is NaN for an infinite or NaN g, else a zero: four sums of
@@ -428,23 +449,24 @@ int kernel_update(const struct net *t, int k)
     return 0;
 }
 
-void kernel_forward(struct net *t, int k)
+void kernel_forward(const struct net *t, long k, double *rates)
 {
     gather(t, t->looked_up, k);
-    layers(t, t->out);
+    layers(t, rates);
 }
 
-int kernel_train_step(struct net *t, int k)
+int kernel_train_step(struct net *t, long k, const double *y)
 {
+    double rates[2];
     gather(t, t->looked_up, k);
-    layers(t, t->out);
-    t->loss = backward(t, t->out, t->y, k);
+    layers(t, rates);
+    t->loss = backward(t, rates, y, k);
     if (!isfinite(t->loss))
         return 1;
     return kernel_update(t, k);
 }
 
-double kernel_read(const struct stack *s, int k)
+double kernel_read(const struct stack *s, long k)
 {
     const long *rows = s->nets[0]->looked_up;
     double total = 0.0, rates[2];
@@ -458,27 +480,230 @@ double kernel_read(const struct stack *s, int k)
     }
     return total;
 }
+
+/* ---- the Python entries ---- */
+
+static Py_ssize_t refuse(PyObject *type, const char *format, ...)
+{
+    va_list args;
+    va_start(args, format);
+    PyErr_FormatV(type, format, args);
+    va_end(args);
+    return -1;
+}
+
+/* rows, a list of at most one int per field, each a row of the tables,
+   into looked_up, and, unless `values` is NULL, values, a list of one
+   float per numeric slot, into those slots. Returns k, the number of
+   rows, or -1 with TypeError or ValueError set and nothing written. */
+static Py_ssize_t fill(const struct net *t, PyObject *rows, PyObject *values)
+{
+    long n_fields = t->n_slots / t->d, n_numeric = t->sizes[0] - t->n_slots;
+    if (!PyList_Check(rows))
+        return refuse(PyExc_TypeError, "rows must be a list, not %.100s",
+                      Py_TYPE(rows)->tp_name);
+    Py_ssize_t k = PyList_GET_SIZE(rows);
+    if (k > n_fields)
+        return refuse(PyExc_ValueError, "%zd rows for %ld fields", k,
+                      n_fields);
+    for (Py_ssize_t j = 0; j < k; j++) {
+        PyObject *row = PyList_GET_ITEM(rows, j);
+        int overflow;
+        if (!PyLong_Check(row))
+            return refuse(PyExc_TypeError, "row %zd must be an int, not "
+                          "%.100s", j, Py_TYPE(row)->tp_name);
+        long r = PyLong_AsLongAndOverflow(row, &overflow);
+        if (overflow || r < 0 || r >= t->n_rows)
+            return refuse(PyExc_ValueError, "row %zd is %R, not in "
+                          "[0, %ld)", j, row, t->n_rows);
+    }
+    if (values) {
+        if (!PyList_Check(values))
+            return refuse(PyExc_TypeError, "values must be a list, not "
+                          "%.100s", Py_TYPE(values)->tp_name);
+        if (PyList_GET_SIZE(values) != n_numeric)
+            return refuse(PyExc_ValueError, "%zd values for %ld numeric "
+                          "slots", PyList_GET_SIZE(values), n_numeric);
+        for (Py_ssize_t i = 0; i < n_numeric; i++) {
+            PyObject *value = PyList_GET_ITEM(values, i);
+            if (!PyFloat_Check(value))
+                return refuse(PyExc_TypeError, "value %zd must be a float, "
+                              "not %.100s", i, Py_TYPE(value)->tp_name);
+        }
+        for (Py_ssize_t i = 0; i < n_numeric; i++)
+            t->input[t->n_slots + i] =
+                PyFloat_AS_DOUBLE(PyList_GET_ITEM(values, i));
+    }
+    for (Py_ssize_t j = 0; j < k; j++)
+        t->looked_up[j] = PyLong_AsLong(PyList_GET_ITEM(rows, j));
+    return k;
+}
+
+/* the struct at the address `arg`, an int; NULL with an error set for
+   anything else or for 0 */
+static void *at(PyObject *arg)
+{
+    void *p = PyLong_AsVoidPtr(arg);
+    if (p == NULL && !PyErr_Occurred())
+        PyErr_SetString(PyExc_ValueError, "a pass takes a model's address, "
+                        "not 0");
+    return p;
+}
+
+static int takes(const char *name, Py_ssize_t n, Py_ssize_t nargs)
+{
+    if (nargs == n)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", name, n,
+                 nargs);
+    return 0;
+}
+
+static PyObject *py_forward(PyObject *self, PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    const struct net *t;
+    double rates[2];
+    if (!takes("forward", 3, nargs) || !(t = at(args[0])))
+        return NULL;
+    Py_ssize_t k = fill(t, args[1], args[2]);
+    if (k < 0)
+        return NULL;
+    kernel_forward(t, k, rates);
+    if (t->sizes[t->n_layers] == 1)
+        return PyFloat_FromDouble(rates[0]);
+    PyObject *pair = PyTuple_New(2);
+    for (int j = 0; pair && j < 2; j++) {
+        PyObject *rate = PyFloat_FromDouble(rates[j]);
+        if (!rate)
+            Py_CLEAR(pair);
+        else
+            PyTuple_SET_ITEM(pair, j, rate);
+    }
+    return pair;
+}
+
+static PyObject *py_train_step(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    struct net *t;
+    double y[2];
+    if (!takes("train_step", 4, nargs) || !(t = at(args[0])))
+        return NULL;
+    PyObject *labels = args[3];
+    long n_out = t->sizes[t->n_layers];
+    if (!PyTuple_Check(labels))
+        return PyErr_Format(PyExc_TypeError, "labels must be a tuple, not "
+                            "%.100s", Py_TYPE(labels)->tp_name);
+    if (PyTuple_GET_SIZE(labels) != n_out)
+        return PyErr_Format(PyExc_ValueError, "%zd labels for %ld outputs",
+                            PyTuple_GET_SIZE(labels), n_out);
+    for (long j = 0; j < n_out; j++) {
+        PyObject *label = PyTuple_GET_ITEM(labels, j);
+        if (!PyFloat_Check(label))
+            return PyErr_Format(PyExc_TypeError, "label %ld must be a "
+                                "float, not %.100s", j,
+                                Py_TYPE(label)->tp_name);
+        y[j] = PyFloat_AS_DOUBLE(label);
+    }
+    Py_ssize_t k = fill(t, args[1], args[2]);
+    if (k < 0)
+        return NULL;
+    if (kernel_train_step(t, k, y))
+        Py_RETURN_NONE;
+    return PyFloat_FromDouble(t->loss);
+}
+
+static PyObject *py_read(PyObject *self, PyObject *const *args,
+                         Py_ssize_t nargs)
+{
+    const struct stack *s;
+    if (!takes("read", 2, nargs) || !(s = at(args[0])))
+        return NULL;
+    Py_ssize_t k = fill(s->nets[0], args[1], NULL);
+    if (k < 0)
+        return NULL;
+    return PyFloat_FromDouble(kernel_read(s, k));
+}
+
+static PyObject *py_update(PyObject *self, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    const struct net *t;
+    if (!takes("update", 2, nargs) || !(t = at(args[0])))
+        return NULL;
+    long k = PyLong_AsLong(args[1]);
+    if (k == -1 && PyErr_Occurred())
+        return NULL;
+    return PyLong_FromLong(kernel_update(t, k));
+}
+
+static PyObject *py_exp(PyObject *self, PyObject *arg)
+{
+    double x = PyFloat_AsDouble(arg);
+    if (x == -1.0 && PyErr_Occurred())
+        return NULL;
+    return PyFloat_FromDouble(fd_exp(x));
+}
+
+static PyObject *py_log(PyObject *self, PyObject *arg)
+{
+    double x = PyFloat_AsDouble(arg);
+    if (x == -1.0 && PyErr_Occurred())
+        return NULL;
+    return PyFloat_FromDouble(fd_log(x));
+}
+
+#define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
+
+static PyMethodDef methods[] = {
+    {"forward", FASTCALL(py_forward), "forward(net, rows, values)"},
+    {"train_step", FASTCALL(py_train_step),
+     "train_step(net, rows, values, labels)"},
+    {"read", FASTCALL(py_read), "read(stack, rows)"},
+    {"update", FASTCALL(py_update), "update(net, k)"},
+    {"exp", py_exp, METH_O, "exp(x)"},
+    {"log", py_log, METH_O, "log(x)"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    .m_base = PyModuleDef_HEAD_INIT, .m_name = "delayfeed._kernel",
+    .m_size = -1, .m_methods = methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    return PyModule_Create(&module);
+}
 """
 
+# the running Python's headers, which SOURCE includes
+INCLUDE = sysconfig.get_paths()["include"]
 COMMAND = ("cc", "-O3", "-fPIC", "-shared", "-ffp-contract=off",
            "-fno-math-errno", "-x", "c", "-")
 
 
 def build(out_dir) -> Path:
-    """The path of the compiled SOURCE in `out_dir`, named after a hash of
-    the source and COMMAND. Runs the compiler only when that file is not
-    there yet: into a temporary file of `out_dir`, then renamed, so that
-    concurrent builds never load a half-written library. A missing or
-    failing compiler raises RuntimeError naming the command."""
+    """The path of the extension module compiled from SOURCE in `out_dir`,
+    named after a hash of the source, COMMAND, INCLUDE and the running
+    Python's extension suffix, so that no interpreter loads another's
+    build. Runs the compiler only when that file is not there yet: into a
+    temporary file of `out_dir`, then renamed, so that concurrent builds
+    never load a half-written module. A missing or failing compiler, or a
+    missing `Python.h`, raises RuntimeError naming the command."""
     out_dir = Path(out_dir)
-    digest = hashlib.sha256("\0".join((SOURCE, *COMMAND)).encode()).hexdigest()
-    lib = out_dir / f"kernel_{digest[:16]}.so"
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    digest = hashlib.sha256(
+        "\0".join((SOURCE, *COMMAND, INCLUDE, suffix)).encode()).hexdigest()
+    lib = out_dir / f"kernel_{digest[:16]}{suffix}"
     if lib.exists():
         return lib
     out_dir.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f"{lib.stem}.", suffix=".tmp", dir=out_dir)
+    fd, tmp = tempfile.mkstemp(prefix=f"kernel_{digest[:16]}.", suffix=".tmp",
+                               dir=out_dir)
     os.close(fd)
-    command = [*COMMAND, "-o", tmp]
+    command = [*COMMAND, f"-I{INCLUDE}", "-o", tmp]
     try:
         subprocess.run(command, input=SOURCE, text=True, capture_output=True,
                        check=True)
@@ -492,12 +717,9 @@ def build(out_dir) -> Path:
 
 
 class Net(ctypes.Structure):
-    """One model's arguments to every pass, made once by `bind`: its
-    buffers' addresses and layout, then `out`, the rates of its last
-    forward or step, `y`, the labels the caller writes before a step, and
-    `loss`, that step's loss. Reading the fields `out` and `y` gives ctypes
-    arrays that share the structure's memory; a pass uses one entry of
-    each per output."""
+    """One model's argument to every pass, made once by `bind`: its
+    buffers' addresses and layout, then `loss`, the loss of its last step,
+    which a refused step leaves for the caller to report."""
 
     _fields_ = [
         ("rows", ctypes.c_void_p), ("rows_g2", ctypes.c_void_p),
@@ -507,10 +729,10 @@ class Net(ctypes.Structure):
         ("sizes", ctypes.POINTER(ctypes.c_long)),
         ("looked_up", ctypes.POINTER(ctypes.c_long)),
         ("on", ctypes.POINTER(ctypes.c_long)),
-        ("n_layers", ctypes.c_long), ("n_slots", ctypes.c_long),
-        ("n_dense", ctypes.c_long), ("d", ctypes.c_long),
+        ("n_rows", ctypes.c_long), ("n_layers", ctypes.c_long),
+        ("n_slots", ctypes.c_long), ("n_dense", ctypes.c_long),
+        ("d", ctypes.c_long),
         ("lr", ctypes.c_double), ("eps", ctypes.c_double),
-        ("out", ctypes.c_double * 2), ("y", ctypes.c_double * 2),
         ("loss", ctypes.c_double),
     ]
 
@@ -530,18 +752,17 @@ def bind(rows, rows_g2, dense, dense_g2, input, acts, grads, looked_up, on,
     widths `sizes`, at most two outputs; `input` of sizes[0] entries, d per
     field of `looked_up` and then the numeric slots; `acts` of
     sum(sizes[1:]); `grads` of dense.size + sizes[0]; all C-contiguous
-    float64; `looked_up`, a ctypes array of c_long, one entry per field;
-    and `on`, the backward's scratch, a ctypes array of c_long with an
-    entry per input of the widest layer. Before each pass the caller
-    writes the numeric slots of `input` and the first k entries of
-    `looked_up`, rows below m, and before a step the labels `Net.y`."""
+    float64; `looked_up`, a ctypes array of c_long, one entry per field,
+    into which each pass writes its rows; and `on`, the backward's
+    scratch, a ctypes array of c_long with an entry per input of the
+    widest layer."""
     arrays = rows, rows_g2, dense, dense_g2, input, acts, grads
     if not all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays):
         raise ValueError("the model kernel takes C-contiguous float64 arrays")
     sizes = [int(s) for s in sizes]
     layers = list(zip(sizes, sizes[1:]))
     n_dense = sum(n * m + m for n, m in layers)
-    (_, d), n_slots = rows.shape, rows.shape[1] * len(looked_up)
+    (n_rows, d), n_slots = rows.shape, rows.shape[1] * len(looked_up)
     if not (layers and rows_g2.shape == rows.shape
             and dense.shape == dense_g2.shape == (n_dense,)
             and input.shape == (sizes[0],) and n_slots <= sizes[0]
@@ -557,7 +778,8 @@ def bind(rows, rows_g2, dense, dense_g2, input, acts, grads, looked_up, on,
     return Net(rows.ctypes.data, rows_g2.ctypes.data, dense.ctypes.data,
                dense_g2.ctypes.data, input.ctypes.data, acts.ctypes.data,
                grads.ctypes.data, (ctypes.c_long * len(sizes))(*sizes),
-               looked_up, on, len(layers), n_slots, n_dense, d, lr, eps)
+               looked_up, on, n_rows, len(layers), n_slots, n_dense, d, lr,
+               eps)
 
 
 def bind_stack(nets) -> Stack:
@@ -567,27 +789,13 @@ def bind_stack(nets) -> Stack:
     return Stack(pointers, len(nets))
 
 
-_library = ctypes.CDLL(str(build(Path(__file__).with_name("__pycache__"))))
+def _load(lib):
+    spec = importlib.util.spec_from_file_location("delayfeed._kernel", lib)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _entry(name, restype, *argtypes):
-    function = getattr(_library, name)
-    function.restype, function.argtypes = restype, argtypes
-    return function
-
-
-def address(obj) -> ctypes.c_void_p:
-    """A pass's one pointer argument, its `Net` or `Stack`: the address of
-    a ctypes object, which the caller keeps alive as long as it, as a
-    `c_void_p` made once, as a typed pointer would cost a conversion on
-    every call."""
-    return ctypes.c_void_p(ctypes.addressof(obj))
-
-
-_P, _K = ctypes.c_void_p, ctypes.c_int
-forward = _entry("kernel_forward", None, _P, _K)
-train_step = _entry("kernel_train_step", _K, _P, _K)
-read = _entry("kernel_read", ctypes.c_double, _P, _K)
-update = _entry("kernel_update", _K, _P, _K)
-exp = _entry("fd_exp", ctypes.c_double, ctypes.c_double)
-log = _entry("fd_log", ctypes.c_double, ctypes.c_double)
+_module = _load(build(Path(__file__).with_name("__pycache__")))
+forward, train_step, read = _module.forward, _module.train_step, _module.read
+update, exp, log = _module.update, _module.exp, _module.log

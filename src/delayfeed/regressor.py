@@ -13,8 +13,9 @@ one call of the compiled `kernel`, whose arithmetic, `exp` and `log`
 included, is its own, so its bits do not depend on the host's numpy or
 BLAS kernels. Python checks the input, hashes each (field, token) pair to
 its embedding row, scales the numeric features and checks the label; the
-kernel gathers the rows, runs the layers and, in a step, the backward and
-the AdaGrad update.
+kernel takes those rows, values and labels as Python lists and floats,
+gathers the rows, runs the layers and, in a step, the backward and the
+AdaGrad update, and returns the rates or the loss as floats.
 """
 
 from __future__ import annotations
@@ -134,9 +135,9 @@ class PoissonRegressor:
     value) pairs of declared numeric features; the later fields' slots and
     the unnamed numeric slots are zero. Any other input is refused with
     ContractViolation before anything is written. A pass writes the whole
-    of one input vector the model reuses (the numeric slots here, the rest
-    in the kernel), so no pass depends on the one before; `forward` and
-    `train_step` both write it, so a model is for one thread at a time.
+    of one input vector the model reuses, in the kernel, so no pass depends
+    on the one before; `forward` and `train_step` both write it, so a model
+    is for one thread at a time.
     """
 
     def __init__(self, config: RegressorConfig):
@@ -178,11 +179,9 @@ class PoissonRegressor:
         # (field_id, token) -> (field index, `_emb_rows` row)
         self._rows = {}
         # the input vector of every pass: one embedding slot per field, then
-        # the numeric slots, which are written here through `_numeric`
+        # the numeric slots
         self._input = np.zeros(self.input_dim)
-        self._numeric = (ctypes.c_double * len(config.numeric_features)).from_buffer(
-            self._input, 8 * d * nf)
-        # their values when a pass names no numeric feature
+        # the numeric slots' values when a pass names no numeric feature
         self._no_numeric = [0.0] * len(config.numeric_features)
         # gradients of the last step: the dense gradient, laid out like the
         # dense tail of `params`, then the input vector's, of which a step
@@ -199,22 +198,19 @@ class PoissonRegressor:
             self._looked_up, self._on,
             [self.input_dim, *config.hidden_layer_sizes, self.n_outputs],
             config.learning_rate, config.adagrad_epsilon)
-        self._net_p = kernel.address(self._net)
-        # the rates of a pass and the labels of a step, in the `Net`
-        self._out, self._labels = self._net.out, self._net.y
+        self._net_p = ctypes.addressof(self._net)
 
     # -- input -----------------------------------------------------------
 
-    def _fill(self, categorical, numeric=()) -> int:
-        """Writes the `_emb_rows` row of each (field_id, token) pair into
-        `_looked_up` and the numeric slots' values into the input vector,
-        and returns k, the number of rows; the kernel then gathers the rows
-        and zeros the later fields' slots. The pairs must be the first k
-        declared fields, in declared order, each once, and each name a
-        declared numeric feature, whose value is log1p-scaled; every other
-        numeric slot is 0. A refused input raises, naming the field or the
-        feature, before anything is written. A pair's (field index, row)
-        is remembered in the model's memo; an unknown field is not."""
+    def _fill(self, categorical, numeric=()) -> tuple:
+        """(rows, values), a pass's arguments to the kernel: the list of
+        each (field_id, token) pair's `_emb_rows` row and the list of the
+        numeric slots' values. The pairs must be the first k declared
+        fields, in declared order, each once, and each name a declared
+        numeric feature, whose value is log1p-scaled; every other numeric
+        slot is 0. A refused input raises, naming the field or the feature.
+        A pair's (field index, row) is remembered in the model's memo; an
+        unknown field is not."""
         memo, rows = self._rows, []
         for j, pair in enumerate(categorical):
             hit = memo.get(pair)
@@ -251,27 +247,20 @@ class PoissonRegressor:
                     )
                 # log1p scaling for heavy-tailed count-like inputs
                 values[idx] = math.copysign(math.log1p(abs(value)), value)
-        k = len(rows)
-        self._looked_up[:k] = rows
-        self._numeric[:] = values
-        return k
+        return rows, values
 
     # -- forward ---------------------------------------------------------
 
     def forward(self, categorical, numeric=()):
         """The model's one inference pass: the rate, or (rate_plus,
         rate_minus) in two-output mode."""
-        kernel.forward(self._net_p, self._fill(categorical, numeric))
-        if self.n_outputs == 1:
-            return self._out[0]
-        plus, minus = self._out
-        return plus, minus
+        return kernel.forward(self._net_p, *self._fill(categorical, numeric))
 
     # -- training --------------------------------------------------------
 
-    def _label(self, label):
-        """The checked label as a float, or a (positive, negative) pair of
-        floats in two-output mode."""
+    def _label(self, label) -> tuple:
+        """The checked label as a tuple of one float per output: (label,),
+        or (positive, negative) in two-output mode."""
         if self.n_outputs == 1:
             if not isinstance(label, (int, float)):
                 raise ContractViolation(
@@ -282,7 +271,7 @@ class PoissonRegressor:
                     f"label must be finite and >= 0 in single-output mode, "
                     f"got {label}"
                 )
-            return float(label)
+            return (float(label),)
         try:
             pos, neg = label
         except (TypeError, ValueError):
@@ -304,18 +293,15 @@ class PoissonRegressor:
         of the embedding rows the input looked up. A non-finite loss, or a
         non-finite entry in the dense gradient or those rows' gradients,
         raises before anything is written."""
-        y = self._label(label)
-        k = self._fill(categorical, numeric)
-        if self.n_outputs == 1:
-            self._labels[0] = y
-        else:
-            self._labels[:] = y
-        if kernel.train_step(self._net_p, k):
+        labels = self._label(label)
+        loss = kernel.train_step(self._net_p, *self._fill(categorical, numeric),
+                                 labels)
+        if loss is None:
             raise FloatingPointError(
                 f"non-finite loss or gradient (loss={self._net.loss}); "
                 f"step not applied"
             )
-        return self._net.loss
+        return loss
 
     # -- checkpointing ----------------------------------------------------
 
@@ -369,10 +355,10 @@ class RegressorStack:
         self.models = [PoissonRegressor(replace(config, rng_seed=seed))
                        for seed in seeds]
         self._stack = kernel.bind_stack([m._net for m in self.models])
-        self._stack_p = kernel.address(self._stack)
+        self._stack_p = ctypes.addressof(self._stack)
 
     def read(self, categorical) -> float:
         """The sum, from 0.0 and in model order, of each model's
         `forward(categorical)` (rate_plus - rate_minus in two-output mode),
         bit for bit. Takes the input the models take."""
-        return kernel.read(self._stack_p, self.models[0]._fill(categorical))
+        return kernel.read(self._stack_p, self.models[0]._fill(categorical)[0])

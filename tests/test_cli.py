@@ -690,7 +690,14 @@ class TestPlotdata:
         {"seed": 1},
         [1, 2],
         {"config_digest": "x", "variants": {"M3": {"slices": {}}}},
-    ], ids=["no_digest", "list", "no_timeseries"])
+        {"config_digest": "x",
+         "variants": {"M3": {"slices": {"ALL": 5}, "timeseries": []}}},
+        {"config_digest": "x",
+         "variants": {"M3": {"slices": {}, "timeseries": [3]}}},
+        {"config_digest": "x",
+         "variants": {"M3": {"slices": {}, "timeseries": [{"cum_pll": 1.0}]}}},
+    ], ids=["no_digest", "list", "no_timeseries", "slice_not_object",
+            "row_not_object", "row_without_day"])
     def test_plotdata_refuses_a_file_that_is_no_report(self, tmp_path, capsys,
                                                        content):
         # the report that sorts first is sound: nothing is written before
@@ -705,6 +712,23 @@ class TestPlotdata:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"{bad} is not a report")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\x80{}"],
+                             ids=["not_json", "not_utf8"])
+    def test_plotdata_refuses_a_file_that_is_no_json(self, tmp_path, capsys,
+                                                     content):
+        good = {"config_digest": "x", "seed": 1,
+                "variants": {"M3": {"slices": {}, "timeseries": []}}}
+        (tmp_path / "report_seed1.json").write_text(json.dumps(good))
+        bad = tmp_path / "report_seed2.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        rc = main(["plotdata", "--reports", str(tmp_path), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{bad} is not valid JSON: ")
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert not out.exists()
 

@@ -611,7 +611,7 @@ def kernel_step(dense, dense_g2, grads, rows=None, rows_g2=None, looked_up=(),
                      dense=dense.ctypes.data, dense_g2=dense_g2.ctypes.data,
                      grads=grads.ctypes.data, looked_up=index,
                      n_dense=dense.size, d=rows.shape[1], lr=lr, eps=eps)
-    return kernel.update(kernel.address(net), len(looked_up))
+    return kernel.update(ctypes.addressof(net), len(looked_up))
 
 
 TINY = 5e-324  # the smallest subnormal
@@ -740,6 +740,81 @@ def test_build_compiles_once_and_names_the_compiler(tmp_path, monkeypatch):
                        r"-ffp-contract=off -fno-math-errno .*` failed"):
         kernel.build(tmp_path / "b")
     assert list((tmp_path / "b").iterdir()) == []
+
+
+def test_build_names_the_command_when_python_h_is_missing(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(kernel, "INCLUDE", str(tmp_path / "no-headers"))
+    with pytest.raises(RuntimeError, match=r"`cc -O3 .* -I\S*no-headers "
+                       r"-o \S+` failed: .*Python\.h"):
+        kernel.build(tmp_path / "b")
+    assert list((tmp_path / "b").iterdir()) == []
+
+
+# (pass, argument, bad value, error): a rows or values argument that is no
+# list, too many rows, a row that is no int or outside the 32 rows of the
+# small layout, a wrong number of values or labels, a value or label that
+# is no float, labels that are no tuple, a bad address, a wrong arity
+BAD_PASS_ARGUMENTS = [
+    ("forward", 1, (1, 2), TypeError),
+    ("forward", 1, None, TypeError),
+    ("forward", 1, [1, 17, 3], ValueError),
+    ("forward", 1, [1, 17.0], TypeError),
+    ("forward", 1, ["1"], TypeError),
+    ("forward", 1, [-1], ValueError),
+    ("forward", 1, [32], ValueError),
+    ("forward", 1, [2 ** 64], ValueError),
+    ("forward", 2, (0.5,), TypeError),
+    ("forward", 2, [], ValueError),
+    ("forward", 2, [0.5, 0.5], ValueError),
+    ("forward", 2, [1], TypeError),
+    ("forward", 2, [None], TypeError),
+    ("forward", 0, "0", TypeError),
+    ("forward", 0, 0, ValueError),
+    ("forward", 3, None, TypeError),
+    ("train_step", 1, [1, 17, 3], ValueError),
+    ("train_step", 1, [1, 32], ValueError),
+    ("train_step", 2, [1.0, 0.5], ValueError),
+    ("train_step", 2, [2], TypeError),
+    ("train_step", 3, 1.0, TypeError),
+    ("train_step", 3, [1.0], TypeError),
+    ("train_step", 3, (), ValueError),
+    ("train_step", 3, (1.0, 0.0), ValueError),
+    ("train_step", 3, (1,), TypeError),
+    ("read", 1, (1, 17), TypeError),
+    ("read", 1, [1, 17, 3], ValueError),
+    ("read", 1, [1, 1.0], TypeError),
+    ("read", 1, [0, 32], ValueError),
+    ("read", 0, 0, ValueError),
+    ("read", 2, [0.5], TypeError),
+]
+
+
+@pytest.mark.parametrize("name,at,value,error", BAD_PASS_ARGUMENTS)
+def test_kernel_refuses_bad_pass_arguments_writing_nothing(name, at, value,
+                                                           error):
+    stack = RegressorStack(small_config(), [7, 8])
+    model = stack.models[0]
+    rows, values = model._fill(*fv(aux=1.0))
+    sound = {"forward": [model._net_p, rows, values],
+             "train_step": [model._net_p, rows, values, (1.0,)],
+             "read": [stack._stack_p, rows]}
+    args = list(sound[name])
+    args[at:at + 1] = [value]
+    # a pass of other rows and values than the sound ones, so that a write
+    # of any of them shows
+    model.forward(fv()[0][:1])
+
+    def state():
+        return [b.tobytes() for m in stack.models
+                for b in (m.params, m.g2, m._input, m._grads, m._acts)
+                ] + [m._looked_up[:] for m in stack.models]
+    before = state()
+    with pytest.raises(error):
+        getattr(kernel, name)(*args)
+    assert state() == before
+    # the sound arguments run
+    assert getattr(kernel, name)(*sound[name]) is not None
 
 
 REF_FIELDS = ("campaign", "segment", "site")
@@ -1069,11 +1144,11 @@ def test_layouts_map_a_pair_to_their_own_rows():
                 categorical = [pair] if pair[0] == first else [
                     (first, "t1"), pair]
                 numeric = [("aux", 1.0)]
-                k = model._fill(categorical)
-                assert model._looked_up[:k] == [
-                    expected_row(model, p) for p in categorical]
+                rows, _ = model._fill(categorical)
+                assert rows == [expected_row(model, p) for p in categorical]
                 rates, _, _ = reference_forward(model, categorical, numeric)
                 assert model.forward(categorical, numeric) == float(rates[0])
+                assert model._looked_up[:len(rows)] == rows
     # the second field's rows start at one table's length
     assert expected_row(a, pairs[0]) != expected_row(b, pairs[0])
     assert expected_row(a, pairs[1]) != expected_row(c, pairs[1])
@@ -1088,8 +1163,8 @@ def test_stack_models_own_memos_that_agree_with_hash_token():
         categorical, _ = first_k_features(rng, aux=step % 2)
         expect = [expected_row(stack.models[0], p) for p in categorical]
         for model in stack.models:
-            k = model._fill(categorical)
-            assert model._looked_up[:k] == expect
+            rows, _ = model._fill(categorical)
+            assert rows == expect
 
 
 def test_full_memo_is_cleared_and_rows_stay_right(monkeypatch):
