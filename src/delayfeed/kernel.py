@@ -3,50 +3,62 @@ and the stacked read, the functions of one CPython extension module.
 
 A model's `Net`, made once by `bind`, holds the addresses of its buffers
 and its layout. A pass is one call that takes the `Net`'s address as an
-int (`ctypes.addressof`), the embedding rows of the pass's first k
-fields as a list of k ints, and the values of its numeric slots as a
-list of floats, and returns Python floats. `forward(net, rows,
-values)` writes the rows into `net.looked_up` and the values into the
-input vector's numeric slots, gathers those rows into the first k fields'
-slots, writes zeros into the later fields' slots, and runs the dense
-layers: ReLU after each hidden layer, the output layer's log-rates
-clamped to [-30, 30], then `exp`. Every layer sums in one fixed order,
-input i outer and output j inner, each pre-activation from 0.0 upwards
-and then its bias. It returns the rate, or the (rate_plus, rate_minus)
-pair of a model of two outputs.
+int (`ctypes.addressof`), the pass's (field, token) pairs, a tuple or a
+list of the first k fields' pairs, the values of its numeric slots as a
+list of floats, and last the model's row memo, a dict of (field, token)
+pairs to rows of its embedding tables, and returns Python floats.
+`forward(net, pairs, values, memo)` looks each pair's row up in the memo,
+writes the rows into `net.looked_up` and the values into the input
+vector's numeric slots, gathers those rows into the first k fields' slots,
+writes zeros into the later fields' slots, and runs the dense layers: ReLU
+after each hidden layer, the output layer's log-rates clamped to [-30,
+30], then `exp`. Every layer sums in one fixed order, input i outer and
+output j inner, each pre-activation from 0.0 upwards and then its bias. It
+returns the rate, or the (rate_plus, rate_minus) pair of a model of two
+outputs.
 
-`train_step(net, rows, values, labels)`, `labels` a tuple of one float
-per output, runs that forward and the backward of the summed Poisson NLL
-against the labels, writing `net.loss` and the gradients (`Net.grads`:
+`train_step(net, pairs, values, labels, memo)`, `labels` a tuple of one
+float per output, runs that forward and the backward of the summed Poisson
+NLL against the labels, writing `net.loss` and the gradients (`Net.grads`:
 the dense gradient, laid out like the dense parameters, then the input
 gradient's first d * k entries, the looked-up rows'). Each gradient of a
 layer's input sums over that layer's outputs in order, from 0.0; a hidden
-unit whose ReLU output is not above 0 gets 0.0. The backward lists a
-layer's active inputs in the model's scratch `Net.on`, not on the C
-stack, so a layer of any width runs on a thread of small stack. Then the
-update refuses the step, writing no parameter and no accumulator, when
-the loss or an entry of those gradients is not finite; otherwise it
-applies AdaGrad element by element, to the dense parameters and then in
+unit whose ReLU output is not above 0 gets 0.0. Then the update refuses
+the step, writing no parameter and no accumulator, when the loss or a
+gradient it would apply is not finite. It checks that from the gradients'
+structure: a layer's bias gradient is its delta and its weight gradient
+h[i] * delta[j], h the layer's input, so all of them are finite when every
+h and delta is and so is fl(max|h| * max|delta|), rounding being
+monotone; the looked-up rows' gradients are checked one by one. Otherwise
+it applies AdaGrad element by element, to the dense parameters and then in
 place to each looked-up row: accum += g*g; s = g*lr; den = sqrt(accum);
 den += eps; s /= den; param -= s. Where s is zero it skips the division,
-whose quotient would be that same signed zero (den > 0), so the skip
-gives the full update's bits; about three quarters of a step's dense
-gradient is exactly zero. It returns the loss, or None when it refused
-the step.
+whose quotient would be that same signed zero (den > 0), so the skip gives
+the full update's bits. A weight row whose input is zero, and a column
+whose delta is zero, has signed zero gradients: those entries take accum
++= g*g; param -= g*lr alone, with no branch. The step returns the loss, or
+None when it refused the step.
 
-`read(stack, rows)` returns the served rate of a `RegressorStack` on one
-serving input: each model's forward on those rows with all numeric slots
-zero, and their rates (rate_plus - rate_minus with two outputs) summed
-from 0.0 in model order, the IEEE operations of that sum written left to
-right in Python. A model has one or two outputs.
+`read(stack, pairs, memo)` returns the served rate of a `RegressorStack`
+on one serving input: each model's forward on those rows with all numeric
+slots zero, and their rates (rate_plus - rate_minus with two outputs)
+summed from 0.0 in model order, the IEEE operations of that sum written
+left to right in Python. A model has one or two outputs.
 
-Every pass checks its arguments before it writes anything. It raises
-TypeError for rows or values that are no list, labels that are no tuple,
-a row that is no int, or a value or label that is no float, and
-ValueError for more rows than the layout has fields, a row outside its
-tables, or a count of values or labels other than the layout's. The
-address is not checked: it must be that of a live `Net`, or of a `Stack`
-for `read`.
+The kernel keeps a pass's rows until they are checked, a layer's active
+inputs in the backward and a layer's columns in the update in the model's
+scratch `Net.on`, not on the C stack, so a layer of any width runs on a
+thread of small stack. Every pass checks its arguments before it writes
+anything. It raises KeyError for a pair the memo lacks, a pair whose row
+is not of the field at its position (row // buckets != j), or more pairs
+than the layout has fields: the model then looks the pairs up in Python,
+which refuses an input that is not the first k fields in order, and calls
+again. It raises TypeError for pairs that are no tuple or list, a memo
+that is no dict, a pair that cannot be hashed, a memo row that is no int,
+values that are no list, labels that are no tuple, or a value or label
+that is no float, and ValueError for a memo row outside the tables or a
+count of values or labels other than the layout's. The address is not
+checked: it must be that of a live `Net`, or of a `Stack` for `read`.
 
 `exp` and `log` are fdlibm's, in the source, and each operation is one
 IEEE double operation: the module is built with `-ffp-contract=off`,
@@ -54,10 +66,11 @@ which keeps the compiler from fusing a multiply into an add, and with no
 `-march`, so it takes the same code path, and gives the same bits, on
 every x86-64 host. libm is not used, because glibc picks its `exp` and
 `log` by CPU. The two are exported as `exp` and `log` here, for the
-tests' references, as is `update(net, k)`, the step's update alone: it
-applies AdaGrad from `Net.grads` to the dense parameters and to the
-first k rows that `net.looked_up` names, and returns 0, or 1 when it
-refused the update.
+tests' references, as is `update(net, k)`, the tests' entry to the
+per-element AdaGrad of a step: it scans `Net.grads` for a non-finite
+entry, and applies the step's per-element AdaGrad from it to the dense
+parameters and to the first k rows that `net.looked_up` names; it returns
+0, or 1 when it refused the update.
 
 The module is compiled once per source, command, Python include directory
 and extension suffix, by `build`, into the package's `__pycache__/` when
@@ -268,7 +281,7 @@ struct net {
     double *grads;              /* the dense gradient, then the input's */
     const long *sizes;          /* n_layers + 1 layer widths */
     long *looked_up;            /* the rows of a pass's k fields */
-    long *on;                   /* a layer's active inputs, in the backward */
+    long *on;                   /* scratch: a pass's rows, a layer's units */
     long n_rows, n_layers, n_slots, n_dense, d;
     double lr, eps;
     double loss;                /* a step's loss */
@@ -406,19 +419,39 @@ static double backward(const struct net *t, const double *rates,
     return loss;
 }
 
+/* AdaGrad on one entry: a += g*g; s = g*lr; den = sqrt(a); den += eps;
+   s /= den; p -= s. Where s is zero it skips the division, whose quotient
+   would be that same signed zero (den > 0), so the skip gives the full
+   update's bits. */
+static inline void adagrad_at(double *p, double *a, double g, double lr,
+                              double eps)
+{
+    double s = g * g;
+    *a += s;
+    s = g * lr;
+    if (s != 0.0) {
+        double den = sqrt(*a);
+        den += eps;
+        s /= den;
+    }
+    *p -= s;
+}
+
 static void adagrad(double *restrict p, double *restrict a,
                     const double *restrict g, long n, double lr, double eps)
 {
+    for (long i = 0; i < n; i++)
+        adagrad_at(p + i, a + i, g[i], lr, eps);
+}
+
+/* AdaGrad on entries whose gradient is a signed zero: adagrad_at with the
+   division it would skip left out */
+static void adagrad_zero(double *restrict p, double *restrict a,
+                         const double *restrict g, long n, double lr)
+{
     for (long i = 0; i < n; i++) {
-        double s = g[i] * g[i];
-        a[i] += s;
-        s = g[i] * lr;
-        if (s != 0.0) {
-            double den = sqrt(a[i]);
-            den += eps;
-            s /= den;
-        }
-        p[i] -= s;
+        a[i] += g[i] * g[i];
+        p[i] -= g[i] * lr;
     }
 }
 
@@ -449,6 +482,92 @@ int kernel_update(const struct net *t, long k)
     return 0;
 }
 
+/* the largest |x[i]|, or NaN when an x[i] is NaN */
+static double max_abs(const double *x, long n)
+{
+    double top = 0.0;
+    for (long i = 0; i < n; i++) {
+        double v = fabs(x[i]);
+        if (v > top || v != v)
+            top = v;
+    }
+    return top;
+}
+
+/* the number of weights, every layer's (n, m) */
+static long n_weights(const struct net *t)
+{
+    long n_w = 0;
+    for (long l = 0; l < t->n_layers; l++)
+        n_w += t->sizes[l] * t->sizes[l + 1];
+    return n_w;
+}
+
+/* whether every gradient of a step's update is finite, after `backward`.
+   A layer's bias gradient is its delta and its weight gradient h[i] *
+   delta[j], h its input: each is finite when every h and delta is and
+   fl(max|h| * max|delta|) is, because rounding is monotone; an infinite or
+   NaN h or delta makes that product infinite or NaN too. The looked-up
+   rows' gradients are sums, checked one by one. */
+static int finite_grads(const struct net *t, long k)
+{
+    const long *size = t->sizes;
+    const double *h = t->input, *delta = t->grads + n_weights(t);
+    for (long l = 0; l < t->n_layers; l++) {
+        if (!isfinite(max_abs(h, size[l]) * max_abs(delta, size[l + 1])))
+            return 0;
+        h = l ? h + size[l] : t->acts;
+        delta += size[l + 1];
+    }
+    return isfinite(max_abs(t->grads + t->n_dense, k * t->d));
+}
+
+/* the AdaGrad update of a step whose gradients are finite: the dense
+   parameters, then in place each looked-up row. A weight row whose input
+   is zero, and a column whose delta is, has signed zero gradients, so they
+   take adagrad_zero; the other entries take adagrad_at. A layer's columns
+   of non-zero delta are listed from the front of the scratch `on`, the
+   others from its back. */
+static void update(const struct net *t, long k)
+{
+    const long *size = t->sizes;
+    long n_w = n_weights(t), *on = t->on;
+    double *p = t->dense, *a = t->dense_g2, lr = t->lr, eps = t->eps;
+    const double *g = t->grads, *h = t->input, *delta = t->grads + n_w;
+    for (long l = 0; l < t->n_layers; l++) {
+        long n = size[l], m = size[l + 1], n_on = 0, n_off = m;
+        for (long j = 0; j < m; j++) {
+            if (delta[j] != 0.0)
+                on[n_on++] = j;
+            else
+                on[--n_off] = j;
+        }
+        for (long i = 0; i < n; i++, p += m, a += m, g += m) {
+            if (h[i] == 0.0 || n_on == 0) {
+                adagrad_zero(p, a, g, m, lr);
+                continue;
+            }
+            for (long r = 0; r < n_on; r++) {
+                long j = on[r];
+                adagrad_at(p + j, a + j, g[j], lr, eps);
+            }
+            for (long r = n_on; r < m; r++) {
+                long j = on[r];
+                a[j] += g[j] * g[j];
+                p[j] -= g[j] * lr;
+            }
+        }
+        h = l ? h + n : t->acts;
+        delta += m;
+    }
+    adagrad(p, a, g, t->n_dense - n_w, lr, eps);
+    for (long j = 0; j < k; j++) {
+        long row = t->looked_up[j] * t->d;
+        adagrad(t->rows + row, t->rows_g2 + row,
+                t->grads + t->n_dense + j * t->d, t->d, lr, eps);
+    }
+}
+
 void kernel_forward(const struct net *t, long k, double *rates)
 {
     gather(t, t->looked_up, k);
@@ -461,9 +580,10 @@ int kernel_train_step(struct net *t, long k, const double *y)
     gather(t, t->looked_up, k);
     layers(t, rates);
     t->loss = backward(t, rates, y, k);
-    if (!isfinite(t->loss))
+    if (!isfinite(t->loss) || !finite_grads(t, k))
         return 1;
-    return kernel_update(t, k);
+    update(t, k);
+    return 0;
 }
 
 double kernel_read(const struct stack *s, long k)
@@ -492,30 +612,54 @@ static Py_ssize_t refuse(PyObject *type, const char *format, ...)
     return -1;
 }
 
-/* rows, a list of at most one int per field, each a row of the tables,
-   into looked_up, and, unless `values` is NULL, values, a list of one
-   float per numeric slot, into those slots. Returns k, the number of
-   rows, or -1 with TypeError or ValueError set and nothing written. */
-static Py_ssize_t fill(const struct net *t, PyObject *rows, PyObject *values)
+/* The rows of `pairs`, a tuple or a list of at most one (field, token)
+   pair per field, looked up in `memo`, a dict of (field, token) pairs to
+   rows, into looked_up, and, unless `values` is NULL, values, a list of
+   one float per numeric slot, into those slots. The row of the pair at
+   position j must be of field j: in [j * buckets, (j + 1) * buckets).
+   Returns k, the number of pairs, or -1 with an error set and nothing
+   written: KeyError for a pair the memo lacks, whose row is of another
+   field or that is beyond the last field, TypeError or ValueError for any
+   other bad argument. The rows wait in the scratch `on` until all is
+   checked. */
+static Py_ssize_t fill(const struct net *t, PyObject *pairs, PyObject *values,
+                       PyObject *memo)
 {
     long n_fields = t->n_slots / t->d, n_numeric = t->sizes[0] - t->n_slots;
-    if (!PyList_Check(rows))
-        return refuse(PyExc_TypeError, "rows must be a list, not %.100s",
-                      Py_TYPE(rows)->tp_name);
-    Py_ssize_t k = PyList_GET_SIZE(rows);
+    if (!PyTuple_Check(pairs) && !PyList_Check(pairs))
+        return refuse(PyExc_TypeError, "pairs must be a tuple or a list, not "
+                      "%.100s", Py_TYPE(pairs)->tp_name);
+    if (!PyDict_Check(memo))
+        return refuse(PyExc_TypeError, "memo must be a dict, not %.100s",
+                      Py_TYPE(memo)->tp_name);
+    Py_ssize_t k = PySequence_Fast_GET_SIZE(pairs);
     if (k > n_fields)
-        return refuse(PyExc_ValueError, "%zd rows for %ld fields", k,
+        return refuse(PyExc_KeyError, "%zd pairs for %ld fields", k,
                       n_fields);
+    long buckets = k ? t->n_rows / n_fields : 0;
     for (Py_ssize_t j = 0; j < k; j++) {
-        PyObject *row = PyList_GET_ITEM(rows, j);
+        /* a key's __eq__ may run Python code, which may shrink a list */
+        if (PySequence_Fast_GET_SIZE(pairs) != k)
+            return refuse(PyExc_RuntimeError, "pairs changed size");
+        PyObject *pair = PySequence_Fast_GET_ITEM(pairs, j);
+        Py_INCREF(pair);
+        PyObject *row = PyDict_GetItemWithError(memo, pair);
+        Py_DECREF(pair);
+        if (!row)
+            return PyErr_Occurred() ? -1 : refuse(PyExc_KeyError, "pair %zd "
+                                                  "is not in the memo", j);
         int overflow;
         if (!PyLong_Check(row))
-            return refuse(PyExc_TypeError, "row %zd must be an int, not "
-                          "%.100s", j, Py_TYPE(row)->tp_name);
+            return refuse(PyExc_TypeError, "the row of pair %zd must be an "
+                          "int, not %.100s", j, Py_TYPE(row)->tp_name);
         long r = PyLong_AsLongAndOverflow(row, &overflow);
         if (overflow || r < 0 || r >= t->n_rows)
-            return refuse(PyExc_ValueError, "row %zd is %R, not in "
-                          "[0, %ld)", j, row, t->n_rows);
+            return refuse(PyExc_ValueError, "the row of pair %zd is %R, not "
+                          "in [0, %ld)", j, row, t->n_rows);
+        if (r < j * buckets || r >= (j + 1) * buckets)
+            return refuse(PyExc_KeyError, "the row of pair %zd is %ld, not "
+                          "of field %zd", j, r, j);
+        t->on[j] = r;
     }
     if (values) {
         if (!PyList_Check(values))
@@ -534,8 +678,7 @@ static Py_ssize_t fill(const struct net *t, PyObject *rows, PyObject *values)
             t->input[t->n_slots + i] =
                 PyFloat_AS_DOUBLE(PyList_GET_ITEM(values, i));
     }
-    for (Py_ssize_t j = 0; j < k; j++)
-        t->looked_up[j] = PyLong_AsLong(PyList_GET_ITEM(rows, j));
+    memcpy(t->looked_up, t->on, k * sizeof(long));
     return k;
 }
 
@@ -564,9 +707,9 @@ static PyObject *py_forward(PyObject *self, PyObject *const *args,
 {
     const struct net *t;
     double rates[2];
-    if (!takes("forward", 3, nargs) || !(t = at(args[0])))
+    if (!takes("forward", 4, nargs) || !(t = at(args[0])))
         return NULL;
-    Py_ssize_t k = fill(t, args[1], args[2]);
+    Py_ssize_t k = fill(t, args[1], args[2], args[3]);
     if (k < 0)
         return NULL;
     kernel_forward(t, k, rates);
@@ -588,7 +731,7 @@ static PyObject *py_train_step(PyObject *self, PyObject *const *args,
 {
     struct net *t;
     double y[2];
-    if (!takes("train_step", 4, nargs) || !(t = at(args[0])))
+    if (!takes("train_step", 5, nargs) || !(t = at(args[0])))
         return NULL;
     PyObject *labels = args[3];
     long n_out = t->sizes[t->n_layers];
@@ -606,7 +749,7 @@ static PyObject *py_train_step(PyObject *self, PyObject *const *args,
                                 Py_TYPE(label)->tp_name);
         y[j] = PyFloat_AS_DOUBLE(label);
     }
-    Py_ssize_t k = fill(t, args[1], args[2]);
+    Py_ssize_t k = fill(t, args[1], args[2], args[4]);
     if (k < 0)
         return NULL;
     if (kernel_train_step(t, k, y))
@@ -618,9 +761,9 @@ static PyObject *py_read(PyObject *self, PyObject *const *args,
                          Py_ssize_t nargs)
 {
     const struct stack *s;
-    if (!takes("read", 2, nargs) || !(s = at(args[0])))
+    if (!takes("read", 3, nargs) || !(s = at(args[0])))
         return NULL;
-    Py_ssize_t k = fill(s->nets[0], args[1], NULL);
+    Py_ssize_t k = fill(s->nets[0], args[1], NULL, args[2]);
     if (k < 0)
         return NULL;
     return PyFloat_FromDouble(kernel_read(s, k));
@@ -657,10 +800,10 @@ static PyObject *py_log(PyObject *self, PyObject *arg)
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
 
 static PyMethodDef methods[] = {
-    {"forward", FASTCALL(py_forward), "forward(net, rows, values)"},
+    {"forward", FASTCALL(py_forward), "forward(net, pairs, values, memo)"},
     {"train_step", FASTCALL(py_train_step),
-     "train_step(net, rows, values, labels)"},
-    {"read", FASTCALL(py_read), "read(stack, rows)"},
+     "train_step(net, pairs, values, labels, memo)"},
+    {"read", FASTCALL(py_read), "read(stack, pairs, memo)"},
     {"update", FASTCALL(py_update), "update(net, k)"},
     {"exp", py_exp, METH_O, "exp(x)"},
     {"log", py_log, METH_O, "log(x)"},
@@ -690,8 +833,10 @@ def build(out_dir) -> Path:
     Python's extension suffix, so that no interpreter loads another's
     build. Runs the compiler only when that file is not there yet: into a
     temporary file of `out_dir`, then renamed, so that concurrent builds
-    never load a half-written module. A missing or failing compiler, or a
-    missing `Python.h`, raises RuntimeError naming the command."""
+    never load a half-written module, and then deletes the earlier builds
+    of `out_dir` with the same extension suffix, leaving one per
+    interpreter. A missing or failing compiler, or a missing `Python.h`,
+    raises RuntimeError naming the command."""
     out_dir = Path(out_dir)
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     digest = hashlib.sha256(
@@ -713,6 +858,9 @@ def build(out_dir) -> Path:
         detail = getattr(exc, "stderr", None) or exc
         raise RuntimeError(f"cannot build the model kernel: "
                            f"`{' '.join(command)}` failed: {detail}") from exc
+    for old in out_dir.glob(f"kernel_*{suffix}"):
+        if old != lib:
+            old.unlink(missing_ok=True)
     return lib
 
 
@@ -747,15 +895,16 @@ class Stack(ctypes.Structure):
 def bind(rows, rows_g2, dense, dense_g2, input, acts, grads, looked_up, on,
          sizes, lr, eps) -> Net:
     """The `Net` of these buffers, which the caller keeps alive as long as
-    it: `rows` and `rows_g2` of shape (m, d); `dense` and `dense_g2`, every
-    layer's (n, m) weights and then every layer's m biases for the layer
-    widths `sizes`, at most two outputs; `input` of sizes[0] entries, d per
-    field of `looked_up` and then the numeric slots; `acts` of
-    sum(sizes[1:]); `grads` of dense.size + sizes[0]; all C-contiguous
-    float64; `looked_up`, a ctypes array of c_long, one entry per field,
-    into which each pass writes its rows; and `on`, the backward's
-    scratch, a ctypes array of c_long with an entry per input of the
-    widest layer."""
+    it: `rows` and `rows_g2` of shape (m, d), every field's table of m /
+    fields rows in field order; `dense` and `dense_g2`, every layer's (n,
+    m) weights and then every layer's m biases for the layer widths
+    `sizes`, at most two outputs; `input` of sizes[0] entries, d per field
+    of `looked_up` and then the numeric slots; `acts` of sum(sizes[1:]);
+    `grads` of dense.size + sizes[0]; all C-contiguous float64;
+    `looked_up`, a ctypes array of c_long, one entry per field, into which
+    each pass writes its rows; and `on`, the passes' scratch, a ctypes
+    array of c_long with an entry per unit of the widest layer, the input
+    and the output included."""
     arrays = rows, rows_g2, dense, dense_g2, input, acts, grads
     if not all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays):
         raise ValueError("the model kernel takes C-contiguous float64 arrays")
@@ -768,7 +917,7 @@ def bind(rows, rows_g2, dense, dense_g2, input, acts, grads, looked_up, on,
             and input.shape == (sizes[0],) and n_slots <= sizes[0]
             and acts.shape == (sum(sizes[1:]),)
             and grads.shape == (n_dense + sizes[0],)
-            and sizes[-1] <= 2 and len(on) >= max(sizes[:-1])):
+            and sizes[-1] <= 2 and len(on) >= max(sizes)):
         raise ValueError(
             f"model kernel buffers do not match layers {sizes}: rows "
             f"{rows.shape}, rows_g2 {rows_g2.shape}, dense {dense.shape}, "

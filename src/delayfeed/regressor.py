@@ -11,11 +11,14 @@ retractions are handled.
 Every pass, a model's `forward` and `train_step` and a stack's `read`, is
 one call of the compiled `kernel`, whose arithmetic, `exp` and `log`
 included, is its own, so its bits do not depend on the host's numpy or
-BLAS kernels. Python checks the input, hashes each (field, token) pair to
-its embedding row, scales the numeric features and checks the label; the
-kernel takes those rows, values and labels as Python lists and floats,
-gathers the rows, runs the layers and, in a step, the backward and the
-AdaGrad update, and returns the rates or the loss as floats.
+BLAS kernels. Python scales the numeric features and checks the label; the
+kernel takes the (field, token) pairs, the values, the labels and the
+model's memo of each pair's embedding row, looks the rows up, gathers
+them, runs the layers and, in a step, the backward and the AdaGrad update,
+and returns the rates or the loss as floats. A pair the memo lacks, or an
+input that is not the declared fields in order, sends the pass back to
+Python's `_fill`, which hashes the pairs the memo lacks and checks their
+fields; the pass then calls the kernel again.
 """
 
 from __future__ import annotations
@@ -130,10 +133,10 @@ class PoissonRegressor:
     (`kernel`) hold their addresses, so they are written in place and
     never replaced.
 
-    Every pass takes `categorical`, (field_id, token) pairs of the first k
-    declared fields, in declared order, each once, and `numeric`, (name,
-    value) pairs of declared numeric features; the later fields' slots and
-    the unnamed numeric slots are zero. Any other input is refused with
+    Every pass takes `categorical`, a tuple or a list of (field_id, token)
+    pairs of the first k declared fields, in declared order, each once,
+    and `numeric`, (name, value) pairs of declared numeric features; the
+    later fields' slots and the unnamed numeric slots are zero. Any other input is refused with
     ContractViolation before anything is written. A pass writes the whole
     of one input vector the model reuses, in the kernel, so no pass depends
     on the one before; `forward` and `train_step` both write it, so a model
@@ -176,7 +179,7 @@ class PoissonRegressor:
             name: i for i, name in enumerate(config.numeric_features)
         }
         self._field_index = {f: i for i, f in enumerate(fields)}
-        # (field_id, token) -> (field index, `_emb_rows` row)
+        # the row memo: (field_id, token) -> `_emb_rows` row
         self._rows = {}
         # the input vector of every pass: one embedding slot per field, then
         # the numeric slots
@@ -190,8 +193,9 @@ class PoissonRegressor:
         # the rows a pass looks up
         self._looked_up = (ctypes.c_long * nf)()
         self._acts = np.zeros(sum(fan_out for _, fan_out in layers))
-        # the backward's active inputs of one layer
-        self._on = (ctypes.c_long * max(fan_in for fan_in, _ in layers))()
+        # the kernel's scratch, as long as the widest layer: a pass's rows,
+        # a layer's active inputs in the backward, its columns in the update
+        self._on = (ctypes.c_long * max(map(max, layers)))()
         self._net = kernel.bind(
             self._emb_rows, self.g2[:n_emb].reshape(-1, d), self.params[n_emb:],
             self.g2[n_emb:], self._input, self._acts, self._grads,
@@ -202,59 +206,65 @@ class PoissonRegressor:
 
     # -- input -----------------------------------------------------------
 
-    def _fill(self, categorical, numeric=()) -> tuple:
-        """(rows, values), a pass's arguments to the kernel: the list of
-        each (field_id, token) pair's `_emb_rows` row and the list of the
-        numeric slots' values. The pairs must be the first k declared
-        fields, in declared order, each once, and each name a declared
-        numeric feature, whose value is log1p-scaled; every other numeric
-        slot is 0. A refused input raises, naming the field or the feature.
-        A pair's (field index, row) is remembered in the model's memo; an
-        unknown field is not."""
-        memo, rows = self._rows, []
+    def _fill(self, categorical) -> dict:
+        """{pair: `_emb_rows` row} of each (field_id, token) pair of
+        `categorical`: a pass's memo once the kernel has refused the
+        model's own with KeyError, for a pair it lacks or whose row is of
+        another field than the one at its position. The pairs must be the
+        first k declared fields, in declared order, each once; a refused
+        input raises, naming the field and its position. Each pair's row is
+        remembered in the model's memo; an unknown field is not."""
+        memo, buckets, rows = self._rows, self.config.hash_buckets_per_field, {}
         for j, pair in enumerate(categorical):
-            hit = memo.get(pair)
-            if hit is None:
+            row = memo.get(pair)
+            if row is None:
                 field_id, token = pair
                 fi = self._field_index.get(field_id)
                 if fi is None:
                     raise ContractViolation(
                         f"unknown categorical field {field_id!r}; declared "
                         f"fields: {self.config.categorical_fields}")
-                buckets = self.config.hash_buckets_per_field
-                hit = fi, fi * buckets + hash_token(field_id, token, buckets)
+                row = fi * buckets + hash_token(field_id, token, buckets)
                 if len(memo) >= ROW_MEMO_SIZE:
                     memo.clear()
-                memo[pair] = hit
-            fi, row = hit
-            if fi != j:
+                memo[pair] = row
+            if row // buckets != j:
                 raise ContractViolation(
                     f"categorical field {pair[0]!r} at position {j}: the input "
                     f"must be the first k declared fields, in declared order, "
                     f"each once; declared fields: "
                     f"{self.config.categorical_fields}"
                 )
-            rows.append(row)
-        values = self._no_numeric
-        if numeric:
-            values = values.copy()
-            for name, value in numeric:
-                idx = self._numeric_index.get(name)
-                if idx is None:
-                    raise ContractViolation(
-                        f"unknown numeric feature {name!r}; declared: "
-                        f"{self.config.numeric_features}"
-                    )
-                # log1p scaling for heavy-tailed count-like inputs
-                values[idx] = math.copysign(math.log1p(abs(value)), value)
-        return rows, values
+            rows[pair] = row
+        return rows
+
+    def _values(self, numeric) -> list:
+        """The numeric slots' values of a pass: each (name, value) pair of
+        `numeric` must name a declared numeric feature, whose value is
+        log1p-scaled; every other slot is 0. An unknown name raises."""
+        values = self._no_numeric.copy()
+        for name, value in numeric:
+            idx = self._numeric_index.get(name)
+            if idx is None:
+                raise ContractViolation(
+                    f"unknown numeric feature {name!r}; declared: "
+                    f"{self.config.numeric_features}"
+                )
+            # log1p scaling for heavy-tailed count-like inputs
+            values[idx] = math.copysign(math.log1p(abs(value)), value)
+        return values
 
     # -- forward ---------------------------------------------------------
 
     def forward(self, categorical, numeric=()):
         """The model's one inference pass: the rate, or (rate_plus,
         rate_minus) in two-output mode."""
-        return kernel.forward(self._net_p, *self._fill(categorical, numeric))
+        values = self._values(numeric) if numeric else self._no_numeric
+        try:
+            return kernel.forward(self._net_p, categorical, values, self._rows)
+        except KeyError:
+            return kernel.forward(self._net_p, categorical, values,
+                                  self._fill(categorical))
 
     # -- training --------------------------------------------------------
 
@@ -291,11 +301,16 @@ class PoissonRegressor:
         backward of the summed Poisson NLL over outputs, which it writes
         into `_grads`, and the update of the dense parameters and, in place,
         of the embedding rows the input looked up. A non-finite loss, or a
-        non-finite entry in the dense gradient or those rows' gradients,
+        non-finite gradient of the dense parameters or of those rows,
         raises before anything is written."""
         labels = self._label(label)
-        loss = kernel.train_step(self._net_p, *self._fill(categorical, numeric),
-                                 labels)
+        values = self._values(numeric) if numeric else self._no_numeric
+        try:
+            loss = kernel.train_step(self._net_p, categorical, values, labels,
+                                     self._rows)
+        except KeyError:
+            loss = kernel.train_step(self._net_p, categorical, values, labels,
+                                     self._fill(categorical))
         if loss is None:
             raise FloatingPointError(
                 f"non-finite loss or gradient (loss={self._net.loss}); "
@@ -361,4 +376,9 @@ class RegressorStack:
         """The sum, from 0.0 and in model order, of each model's
         `forward(categorical)` (rate_plus - rate_minus in two-output mode),
         bit for bit. Takes the input the models take."""
-        return kernel.read(self._stack_p, self.models[0]._fill(categorical)[0])
+        model = self.models[0]
+        try:
+            return kernel.read(self._stack_p, categorical, model._rows)
+        except KeyError:
+            return kernel.read(self._stack_p, categorical,
+                               model._fill(categorical))

@@ -742,6 +742,18 @@ def test_build_compiles_once_and_names_the_compiler(tmp_path, monkeypatch):
     assert list((tmp_path / "b").iterdir()) == []
 
 
+def test_build_deletes_its_interpreters_earlier_builds(tmp_path, monkeypatch):
+    # an earlier source's build goes when the next is built; another
+    # interpreter's build, of another extension suffix, stays
+    foreign = tmp_path / "kernel_0123456789abcdef.cpython-39-x86_64-linux-gnu.so"
+    foreign.write_bytes(b"")
+    first = kernel.build(tmp_path)
+    monkeypatch.setattr(kernel, "SOURCE", kernel.SOURCE + "\n/* edited */\n")
+    second = kernel.build(tmp_path)
+    assert second != first
+    assert sorted(tmp_path.iterdir()) == sorted([foreign, second])
+
+
 def test_build_names_the_command_when_python_h_is_missing(tmp_path,
                                                           monkeypatch):
     monkeypatch.setattr(kernel, "INCLUDE", str(tmp_path / "no-headers"))
@@ -751,19 +763,26 @@ def test_build_names_the_command_when_python_h_is_missing(tmp_path,
     assert list((tmp_path / "b").iterdir()) == []
 
 
-# (pass, argument, bad value, error): a rows or values argument that is no
-# list, too many rows, a row that is no int or outside the 32 rows of the
-# small layout, a wrong number of values or labels, a value or label that
-# is no float, labels that are no tuple, a bad address, a wrong arity
+C, S = ("campaign", "c1"), ("segment", "s1")
+
+# (pass, argument, bad value, error): pairs that are no tuple or list, a
+# pair that cannot be hashed, a pair whose memo row is outside the 32 rows
+# of the small layout, a wrong number of values or labels, a value or label
+# that is no float, values that are no list, labels that are no tuple, a
+# bad address, a memo that is no dict or whose row is no int, a wrong
+# arity; then a pair the memo lacks, whose row is of another field than the
+# one at its position (a repeated field, fields out of order) or that is
+# beyond the last field, which the kernel refuses with KeyError, so that
+# the model looks the pairs up and names what is wrong
 BAD_PASS_ARGUMENTS = [
-    ("forward", 1, (1, 2), TypeError),
+    ("forward", 1, {C, S}, TypeError),
     ("forward", 1, None, TypeError),
-    ("forward", 1, [1, 17, 3], ValueError),
-    ("forward", 1, [1, 17.0], TypeError),
-    ("forward", 1, ["1"], TypeError),
-    ("forward", 1, [-1], ValueError),
-    ("forward", 1, [32], ValueError),
-    ("forward", 1, [2 ** 64], ValueError),
+    ("forward", 1, [C, ("segment", "minus")], ValueError),
+    ("forward", 1, [C, ["segment", "s1"]], TypeError),
+    ("forward", 1, [{"campaign": "c1"}], TypeError),
+    ("forward", 1, [("campaign", "minus")], ValueError),
+    ("forward", 1, [C, ("segment", "big")], ValueError),
+    ("forward", 1, [("campaign", "huge")], ValueError),
     ("forward", 2, (0.5,), TypeError),
     ("forward", 2, [], ValueError),
     ("forward", 2, [0.5, 0.5], ValueError),
@@ -772,8 +791,8 @@ BAD_PASS_ARGUMENTS = [
     ("forward", 0, "0", TypeError),
     ("forward", 0, 0, ValueError),
     ("forward", 3, None, TypeError),
-    ("train_step", 1, [1, 17, 3], ValueError),
-    ("train_step", 1, [1, 32], ValueError),
+    ("train_step", 1, [("campaign", "big")], ValueError),
+    ("train_step", 1, [C, ("segment", "big")], ValueError),
     ("train_step", 2, [1.0, 0.5], ValueError),
     ("train_step", 2, [2], TypeError),
     ("train_step", 3, 1.0, TypeError),
@@ -781,12 +800,28 @@ BAD_PASS_ARGUMENTS = [
     ("train_step", 3, (), ValueError),
     ("train_step", 3, (1.0, 0.0), ValueError),
     ("train_step", 3, (1,), TypeError),
-    ("read", 1, (1, 17), TypeError),
-    ("read", 1, [1, 17, 3], ValueError),
-    ("read", 1, [1, 1.0], TypeError),
-    ("read", 1, [0, 32], ValueError),
+    ("read", 1, (C, ["segment", "s1"]), TypeError),
+    ("read", 1, [("campaign", "minus")], ValueError),
+    ("read", 1, [C, ("campaign", "float")], TypeError),
+    ("read", 1, [C, ("segment", "big")], ValueError),
     ("read", 0, 0, ValueError),
     ("read", 2, [0.5], TypeError),
+    ("train_step", 4, [(C, 1), (S, 17)], TypeError),
+    ("forward", 3, {C: 1.0, S: 17}, TypeError),
+    ("read", 2, {C: 1, S: 17.0}, TypeError),
+    ("forward", 3, {C: 1, S: 2 ** 64}, ValueError),
+    ("read", 3, None, TypeError),
+    ("forward", 1, [C, C], KeyError),
+    ("train_step", 1, [C, C], KeyError),
+    ("read", 1, [C, C], KeyError),
+    ("forward", 1, [S, C], KeyError),
+    ("train_step", 1, [S], KeyError),
+    ("read", 1, [S, C], KeyError),
+    ("forward", 1, [C, ("segment", "s2")], KeyError),
+    ("forward", 3, {C: 17, S: 17}, KeyError),
+    ("forward", 1, [C, S, C], KeyError),
+    ("train_step", 1, [C, S, S], KeyError),
+    ("read", 1, (C, S, ("context", "x")), KeyError),
 ]
 
 
@@ -795,10 +830,14 @@ def test_kernel_refuses_bad_pass_arguments_writing_nothing(name, at, value,
                                                            error):
     stack = RegressorStack(small_config(), [7, 8])
     model = stack.models[0]
-    rows, values = model._fill(*fv(aux=1.0))
-    sound = {"forward": [model._net_p, rows, values],
-             "train_step": [model._net_p, rows, values, (1.0,)],
-             "read": [stack._stack_p, rows]}
+    pairs, values = [C, S], model._values([("aux", 1.0)])
+    memo = {**model._fill(pairs), ("campaign", "minus"): -1,
+            ("segment", "minus"): -1, ("campaign", "big"): 32,
+            ("segment", "big"): 32, ("campaign", "huge"): 2 ** 64,
+            ("campaign", "float"): 1.0}
+    sound = {"forward": [model._net_p, pairs, values, memo],
+             "train_step": [model._net_p, pairs, values, (1.0,), memo],
+             "read": [stack._stack_p, pairs, memo]}
     args = list(sound[name])
     args[at:at + 1] = [value]
     # a pass of other rows and values than the sound ones, so that a write
@@ -815,6 +854,26 @@ def test_kernel_refuses_bad_pass_arguments_writing_nothing(name, at, value,
     assert state() == before
     # the sound arguments run
     assert getattr(kernel, name)(*sound[name]) is not None
+
+
+def test_kernel_refuses_pairs_that_shrink_while_it_looks_them_up():
+    # a key whose comparison with the memo's equal key empties the list of
+    # pairs the kernel is reading
+    model = PoissonRegressor(small_config())
+    pairs = [C, S]
+    memo = model._fill(pairs)
+
+    class Shrinking(tuple):
+        def __eq__(self, other):
+            pairs.clear()
+            return tuple.__eq__(self, other)
+
+        __hash__ = tuple.__hash__
+    pairs[0] = Shrinking(C)
+    looked_up = model._looked_up[:]
+    with pytest.raises(RuntimeError, match="changed size"):
+        kernel.forward(model._net_p, pairs, model._no_numeric, memo)
+    assert pairs == [] and model._looked_up[:] == looked_up
 
 
 REF_FIELDS = ("campaign", "segment", "site")
@@ -955,6 +1014,42 @@ def test_wide_layer_steps_on_a_small_thread_stack():
     assert child.stdout == wide_step().hex() + "\n"
 
 
+def test_scratch_holds_the_widest_layer_even_the_output():
+    # sizes [1, 1, 2]: the update lists the output layer's two columns in
+    # the scratch, so `bind` takes no scratch shorter than max(sizes); with
+    # guard entries after a scratch of two, steps write none of them
+    cfg = RegressorConfig(categorical_fields=("campaign",), embedding_dim=1,
+                          hash_buckets_per_field=2, hidden_layer_sizes=(1,),
+                          two_output_mode=True)
+    model, ref = PoissonRegressor(cfg), PoissonRegressor(cfg)
+    assert len(model._on) == 2
+    n_emb = model._emb_rows.size
+    guarded = (ctypes.c_long * 6)(0, 0, -7, -7, -7, -7)
+
+    def bind(on):
+        return kernel.bind(
+            model._emb_rows, model.g2[:n_emb].reshape(-1, 1),
+            model.params[n_emb:], model.g2[n_emb:], model._input, model._acts,
+            model._grads, model._looked_up, on, [1, 1, 2], cfg.learning_rate,
+            cfg.adagrad_epsilon)
+    with pytest.raises(ValueError, match="1 scratch entries"):
+        bind((ctypes.c_long * 1)())
+    model._net = bind((ctypes.c_long * 2).from_buffer(guarded))
+    model._net_p = ctypes.addressof(model._net)
+    # the hidden unit switched on, so that both output columns take
+    # AdaGrad with a non-zero delta
+    for m in (model, ref):
+        m.biases[0][:] = 1.0
+    for step in range(20):
+        categorical = [("campaign", f"c{step % 3}")]
+        label = (float(step % 4), float(step % 3))
+        assert model.train_step(categorical, (), label) == reference_step(
+            ref, categorical, (), label), step
+    assert model.params.tobytes() == ref.params.tobytes()
+    assert model.g2.tobytes() == ref.g2.tobytes()
+    assert guarded[2:] == [-7] * 4
+
+
 # -- the step's finiteness check ----------------------------------------------
 # A step's gradients are set through the model's state and labels: a zeroed
 # `small_config` model (hidden layer of 5) with the first two hidden units
@@ -1065,6 +1160,51 @@ def test_non_finite_gradient_of_a_summed_input_is_refused(where, value):
     assert not model._grads.any()
 
 
+def refused_without_a_warning(model, features, label):
+    """Asserts that a train_step of `model` raises FloatingPointError
+    without a warning, after a finite loss, and writes nothing."""
+    params, g2 = model.params.copy(), model.g2.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            model.train_step(*features, label)
+    assert math.isfinite(model._net.loss)
+    assert model.params.tobytes() == params.tobytes()
+    assert model.g2.tobytes() == g2.tobytes()
+
+
+def test_weight_gradient_that_overflows_from_finite_factors_is_refused():
+    # the campaign row's first entry is 1e200, and the first hidden unit,
+    # on, has output weight 1: at label 1e200 the output delta, and so the
+    # unit's, is about -1e200. Every layer input and delta is finite, but
+    # the unit's weight gradient from that entry is 1e200 * -1e200.
+    model = zeroed()
+    row = expected_row(model, C)
+    model._emb_rows[row, 0] = 1e200
+    model.weights[1][0, 0] = 1.0
+    refused_without_a_warning(model, fv(aux=1.0), 1e200)
+    n_weights = sum(w.size for w in model.weights)
+    n_dense = model._grads.size - model.input_dim
+    assert model._grads[0] == -math.inf
+    assert np.isfinite(model._acts).all()
+    assert np.isfinite(model._grads[n_weights:n_dense + 6]).all()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+def test_non_finite_looked_up_entry_is_refused(value):
+    # the campaign row's first entry, and so the input's first slot, is
+    # infinite; every weight from that slot and every output weight is 1,
+    # so the hidden units are +inf, and the log-rate too, which is clamped,
+    # or the hidden units are 0. Either way the loss is finite, and only
+    # the layer inputs show the fault.
+    model = zeroed()
+    model._emb_rows[expected_row(model, C), 0] = value
+    model.weights[0][0] = 1.0
+    model.weights[1][:] = 1.0
+    refused_without_a_warning(model, fv(aux=1.0), 1.0)
+    assert model._input[0] == value
+
+
 @pytest.mark.parametrize("magnitude", [1e300, 1.3e154],
                          ids=["square-overflows", "sum-overflows"])
 @WHERE
@@ -1144,7 +1284,7 @@ def test_layouts_map_a_pair_to_their_own_rows():
                 categorical = [pair] if pair[0] == first else [
                     (first, "t1"), pair]
                 numeric = [("aux", 1.0)]
-                rows, _ = model._fill(categorical)
+                rows = list(model._fill(categorical).values())
                 assert rows == [expected_row(model, p) for p in categorical]
                 rates, _, _ = reference_forward(model, categorical, numeric)
                 assert model.forward(categorical, numeric) == float(rates[0])
@@ -1163,8 +1303,7 @@ def test_stack_models_own_memos_that_agree_with_hash_token():
         categorical, _ = first_k_features(rng, aux=step % 2)
         expect = [expected_row(stack.models[0], p) for p in categorical]
         for model in stack.models:
-            rows, _ = model._fill(categorical)
-            assert rows == expect
+            assert list(model._fill(categorical).values()) == expect
 
 
 def test_full_memo_is_cleared_and_rows_stay_right(monkeypatch):
@@ -1181,6 +1320,29 @@ def test_full_memo_is_cleared_and_rows_stay_right(monkeypatch):
         assert model.train_step(*features, label) == reference_step(
             ref, *features, label), step
     assert np.array_equal(model.params, ref.params)
+
+
+def test_pass_after_a_memo_clear_gives_the_same_bits(monkeypatch):
+    # with a memo of two entries, every pass of three pairs clears it on
+    # the way and leaves some of its pairs out, so that the next pass looks
+    # them up again; the passes give the bits of a model whose memo holds
+    # them all
+    cfg = small_config(categorical_fields=REF_FIELDS)
+    categorical = [("campaign", "c1"), ("segment", "s1"), ("site", "x")]
+    ref = PoissonRegressor(cfg)
+    expect = [(bits(ref.forward(categorical)),
+               bits(ref.train_step(categorical, (), 2.0))) for _ in range(3)]
+    monkeypatch.setattr(regressor, "ROW_MEMO_SIZE", 2)
+    model = PoissonRegressor(cfg)
+    memos = []
+    for want in expect:
+        assert (bits(model.forward(categorical)),
+                bits(model.train_step(categorical, (), 2.0))) == want
+        memos.append(list(model._rows))
+    assert memos[0] == [("segment", "s1"), ("site", "x")]
+    assert all(len(memo) == 2 for memo in memos)
+    assert model.params.tobytes() == ref.params.tobytes()
+    assert model.g2.tobytes() == ref.g2.tobytes()
 
 
 # -- the serving forward --------------------------------------------------------
