@@ -30,14 +30,18 @@ structure: a layer's bias gradient is its delta and its weight gradient
 h[i] * delta[j], h the layer's input, so all of them are finite when every
 h and delta is and so is fl(max|h| * max|delta|), rounding being
 monotone; the looked-up rows' gradients are checked one by one. Otherwise
-it applies AdaGrad element by element, to the dense parameters and then in
-place to each looked-up row: accum += g*g; s = g*lr; den = sqrt(accum);
+it applies AdaGrad to each entry, of the dense parameters and then in
+place of each looked-up row: accum += g*g; s = g*lr; den = sqrt(accum);
 den += eps; s /= den; param -= s. Where s is zero it skips the division,
 whose quotient would be that same signed zero (den > 0), so the skip gives
 the full update's bits. A weight row whose input is zero, and a column
 whose delta is zero, has signed zero gradients: those entries take accum
-+= g*g; param -= g*lr alone, with no branch. The step returns the loss, or
-None when it refused the step.
++= g*g; param -= g*lr alone, with no branch. The other weight entries, the
+biases and the rows' entries run two at a time, one per SSE2 lane, each
+lane the same IEEE operations; there the skip is a blend, s where s is
+zero and the quotient elsewhere, so each lane gives the one-entry form's
+bits for every accumulator, a NaN one included. An odd last entry runs
+alone. The step returns the loss, or None when it refused the step.
 
 `read(stack, pairs, memo)` returns the served rate of a `RegressorStack`
 on one serving input: each model's forward on those rows with all numeric
@@ -64,13 +68,19 @@ checked: it must be that of a live `Net`, or of a `Stack` for `read`.
 IEEE double operation: the module is built with `-ffp-contract=off`,
 which keeps the compiler from fusing a multiply into an add, and with no
 `-march`, so it takes the same code path, and gives the same bits, on
-every x86-64 host. libm is not used, because glibc picks its `exp` and
-`log` by CPU. The two are exported as `exp` and `log` here, for the
-tests' references, as is `update(net, k)`, the tests' entry to the
-per-element AdaGrad of a step: it scans `Net.grads` for a non-finite
-entry, and applies the step's per-element AdaGrad from it to the dense
-parameters and to the first k rows that `net.looked_up` names; it returns
-0, or 1 when it refused the update.
+every x86-64 host; the update's lanes are SSE2, which every x86-64 CPU
+has (a compiler without `__SSE2__` builds the one-entry loop). libm is
+not used, because glibc picks its `exp` and `log` by CPU. The build also
+pins code placement, `-falign-functions=64 -falign-loops=32`, so that an
+edit to one function does not move another's timing: built without the
+pin, this source's `read` took 4.55-4.72 µs a call against 4.12-4.25 with
+it, and `forward` 1.34-1.48 against 1.30-1.34 (`tests/time_passes.py` on
+a 2-core x86-64 VM). `exp` and `log` are exported here, for the tests'
+references, as is `update(net, k)`, the tests' entry to the per-element
+AdaGrad of a step: it scans `Net.grads` for a non-finite entry, and
+applies AdaGrad from it, one entry at a time, to the dense parameters and
+to the first k rows that `net.looked_up` names; it returns 0, or 1 when it
+refused the update.
 
 The module is compiled once per source, command, Python include directory
 and extension suffix, by `build`, into the package's `__pycache__/` when
@@ -97,6 +107,9 @@ SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 /* fd_exp and fd_log are __ieee754_exp and __ieee754_log of fdlibm 5.3,
  * errors below 1 ulp, with word access through memcpy:
@@ -406,8 +419,8 @@ static double backward(const struct net *t, const double *rates,
             gb -= n;
             for (long i = 0; i < n; i++) {
                 gb[i] = 0.0;
-                if (h[i] > 0.0)
-                    on[n_on++] = i;
+                on[n_on] = i;
+                n_on += h[i] > 0.0;
             }
             matvec(w, delta, m, on, n_on, gb);
         } else {
@@ -441,6 +454,42 @@ static void adagrad(double *restrict p, double *restrict a,
                     const double *restrict g, long n, double lr, double eps)
 {
     for (long i = 0; i < n; i++)
+        adagrad_at(p + i, a + i, g[i], lr, eps);
+}
+
+#ifdef __SSE2__
+/* adagrad_at on two entries, one per lane, with the same IEEE operations.
+   The zero skip is a blend: where s is zero the lane subtracts s, not the
+   quotient, so every accumulator, a NaN one included, gives adagrad_at's
+   bits. */
+static inline void adagrad_pd(__m128d *p, __m128d *a, __m128d g, __m128d lr,
+                              __m128d eps)
+{
+    *a = _mm_add_pd(*a, _mm_mul_pd(g, g));
+    __m128d s = _mm_mul_pd(g, lr);
+    __m128d den = _mm_add_pd(_mm_sqrt_pd(*a), eps);
+    __m128d q = _mm_div_pd(s, den);
+    __m128d nz = _mm_cmpneq_pd(s, _mm_setzero_pd());
+    *p = _mm_sub_pd(*p, _mm_or_pd(_mm_and_pd(nz, q), _mm_andnot_pd(nz, s)));
+}
+#endif
+
+/* adagrad on n contiguous entries, two at a time where SSE2 is there */
+static void adagrad_packed(double *restrict p, double *restrict a,
+                           const double *restrict g, long n, double lr,
+                           double eps)
+{
+    long i = 0;
+#ifdef __SSE2__
+    __m128d lr2 = _mm_set1_pd(lr), eps2 = _mm_set1_pd(eps);
+    for (; i + 2 <= n; i += 2) {
+        __m128d pv = _mm_loadu_pd(p + i), av = _mm_loadu_pd(a + i);
+        adagrad_pd(&pv, &av, _mm_loadu_pd(g + i), lr2, eps2);
+        _mm_storeu_pd(p + i, pv);
+        _mm_storeu_pd(a + i, av);
+    }
+#endif
+    for (; i < n; i++)
         adagrad_at(p + i, a + i, g[i], lr, eps);
 }
 
@@ -525,29 +574,48 @@ static int finite_grads(const struct net *t, long k)
 /* the AdaGrad update of a step whose gradients are finite: the dense
    parameters, then in place each looked-up row. A weight row whose input
    is zero, and a column whose delta is, has signed zero gradients, so they
-   take adagrad_zero; the other entries take adagrad_at. A layer's columns
-   of non-zero delta are listed from the front of the scratch `on`, the
-   others from its back. */
+   take adagrad_zero; the other entries take adagrad_at, two at a time
+   where SSE2 is there, as do the biases and the rows. A layer's columns of
+   non-zero delta are listed from the front of the scratch `on`, the others
+   from its back: each column is written at both ends and one end
+   advances, so no branch is taken. */
 static void update(const struct net *t, long k)
 {
     const long *size = t->sizes;
     long n_w = n_weights(t), *on = t->on;
     double *p = t->dense, *a = t->dense_g2, lr = t->lr, eps = t->eps;
     const double *g = t->grads, *h = t->input, *delta = t->grads + n_w;
+#ifdef __SSE2__
+    __m128d lr2 = _mm_set1_pd(lr), eps2 = _mm_set1_pd(eps);
+#endif
     for (long l = 0; l < t->n_layers; l++) {
         long n = size[l], m = size[l + 1], n_on = 0, n_off = m;
         for (long j = 0; j < m; j++) {
-            if (delta[j] != 0.0)
-                on[n_on++] = j;
-            else
-                on[--n_off] = j;
+            long nz = delta[j] != 0.0;
+            on[n_on] = j;
+            on[n_off - 1] = j;
+            n_on += nz;
+            n_off -= 1 - nz;
         }
         for (long i = 0; i < n; i++, p += m, a += m, g += m) {
             if (h[i] == 0.0 || n_on == 0) {
                 adagrad_zero(p, a, g, m, lr);
                 continue;
             }
-            for (long r = 0; r < n_on; r++) {
+            long r = 0;
+#ifdef __SSE2__
+            for (; r + 2 <= n_on; r += 2) {
+                long j0 = on[r], j1 = on[r + 1];
+                __m128d pv = _mm_set_pd(p[j1], p[j0]);
+                __m128d av = _mm_set_pd(a[j1], a[j0]);
+                adagrad_pd(&pv, &av, _mm_set_pd(g[j1], g[j0]), lr2, eps2);
+                _mm_storel_pd(p + j0, pv);
+                _mm_storeh_pd(p + j1, pv);
+                _mm_storel_pd(a + j0, av);
+                _mm_storeh_pd(a + j1, av);
+            }
+#endif
+            for (; r < n_on; r++) {
                 long j = on[r];
                 adagrad_at(p + j, a + j, g[j], lr, eps);
             }
@@ -560,11 +628,11 @@ static void update(const struct net *t, long k)
         h = l ? h + n : t->acts;
         delta += m;
     }
-    adagrad(p, a, g, t->n_dense - n_w, lr, eps);
+    adagrad_packed(p, a, g, t->n_dense - n_w, lr, eps);
     for (long j = 0; j < k; j++) {
         long row = t->looked_up[j] * t->d;
-        adagrad(t->rows + row, t->rows_g2 + row,
-                t->grads + t->n_dense + j * t->d, t->d, lr, eps);
+        adagrad_packed(t->rows + row, t->rows_g2 + row,
+                       t->grads + t->n_dense + j * t->d, t->d, lr, eps);
     }
 }
 
@@ -824,7 +892,8 @@ PyMODINIT_FUNC PyInit__kernel(void)
 # the running Python's headers, which SOURCE includes
 INCLUDE = sysconfig.get_paths()["include"]
 COMMAND = ("cc", "-O3", "-fPIC", "-shared", "-ffp-contract=off",
-           "-fno-math-errno", "-x", "c", "-")
+           "-fno-math-errno", "-falign-functions=64", "-falign-loops=32",
+           "-x", "c", "-")
 
 
 def build(out_dir) -> Path:

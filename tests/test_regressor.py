@@ -708,6 +708,44 @@ def test_zero_skipping_update_equals_a_full_update_bytes(lr):
         assert got.tobytes() == expect.tobytes()
 
 
+def test_packed_update_equals_the_per_element_formula():
+    # a step's update runs AdaGrad two entries at a time; on random layouts
+    # of odd widths (odd row lengths, odd column counts, so that every tail
+    # runs) and accumulators seeded with NaN, +inf and subnormals, it must
+    # give the bytes of `kernel.update`, the per-element formula, run on a
+    # twin from the same state with the step's gradients and rows. A NaN
+    # accumulator where g * lr is zero (an inactive unit's bias) keeps its
+    # parameter only if the zero skip is kept.
+    rng = np.random.default_rng(30)
+    specials = np.array([math.nan, math.inf, TINY, 1e-310, 0.0])
+    for case in range(60):
+        cfg = small_config(
+            categorical_fields=REF_FIELDS,
+            embedding_dim=int(rng.choice([1, 3, 5, 7])),
+            hash_buckets_per_field=4,
+            hidden_layer_sizes=tuple(int(w) for w in rng.choice(
+                [1, 3, 5, 7, 9, 15], size=rng.integers(1, 3))),
+            two_output_mode=bool(rng.integers(2)))
+        model, twin = PoissonRegressor(cfg), PoissonRegressor(cfg)
+        n = model.params.size
+        model.params[:] = rng.normal(0.0, 0.5, n)
+        model.params[rng.random(n) < 0.1] = -0.0
+        model.g2[:] = rng.exponential(1.0, n)
+        seeded = rng.random(n) < 0.3
+        model.g2[seeded] = rng.choice(specials, int(seeded.sum()))
+        twin.params[:], twin.g2[:] = model.params, model.g2
+        categorical, numeric = first_k_features(rng, aux=case % 2)
+        label = ((float(rng.poisson(1.0)), float(rng.poisson(0.3)))
+                 if cfg.two_output_mode else float(rng.poisson(1.2)))
+        model.train_step(categorical, numeric, label)
+        k = len(categorical)
+        twin._grads[:] = model._grads
+        twin._looked_up[:k] = model._looked_up[:k]
+        assert kernel.update(twin._net_p, k) == 0, case
+        assert model.params.tobytes() == twin.params.tobytes(), case
+        assert model.g2.tobytes() == twin.g2.tobytes(), case
+
+
 def ulps_apart(a: float, b: float) -> int:
     """How many doubles lie from a to b, for finite a and b of one sign."""
     (ia,), (ib,) = struct.unpack("<q", bits(a)), struct.unpack("<q", bits(b))
@@ -740,6 +778,15 @@ def test_build_compiles_once_and_names_the_compiler(tmp_path, monkeypatch):
                        r"-ffp-contract=off -fno-math-errno .*` failed"):
         kernel.build(tmp_path / "b")
     assert list((tmp_path / "b").iterdir()) == []
+
+
+def test_kernel_entries_are_64_byte_aligned():
+    # the build pins code placement, so that an edit elsewhere in the
+    # source does not move the passes' timing
+    lib = ctypes.CDLL(kernel._module.__file__)
+    for name in ("kernel_forward", "kernel_train_step", "kernel_read"):
+        entry = getattr(lib, name)
+        assert ctypes.cast(entry, ctypes.c_void_p).value % 64 == 0, name
 
 
 def test_build_deletes_its_interpreters_earlier_builds(tmp_path, monkeypatch):

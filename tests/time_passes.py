@@ -9,11 +9,18 @@ Then, in the same process, it replays each kind of pass alone from that
 record, in a loop, five times, and keeps the fastest: `train_step` from the
 models' initial state, so that the steps alone retrace the replay's
 training, `forward` and `read` on the trained models. The steps' trace must
-leave each sub-model's `params` and `g2` as the replay did.
+leave each sub-model's `params` and `g2` as the replay did. Last it times
+whole replays of fresh variants, five times each, and keeps the fastest:
+as they run, and with the kernel's three passes (`kernel.forward`,
+`train_step` and `read`) replaced by stubs that return constants, so that
+what is left is the replay's Python work (less `_fill`'s hashing: a stub
+never misses the memo).
 
 The whole is run in 4 processes, one after another. Prints, per variant,
 µs per call of each pass (the fastest process; the loop's own cost
-included) with its number of calls, then the sha256 of each sub-model's
+included) with its number of calls; µs per click of the replay, of the
+stubbed replay, and the Python share that follows (stubbed over whole, the
+fastest process of each); then the sha256 of each sub-model's
 `params` bytes followed by its `g2` bytes, which every process must agree
 on. Two checkouts can so be compared per call and bit for bit. Exits 1 if
 the processes or the steps' trace disagree on a hash.
@@ -79,9 +86,35 @@ def best_us(calls, reset) -> float:
     return best / 1e3 / len(calls)
 
 
+def replay_us(spec, stream, slices, stubbed) -> float:
+    """µs per click of the fastest of REPEATS replays of `stream`, each by
+    a fresh variant of `spec`; with `stubbed`, the kernel's passes return
+    constants (a rate, or a pair of them in two-output mode; a loss)."""
+    from delayfeed import harness, kernel, variants
+
+    passes = {name: getattr(kernel, name) for name in PASSES}
+    best = float("inf")
+    for _ in range(REPEATS):
+        variant = variants.build_variant(spec, seed_offset=SEED * 101)
+        if stubbed:
+            rate = (0.2, 0.0) if variant.sub_models[0].n_outputs == 2 else 0.2
+            kernel.forward = lambda net, pairs, values, memo: rate
+            kernel.train_step = lambda net, pairs, values, labels, memo: 0.5
+            kernel.read = lambda stack, pairs, memo: 0.2
+        try:
+            start = time.perf_counter_ns()
+            harness.run(variant, stream.examples, slices)
+            best = min(best, time.perf_counter_ns() - start)
+        finally:
+            for name, method in passes.items():
+                setattr(kernel, name, method)
+    return best / 1e3 / len(stream.examples)
+
+
 def measure() -> dict:
     """{variant: {"us": {pass: µs}, "calls": {pass: n}, "sha256": [...],
-    "traced": [...]}} of one process."""
+    "traced": [...], "click_us": {"replay": µs, "stubbed": µs}}} of one
+    process."""
     from delayfeed import cli, harness, variants
 
     cfg = cli.config_from_dict({"stream": {"total_clicks": CLICKS},
@@ -107,8 +140,12 @@ def measure() -> dict:
               for kind in PASSES if by_pass[kind]}
         # the last loop of steps ran from the initial state
         traced = state_hashes(models)
+        click_us = {kind: replay_us(cfg.specs[name], stream, slices,
+                                    kind == "stubbed")
+                    for kind in ("replay", "stubbed")}
         out[name] = {"us": us, "sha256": replayed, "traced": traced,
-                     "calls": {k: len(v) for k, v in by_pass.items() if v}}
+                     "calls": {k: len(v) for k, v in by_pass.items() if v},
+                     "click_us": click_us}
     return out
 
 
@@ -128,6 +165,11 @@ def main() -> int:
         us = {k: min(run[name]["us"][k] for run in runs) for k in first["us"]}
         print(f"{name}: " + ", ".join(
             f"{k} {us[k]:.3f} us ({first['calls'][k]:,} calls)" for k in us))
+        click = {k: min(run[name]["click_us"][k] for run in runs)
+                 for k in first["click_us"]}
+        print(f"  replay {click['replay']:.2f} us a click, passes stubbed "
+              f"{click['stubbed']:.2f} us: Python "
+              f"{click['stubbed'] / click['replay']:.0%}")
         for i, digest in enumerate(first["sha256"]):
             print(f"  sub-model {i} params+g2 sha256 {digest}")
         if any(run[name]["sha256"] != first["sha256"]
