@@ -105,7 +105,9 @@ class ClickExample:
 
 def mature_label(example: ClickExample) -> float:
     """Final label once the attribution window has elapsed: signed sum of
-    all event values."""
+    all event values, 0.0 for a click without events."""
+    if not example.events:
+        return 0.0
     return math.fsum(ev.sign * ev.value for ev in example.events)
 
 
@@ -141,6 +143,35 @@ def split_signed(example: ClickExample, lo: float, hi: float) -> tuple:
             else:
                 neg += ev.value
     return pos, neg
+
+
+def window_and_prefix(example: ClickExample, lo: float, hi: float,
+                      horizon: float, split: bool = False) -> tuple:
+    """(label, prefix) from one scan of the events: the label is
+    slice_label(example, lo, hi), or split_signed's pair when `split`, and
+    the prefix observed_prefix(example, horizon), each summed in event order
+    from 0.0, so with their bits. A horizon outside [0, attribution window]
+    is refused as observed_prefix refuses it."""
+    if not 0 <= horizon <= example.attribution_window:
+        raise ContractViolation(
+            f"horizon {horizon} outside [0, {example.attribution_window}]"
+        )
+    end = max(hi, horizon)
+    total = pos = neg = prefix = 0.0
+    for ev in example.events:
+        delay = ev.delay
+        if delay >= end:
+            break
+        if delay < horizon:
+            prefix += ev.sign * ev.value
+        if lo <= delay < hi:
+            if not split:
+                total += ev.sign * ev.value
+            elif ev.sign > 0:
+                pos += ev.value
+            else:
+                neg += ev.value
+    return ((pos, neg) if split else total), prefix
 
 
 def poisson_nll(rate: float, label: float) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from math import copysign
 
 from .core import (
     ClickExample,
@@ -29,7 +30,9 @@ from .core import (
     observed_prefix,
     slice_label,
     split_signed,
+    window_and_prefix,
 )
+from . import regressor
 from .regressor import RegressorConfig, RegressorStack
 
 THERMOMETER = "thermometer"
@@ -134,20 +137,36 @@ class SubModelEnsemble:
         self.two_output = rc.two_output_mode
         self.stack = RegressorStack(rc, seeds)
         self.sub_models = self.stack.models
+        # the aux memo: prefix key -> (count pair, numeric pair), cleared
+        # when it holds regressor.ROW_MEMO_SIZE entries (`features_for`)
+        self._aux = {}
 
     # -- features ----------------------------------------------------------
 
-    def features_for(self, example: ClickExample, i: int) -> tuple:
+    def features_for(self, example: ClickExample, i: int,
+                     prefix: float = None) -> tuple:
         """Sub-model i's (categorical, numeric) input: the serving features
         and no numeric ones, plus, when aux is enabled and i >= 1, two aux
         entries derived strictly from events with delay < d_i: the label
         so far (log1p-scaled inside the regressor) and its bucketed count
-        token."""
+        token. `prefix`, when given, is that label so far,
+        observed_prefix(example, d_i), which the caller has already
+        summed. The two entries are memoised per prefix value, so that one
+        value always hands the regressor the same numeric pair object; the
+        memo's key is the prefix, or for a zero the prefix and its sign,
+        which a float key would lose (-0.0 == 0.0)."""
         if not self._use_aux or i < 1:
             return example.serving_features, ()
-        prefix = observed_prefix(example, self.windows[i][0])
-        return ([*example.serving_features, _aux_count_pair(prefix)],
-                [(AUX_NUMERIC_FEATURE, max(prefix, 0.0))])
+        if prefix is None:
+            prefix = observed_prefix(example, self.windows[i][0])
+        key = prefix if prefix else (prefix, copysign(1.0, prefix))
+        aux = self._aux.get(key)
+        if aux is None:
+            if len(self._aux) >= regressor.ROW_MEMO_SIZE:
+                self._aux.clear()
+            aux = self._aux[key] = (_aux_count_pair(prefix),
+                                    (AUX_NUMERIC_FEATURE, max(prefix, 0.0)))
+        return [*example.serving_features, aux[0]], [aux[1]]
 
     # -- serving ------------------------------------------------------------
 
@@ -178,13 +197,20 @@ class SubModelEnsemble:
         if self._mature_label:
             return mature_label(example)
         lo, hi = self.windows[i]
-        if self.two_output:
+        completes = self._thermometer and i < len(self.windows) - 1
+        prefix = None
+        if completes and self._use_aux:
+            # f_{i+1}'s aux prefix comes from the label's own scan
+            label, prefix = window_and_prefix(
+                example, lo, hi, self.windows[i + 1][0], self.two_output)
+        elif self.two_output:
             label = split_signed(example, lo, hi)
         else:
             label = slice_label(example, lo, hi)
-        if not self._thermometer or i == len(self.windows) - 1:
+        if not completes:
             return label
-        nxt = self.sub_models[i + 1].forward(*self.features_for(example, i + 1))
+        nxt = self.sub_models[i + 1].forward(
+            *self.features_for(example, i + 1, prefix))
         if self.two_output:
             return label[0] + nxt[0], label[1] + nxt[1]
         return label + nxt

@@ -19,29 +19,32 @@ outputs.
 
 `train_step(net, pairs, values, labels, memo)`, `labels` a tuple of one
 float per output, runs that forward and the backward of the summed Poisson
-NLL against the labels, writing `net.loss` and the gradients (`Net.grads`:
-the dense gradient, laid out like the dense parameters, then the input
-gradient's first d * k entries, the looked-up rows'). Each gradient of a
-layer's input sums over that layer's outputs in order, from 0.0; a hidden
-unit whose ReLU output is not above 0 gets 0.0. Then the update refuses
-the step, writing no parameter and no accumulator, when the loss or a
-gradient it would apply is not finite. It checks that from the gradients'
-structure: a layer's bias gradient is its delta and its weight gradient
-h[i] * delta[j], h the layer's input, so all of them are finite when every
-h and delta is and so is fl(max|h| * max|delta|), rounding being
-monotone; the looked-up rows' gradients are checked one by one. Otherwise
-it applies AdaGrad to each entry, of the dense parameters and then in
-place of each looked-up row: accum += g*g; s = g*lr; den = sqrt(accum);
-den += eps; s /= den; param -= s. Where s is zero it skips the division,
-whose quotient would be that same signed zero (den > 0), so the skip gives
-the full update's bits. A weight row whose input is zero, and a column
-whose delta is zero, has signed zero gradients: those entries take accum
-+= g*g; param -= g*lr alone, with no branch. The other weight entries, the
-biases and the rows' entries run two at a time, one per SSE2 lane, each
-lane the same IEEE operations; there the skip is a blend, s where s is
-zero and the quotient elsewhere, so each lane gives the one-entry form's
-bits for every accumulator, a NaN one included. An odd last entry runs
-alone. The step returns the loss, or None when it refused the step.
+NLL against the labels, writing `net.loss`, each layer's delta, which is
+its bias gradient, and the input gradient's first d * k entries, the
+looked-up rows' (`Net.grads`: laid out like the dense parameters, then the
+input vector; a step leaves the weights' block as it was). Each gradient of
+a layer's input sums over that layer's outputs in order, from 0.0; a
+hidden unit whose ReLU output is not above 0 gets 0.0. A layer's weight
+gradient h[i] * delta[j], h the layer's input, is never stored: the update
+forms each product where it applies it. The update refuses the step,
+writing no parameter and no accumulator, when the loss or a gradient it
+would apply is not finite. It checks that from the gradients' structure:
+the bias gradients are the deltas and the weight gradients those
+products, so all of them are finite when every h and delta is and so is
+fl(max|h| * max|delta|), rounding being monotone; the looked-up rows'
+gradients are checked one by one. Otherwise it applies AdaGrad to each
+entry, of the dense parameters and then in place of each looked-up row:
+accum += g*g; s = g*lr; den = sqrt(accum); den += eps; s /= den; param -=
+s. Where s is zero it skips the division, whose quotient would be that
+same signed zero (den > 0), so the skip gives the full update's bits. A
+weight row whose input is zero, and a column whose delta is zero, has
+signed zero gradients: those entries take accum += g*g; param -= g*lr
+alone, with no branch. The other weight entries, the biases and the rows'
+entries run two at a time, one per SSE2 lane, each lane the same IEEE
+operations; there the skip is a blend, s where s is zero and the quotient
+elsewhere, so each lane gives the one-entry form's bits for every
+accumulator, a NaN one included. An odd last entry runs alone. The step
+returns the loss, or None when it refused the step.
 
 `read(stack, pairs, memo)` returns the served rate of a `RegressorStack`
 on one serving input: each model's forward on those rows with all numeric
@@ -77,10 +80,11 @@ pin, this source's `read` took 4.55-4.72 µs a call against 4.12-4.25 with
 it, and `forward` 1.34-1.48 against 1.30-1.34 (`tests/time_passes.py` on
 a 2-core x86-64 VM). `exp` and `log` are exported here, for the tests'
 references, as is `update(net, k)`, the tests' entry to the per-element
-AdaGrad of a step: it scans `Net.grads` for a non-finite entry, and
-applies AdaGrad from it, one entry at a time, to the dense parameters and
-to the first k rows that `net.looked_up` names; it returns 0, or 1 when it
-refused the update.
+AdaGrad of a step: it scans `Net.grads`, the weights' block included,
+which the caller fills, for a non-finite entry, and applies AdaGrad from
+it, one entry at a time, to the dense parameters and to the first k rows
+that `net.looked_up` names; it returns 0, or 1 when it refused the
+update.
 
 The module is compiled once per source, command, Python include directory
 and extension suffix, by `build`, into the package's `__pycache__/` when
@@ -291,7 +295,8 @@ struct net {
     double *dense, *dense_g2;   /* every layer's weights, then its biases */
     double *input;              /* d slots per field, then the numeric ones */
     double *acts;               /* each layer's output */
-    double *grads;              /* the dense gradient, then the input's */
+    double *grads;              /* the dense gradient, then the input's; a
+                                   step writes the deltas and the rows' */
     const long *sizes;          /* n_layers + 1 layer widths */
     long *looked_up;            /* the rows of a pass's k fields */
     long *on;                   /* scratch: a pass's rows, a layer's units */
@@ -383,7 +388,7 @@ static void matvec(const double *w, const double *v, long m,
 }
 
 /* after `layers`, the gradients of the summed Poisson NLL against labels
-   y into grads; returns that loss */
+   y into grads, but for the weights'; returns that loss */
 static double backward(const struct net *t, const double *rates,
                        const double *y, long k)
 {
@@ -394,7 +399,7 @@ static double backward(const struct net *t, const double *rates,
         n_acts += size[l + 1];
     }
     const double *w = t->dense + n_w, *act = t->acts + n_acts;
-    double *gw = t->grads + n_w, *gb = t->grads + t->n_dense;
+    double *gb = t->grads + t->n_dense;
     double loss = 0.0;
     gb -= size[L];
     for (long j = 0; j < size[L]; j++) {
@@ -402,16 +407,14 @@ static double backward(const struct net *t, const double *rates,
         gb[j] = rates[j] - y[j];
     }
     for (long l = L - 1; l >= 0; l--) {
-        /* a layer's bias gradient is its pre-activation's gradient */
+        /* a layer's bias gradient is its pre-activation's gradient, its
+           delta; its weight gradient h[i] * delta[j] is formed by `update`
+           where it applies it */
         long n = size[l], m = size[l + 1], n_on = 0;
         const double *delta = gb;
         act -= m;
         const double *h = l ? act - n : t->input;
         w -= n * m;
-        gw -= n * m;
-        for (long i = 0; i < n; i++)
-            for (long j = 0; j < m; j++)
-                gw[i * m + j] = h[i] * delta[j];
         /* the gradient of this layer's input: of the previous layer's
            units, 0.0 where inactive, or of the looked-up rows' slots */
         long *on = t->on;
@@ -493,14 +496,15 @@ static void adagrad_packed(double *restrict p, double *restrict a,
         adagrad_at(p + i, a + i, g[i], lr, eps);
 }
 
-/* AdaGrad on entries whose gradient is a signed zero: adagrad_at with the
-   division it would skip left out */
-static void adagrad_zero(double *restrict p, double *restrict a,
-                         const double *restrict g, long n, double lr)
+/* AdaGrad on a weight row whose gradients x * delta[j] are all signed
+   zeros: adagrad_at with the division it would skip left out */
+static void adagrad_zero(double *restrict p, double *restrict a, double x,
+                         const double *restrict delta, long m, double lr)
 {
-    for (long i = 0; i < n; i++) {
-        a[i] += g[i] * g[i];
-        p[i] -= g[i] * lr;
+    for (long j = 0; j < m; j++) {
+        double g = x * delta[j];
+        a[j] += g * g;
+        p[j] -= g * lr;
     }
 }
 
@@ -572,19 +576,22 @@ static int finite_grads(const struct net *t, long k)
 }
 
 /* the AdaGrad update of a step whose gradients are finite: the dense
-   parameters, then in place each looked-up row. A weight row whose input
-   is zero, and a column whose delta is, has signed zero gradients, so they
-   take adagrad_zero; the other entries take adagrad_at, two at a time
-   where SSE2 is there, as do the biases and the rows. A layer's columns of
-   non-zero delta are listed from the front of the scratch `on`, the others
-   from its back: each column is written at both ends and one end
-   advances, so no branch is taken. */
+   parameters, then in place each looked-up row. The weight gradient g =
+   h[i] * delta[j], h a layer's input, is formed here, where it is
+   applied, and never stored. A weight row whose input is zero, and a
+   column whose delta is, has signed zero gradients, so they take
+   adagrad_zero's operations; the other entries take adagrad_at, two at a
+   time where SSE2 is there, as do the biases, whose gradients are the
+   deltas, and the rows. A layer's columns of non-zero delta are listed
+   from the front of the scratch `on`, the others from its back: each
+   column is written at both ends and one end advances, so no branch is
+   taken. */
 static void update(const struct net *t, long k)
 {
     const long *size = t->sizes;
     long n_w = n_weights(t), *on = t->on;
     double *p = t->dense, *a = t->dense_g2, lr = t->lr, eps = t->eps;
-    const double *g = t->grads, *h = t->input, *delta = t->grads + n_w;
+    const double *h = t->input, *delta = t->grads + n_w;
 #ifdef __SSE2__
     __m128d lr2 = _mm_set1_pd(lr), eps2 = _mm_set1_pd(eps);
 #endif
@@ -597,18 +604,21 @@ static void update(const struct net *t, long k)
             n_on += nz;
             n_off -= 1 - nz;
         }
-        for (long i = 0; i < n; i++, p += m, a += m, g += m) {
-            if (h[i] == 0.0 || n_on == 0) {
-                adagrad_zero(p, a, g, m, lr);
+        for (long i = 0; i < n; i++, p += m, a += m) {
+            double x = h[i];
+            if (x == 0.0 || n_on == 0) {
+                adagrad_zero(p, a, x, delta, m, lr);
                 continue;
             }
             long r = 0;
 #ifdef __SSE2__
+            __m128d x2 = _mm_set1_pd(x);
             for (; r + 2 <= n_on; r += 2) {
                 long j0 = on[r], j1 = on[r + 1];
                 __m128d pv = _mm_set_pd(p[j1], p[j0]);
                 __m128d av = _mm_set_pd(a[j1], a[j0]);
-                adagrad_pd(&pv, &av, _mm_set_pd(g[j1], g[j0]), lr2, eps2);
+                __m128d gv = _mm_mul_pd(x2, _mm_set_pd(delta[j1], delta[j0]));
+                adagrad_pd(&pv, &av, gv, lr2, eps2);
                 _mm_storel_pd(p + j0, pv);
                 _mm_storeh_pd(p + j1, pv);
                 _mm_storel_pd(a + j0, av);
@@ -617,18 +627,19 @@ static void update(const struct net *t, long k)
 #endif
             for (; r < n_on; r++) {
                 long j = on[r];
-                adagrad_at(p + j, a + j, g[j], lr, eps);
+                adagrad_at(p + j, a + j, x * delta[j], lr, eps);
             }
             for (long r = n_on; r < m; r++) {
                 long j = on[r];
-                a[j] += g[j] * g[j];
-                p[j] -= g[j] * lr;
+                double g = x * delta[j];
+                a[j] += g * g;
+                p[j] -= g * lr;
             }
         }
         h = l ? h + n : t->acts;
         delta += m;
     }
-    adagrad_packed(p, a, g, t->n_dense - n_w, lr, eps);
+    adagrad_packed(p, a, t->grads + n_w, t->n_dense - n_w, lr, eps);
     for (long j = 0; j < k; j++) {
         long row = t->looked_up[j] * t->d;
         adagrad_packed(t->rows + row, t->rows_g2 + row,

@@ -11,14 +11,15 @@ retractions are handled.
 Every pass, a model's `forward` and `train_step` and a stack's `read`, is
 one call of the compiled `kernel`, whose arithmetic, `exp` and `log`
 included, is its own, so its bits do not depend on the host's numpy or
-BLAS kernels. Python scales the numeric features and checks the label; the
-kernel takes the (field, token) pairs, the values, the labels and the
-model's memo of each pair's embedding row, looks the rows up, gathers
-them, runs the layers and, in a step, the backward and the AdaGrad update,
-and returns the rates or the loss as floats. A pair the memo lacks, or an
-input that is not the declared fields in order, sends the pass back to
-Python's `_fill`, which hashes the pairs the memo lacks and checks their
-fields; the pass then calls the kernel again.
+BLAS kernels. Python scales the numeric features (memoised for an
+ensemble's aux input) and checks the label; the kernel takes the (field,
+token) pairs, the values, the labels and the model's memo of each pair's
+embedding row, looks the rows up, gathers them, runs the layers and, in a
+step, the backward and the AdaGrad update, and returns the rates or the
+loss as floats. A pair the memo lacks, or an input that is not the
+declared fields in order, sends the pass back to Python's `_fill`, which
+hashes the pairs the memo lacks and checks their fields; the pass then
+calls the kernel again.
 """
 
 from __future__ import annotations
@@ -131,13 +132,14 @@ class PoissonRegressor:
     tables, then the dense weights, then the dense biases. `embeddings`,
     `weights` and `biases` are views into `params`. The compiled passes
     (`kernel`) hold their addresses, so they are written in place and
-    never replaced.
+    never replaced: both are read-only properties.
 
     Every pass takes `categorical`, a tuple or a list of (field_id, token)
     pairs of the first k declared fields, in declared order, each once,
-    and `numeric`, (name, value) pairs of declared numeric features; the
-    later fields' slots and the unnamed numeric slots are zero. Any other input is refused with
-    ContractViolation before anything is written. A pass writes the whole
+    and `numeric`, a tuple or a list of (name, value) pairs of declared
+    numeric features; the later fields' slots and the unnamed numeric
+    slots are zero. Any other input is refused with ContractViolation
+    before anything is written. A pass writes the whole
     of one input vector the model reuses, in the kernel, so no pass depends
     on the one before; `forward` and `train_step` both write it, so a model
     is for one thread at a time.
@@ -158,7 +160,7 @@ class PoissonRegressor:
 
         size = sum(math.prod(s) for s in shapes)
         # one allocation for both, which sets up faster than two
-        self.params, self.g2 = np.zeros((2, size))
+        self._params, self._g2 = np.zeros((2, size))
         n_dense = sum(math.prod(s) for s in dense_shapes)
         n_emb = self.params.size - n_dense
         # every embedding row of every field, field by field: row
@@ -186,9 +188,14 @@ class PoissonRegressor:
         self._input = np.zeros(self.input_dim)
         # the numeric slots' values when a pass names no numeric feature
         self._no_numeric = [0.0] * len(config.numeric_features)
+        # the slots memo: id(pair) -> (pair, `_values([pair])`), cleared
+        # when it holds ROW_MEMO_SIZE entries
+        self._slot_memo = {}
         # gradients of the last step: the dense gradient, laid out like the
-        # dense tail of `params`, then the input vector's, of which a step
-        # writes the first k slots, those of the k rows it looked up
+        # dense tail of `params`, of which a step writes the bias block,
+        # each layer's delta (the kernel forms the weight gradients inside
+        # its update), then the input vector's, of which it writes the
+        # first k slots, those of the k rows it looked up
         self._grads = np.zeros(n_dense + self.input_dim)
         # the rows a pass looks up
         self._looked_up = (ctypes.c_long * nf)()
@@ -203,6 +210,18 @@ class PoissonRegressor:
             [self.input_dim, *config.hidden_layer_sizes, self.n_outputs],
             config.learning_rate, config.adagrad_epsilon)
         self._net_p = ctypes.addressof(self._net)
+
+    @property
+    def params(self) -> np.ndarray:
+        """The parameters, which the compiled passes read and write in
+        place: writable, but not to be rebound."""
+        return self._params
+
+    @property
+    def g2(self) -> np.ndarray:
+        """The AdaGrad accumulators, laid out like `params`: writable, but
+        not to be rebound."""
+        return self._g2
 
     # -- input -----------------------------------------------------------
 
@@ -254,12 +273,30 @@ class PoissonRegressor:
             values[idx] = math.copysign(math.log1p(abs(value)), value)
         return values
 
+    def _slots(self, numeric) -> list:
+        """`_values(numeric)`, memoised for an input of one (name, value)
+        tuple, the form an ensemble's aux input takes, on that tuple's
+        identity: the memo holds the tuple, so its id stays its own, and no
+        two values that compare equal but differ in bits (0.0 and -0.0)
+        share an entry. Other inputs are scaled on every call. The list
+        returned is the memo's, for the kernel to read."""
+        if len(numeric) != 1 or type(pair := numeric[0]) is not tuple:
+            return self._values(numeric)
+        hit = self._slot_memo.get(id(pair))
+        if hit is not None and hit[0] is pair:
+            return hit[1]
+        values = self._values(numeric)
+        if len(self._slot_memo) >= ROW_MEMO_SIZE:
+            self._slot_memo.clear()
+        self._slot_memo[id(pair)] = pair, values
+        return values
+
     # -- forward ---------------------------------------------------------
 
     def forward(self, categorical, numeric=()):
         """The model's one inference pass: the rate, or (rate_plus,
         rate_minus) in two-output mode."""
-        values = self._values(numeric) if numeric else self._no_numeric
+        values = self._slots(numeric) if numeric else self._no_numeric
         try:
             return kernel.forward(self._net_p, categorical, values, self._rows)
         except KeyError:
@@ -298,13 +335,13 @@ class PoissonRegressor:
     def train_step(self, categorical, numeric, label) -> float:
         """One online AdaGrad step; returns the pre-update loss. One call of
         the compiled kernel (`kernel.train_step`) runs the forward, the
-        backward of the summed Poisson NLL over outputs, which it writes
-        into `_grads`, and the update of the dense parameters and, in place,
-        of the embedding rows the input looked up. A non-finite loss, or a
-        non-finite gradient of the dense parameters or of those rows,
-        raises before anything is written."""
+        backward of the summed Poisson NLL over outputs, whose deltas and
+        input gradient it writes into `_grads`, and the update of the dense
+        parameters and, in place, of the embedding rows the input looked
+        up. A non-finite loss, or a non-finite gradient of the dense
+        parameters or of those rows, raises before anything is written."""
         labels = self._label(label)
-        values = self._values(numeric) if numeric else self._no_numeric
+        values = self._slots(numeric) if numeric else self._no_numeric
         try:
             loss = kernel.train_step(self._net_p, categorical, values, labels,
                                      self._rows)

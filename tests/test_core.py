@@ -1,5 +1,7 @@
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from delayfeed.core import (
     poisson_nll,
     slice_label,
     split_signed,
+    window_and_prefix,
 )
 from delayfeed.regressor import RegressorConfig
 from delayfeed.variants import standard_specs
@@ -62,7 +65,8 @@ def buckets(e, w=WINDOWS):
 
 class TestMatureLabel:
     def test_empty(self):
-        assert mature_label(make_example([])) == 0.0
+        label = mature_label(make_example([]))
+        assert struct.pack("<d", label) == struct.pack("<d", 0.0)
 
     def test_direct_count(self):
         e = make_example([0.5 * DAY, 3 * DAY, 20 * DAY])
@@ -92,6 +96,53 @@ class TestObservedPrefix:
             observed_prefix(e, M + 1)
         with pytest.raises(ContractViolation):
             observed_prefix(e, -1)
+
+
+# the window edges of the default bucketing
+EDGES = (0.0, 1 * DAY, 3 * DAY, 7 * DAY, 15 * DAY, M)
+
+
+def random_example(rng):
+    """An example of up to 8 events, 40% of them exactly on an EDGES
+    entry, a third of them retractions, with values drawn from a lognormal
+    and from exact 0.0 and 1.0."""
+    n = int(rng.integers(9))
+    on_edge = rng.random(n) < 0.4
+    delays = np.where(on_edge, rng.choice(EDGES[:-1], n),
+                      rng.uniform(0.0, M, n))
+    signs = rng.choice([1, -1], n, p=[2 / 3, 1 / 3])
+    values = np.where(rng.random(n) < 0.3, rng.choice([0.0, 1.0], n),
+                      rng.lognormal(0.0, 1.0, n))
+    return make_example(delays.tolist(), [int(s) for s in signs],
+                        values.tolist())
+
+
+class TestWindowAndPrefix:
+    @staticmethod
+    def bits(value):
+        values = value if isinstance(value, tuple) else (value,)
+        return [struct.pack("<d", v) for v in values]
+
+    def test_one_scan_equals_the_label_helpers_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for case in range(3000):
+            e = random_example(rng)
+            lo, hi = sorted(float(x) for x in rng.choice(EDGES, 2))
+            # the horizon below, inside and above the window, on its edges
+            horizon = float(rng.choice([*EDGES, float(rng.uniform(0.0, M))]))
+            label, prefix = window_and_prefix(e, lo, hi, horizon)
+            pair, split_prefix = window_and_prefix(e, lo, hi, horizon,
+                                                   split=True)
+            assert self.bits(label) == self.bits(slice_label(e, lo, hi)), case
+            assert self.bits(pair) == self.bits(split_signed(e, lo, hi)), case
+            want = self.bits(observed_prefix(e, horizon))
+            assert self.bits(prefix) == self.bits(split_prefix) == want, case
+
+    def test_out_of_range_horizon_is_refused(self):
+        e = make_example([0.5 * DAY])
+        for horizon in (M + 1, -1.0, math.nan):
+            with pytest.raises(ContractViolation):
+                window_and_prefix(e, 0.0, 1 * DAY, horizon)
 
 
 class TestLabelEncodings:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from delayfeed.cli import config_from_dict, stream_for_seed
+from delayfeed import regressor
 from delayfeed.core import (
     DAY,
     ContractViolation,
     mature_label,
     slice_label,
+    split_signed,
 )
 from delayfeed.ensemble import (
     BUCKET,
@@ -21,7 +23,7 @@ from delayfeed.harness import default_slices, run
 from delayfeed.regressor import RegressorConfig
 from delayfeed.variants import build_variant
 
-from test_core import WINDOWS, make_example, windows
+from test_core import EDGES, WINDOWS, make_example, random_example, windows
 from test_regressor import count_passes
 
 M = 30 * DAY
@@ -175,6 +177,72 @@ class TestAuxFeatures:
         assert ens.features_for(e1, 1) == ens.features_for(e2, 1)
         assert ens.features_for(e2, 1)[1] == [("aux_label_so_far", 2.0)]
         assert ens.features_for(e2, 2)[1] == [("aux_label_so_far", 4.0)]
+
+
+class TestAuxMemo:
+    @staticmethod
+    def bits(x):
+        return struct.pack("<d", x)
+
+    def test_one_prefix_value_hands_over_one_numeric_pair(self):
+        ens = make_ensemble()
+        a = ens.features_for(make_example([0.5 * DAY]), 1)
+        b = ens.features_for(make_example([0.2 * DAY, 3 * DAY]), 1)
+        assert a == b and a[1][0] is b[1][0]
+        # a fresh list each call, so that a caller may keep or change it
+        assert a[0] is not b[0] and a[1] is not b[1]
+        assert ens.features_for(make_example([]), 1)[1][0] is not a[1][0]
+
+    def test_zero_prefixes_keep_their_sign(self):
+        # max(prefix, 0.0) keeps a -0.0 prefix, so its numeric input is
+        # -0.0, whichever zero the memo saw first
+        ens = make_ensemble()
+        e = make_example([])
+        for prefixes in ((0.0, -0.0), (-0.0, 0.0)):
+            for prefix in prefixes:
+                categorical, numeric = ens.features_for(e, 1, prefix)
+                assert categorical[-1] == ("aux_count", "0")
+                assert self.bits(numeric[0][1]) == self.bits(prefix)
+            ens._aux.clear()
+
+    def test_memo_is_bounded_and_refills_alike(self, monkeypatch):
+        monkeypatch.setattr(regressor, "ROW_MEMO_SIZE", 3)
+        ens, fresh = make_ensemble(), make_ensemble()
+        rng = np.random.default_rng(12)
+        e = make_example([])
+        for step in range(200):
+            prefix = float(rng.choice([0.0, -0.0, 1.0, 2.5, 7.0, -3.0, 40.0]))
+            got = ens.features_for(e, 2, prefix)
+            fresh._aux.clear()
+            want = fresh.features_for(e, 2, prefix)
+            assert got == want and self.bits(got[1][0][1]) == self.bits(
+                want[1][0][1]), step
+            assert len(ens._aux) <= 3
+
+    @pytest.mark.parametrize("two_output", [False, True],
+                             ids=["single", "two"])
+    def test_completed_label_equals_the_two_scans(self, two_output):
+        # training_label sums f_{i+1}'s aux prefix in its own label scan;
+        # it must give the bits of the window label plus f_{i+1}'s forward
+        # on features_for's own prefix
+        ens = make_ensemble(two_output=two_output,
+                            windows=windows(*EDGES[1:-1]))
+        rng = np.random.default_rng(13)
+        for m in ens.sub_models:
+            m.params[:] = rng.normal(0.0, 0.3, m.params.size)
+        for case in range(400):
+            e = random_example(rng)
+            for i, (lo, hi) in enumerate(ens.windows[:-1]):
+                got = ens.training_label(e, i)
+                nxt = ens.sub_models[i + 1].forward(*ens.features_for(e, i + 1))
+                if two_output:
+                    pos, neg = split_signed(e, lo, hi)
+                    want = pos + nxt[0], neg + nxt[1]
+                else:
+                    want = (slice_label(e, lo, hi) + nxt,)
+                got = got if two_output else (got,)
+                assert [self.bits(x) for x in got] == [
+                    self.bits(x) for x in want], (case, i)
 
 
 class TestServe:

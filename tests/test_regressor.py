@@ -306,24 +306,48 @@ class TestTrainStep:
 
 def step_loss(model, categorical, numeric, label) -> float:
     """The loss of a `train_step` of `model`, which is then undone: its
-    gradients stay in `_grads`."""
+    layer inputs stay in `_input` and `_acts`, its deltas and input
+    gradient in `_grads`."""
     state = model.params.copy(), model.g2.copy()
     loss = model.train_step(categorical, numeric, label)
     model.params[:], model.g2[:] = state
     return loss
 
 
+def step_gradients(model) -> np.ndarray:
+    """The gradients of `model`'s last step, laid out like `_grads`: the
+    dense gradient, then the input gradient. The kernel stores each layer's
+    delta (its bias gradient) and the input gradient, and forms a weight
+    gradient h[i] * delta[j] only inside its update; here each is that
+    same IEEE product, of the layer's input (`_input`, then the previous
+    layer's `_acts`) and the stored delta."""
+    grads = model._grads.copy()
+    n_dense = grads.size - model.input_dim
+    n_weights = sum(w.size for w in model.weights)
+    shapes = [b.shape for b in model.biases]
+    deltas = regressor._carve(grads[n_weights:n_dense], shapes)
+    inputs = [model._input, *regressor._carve(model._acts, shapes)]
+    weights = regressor._carve(grads[:n_weights],
+                               [w.shape for w in model.weights])
+    with np.errstate(all="ignore"):
+        for w, h, delta in zip(weights, inputs, deltas):
+            np.multiply.outer(h, delta, out=w)
+    return grads
+
+
 def analytic_gradients(model, categorical, numeric, label):
-    """The loss and gradients of a step of `model` (`step_loss`), read from
-    `_grads`: one array per dense parameter, in the order of `weights +
-    biases`, and {`_emb_rows` row: gradient} of the rows looked up."""
+    """The loss and gradients of a step of `model` (`step_loss`,
+    `step_gradients`): one array per dense parameter, in the order of
+    `weights + biases`, and {`_emb_rows` row: gradient} of the rows looked
+    up."""
     loss = step_loss(model, categorical, numeric, label)
+    grads = step_gradients(model)
     rows = model._looked_up[:len(categorical)]
     d, nf = model.config.embedding_dim, len(model.config.categorical_fields)
-    n_dense = model._grads.size - model.input_dim
-    dense = regressor._carve(model._grads[:n_dense].copy(),
+    n_dense = grads.size - model.input_dim
+    dense = regressor._carve(grads[:n_dense],
                              regressor.param_shapes(model.config)[nf:])
-    emb = model._grads[n_dense : n_dense + d * len(rows)].reshape(-1, d).copy()
+    emb = grads[n_dense : n_dense + d * len(rows)].reshape(-1, d)
     return loss, dense, dict(zip(rows, emb))
 
 
@@ -739,11 +763,68 @@ def test_packed_update_equals_the_per_element_formula():
                  if cfg.two_output_mode else float(rng.poisson(1.2)))
         model.train_step(categorical, numeric, label)
         k = len(categorical)
-        twin._grads[:] = model._grads
+        twin._grads[:] = step_gradients(model)
         twin._looked_up[:k] = model._looked_up[:k]
         assert kernel.update(twin._net_p, k) == 0, case
         assert model.params.tobytes() == twin.params.tobytes(), case
         assert model.g2.tobytes() == twin.g2.tobytes(), case
+
+
+def test_scalar_update_fallback_equals_the_sse2_build(tmp_path,
+                                                     monkeypatch):
+    # the update's one-entry loop, which a compiler without __SSE2__ (a
+    # non-x86 host) builds, against the two-lane build, on the layouts,
+    # states and accumulators of the packed-update test: a few hundred
+    # recorded steps must give the same losses, or the same refusals, and
+    # the same bytes. A NaN accumulator soon turns its parameter NaN, and
+    # the model's steps are refused from then on, so only every fourth
+    # layout has one.
+    command = (*kernel.COMMAND[:-3], "-U__SSE2__", *kernel.COMMAND[-3:])
+    macros = subprocess.run([*command[:-3], "-dM", "-E", "-x", "c", "-"],
+                            input="", capture_output=True, text=True,
+                            check=True).stdout
+    assert "__SSE2__" not in macros and "__x86_64__" in macros
+    monkeypatch.setattr(kernel, "COMMAND", command)
+    scalar = kernel._load(kernel.build(tmp_path))
+    assert scalar.__file__ != kernel._module.__file__
+    rng = np.random.default_rng(41)
+    specials = np.array([math.nan, math.inf, TINY, 1e-310, 0.0])
+
+    def outcome(model, features, label):
+        try:
+            return bits(model.train_step(*features, label))
+        except FloatingPointError as exc:
+            return str(exc)
+    applied = 0
+    for case in range(48):
+        cfg = small_config(
+            categorical_fields=REF_FIELDS,
+            embedding_dim=int(rng.choice([1, 3, 5, 7])),
+            hash_buckets_per_field=4,
+            hidden_layer_sizes=tuple(int(w) for w in rng.choice(
+                [1, 3, 5, 7, 9, 15], size=rng.integers(1, 3))),
+            two_output_mode=bool(rng.integers(2)))
+        model, twin = PoissonRegressor(cfg), PoissonRegressor(cfg)
+        n = model.params.size
+        model.params[:] = rng.normal(0.0, 0.5, n)
+        model.params[rng.random(n) < 0.1] = -0.0
+        model.g2[:] = rng.exponential(1.0, n)
+        seeded = rng.random(n) < 0.3
+        pool = specials if case % 4 == 0 else specials[1:]
+        model.g2[seeded] = rng.choice(pool, int(seeded.sum()))
+        twin.params[:], twin.g2[:] = model.params, model.g2
+        for step in range(8):
+            features = first_k_features(rng, aux=step % 2)
+            label = ((float(rng.poisson(1.0)), float(rng.poisson(0.3)))
+                     if cfg.two_output_mode else float(rng.poisson(1.2)))
+            got = outcome(model, features, label)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, "train_step", scalar.train_step)
+                assert outcome(twin, features, label) == got, (case, step)
+            applied += isinstance(got, bytes)
+        assert model.params.tobytes() == twin.params.tobytes(), case
+        assert model.g2.tobytes() == twin.g2.tobytes(), case
+    assert applied >= 300
 
 
 def ulps_apart(a: float, b: float) -> int:
@@ -1115,9 +1196,9 @@ def zeroed(two_output=False):
 
 
 def grads_index(model, where):
-    """The `_grads` entry of the gradient of the first hidden unit's bias,
-    of weights[0][AUX_SLOT, 0], or of input slot 3 or 5 (the second row's
-    first and last entries)."""
+    """The `step_gradients` entry of the gradient of the first hidden
+    unit's bias, of weights[0][AUX_SLOT, 0], or of input slot 3 or 5 (the
+    second row's first and last entries)."""
     n_weights = sum(w.size for w in model.weights)
     n_dense = model._grads.size - model.input_dim
     return {"bias": n_weights, "weight": AUX_SLOT * model.weights[0].shape[1],
@@ -1172,7 +1253,7 @@ WHERE = pytest.mark.parametrize("where", ["weight", "bias", "embedding"])
 @pytest.mark.parametrize("where", ["weight", "bias", "embedding", "last"])
 def test_non_finite_gradient_is_refused_without_a_warning(where, value):
     model = refuse(value, fv(aux=1.0), FloatingPointError)
-    got = model._grads[grads_index(model, where)]
+    got = step_gradients(model)[grads_index(model, where)]
     assert bits(got) == bits(value) if not math.isnan(value) else math.isnan(got)
     # the loss was finite, so the gradient check refused the step
     assert math.isfinite(model._net.loss)
@@ -1232,9 +1313,10 @@ def test_weight_gradient_that_overflows_from_finite_factors_is_refused():
     refused_without_a_warning(model, fv(aux=1.0), 1e200)
     n_weights = sum(w.size for w in model.weights)
     n_dense = model._grads.size - model.input_dim
-    assert model._grads[0] == -math.inf
+    grads = step_gradients(model)
+    assert grads[0] == -math.inf
     assert np.isfinite(model._acts).all()
-    assert np.isfinite(model._grads[n_weights:n_dense + 6]).all()
+    assert np.isfinite(grads[n_weights:n_dense + 6]).all()
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
@@ -1277,7 +1359,7 @@ def test_finite_extreme_gradient_is_applied(where, magnitude):
     params, g2 = model.params.copy(), model.g2.copy()
     model.train_step(*fv(aux=1.0), 2.0)
     n_dense = model._grads.size - model.input_dim
-    grads = model._grads[: n_dense + 6]
+    grads = step_gradients(model)[: n_dense + 6]
     assert abs(grads[first : first + 2]).min() >= 0.69 * magnitude
     # the update of the gradients the step wrote, one array at a time
     n_emb = model._emb_rows.size
@@ -1390,6 +1472,58 @@ def test_pass_after_a_memo_clear_gives_the_same_bits(monkeypatch):
     assert all(len(memo) == 2 for memo in memos)
     assert model.params.tobytes() == ref.params.tobytes()
     assert model.g2.tobytes() == ref.g2.tobytes()
+
+
+# -- numeric slots memo -----------------------------------------------------------
+
+def test_memoised_slots_equal_the_scaled_values_bit_for_bit(monkeypatch):
+    # one (name, value) tuple is memoised on its identity, so that 0.0 and
+    # -0.0, which compare equal, keep their own slots; every other input
+    # is scaled on each call
+    monkeypatch.setattr(regressor, "ROW_MEMO_SIZE", 3)
+    model = PoissonRegressor(small_config())
+    pool = [0.0, -0.0, 1.0, -1.0, 2.5, 1e-320, -3e300, 7]
+    pairs = [("aux", v) for v in pool]
+    rng = np.random.default_rng(14)
+
+    def slot_bits(values):
+        return [bits(float(v)) for v in values]
+    for step in range(400):
+        pair = pairs[rng.integers(len(pairs))]
+        for numeric in ([pair], (pair,), [("aux", pair[1])], [list(pair)],
+                        [pair, pair]):
+            want = slot_bits(model._values(numeric))
+            assert slot_bits(model._slots(numeric)) == want, (step, numeric)
+        assert len(model._slot_memo) <= 3
+    for numeric in ([("nope", 1.0)], (("nope", 0.0),)):
+        with pytest.raises(ContractViolation, match="nope"):
+            model._slots(numeric)
+    # a pass on -0.0 after one on 0.0 writes -0.0 into the aux slot
+    for value in (0.0, -0.0, 0.0):
+        model.forward(*fv(aux=value))
+        assert bits(model._input[AUX_SLOT]) == bits(value)
+
+
+def test_params_and_g2_are_written_in_place_never_rebound(tmp_path):
+    # the compiled passes hold the buffers' addresses: a rebound array
+    # would leave them on the old one
+    model = PoissonRegressor(small_config())
+    params, g2 = model.params, model.g2
+    for name in ("params", "g2"):
+        with pytest.raises(AttributeError):
+            setattr(model, name, np.zeros_like(params))
+        with pytest.raises(AttributeError):
+            delattr(model, name)
+    assert model.params is params and model.g2 is g2
+    # writes in place, as `load` makes them, reach the passes
+    model.params[:] = 0.0
+    assert model.forward(*fv(aux=1.0)) == 1.0
+    model.params[-1] = math.log(0.5)
+    assert model.forward(*fv(aux=1.0)) == kernel.exp(math.log(0.5))
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    assert PoissonRegressor.load(path).forward(*fv(aux=1.0)) == model.forward(
+        *fv(aux=1.0))
 
 
 # -- the serving forward --------------------------------------------------------

@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/time_passes.py
 
 Replays 3,000 clicks of the default config's seed-1 stream through
-Proposed and through M4, recording every model pass: each
+Proposed, M4 and M3, recording every model pass: each
 `PoissonRegressor.forward` and `train_step` and each `RegressorStack.read`.
 Then, in the same process, it replays each kind of pass alone from that
 record, in a loop, five times, and keeps the fastest: `train_step` from the
@@ -39,7 +39,7 @@ PROCESSES = 4
 REPEATS = 5
 CLICKS = 3000
 SEED = 1
-VARIANTS = ("Proposed", "M4")
+VARIANTS = ("Proposed", "M4", "M3")
 PASSES = ("forward", "train_step", "read")
 
 
