@@ -156,7 +156,7 @@ def window_and_prefix(example: ClickExample, lo: float, hi: float,
         raise ContractViolation(
             f"horizon {horizon} outside [0, {example.attribution_window}]"
         )
-    end = max(hi, horizon)
+    end = hi if hi > horizon else horizon  # max() is slower
     total = pos = neg = prefix = 0.0
     for ev in example.events:
         delay = ev.delay

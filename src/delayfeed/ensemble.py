@@ -21,18 +21,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from math import copysign
 
 from .core import (
     ClickExample,
     ContractViolation,
     mature_label,
     observed_prefix,
-    slice_label,
-    split_signed,
     window_and_prefix,
 )
-from . import regressor
 from .regressor import RegressorConfig, RegressorStack
 
 THERMOMETER = "thermometer"
@@ -107,6 +103,8 @@ _AUX_COUNT_PAIRS = tuple((AUX_COUNT_FIELD, tok) for tok in _count_tokens())
 def _aux_count_pair(prefix: float) -> tuple:
     """The (field, token) pair of the observed-so-far count, bucketed at
     AUX_COUNT_CUTS."""
+    if 0.0 <= prefix < AUX_COUNT_CUTS[0]:  # most prefixes: no floor, no bisect
+        return _AUX_COUNT_PAIRS[0]
     return _AUX_COUNT_PAIRS[bisect_right(AUX_COUNT_CUTS, math.floor(prefix))]
 
 
@@ -137,9 +135,6 @@ class SubModelEnsemble:
         self.two_output = rc.two_output_mode
         self.stack = RegressorStack(rc, seeds)
         self.sub_models = self.stack.models
-        # the aux memo: prefix key -> (count pair, numeric pair), cleared
-        # when it holds regressor.ROW_MEMO_SIZE entries (`features_for`)
-        self._aux = {}
 
     # -- features ----------------------------------------------------------
 
@@ -151,22 +146,15 @@ class SubModelEnsemble:
         so far (log1p-scaled inside the regressor) and its bucketed count
         token. `prefix`, when given, is that label so far,
         observed_prefix(example, d_i), which the caller has already
-        summed. The two entries are memoised per prefix value, so that one
-        value always hands the regressor the same numeric pair object; the
-        memo's key is the prefix, or for a zero the prefix and its sign,
-        which a float key would lose (-0.0 == 0.0)."""
+        summed."""
         if not self._use_aux or i < 1:
             return example.serving_features, ()
         if prefix is None:
             prefix = observed_prefix(example, self.windows[i][0])
-        key = prefix if prefix else (prefix, copysign(1.0, prefix))
-        aux = self._aux.get(key)
-        if aux is None:
-            if len(self._aux) >= regressor.ROW_MEMO_SIZE:
-                self._aux.clear()
-            aux = self._aux[key] = (_aux_count_pair(prefix),
-                                    (AUX_NUMERIC_FEATURE, max(prefix, 0.0)))
-        return [*example.serving_features, aux[0]], [aux[1]]
+        # max(prefix, 0.0), a -0.0 kept, without the cost of calling max()
+        value = prefix if prefix >= 0.0 else 0.0
+        return ([*example.serving_features, _aux_count_pair(prefix)],
+                [(AUX_NUMERIC_FEATURE, value)])
 
     # -- serving ------------------------------------------------------------
 
@@ -198,15 +186,11 @@ class SubModelEnsemble:
             return mature_label(example)
         lo, hi = self.windows[i]
         completes = self._thermometer and i < len(self.windows) - 1
-        prefix = None
-        if completes and self._use_aux:
-            # f_{i+1}'s aux prefix comes from the label's own scan
-            label, prefix = window_and_prefix(
-                example, lo, hi, self.windows[i + 1][0], self.two_output)
-        elif self.two_output:
-            label = split_signed(example, lo, hi)
-        else:
-            label = slice_label(example, lo, hi)
+        # one scan gives the window label and, for a completion with aux
+        # inputs, f_{i+1}'s aux prefix, the events before d_{i+1}
+        horizon = self.windows[i + 1][0] if completes and self._use_aux else 0.0
+        label, prefix = window_and_prefix(example, lo, hi, horizon,
+                                          self.two_output)
         if not completes:
             return label
         nxt = self.sub_models[i + 1].forward(

@@ -16,7 +16,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, pairwise
+from itertools import pairwise
 
 from .core import DAY, MetricsAccumulator, mature_label, poisson_nll
 
@@ -102,12 +102,8 @@ def run(variant, stream_examples, slices=None, stream_end=None) -> RunResult:
              for i, hi in enumerate(ends)] if n else []
     heapq.heapify(heads)
     serve, train_on = variant.serve, variant.train_on
-    slice_items = [(m, result.slices[name]) for name, m in slices.items()]
-    days = {}  # simulated day -> MetricsAccumulator
-    # each click's EVAL after the TRAINs due before its time (one due at
-    # its time waits for it), then, at None, every TRAIN left
-    for e in chain(stream_examples, (None,)):
-        limit = math.inf if e is None else e.click_time
+
+    def train_before(limit):
         while heads and heads[0][0] < limit:
             t, i, pos = heads[0]
             if t > stream_end:
@@ -122,8 +118,11 @@ def run(variant, stream_examples, slices=None, stream_end=None) -> RunResult:
                     heads, (stream_examples[pos].click_time + ends[i], i, pos))
             else:
                 heapq.heappop(heads)
-        if e is None:
-            break
+
+    slice_items = [(m, result.slices[name]) for name, m in slices.items()]
+    days = {}  # simulated day -> MetricsAccumulator
+    for e in stream_examples:
+        train_before(e.click_time)  # one due at this time waits for the EVAL
         rate = serve(e)
         label = mature_label(e)
         # signed two-output predictions can be <= 0; NLL needs a
@@ -135,6 +134,7 @@ def run(variant, stream_examples, slices=None, stream_end=None) -> RunResult:
         if (day := int(e.click_time // DAY)) not in days:
             days[day] = MetricsAccumulator()
         days[day].record(nll, rate, label)
+    train_before(math.inf)
     result.timeseries, result.day_sums = daily_rows(days)
     result.negative_label_clamps = variant.negative_label_clamps
     return result

@@ -11,15 +11,14 @@ retractions are handled.
 Every pass, a model's `forward` and `train_step` and a stack's `read`, is
 one call of the compiled `kernel`, whose arithmetic, `exp` and `log`
 included, is its own, so its bits do not depend on the host's numpy or
-BLAS kernels. Python scales the numeric features (memoised for an
-ensemble's aux input) and checks the label; the kernel takes the (field,
-token) pairs, the values, the labels and the model's memo of each pair's
-embedding row, looks the rows up, gathers them, runs the layers and, in a
-step, the backward and the AdaGrad update, and returns the rates or the
-loss as floats. A pair the memo lacks, or an input that is not the
-declared fields in order, sends the pass back to Python's `_fill`, which
-hashes the pairs the memo lacks and checks their fields; the pass then
-calls the kernel again.
+BLAS kernels. Python scales the numeric features and checks the label; the
+kernel takes the (field, token) pairs, the values, the labels and the
+model's memo of each pair's embedding row, looks the rows up, gathers
+them, runs the layers and, in a step, the backward and the AdaGrad update,
+and returns the rates or the loss as floats. A pair the memo lacks, or an
+input that is not the declared fields in order, sends the pass back to
+Python's `_fill`, which hashes the pairs the memo lacks and checks their
+fields; the pass then calls the kernel again.
 """
 
 from __future__ import annotations
@@ -188,9 +187,6 @@ class PoissonRegressor:
         self._input = np.zeros(self.input_dim)
         # the numeric slots' values when a pass names no numeric feature
         self._no_numeric = [0.0] * len(config.numeric_features)
-        # the slots memo: id(pair) -> (pair, `_values([pair])`), cleared
-        # when it holds ROW_MEMO_SIZE entries
-        self._slot_memo = {}
         # gradients of the last step: the dense gradient, laid out like the
         # dense tail of `params`, of which a step writes the bias block,
         # each layer's delta (the kernel forms the weight gradients inside
@@ -273,30 +269,12 @@ class PoissonRegressor:
             values[idx] = math.copysign(math.log1p(abs(value)), value)
         return values
 
-    def _slots(self, numeric) -> list:
-        """`_values(numeric)`, memoised for an input of one (name, value)
-        tuple, the form an ensemble's aux input takes, on that tuple's
-        identity: the memo holds the tuple, so its id stays its own, and no
-        two values that compare equal but differ in bits (0.0 and -0.0)
-        share an entry. Other inputs are scaled on every call. The list
-        returned is the memo's, for the kernel to read."""
-        if len(numeric) != 1 or type(pair := numeric[0]) is not tuple:
-            return self._values(numeric)
-        hit = self._slot_memo.get(id(pair))
-        if hit is not None and hit[0] is pair:
-            return hit[1]
-        values = self._values(numeric)
-        if len(self._slot_memo) >= ROW_MEMO_SIZE:
-            self._slot_memo.clear()
-        self._slot_memo[id(pair)] = pair, values
-        return values
-
     # -- forward ---------------------------------------------------------
 
     def forward(self, categorical, numeric=()):
         """The model's one inference pass: the rate, or (rate_plus,
         rate_minus) in two-output mode."""
-        values = self._slots(numeric) if numeric else self._no_numeric
+        values = self._values(numeric) if numeric else self._no_numeric
         try:
             return kernel.forward(self._net_p, categorical, values, self._rows)
         except KeyError:
@@ -341,7 +319,7 @@ class PoissonRegressor:
         up. A non-finite loss, or a non-finite gradient of the dense
         parameters or of those rows, raises before anything is written."""
         labels = self._label(label)
-        values = self._slots(numeric) if numeric else self._no_numeric
+        values = self._values(numeric) if numeric else self._no_numeric
         try:
             loss = kernel.train_step(self._net_p, categorical, values, labels,
                                      self._rows)

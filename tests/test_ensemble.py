@@ -1,3 +1,4 @@
+import bisect
 import math
 import struct
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 
 from delayfeed.cli import config_from_dict, stream_for_seed
-from delayfeed import regressor
 from delayfeed.core import (
     DAY,
     ContractViolation,
@@ -14,10 +14,13 @@ from delayfeed.core import (
     split_signed,
 )
 from delayfeed.ensemble import (
+    _AUX_COUNT_PAIRS,
+    AUX_COUNT_CUTS,
     BUCKET,
     THERMOMETER,
     SubModelEnsemble,
     VariantSpec,
+    _aux_count_pair,
 )
 from delayfeed.harness import default_slices, run
 from delayfeed.regressor import RegressorConfig
@@ -169,6 +172,17 @@ class TestAuxFeatures:
         assert categorical[-1] == ("aux_count", "0")
         assert numeric == [("aux_label_so_far", 0.0)]
 
+    def test_count_pair_equals_floor_and_bisect(self):
+        # the shortcut for a prefix in [0, 1) picks the bucket that
+        # bisecting its floor picks
+        rng = np.random.default_rng(15)
+        edges = [0.0, -0.0, math.nextafter(1.0, 0.0), 1.0, -1e-300, 5e-324,
+                 math.nextafter(0.0, -1.0), 8.999999, 9.0]
+        for prefix in edges + rng.uniform(-3.0, 12.0, 2000).tolist():
+            want = _AUX_COUNT_PAIRS[bisect.bisect_right(AUX_COUNT_CUTS,
+                                                        math.floor(prefix))]
+            assert _aux_count_pair(prefix) == want, prefix
+
     def test_uses_exactly_prefix_before_horizon(self):
         ens = make_ensemble()
         e1 = make_example([0.2 * DAY, 0.5 * DAY])
@@ -179,67 +193,51 @@ class TestAuxFeatures:
         assert ens.features_for(e2, 2)[1] == [("aux_label_so_far", 4.0)]
 
 
-class TestAuxMemo:
+class TestAuxPrefix:
     @staticmethod
     def bits(x):
         return struct.pack("<d", x)
 
-    def test_one_prefix_value_hands_over_one_numeric_pair(self):
-        ens = make_ensemble()
-        a = ens.features_for(make_example([0.5 * DAY]), 1)
-        b = ens.features_for(make_example([0.2 * DAY, 3 * DAY]), 1)
-        assert a == b and a[1][0] is b[1][0]
-        # a fresh list each call, so that a caller may keep or change it
-        assert a[0] is not b[0] and a[1] is not b[1]
-        assert ens.features_for(make_example([]), 1)[1][0] is not a[1][0]
-
     def test_zero_prefixes_keep_their_sign(self):
-        # max(prefix, 0.0) keeps a -0.0 prefix, so its numeric input is
-        # -0.0, whichever zero the memo saw first
+        # max(prefix, 0.0) keeps a -0.0 prefix, so its numeric input is -0.0
         ens = make_ensemble()
         e = make_example([])
-        for prefixes in ((0.0, -0.0), (-0.0, 0.0)):
-            for prefix in prefixes:
-                categorical, numeric = ens.features_for(e, 1, prefix)
-                assert categorical[-1] == ("aux_count", "0")
-                assert self.bits(numeric[0][1]) == self.bits(prefix)
-            ens._aux.clear()
+        for prefix in (0.0, -0.0, 0.0):
+            categorical, numeric = ens.features_for(e, 1, prefix)
+            assert categorical[-1] == ("aux_count", "0")
+            assert self.bits(numeric[0][1]) == self.bits(prefix)
 
-    def test_memo_is_bounded_and_refills_alike(self, monkeypatch):
-        monkeypatch.setattr(regressor, "ROW_MEMO_SIZE", 3)
-        ens, fresh = make_ensemble(), make_ensemble()
-        rng = np.random.default_rng(12)
-        e = make_example([])
-        for step in range(200):
-            prefix = float(rng.choice([0.0, -0.0, 1.0, 2.5, 7.0, -3.0, 40.0]))
-            got = ens.features_for(e, 2, prefix)
-            fresh._aux.clear()
-            want = fresh.features_for(e, 2, prefix)
-            assert got == want and self.bits(got[1][0][1]) == self.bits(
-                want[1][0][1]), step
-            assert len(ens._aux) <= 3
-
+    @pytest.mark.parametrize("encoding,use_aux", [(THERMOMETER, True),
+                                                  (THERMOMETER, False),
+                                                  (BUCKET, False)],
+                             ids=["aux", "no-aux", "bucket"])
     @pytest.mark.parametrize("two_output", [False, True],
                              ids=["single", "two"])
-    def test_completed_label_equals_the_two_scans(self, two_output):
-        # training_label sums f_{i+1}'s aux prefix in its own label scan;
-        # it must give the bits of the window label plus f_{i+1}'s forward
-        # on features_for's own prefix
-        ens = make_ensemble(two_output=two_output,
+    def test_label_equals_the_label_helpers(self, encoding, use_aux,
+                                            two_output):
+        # training_label sums its window and f_{i+1}'s aux prefix in one
+        # scan; it must give the bits of the window label plus, for a
+        # completion, f_{i+1}'s forward on features_for's own prefix
+        ens = make_ensemble(encoding=encoding, use_aux=use_aux,
+                            two_output=two_output,
                             windows=windows(*EDGES[1:-1]))
         rng = np.random.default_rng(13)
         for m in ens.sub_models:
             m.params[:] = rng.normal(0.0, 0.3, m.params.size)
+        last = len(ens.windows) - 1
         for case in range(400):
             e = random_example(rng)
-            for i, (lo, hi) in enumerate(ens.windows[:-1]):
+            for i, (lo, hi) in enumerate(ens.windows):
                 got = ens.training_label(e, i)
-                nxt = ens.sub_models[i + 1].forward(*ens.features_for(e, i + 1))
                 if two_output:
-                    pos, neg = split_signed(e, lo, hi)
-                    want = pos + nxt[0], neg + nxt[1]
+                    want = split_signed(e, lo, hi)
                 else:
-                    want = (slice_label(e, lo, hi) + nxt,)
+                    want = (slice_label(e, lo, hi),)
+                if encoding == THERMOMETER and i < last:
+                    nxt = ens.sub_models[i + 1].forward(
+                        *ens.features_for(e, i + 1))
+                    nxt = nxt if two_output else (nxt,)
+                    want = tuple(w + x for w, x in zip(want, nxt))
                 got = got if two_output else (got,)
                 assert [self.bits(x) for x in got] == [
                     self.bits(x) for x in want], (case, i)
