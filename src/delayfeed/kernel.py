@@ -1,71 +1,69 @@
 """Every pass of a model, compiled from C: the forward, the training step
 and the stacked read, the functions of one CPython extension module.
 
-A model's `Net`, made once by `bind`, holds the addresses of its buffers
-and its layout. A pass is one call that takes the `Net`'s address as an
-int (`ctypes.addressof`), the pass's (field, token) pairs, a tuple or a
-list of the first k fields' pairs, the values of its numeric slots as a
-list of floats, and last the model's row memo, a dict of (field, token)
-pairs to rows of its embedding tables, and returns Python floats.
-`forward(net, pairs, values, memo)` looks each pair's row up in the memo,
-writes the rows into `net.looked_up` and the values into the input
-vector's numeric slots, gathers those rows into the first k fields' slots,
-writes zeros into the later fields' slots, and runs the dense layers: ReLU
-after each hidden layer, the output layer's log-rates clamped to [-30,
-30], then `exp`. Every layer sums in one fixed order, input i outer and
-output j inner, each pre-activation from 0.0 upwards and then its bias. It
-returns the rate, or the (rate_plus, rate_minus) pair of a model of two
-outputs.
+`bind(params, g2, input, acts, grads, looked_up, on, sizes, d, lr, eps)`,
+called once per model, returns its net: a capsule named
+`delayfeed._kernel.net` that holds the model's arrays and its layout
+until it is freed. The arrays are one-dimensional, C-contiguous and
+writable, of C long for `looked_up` (one entry per field, each pass's
+rows) and `on` (the scratch, as long as the widest layer), else float64:
+`params` and `g2`, a table of d-entry rows per field and then the dense
+block, every layer's (n, m) weights and then every layer's m biases for
+the layer widths `sizes`, a tuple ending in one or two outputs; `input`
+of sizes[0], d per field and then the numeric slots; `acts` of
+sum(sizes[1:]); `grads`, the dense block's gradient and then the input's.
+Anything else raises TypeError, ValueError or BufferError.
+
+A pass is one call that takes the net, the pass's (field, token) pairs, a
+tuple or a list of the first k fields' pairs, the values of its numeric
+slots as a list of floats, and last the model's row memo, a dict of
+(field, token) pairs to rows of its embedding tables, and returns Python
+floats. `forward(net, pairs, values, memo)` looks each pair's row up in
+the memo, writes the rows into `looked_up` and the values into the input
+vector's numeric slots, gathers those rows into the first k fields'
+slots, writes zeros into the later fields' slots, and runs the dense
+layers: ReLU after each hidden layer, the output layer's log-rates
+clamped to [-30, 30], then `exp`. Every layer sums in one fixed order,
+input i outer and output j inner, each pre-activation from 0.0 upwards
+and then its bias. It returns the rate, or the (rate_plus, rate_minus)
+pair of a model of two outputs.
 
 `train_step(net, pairs, values, labels, memo)`, `labels` a tuple of one
-float per output, runs that forward and the backward of the summed Poisson
-NLL against the labels, writing `net.loss`, each layer's delta, which is
-its bias gradient, and the input gradient's first d * k entries, the
-looked-up rows' (`Net.grads`: laid out like the dense parameters, then the
-input vector; a step leaves the weights' block as it was). Each gradient of
-a layer's input sums over that layer's outputs in order, from 0.0; a
-hidden unit whose ReLU output is not above 0 gets 0.0. A layer's weight
-gradient h[i] * delta[j], h the layer's input, is never stored: the update
-forms each product where it applies it. The update refuses the step,
-writing no parameter and no accumulator, when the loss or a gradient it
-would apply is not finite. It checks that from the gradients' structure:
-the bias gradients are the deltas and the weight gradients those
-products, so all of them are finite when every h and delta is and so is
-fl(max|h| * max|delta|), rounding being monotone; the looked-up rows'
-gradients are checked one by one. Otherwise it applies AdaGrad to each
-entry, of the dense parameters and then in place of each looked-up row:
-accum += g*g; s = g*lr; den = sqrt(accum); den += eps; s /= den; param -=
-s. Where s is zero it skips the division, whose quotient would be that
-same signed zero (den > 0), so the skip gives the full update's bits. A
-weight row whose input is zero, and a column whose delta is zero, has
-signed zero gradients: those entries take accum += g*g; param -= g*lr
-alone, with no branch. The other weight entries, the biases and the rows'
-entries run two at a time, one per SSE2 lane, each lane the same IEEE
-operations; there the skip is a blend, s where s is zero and the quotient
-elsewhere, so each lane gives the one-entry form's bits for every
-accumulator, a NaN one included. An odd last entry runs alone. The step
-returns the loss, or None when it refused the step.
+float per output, runs that forward, the backward of the summed Poisson
+NLL against the labels and the AdaGrad update, and returns the loss. The
+backward writes each layer's delta, its bias gradient, and the k rows'
+entries of the input gradient into `grads`; each sums over the layer's
+outputs in order from 0.0, and a unit whose ReLU output is not above 0
+gets 0.0. The update forms each weight gradient h[i] * delta[j], h the
+layer's input, where it applies it: AdaGrad, one fixed order of IEEE
+operations (`adagrad_at`), two entries at a time in SSE2 lanes that each
+give the one-entry form's bits (`update`). When the loss or a gradient it
+would apply is not finite, which it checks from the gradients' structure
+(`finite_grads`), it writes no parameter and no accumulator, and the step
+raises FloatingPointError: `non-finite loss or gradient (loss=...); step
+not applied`.
 
-`read(stack, pairs, memo)` returns the served rate of a `RegressorStack`
-on one serving input: each model's forward on those rows with all numeric
-slots zero, and their rates (rate_plus - rate_minus with two outputs)
-summed from 0.0 in model order, the IEEE operations of that sum written
-left to right in Python. A model has one or two outputs.
+`read(nets, pairs, memo)`, `nets` the tuple of a `RegressorStack`'s
+models' nets, returns the stack's served rate on one serving input: each
+model's forward on those rows with all numeric slots zero, and their
+rates (rate_plus - rate_minus with two outputs) summed from 0.0 in model
+order, the IEEE operations of that sum written left to right in Python.
 
 The kernel keeps a pass's rows until they are checked, a layer's active
-inputs in the backward and a layer's columns in the update in the model's
-scratch `Net.on`, not on the C stack, so a layer of any width runs on a
-thread of small stack. Every pass checks its arguments before it writes
-anything. It raises KeyError for a pair the memo lacks, a pair whose row
-is not of the field at its position (row // buckets != j), or more pairs
-than the layout has fields: the model then looks the pairs up in Python,
-which refuses an input that is not the first k fields in order, and calls
-again. It raises TypeError for pairs that are no tuple or list, a memo
-that is no dict, a pair that cannot be hashed, a memo row that is no int,
-values that are no list, labels that are no tuple, or a value or label
-that is no float, and ValueError for a memo row outside the tables or a
-count of values or labels other than the layout's. The address is not
-checked: it must be that of a live `Net`, or of a `Stack` for `read`.
+inputs in the backward and a layer's columns in the update in `on`, not
+on the C stack, so a layer of any width runs on a thread of small stack.
+Every pass checks its arguments before it writes anything (`fill`). It
+raises KeyError for a pair the memo lacks, whose row is not of the field
+at its position or that is beyond the last field: the model then looks
+the pairs up in Python, which refuses an input that is not the first k
+fields in order, and calls again. Any other bad argument raises TypeError
+or ValueError. Each pass checks its net with `PyCapsule_IsValid`, and
+raises TypeError for anything but a net of `bind`; `read` raises
+TypeError for nets that are no tuple or hold anything but nets, and
+ValueError for none or for a net of another layout than the first's. A
+net is known by its capsule's name, so a net of one build of this source
+runs through another build's passes, as the tests' build without SSE2
+does.
 
 `exp` and `log` are fdlibm's, in the source, and each operation is one
 IEEE double operation: the module is built with `-ffp-contract=off`,
@@ -78,13 +76,12 @@ pins code placement, `-falign-functions=64 -falign-loops=32`, so that an
 edit to one function does not move another's timing: built without the
 pin, this source's `read` took 4.55-4.72 µs a call against 4.12-4.25 with
 it, and `forward` 1.34-1.48 against 1.30-1.34 (`tests/time_passes.py` on
-a 2-core x86-64 VM). `exp` and `log` are exported here, for the tests'
-references, as is `update(net, k)`, the tests' entry to the per-element
-AdaGrad of a step: it scans `Net.grads`, the weights' block included,
-which the caller fills, for a non-finite entry, and applies AdaGrad from
-it, one entry at a time, to the dense parameters and to the first k rows
-that `net.looked_up` names; it returns 0, or 1 when it refused the
-update.
+a 2-core x86-64 VM). `exp` and `log` are exported for the tests'
+references, as is `update(net, k)`, the per-element AdaGrad of a step
+from all of `grads`, which the caller fills, to the dense parameters and
+the first k rows of `looked_up`: it returns 0, or 1 when a gradient is
+not finite and it wrote nothing, and raises ValueError for a k outside
+[0, fields] or one of those rows outside the tables.
 
 The module is compiled once per source, command, Python include directory
 and extension suffix, by `build`, into the package's `__pycache__/` when
@@ -94,7 +91,6 @@ Python's headers (`Python.h`) must be there then.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import importlib.util
 import os
@@ -102,8 +98,6 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 SOURCE = r"""
 #define PY_SSIZE_T_CLEAN
@@ -297,17 +291,13 @@ struct net {
     double *acts;               /* each layer's output */
     double *grads;              /* the dense gradient, then the input's; a
                                    step writes the deltas and the rows' */
-    const long *sizes;          /* n_layers + 1 layer widths */
     long *looked_up;            /* the rows of a pass's k fields */
     long *on;                   /* scratch: a pass's rows, a layer's units */
-    long n_rows, n_layers, n_slots, n_dense, d;
+    long n_rows, n_layers, n_slots, n_dense, n_weights, d;
     double lr, eps;
-    double loss;                /* a step's loss */
-};
-
-struct stack {
-    const struct net *const *nets;
-    long n_nets;
+    Py_buffer views[7];         /* the arrays `bind` took, held until the
+                                   handle is freed */
+    long sizes[];               /* n_layers + 1 layer widths */
 };
 
 /* the rows `rows` names into the first k fields' slots, zeros into the
@@ -393,12 +383,9 @@ static double backward(const struct net *t, const double *rates,
                        const double *y, long k)
 {
     const long *size = t->sizes;
-    long L = t->n_layers, n_w = 0, n_acts = 0;
-    for (long l = 0; l < L; l++) {
-        n_w += size[l] * size[l + 1];
-        n_acts += size[l + 1];
-    }
-    const double *w = t->dense + n_w, *act = t->acts + n_acts;
+    long L = t->n_layers;
+    const double *w = t->dense + t->n_weights;
+    const double *act = t->acts + (t->n_dense - t->n_weights);
     double *gb = t->grads + t->n_dense;
     double loss = 0.0;
     gb -= size[L];
@@ -511,21 +498,9 @@ static void adagrad_zero(double *restrict p, double *restrict a, double x,
 int kernel_update(const struct net *t, long k)
 {
     long d = t->d;
-    /* g * 0.0 is NaN for an infinite or NaN g, else a zero: four sums of
-       those, so that four are in flight */
-    const double *g = t->grads;
-    long n = t->n_dense + d * k, i = 0;
-    double z0 = 0.0, z1 = 0.0, z2 = 0.0, z3 = 0.0;
-    for (; i + 4 <= n; i += 4) {
-        z0 += g[i] * 0.0;
-        z1 += g[i + 1] * 0.0;
-        z2 += g[i + 2] * 0.0;
-        z3 += g[i + 3] * 0.0;
-    }
-    for (; i < n; i++)
-        z0 += g[i] * 0.0;
-    if (!(z0 == 0.0 && z1 == 0.0 && z2 == 0.0 && z3 == 0.0))
-        return 1;
+    for (long i = 0; i < t->n_dense + d * k; i++)
+        if (!isfinite(t->grads[i]))
+            return 1;
     adagrad(t->dense, t->dense_g2, t->grads, t->n_dense, t->lr, t->eps);
     for (long j = 0; j < k; j++) {
         long row = t->looked_up[j] * d;
@@ -547,15 +522,6 @@ static double max_abs(const double *x, long n)
     return top;
 }
 
-/* the number of weights, every layer's (n, m) */
-static long n_weights(const struct net *t)
-{
-    long n_w = 0;
-    for (long l = 0; l < t->n_layers; l++)
-        n_w += t->sizes[l] * t->sizes[l + 1];
-    return n_w;
-}
-
 /* whether every gradient of a step's update is finite, after `backward`.
    A layer's bias gradient is its delta and its weight gradient h[i] *
    delta[j], h its input: each is finite when every h and delta is and
@@ -565,7 +531,7 @@ static long n_weights(const struct net *t)
 static int finite_grads(const struct net *t, long k)
 {
     const long *size = t->sizes;
-    const double *h = t->input, *delta = t->grads + n_weights(t);
+    const double *h = t->input, *delta = t->grads + t->n_weights;
     for (long l = 0; l < t->n_layers; l++) {
         if (!isfinite(max_abs(h, size[l]) * max_abs(delta, size[l + 1])))
             return 0;
@@ -589,7 +555,7 @@ static int finite_grads(const struct net *t, long k)
 static void update(const struct net *t, long k)
 {
     const long *size = t->sizes;
-    long n_w = n_weights(t), *on = t->on;
+    long n_w = t->n_weights, *on = t->on;
     double *p = t->dense, *a = t->dense_g2, lr = t->lr, eps = t->eps;
     const double *h = t->input, *delta = t->grads + n_w;
 #ifdef __SSE2__
@@ -653,31 +619,29 @@ void kernel_forward(const struct net *t, long k, double *rates)
     layers(t, rates);
 }
 
-int kernel_train_step(struct net *t, long k, const double *y)
+int kernel_train_step(const struct net *t, long k, const double *y,
+                      double *loss)
 {
     double rates[2];
     gather(t, t->looked_up, k);
     layers(t, rates);
-    t->loss = backward(t, rates, y, k);
-    if (!isfinite(t->loss) || !finite_grads(t, k))
+    *loss = backward(t, rates, y, k);
+    if (!isfinite(*loss) || !finite_grads(t, k))
         return 1;
     update(t, k);
     return 0;
 }
 
-double kernel_read(const struct stack *s, long k)
+/* one model's rate on the serving input of the k rows `rows`, every
+   numeric slot zero: rate_plus - rate_minus with two outputs */
+double kernel_read(const struct net *t, const long *rows, long k)
 {
-    const long *rows = s->nets[0]->looked_up;
-    double total = 0.0, rates[2];
-    for (long r = 0; r < s->n_nets; r++) {
-        const struct net *t = s->nets[r];
-        gather(t, rows, k);
-        memset(t->input + t->n_slots, 0,
-               (t->sizes[0] - t->n_slots) * sizeof(double));
-        layers(t, rates);
-        total += t->sizes[t->n_layers] == 2 ? rates[0] - rates[1] : rates[0];
-    }
-    return total;
+    double rates[2];
+    gather(t, rows, k);
+    memset(t->input + t->n_slots, 0,
+           (t->sizes[0] - t->n_slots) * sizeof(double));
+    layers(t, rates);
+    return t->sizes[t->n_layers] == 2 ? rates[0] - rates[1] : rates[0];
 }
 
 /* ---- the Python entries ---- */
@@ -761,15 +725,18 @@ static Py_ssize_t fill(const struct net *t, PyObject *pairs, PyObject *values,
     return k;
 }
 
-/* the struct at the address `arg`, an int; NULL with an error set for
-   anything else or for 0 */
-static void *at(PyObject *arg)
+/* a net's name, which every build of this source takes */
+#define NET "delayfeed._kernel.net"
+
+/* the net of `arg`, a handle of `bind`; NULL with TypeError for anything
+   else */
+static struct net *net_of(PyObject *arg)
 {
-    void *p = PyLong_AsVoidPtr(arg);
-    if (p == NULL && !PyErr_Occurred())
-        PyErr_SetString(PyExc_ValueError, "a pass takes a model's address, "
-                        "not 0");
-    return p;
+    if (PyCapsule_IsValid(arg, NET))
+        return PyCapsule_GetPointer(arg, NET);
+    PyErr_Format(PyExc_TypeError, "a pass takes a net of bind, not %.100s",
+                 Py_TYPE(arg)->tp_name);
+    return NULL;
 }
 
 static int takes(const char *name, Py_ssize_t n, Py_ssize_t nargs)
@@ -781,12 +748,96 @@ static int takes(const char *name, Py_ssize_t n, Py_ssize_t nargs)
     return 0;
 }
 
+static void free_net(PyObject *net)
+{
+    struct net *t = PyCapsule_GetPointer(net, NET);
+    for (int i = 0; i < 7; i++)
+        PyBuffer_Release(&t->views[i]);
+    PyMem_Free(t);
+}
+
+/* bind(params, g2, input, acts, grads, looked_up, on, sizes, d, lr, eps):
+   the net of these arrays, which it holds until it is freed */
+static PyObject *py_bind(PyObject *self, PyObject *const *args,
+                         Py_ssize_t nargs)
+{
+    if (!takes("bind", 11, nargs))
+        return NULL;
+    PyObject *sizes = args[7];
+    if (!PyTuple_Check(sizes) || !PyFloat_Check(args[9])
+        || !PyFloat_Check(args[10]))
+        return PyErr_Format(PyExc_TypeError, "bind takes a tuple of sizes "
+                            "and float lr and eps");
+    long L = PyTuple_GET_SIZE(sizes) - 1, d = PyLong_AsLong(args[8]);
+    if (d == -1 && PyErr_Occurred())
+        return NULL;
+    struct net *t = PyMem_Calloc(1, sizeof *t + (L + 1) * sizeof(long));
+    PyObject *net = t ? PyCapsule_New(t, NET, free_net) : PyErr_NoMemory();
+    if (!net) {
+        PyMem_Free(t);
+        return NULL;
+    }
+    Py_ssize_t len[7];
+    for (int i = 0; i < 7; i++) {
+        Py_buffer *view = &t->views[i];
+        if (PyObject_GetBuffer(args[i], view, PyBUF_C_CONTIGUOUS |
+                               PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
+            goto fail;
+        if (view->ndim != 1 || strcmp(view->format, i < 5 ? "d" : "l")) {
+            PyErr_Format(PyExc_ValueError, "argument %d must be a "
+                         "one-dimensional array of %s", i,
+                         i < 5 ? "float64" : "C long");
+            goto fail;
+        }
+        len[i] = view->shape[0];
+    }
+    /* each width is bounded by its array before any product is taken */
+    long n_fields = len[5], n_acts = 0, n_dense = 0, widest = 0;
+    int ok = L >= 1 && d >= 1;
+    for (long l = 0; ok && l <= L; l++) {
+        long m = PyLong_AsLong(PyTuple_GET_ITEM(sizes, l));
+        if (m == -1 && PyErr_Occurred())
+            goto fail;
+        ok = m >= 0 && m <= len[l ? 3 : 2];
+        t->sizes[l] = m;
+        n_acts += l ? m : 0;
+        n_dense += l ? t->sizes[l - 1] * m + m : 0;
+        widest = m > widest ? m : widest;
+    }
+    /* params: n_fields tables of d-entry rows, then the dense block */
+    long n_emb = len[0] - n_dense;
+    if (!(ok && t->sizes[0] == len[2] && n_acts == len[3]
+          && t->sizes[L] >= 1 && t->sizes[L] <= 2 && widest <= len[6]
+          && len[4] == n_dense + len[2] && len[1] == len[0]
+          && n_fields <= len[2] / d && n_emb >= 0
+          && (n_fields ? n_emb % (n_fields * d) == 0 : n_emb == 0))) {
+        PyErr_Format(PyExc_ValueError, "model kernel buffers do not match "
+                     "layers %R: params %zd, g2 %zd, input %zd, acts %zd, "
+                     "grads %zd, %zd fields of %ld, %zd scratch entries",
+                     sizes, len[0], len[1], len[2], len[3], len[4], len[5],
+                     d, len[6]);
+        goto fail;
+    }
+    t->rows = t->views[0].buf, t->dense = t->rows + n_emb;
+    t->rows_g2 = t->views[1].buf, t->dense_g2 = t->rows_g2 + n_emb;
+    t->input = t->views[2].buf, t->acts = t->views[3].buf;
+    t->grads = t->views[4].buf;
+    t->looked_up = t->views[5].buf, t->on = t->views[6].buf;
+    t->n_rows = n_emb / d, t->n_layers = L, t->n_slots = n_fields * d;
+    t->n_dense = n_dense, t->n_weights = n_dense - n_acts, t->d = d;
+    t->lr = PyFloat_AS_DOUBLE(args[9]), t->eps = PyFloat_AS_DOUBLE(args[10]);
+    return net;
+fail:
+    Py_DECREF(net);
+    return NULL;
+}
+
 static PyObject *py_forward(PyObject *self, PyObject *const *args,
                             Py_ssize_t nargs)
 {
     const struct net *t;
     double rates[2];
-    if (!takes("forward", 4, nargs) || !(t = at(args[0])))
+    if (!takes("forward", 4, nargs) || !(t = net_of(args[0])))
         return NULL;
     Py_ssize_t k = fill(t, args[1], args[2], args[3]);
     if (k < 0)
@@ -794,23 +845,15 @@ static PyObject *py_forward(PyObject *self, PyObject *const *args,
     kernel_forward(t, k, rates);
     if (t->sizes[t->n_layers] == 1)
         return PyFloat_FromDouble(rates[0]);
-    PyObject *pair = PyTuple_New(2);
-    for (int j = 0; pair && j < 2; j++) {
-        PyObject *rate = PyFloat_FromDouble(rates[j]);
-        if (!rate)
-            Py_CLEAR(pair);
-        else
-            PyTuple_SET_ITEM(pair, j, rate);
-    }
-    return pair;
+    return Py_BuildValue("(dd)", rates[0], rates[1]);
 }
 
 static PyObject *py_train_step(PyObject *self, PyObject *const *args,
                                Py_ssize_t nargs)
 {
-    struct net *t;
-    double y[2];
-    if (!takes("train_step", 5, nargs) || !(t = at(args[0])))
+    const struct net *t;
+    double y[2], loss;
+    if (!takes("train_step", 5, nargs) || !(t = net_of(args[0])))
         return NULL;
     PyObject *labels = args[3];
     long n_out = t->sizes[t->n_layers];
@@ -831,32 +874,67 @@ static PyObject *py_train_step(PyObject *self, PyObject *const *args,
     Py_ssize_t k = fill(t, args[1], args[2], args[4]);
     if (k < 0)
         return NULL;
-    if (kernel_train_step(t, k, y))
-        Py_RETURN_NONE;
-    return PyFloat_FromDouble(t->loss);
+    if (!kernel_train_step(t, k, y, &loss))
+        return PyFloat_FromDouble(loss);
+    PyObject *value = PyFloat_FromDouble(loss);
+    if (value) {
+        PyErr_Format(PyExc_FloatingPointError, "non-finite loss or gradient "
+                     "(loss=%R); step not applied", value);
+        Py_DECREF(value);
+    }
+    return NULL;
 }
 
 static PyObject *py_read(PyObject *self, PyObject *const *args,
                          Py_ssize_t nargs)
 {
-    const struct stack *s;
-    if (!takes("read", 3, nargs) || !(s = at(args[0])))
+    if (!takes("read", 3, nargs))
         return NULL;
-    Py_ssize_t k = fill(s->nets[0], args[1], NULL, args[2]);
+    PyObject *nets = args[0];
+    if (!PyTuple_Check(nets))
+        return PyErr_Format(PyExc_TypeError, "read takes a tuple of nets, "
+                            "not %.100s", Py_TYPE(nets)->tp_name);
+    Py_ssize_t n = PyTuple_GET_SIZE(nets);
+    if (n == 0)
+        return PyErr_Format(PyExc_ValueError, "read takes at least one net");
+    const struct net *first = net_of(PyTuple_GET_ITEM(nets, 0)), *t;
+    for (Py_ssize_t r = 0; r < n; r++) {
+        if (!first || !(t = net_of(PyTuple_GET_ITEM(nets, r))))
+            return NULL;
+        long L = t->n_layers;
+        if (t->n_rows != first->n_rows || t->d != first->d
+            || t->n_slots != first->n_slots || L != first->n_layers
+            || memcmp(t->sizes, first->sizes, (L + 1) * sizeof(long)))
+            return PyErr_Format(PyExc_ValueError, "net %zd is not of net "
+                                "0's layout", r);
+    }
+    Py_ssize_t k = fill(first, args[1], NULL, args[2]);
     if (k < 0)
         return NULL;
-    return PyFloat_FromDouble(kernel_read(s, k));
+    double total = 0.0;
+    for (Py_ssize_t r = 0; r < n; r++)
+        total += kernel_read(PyCapsule_GetPointer(PyTuple_GET_ITEM(nets, r),
+                                                  NET), first->looked_up, k);
+    return PyFloat_FromDouble(total);
 }
 
 static PyObject *py_update(PyObject *self, PyObject *const *args,
                            Py_ssize_t nargs)
 {
     const struct net *t;
-    if (!takes("update", 2, nargs) || !(t = at(args[0])))
+    if (!takes("update", 2, nargs) || !(t = net_of(args[0])))
         return NULL;
-    long k = PyLong_AsLong(args[1]);
+    long k = PyLong_AsLong(args[1]), n_fields = t->n_slots / t->d;
     if (k == -1 && PyErr_Occurred())
         return NULL;
+    if (k < 0 || k > n_fields)
+        return PyErr_Format(PyExc_ValueError, "k is %ld, not in [0, %ld]", k,
+                            n_fields);
+    for (long j = 0; j < k; j++)
+        if (t->looked_up[j] < 0 || t->looked_up[j] >= t->n_rows)
+            return PyErr_Format(PyExc_ValueError, "looked-up row %ld is %ld, "
+                                "not in [0, %ld)", j, t->looked_up[j],
+                                t->n_rows);
     return PyLong_FromLong(kernel_update(t, k));
 }
 
@@ -879,10 +957,12 @@ static PyObject *py_log(PyObject *self, PyObject *arg)
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
 
 static PyMethodDef methods[] = {
+    {"bind", FASTCALL(py_bind), "bind(params, g2, input, acts, grads, "
+     "looked_up, on, sizes, d, lr, eps)"},
     {"forward", FASTCALL(py_forward), "forward(net, pairs, values, memo)"},
     {"train_step", FASTCALL(py_train_step),
      "train_step(net, pairs, values, labels, memo)"},
-    {"read", FASTCALL(py_read), "read(stack, pairs, memo)"},
+    {"read", FASTCALL(py_read), "read(nets, pairs, memo)"},
     {"update", FASTCALL(py_update), "update(net, k)"},
     {"exp", py_exp, METH_O, "exp(x)"},
     {"log", py_log, METH_O, "log(x)"},
@@ -944,80 +1024,6 @@ def build(out_dir) -> Path:
     return lib
 
 
-class Net(ctypes.Structure):
-    """One model's argument to every pass, made once by `bind`: its
-    buffers' addresses and layout, then `loss`, the loss of its last step,
-    which a refused step leaves for the caller to report."""
-
-    _fields_ = [
-        ("rows", ctypes.c_void_p), ("rows_g2", ctypes.c_void_p),
-        ("dense", ctypes.c_void_p), ("dense_g2", ctypes.c_void_p),
-        ("input", ctypes.c_void_p), ("acts", ctypes.c_void_p),
-        ("grads", ctypes.c_void_p),
-        ("sizes", ctypes.POINTER(ctypes.c_long)),
-        ("looked_up", ctypes.POINTER(ctypes.c_long)),
-        ("on", ctypes.POINTER(ctypes.c_long)),
-        ("n_rows", ctypes.c_long), ("n_layers", ctypes.c_long),
-        ("n_slots", ctypes.c_long), ("n_dense", ctypes.c_long),
-        ("d", ctypes.c_long),
-        ("lr", ctypes.c_double), ("eps", ctypes.c_double),
-        ("loss", ctypes.c_double),
-    ]
-
-
-class Stack(ctypes.Structure):
-    """The models `read` runs, made once by `bind_stack`."""
-
-    _fields_ = [("nets", ctypes.POINTER(ctypes.POINTER(Net))),
-                ("n_nets", ctypes.c_long)]
-
-
-def bind(rows, rows_g2, dense, dense_g2, input, acts, grads, looked_up, on,
-         sizes, lr, eps) -> Net:
-    """The `Net` of these buffers, which the caller keeps alive as long as
-    it: `rows` and `rows_g2` of shape (m, d), every field's table of m /
-    fields rows in field order; `dense` and `dense_g2`, every layer's (n,
-    m) weights and then every layer's m biases for the layer widths
-    `sizes`, at most two outputs; `input` of sizes[0] entries, d per field
-    of `looked_up` and then the numeric slots; `acts` of sum(sizes[1:]);
-    `grads` of dense.size + sizes[0]; all C-contiguous float64;
-    `looked_up`, a ctypes array of c_long, one entry per field, into which
-    each pass writes its rows; and `on`, the passes' scratch, a ctypes
-    array of c_long with an entry per unit of the widest layer, the input
-    and the output included."""
-    arrays = rows, rows_g2, dense, dense_g2, input, acts, grads
-    if not all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays):
-        raise ValueError("the model kernel takes C-contiguous float64 arrays")
-    sizes = [int(s) for s in sizes]
-    layers = list(zip(sizes, sizes[1:]))
-    n_dense = sum(n * m + m for n, m in layers)
-    (n_rows, d), n_slots = rows.shape, rows.shape[1] * len(looked_up)
-    if not (layers and rows_g2.shape == rows.shape
-            and dense.shape == dense_g2.shape == (n_dense,)
-            and input.shape == (sizes[0],) and n_slots <= sizes[0]
-            and acts.shape == (sum(sizes[1:]),)
-            and grads.shape == (n_dense + sizes[0],)
-            and sizes[-1] <= 2 and len(on) >= max(sizes)):
-        raise ValueError(
-            f"model kernel buffers do not match layers {sizes}: rows "
-            f"{rows.shape}, rows_g2 {rows_g2.shape}, dense {dense.shape}, "
-            f"dense_g2 {dense_g2.shape}, input {input.shape}, acts "
-            f"{acts.shape}, grads {grads.shape}, {len(looked_up)} fields, "
-            f"{len(on)} scratch entries")
-    return Net(rows.ctypes.data, rows_g2.ctypes.data, dense.ctypes.data,
-               dense_g2.ctypes.data, input.ctypes.data, acts.ctypes.data,
-               grads.ctypes.data, (ctypes.c_long * len(sizes))(*sizes),
-               looked_up, on, n_rows, len(layers), n_slots, n_dense, d, lr,
-               eps)
-
-
-def bind_stack(nets) -> Stack:
-    """The `Stack` of these `Net`s, which share one layout and which the
-    caller keeps alive as long as it."""
-    pointers = (ctypes.POINTER(Net) * len(nets))(*map(ctypes.pointer, nets))
-    return Stack(pointers, len(nets))
-
-
 def _load(lib):
     spec = importlib.util.spec_from_file_location("delayfeed._kernel", lib)
     module = importlib.util.module_from_spec(spec)
@@ -1026,5 +1032,5 @@ def _load(lib):
 
 
 _module = _load(build(Path(__file__).with_name("__pycache__")))
-forward, train_step, read = _module.forward, _module.train_step, _module.read
-update, exp, log = _module.update, _module.exp, _module.log
+bind, forward, train_step = _module.bind, _module.forward, _module.train_step
+read, update, exp, log = _module.read, _module.update, _module.exp, _module.log

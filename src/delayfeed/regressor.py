@@ -23,7 +23,6 @@ fields; the pass then calls the kernel again.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import math
@@ -129,9 +128,10 @@ class PoissonRegressor:
     it allocates: its parameters `params` and their AdaGrad accumulators
     `g2`, both laid out as `param_shapes(config)`: the per-field embedding
     tables, then the dense weights, then the dense biases. `embeddings`,
-    `weights` and `biases` are views into `params`. The compiled passes
-    (`kernel`) hold their addresses, so they are written in place and
-    never replaced: both are read-only properties.
+    `weights` and `biases` are views into `params`. The model's net, the
+    handle of the compiled passes (`kernel.bind`), holds both, so they
+    are written in place and never replaced: both are read-only
+    properties.
 
     Every pass takes `categorical`, a tuple or a list of (field_id, token)
     pairs of the first k declared fields, in declared order, each once,
@@ -194,18 +194,16 @@ class PoissonRegressor:
         # first k slots, those of the k rows it looked up
         self._grads = np.zeros(n_dense + self.input_dim)
         # the rows a pass looks up
-        self._looked_up = (ctypes.c_long * nf)()
+        self._looked_up = np.zeros(nf, np.int64)
         self._acts = np.zeros(sum(fan_out for _, fan_out in layers))
         # the kernel's scratch, as long as the widest layer: a pass's rows,
         # a layer's active inputs in the backward, its columns in the update
-        self._on = (ctypes.c_long * max(map(max, layers)))()
+        self._on = np.zeros(max(map(max, layers)), np.int64)
         self._net = kernel.bind(
-            self._emb_rows, self.g2[:n_emb].reshape(-1, d), self.params[n_emb:],
-            self.g2[n_emb:], self._input, self._acts, self._grads,
+            self.params, self.g2, self._input, self._acts, self._grads,
             self._looked_up, self._on,
-            [self.input_dim, *config.hidden_layer_sizes, self.n_outputs],
-            config.learning_rate, config.adagrad_epsilon)
-        self._net_p = ctypes.addressof(self._net)
+            (self.input_dim, *config.hidden_layer_sizes, self.n_outputs), d,
+            float(config.learning_rate), float(config.adagrad_epsilon))
 
     @property
     def params(self) -> np.ndarray:
@@ -276,9 +274,9 @@ class PoissonRegressor:
         rate_minus) in two-output mode."""
         values = self._values(numeric) if numeric else self._no_numeric
         try:
-            return kernel.forward(self._net_p, categorical, values, self._rows)
+            return kernel.forward(self._net, categorical, values, self._rows)
         except KeyError:
-            return kernel.forward(self._net_p, categorical, values,
+            return kernel.forward(self._net, categorical, values,
                                   self._fill(categorical))
 
     # -- training --------------------------------------------------------
@@ -317,21 +315,16 @@ class PoissonRegressor:
         input gradient it writes into `_grads`, and the update of the dense
         parameters and, in place, of the embedding rows the input looked
         up. A non-finite loss, or a non-finite gradient of the dense
-        parameters or of those rows, raises before anything is written."""
+        parameters or of those rows, raises FloatingPointError, naming the
+        loss, before anything is written."""
         labels = self._label(label)
         values = self._values(numeric) if numeric else self._no_numeric
         try:
-            loss = kernel.train_step(self._net_p, categorical, values, labels,
+            return kernel.train_step(self._net, categorical, values, labels,
                                      self._rows)
         except KeyError:
-            loss = kernel.train_step(self._net_p, categorical, values, labels,
+            return kernel.train_step(self._net, categorical, values, labels,
                                      self._fill(categorical))
-        if loss is None:
-            raise FloatingPointError(
-                f"non-finite loss or gradient (loss={self._net.loss}); "
-                f"step not applied"
-            )
-        return loss
 
     # -- checkpointing ----------------------------------------------------
 
@@ -384,8 +377,7 @@ class RegressorStack:
     def __init__(self, config: RegressorConfig, seeds):
         self.models = [PoissonRegressor(replace(config, rng_seed=seed))
                        for seed in seeds]
-        self._stack = kernel.bind_stack([m._net for m in self.models])
-        self._stack_p = ctypes.addressof(self._stack)
+        self._nets = tuple(m._net for m in self.models)
 
     def read(self, categorical) -> float:
         """The sum, from 0.0 and in model order, of each model's
@@ -393,7 +385,7 @@ class RegressorStack:
         bit for bit. Takes the input the models take."""
         model = self.models[0]
         try:
-            return kernel.read(self._stack_p, categorical, model._rows)
+            return kernel.read(self._nets, categorical, model._rows)
         except KeyError:
-            return kernel.read(self._stack_p, categorical,
+            return kernel.read(self._nets, categorical,
                                model._fill(categorical))
