@@ -100,7 +100,7 @@ def replay_us(spec, stream, slices, stubbed) -> float:
             rate = (0.2, 0.0) if variant.sub_models[0].n_outputs == 2 else 0.2
             kernel.forward = lambda net, pairs, values, memo: rate
             kernel.train_step = lambda net, pairs, values, labels, memo: 0.5
-            kernel.read = lambda stack, pairs, memo: 0.2
+            kernel.read = lambda nets, pairs, memo: 0.2
         try:
             start = time.perf_counter_ns()
             harness.run(variant, stream.examples, slices)
